@@ -27,52 +27,138 @@ from .errors import NumericalError, ValidationError
 
 _ENV_PREFIX = "KMSLAB"
 
-_DEFAULTS = {
+
+# Config value parsers: raw text -> value, or ValueError with the reason.
+
+def _real(raw):
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError("not a number: %r" % raw) from None
+
+
+def _bounded(test, need):
+    def parse(raw):
+        val = _real(raw)
+        if not test(val):
+            raise ValueError("%s, got %s" % (need, raw))
+        return val
+    return parse
+
+
+_positive = _bounded(lambda x: x > 0, "must be positive")
+_nonnegative = _bounded(lambda x: not x < 0, "must be >= 0")
+_speed = _bounded(lambda x: abs(x) < 1.0, "|v| must be < 1")
+
+
+def _int_at_least(minimum):
+    def parse(raw):
+        try:
+            val = int(raw)
+        except ValueError:
+            raise ValueError("not an integer: %r" % raw) from None
+        if val < minimum:
+            raise ValueError("must be >= %d, got %s" % (minimum, raw))
+        return val
+    return parse
+
+
+def _list_of(item):
+    def parse(raw):
+        vals = [item(x) for x in raw.split(",") if x.strip() != ""]
+        if not vals:
+            raise ValueError("need at least one value")
+        return vals
+    return parse
+
+
+def _one_of(what, words):
+    def parse(raw):
+        if raw not in words:
+            raise ValueError("unknown %s %r" % (what, raw))
+        return raw
+    return parse
+
+
+def _auto_or_positive(raw):
+    return None if raw == "auto" else _positive(raw)
+
+
+# mode family -> (liouville builder, the arguments it takes besides beta,
+# amplitude and zeta)
+_MODE_FAMILIES = {
+    "jittered": ("jittered_modes", ("seed", "n_side")),
+    "paired": ("paired_modes", ("n_side",)),
+    "shell": ("resonant_shell_modes", ("gap", "seed")),
+}
+
+# trajectory kind -> the [trajectory] keys its worldline takes
+_TRAJECTORIES = {"rest": (), "inertial": ("v",), "accelerated": ("accel",)}
+
+_family = _one_of("mode family", _MODE_FAMILIES)
+
+# {section: {key: (default text, parser)}}
+_SCHEMA = {
     "global": {
-        "beta": "1.0",
-        "mass": "0.0",
-        "zeta": format(math.pi, ".17g"),
-        "n_grid": "1024",
+        "beta": ("1.0", _positive),
+        "mass": ("0.0", _nonnegative),
+        "zeta": (format(math.pi, ".17g"), _real),
+        "n_grid": ("1024", _int_at_least(8)),
     },
     "detector": {
-        "gap": "1.0",
-        "energies": "0.5,1.0,1.5,2.0",
+        "energies": ("0.5,1.0,1.5,2.0", _list_of(_positive)),
     },
     "trajectory": {
-        "kind": "rest",
-        "v": "0.5",
-        "accel": "1.0",
+        "kind": ("rest", _one_of("kind", _TRAJECTORIES)),
+        "v": ("0.5", _speed),
+        "accel": ("1.0", _positive),
     },
     "liouville": {
-        "gap": "1.0",
-        "family": "jittered",
-        "n_side": "12",
-        "n_tot_max": "3",
-        "amplitude": "0.03",
-        "lambdas": "0.0,0.02,0.04,0.08",
-        "coupling_offdiagonal": "1.0",
-        "evolve_family": "shell",
-        "evolve_n_tot_max": "4",
-        "evolve_amplitude": "1.0",
-        "evolve_lambda": "auto",
-        "initial": "excited",
-        "dt": "0.5",
-        "t_max": "auto",
+        "gap": ("1.0", _positive),
+        "family": ("jittered", _family),
+        "n_side": ("12", _int_at_least(2)),
+        "n_tot_max": ("3", _int_at_least(1)),
+        "amplitude": ("0.03", _positive),
+        "lambdas": ("0.0,0.02,0.04,0.08", _list_of(_real)),
+        "coupling_offdiagonal": ("1.0", _real),
+        "evolve_family": ("shell", _family),
+        "evolve_n_tot_max": ("4", _int_at_least(1)),
+        "evolve_amplitude": ("1.0", _positive),
+        "evolve_lambda": ("auto", _auto_or_positive),
+        "initial": ("excited", _one_of("initial state", (
+            "excited", "one-boson", "entangled", "stationary"))),
+        "dt": ("0.5", _positive),
+        "t_max": ("auto", _auto_or_positive),
     },
     "disjointness": {
-        "beta2": "2.0",
-        "v": "0.0",
-        "n_max_modes": "200",
-        "s_lo": "0.1",
-        "s_hi": "5.0",
-        "threshold": "0.01",
+        "beta2": ("2.0", _positive),
+        "v": ("0.0", _speed),
+        "n_max_modes": ("200", _int_at_least(1)),
+        "s_lo": ("0.1", _positive),
+        "s_hi": ("5.0", _positive),
+        "threshold": ("0.01", _positive),
     },
 }
+
+# subcommand -> the config sections it consumes and stamps into its manifest
+_SECTIONS = {
+    "formfactor": ["global"],
+    "kms-check": ["global"],
+    "mixing": ["global"],
+    "response": ["global", "detector", "trajectory"],
+    "rte-spectrum": ["global", "liouville"],
+    "rte-evolve": ["global", "liouville"],
+    "disjoint": ["global", "disjointness"],
+}
+
+# subcommand option -> the config key it overrides
+_OVERRIDES = {"beta": ("global", "beta"), "trajectory": ("trajectory", "kind")}
 
 
 def _resolve_config(config_path):
     """Defaults, then file, then environment, as a {section: {key: str}}."""
-    resolved = {sec: dict(kv) for sec, kv in _DEFAULTS.items()}
+    resolved = {sec: {key: spec[0] for key, spec in kv.items()}
+                for sec, kv in _SCHEMA.items()}
     if config_path is not None:
         from .textio import read_keyvals
         try:
@@ -98,61 +184,46 @@ def _resolve_config(config_path):
     return resolved
 
 
-def _cfg_float(cfg, section, key, positive=False, nonnegative=False):
-    raw = cfg[section][key]
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ValidationError("[%s] %s: not a number: %r" % (section, key, raw))
-    if positive and not val > 0:
-        raise ValidationError(
-            "[%s] %s: must be positive, got %s" % (section, key, raw))
-    if nonnegative and val < 0:
-        raise ValidationError(
-            "[%s] %s: must be >= 0, got %s" % (section, key, raw))
-    return val
-
-
-def _cfg_int(cfg, section, key, minimum=None):
-    raw = cfg[section][key]
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValidationError("[%s] %s: not an integer: %r" % (section, key, raw))
-    if minimum is not None and val < minimum:
-        raise ValidationError(
-            "[%s] %s: must be >= %d, got %s" % (section, key, minimum, raw))
-    return val
-
-
-def _cfg_floats(cfg, section, key):
-    raw = cfg[section][key]
-    try:
-        return [float(x) for x in raw.split(",") if x.strip() != ""]
-    except ValueError:
-        raise ValidationError(
-            "[%s] %s: not a comma-separated number list: %r"
-            % (section, key, raw))
-
-
-def _write_manifest(out_dir, command, cfg, sections, seed, extra=()):
-    from .textio import write_keyvals
-    pairs = [("[run]", ""), ("command", command), ("version", __version__),
-             ("seed", str(seed))]
-    for sec in sections:
-        pairs.append(("[%s]" % sec, ""))
-        for key in sorted(cfg[sec]):
-            pairs.append((key, cfg[sec][key]))
-    pairs += list(extra)
-    write_keyvals(os.path.join(out_dir, "manifest.txt"), pairs)
-
-
 def _prepare(ctx):
-    cfg = _resolve_config(ctx.obj["config"])
-    out_dir = ctx.obj["out"]
+    """Resolve the config, apply the subcommand's override options (from
+    ctx.params) and parse every key of its sections, all before any
+    numeric library is imported.  Returns ({section: {key: value}}, output
+    directory).
+    """
+    raw = _resolve_config(ctx.obj["config"])
+    for name, val in ctx.params.items():
+        if name in _OVERRIDES and val is not None:
+            sec, key = _OVERRIDES[name]
+            raw[sec][key] = val if isinstance(val, str) else format(val, ".17g")
+    cfg = {}
+    for sec in _SECTIONS[ctx.command.name]:
+        cfg[sec] = {}
+        for key, text in raw[sec].items():
+            try:
+                cfg[sec][key] = _SCHEMA[sec][key][1](text)
+            except ValueError as exc:
+                raise ValidationError("[%s] %s: %s" % (sec, key, exc)) from None
+    ctx.obj["raw"] = raw
     from .textio import ensure_dir
-    ensure_dir(out_dir)
-    return cfg, out_dir, ctx.obj["seed"]
+    ensure_dir(ctx.obj["out"])
+    return cfg, ctx.obj["out"]
+
+
+def _write_manifest(ctx, extra=()):
+    from .textio import write_keyvals
+    raw = ctx.obj["raw"]
+    pairs = [("[run]", ""), ("command", ctx.command.name),
+             ("version", __version__), ("seed", str(ctx.obj["seed"]))]
+    for sec in _SECTIONS[ctx.command.name]:
+        pairs.append(("[%s]" % sec, ""))
+        for key in sorted(raw[sec]):
+            pairs.append((key, raw[sec][key]))
+    pairs += list(extra)
+    write_keyvals(os.path.join(ctx.obj["out"], "manifest.txt"), pairs)
+
+
+_beta_option = click.option("--beta", type=float, default=None,
+                            help="override [global] beta")
 
 
 @click.group()
@@ -173,51 +244,43 @@ def cli(ctx, config, out, seed, threads):
 
 
 @cli.command("formfactor")
-@click.option("--beta", type=float, default=None,
-              help="override [global] beta")
+@_beta_option
 @click.pass_context
-def cmd_formfactor(ctx, beta):
+def cmd_formfactor(ctx, **_overrides):
     """Emit the glued thermal form factor and its conjugation residual."""
-    cfg, out_dir, seed = _prepare(ctx)
-    if beta is not None:
-        cfg["global"]["beta"] = format(beta, ".17g")
-    beta = _cfg_float(cfg, "global", "beta", positive=True)
-    zeta = _cfg_float(cfg, "global", "zeta")
-    n = _cfg_int(cfg, "global", "n_grid", minimum=8)
+    cfg, out_dir = _prepare(ctx)
+    g_cfg = cfg["global"]
+    beta = g_cfg["beta"]
     import numpy as np
     from .oneparticle import (MomentumFunction, default_coupling,
                               default_qgrid, jf_conjugate, kms_glue,
                               save_glued)
-    q, w = default_qgrid(beta, n=n)
+    q, w = default_qgrid(beta, n=g_cfg["n_grid"])
     u = MomentumFunction.from_radial(q, w, default_coupling(q))
-    g = kms_glue(u, beta, zeta=zeta)
+    g = kms_glue(u, beta, zeta=g_cfg["zeta"])
     target = np.exp(-beta * g.s / 2.0) * g.values
     resid = float(np.max(np.abs(jf_conjugate(g).values - target))
                   / np.max(np.abs(g.values)))
     path = os.path.join(out_dir, "formfactor.csv")
     save_glued(path, g, extra_meta=[("jf_identity_max_err", resid)])
-    _write_manifest(out_dir, "formfactor", cfg, ["global"], seed)
+    _write_manifest(ctx)
     click.echo("jf_identity_max_err=%s" % format(resid, ".17g"))
     click.echo("wrote %s" % path)
 
 
 @cli.command("kms-check")
-@click.option("--beta", type=float, default=None, help="override [global] beta")
+@_beta_option
 @click.option("--t-span", type=float, default=200.0, show_default=True,
               help="correlator half-span for the windowed transform")
 @click.pass_context
-def cmd_kms_check(ctx, beta, t_span):
+def cmd_kms_check(ctx, t_span, **_overrides):
     """Detailed-balance check of the two-point spectrum."""
-    cfg, out_dir, seed = _prepare(ctx)
-    if beta is not None:
-        cfg["global"]["beta"] = format(beta, ".17g")
-    beta = _cfg_float(cfg, "global", "beta", positive=True)
-    mass = _cfg_float(cfg, "global", "mass", nonnegative=True)
-    n = _cfg_int(cfg, "global", "n_grid", minimum=8)
+    cfg, out_dir = _prepare(ctx)
+    beta, mass = cfg["global"]["beta"], cfg["global"]["mass"]
     from .oneparticle import default_qgrid
     from .quasifree import QuasiFreeState, gaussian_packet, kms_balance_check
     from .textio import fmt17, write_csv, write_keyvals
-    q, w = default_qgrid(beta, n=n)
+    q, w = default_qgrid(beta, n=cfg["global"]["n_grid"])
     f = gaussian_packet(q, w, mass=mass)
     state = QuasiFreeState(beta=beta, mass=mass)
     report = kms_balance_check(state, f, t_span=t_span)
@@ -226,8 +289,7 @@ def cmd_kms_check(ctx, beta, t_span):
               [report.nu, report.spectrum_pos, report.spectrum_neg])
     write_keyvals(os.path.join(out_dir, "kms_check_report.txt"),
                   report.text_pairs())
-    _write_manifest(out_dir, "kms-check", cfg, ["global"], seed,
-                    extra=[("t_span", fmt17(t_span))])
+    _write_manifest(ctx, extra=[("t_span", fmt17(t_span))])
     for key, val in report.text_pairs():
         click.echo("%s=%s" % (key, fmt17(val) if isinstance(val, float) else val))
 
@@ -237,14 +299,12 @@ def cmd_kms_check(ctx, beta, t_span):
 @click.pass_context
 def cmd_mixing(ctx, t_max):
     """Clustering decay of the two-point and Weyl correlators."""
-    cfg, out_dir, seed = _prepare(ctx)
-    beta = _cfg_float(cfg, "global", "beta", positive=True)
-    mass = _cfg_float(cfg, "global", "mass", nonnegative=True)
-    n = _cfg_int(cfg, "global", "n_grid", minimum=8)
+    cfg, out_dir = _prepare(ctx)
+    beta, mass = cfg["global"]["beta"], cfg["global"]["mass"]
     from .oneparticle import default_qgrid
     from .quasifree import QuasiFreeState, gaussian_packet, mixing_decay
     from .textio import fmt17, write_csv
-    q, w = default_qgrid(beta, n=n)
+    q, w = default_qgrid(beta, n=cfg["global"]["n_grid"])
     f = gaussian_packet(q, w, mass=mass)
     state = QuasiFreeState(beta=beta, mass=mass)
     report = mixing_decay(state, f, t_max=t_max)
@@ -252,47 +312,29 @@ def cmd_mixing(ctx, t_max):
               "t,abs_two_point,weyl_residual",
               [report.times, report.abs_two_point, report.weyl_residual])
     f1, f2 = report.tail_fraction(t_max / 2.0)
-    _write_manifest(out_dir, "mixing", cfg, ["global"], seed,
-                    extra=[("t_max", fmt17(t_max))])
+    _write_manifest(ctx, extra=[("t_max", fmt17(t_max))])
     click.echo("two_point_tail_fraction=%s" % fmt17(f1))
     click.echo("weyl_tail_fraction=%s" % fmt17(f2))
 
 
 @cli.command("response")
-@click.option("--trajectory", "traj_kind",
-              type=click.Choice(["rest", "inertial", "accelerated"]),
+@click.option("--trajectory", type=click.Choice(list(_TRAJECTORIES)),
               default=None, help="override [trajectory] kind")
-@click.option("--beta", type=float, default=None, help="override [global] beta")
+@_beta_option
 @click.pass_context
-def cmd_response(ctx, traj_kind, beta):
+def cmd_response(ctx, **_overrides):
     """Detector rate curve with its detailed-balance and temperature readout."""
-    cfg, out_dir, seed = _prepare(ctx)
-    if beta is not None:
-        cfg["global"]["beta"] = format(beta, ".17g")
-    if traj_kind is not None:
-        cfg["trajectory"]["kind"] = traj_kind
-    beta = _cfg_float(cfg, "global", "beta", positive=True)
-    mass = _cfg_float(cfg, "global", "mass", nonnegative=True)
-    kind = cfg["trajectory"]["kind"]
-    energies = _cfg_floats(cfg, "detector", "energies")
-    if not energies or any(e <= 0 for e in energies):
-        raise ValidationError(
-            "[detector] energies: need a list of positive gaps, got %r"
-            % cfg["detector"]["energies"])
+    cfg, out_dir = _prepare(ctx)
+    energies = cfg["detector"]["energies"]
+    t_cfg = cfg["trajectory"]
     import numpy as np
     from .detector import Trajectory, response_curve
     from .quasifree import QuasiFreeState
     from .textio import fmt17, write_csv
-    if kind == "rest":
-        traj = Trajectory.rest()
-    elif kind == "inertial":
-        traj = Trajectory.inertial(_cfg_float(cfg, "trajectory", "v"))
-    elif kind == "accelerated":
-        traj = Trajectory.accelerated(
-            _cfg_float(cfg, "trajectory", "accel", positive=True))
-    else:
-        raise ValidationError("[trajectory] kind: unknown kind %r" % kind)
-    state = QuasiFreeState(beta=beta, mass=mass)
+    kind = t_cfg["kind"]
+    traj = Trajectory(kind, **{k: t_cfg[k] for k in _TRAJECTORIES[kind]})
+    state = QuasiFreeState(beta=cfg["global"]["beta"],
+                           mass=cfg["global"]["mass"])
     grid = sorted(set(energies) | set(-e for e in energies))
     curve = response_curve(state, traj, grid)
     pos = np.asarray(sorted(energies))
@@ -305,60 +347,45 @@ def cmd_response(ctx, traj_kind, beta):
               [pos, up, down, balance])
     write_csv(os.path.join(out_dir, "response_beta_eff.csv"),
               "E,beta_eff", [pos, beta_eff])
-    _write_manifest(out_dir, "response", cfg,
-                    ["global", "detector", "trajectory"], seed,
-                    extra=[("window_sigma_tau", fmt17(curve.window.sigma_tau)),
-                           ("eps", fmt17(curve.eps))])
+    _write_manifest(ctx, extra=[
+        ("window_sigma_tau", fmt17(curve.window.sigma_tau)),
+        ("eps", fmt17(curve.eps))])
     for e, b, be in zip(pos, balance, beta_eff):
         click.echo("E=%s balance=%s beta_eff=%s"
                    % (fmt17(e), fmt17(b), fmt17(be)))
 
 
-def _liouville_space(cfg, seed, family_key, ntot_key, amp_key):
+def _liouville_space(cfg, seed, prefix):
+    """Mode family and truncated Fock space from the [liouville] keys
+    family, n_tot_max and amplitude, each read with the given prefix."""
     from . import liouville as lv
-    beta = _cfg_float(cfg, "global", "beta", positive=True)
-    zeta = _cfg_float(cfg, "global", "zeta")
-    gap = _cfg_float(cfg, "liouville", "gap", positive=True)
-    n_side = _cfg_int(cfg, "liouville", "n_side", minimum=2)
-    amp = _cfg_float(cfg, "liouville", amp_key, positive=True)
-    ntot = _cfg_int(cfg, "liouville", ntot_key, minimum=1)
-    family = cfg["liouville"][family_key]
-    if family == "jittered":
-        disc = lv.jittered_modes(beta, seed=seed, n_side=n_side,
-                                 amplitude=amp, zeta=zeta)
-    elif family == "paired":
-        disc = lv.paired_modes(beta, n_side=n_side, amplitude=amp, zeta=zeta)
-    elif family == "shell":
-        disc = lv.resonant_shell_modes(beta, gap, seed=seed,
-                                       amplitude=amp, zeta=zeta)
-    else:
-        raise ValidationError(
-            "[liouville] %s: unknown mode family %r" % (family_key, family))
-    space = lv.TruncatedFock(disc, n_tot_max=ntot)
-    return lv, disc, space, gap, beta
+    beta, lcfg = cfg["global"]["beta"], cfg["liouville"]
+    builder, takes = _MODE_FAMILIES[lcfg[prefix + "family"]]
+    args = {"seed": seed, "n_side": lcfg["n_side"], "gap": lcfg["gap"]}
+    disc = getattr(lv, builder)(
+        beta, amplitude=lcfg[prefix + "amplitude"], zeta=cfg["global"]["zeta"],
+        **{name: args[name] for name in takes})
+    space = lv.TruncatedFock(disc, n_tot_max=lcfg[prefix + "n_tot_max"])
+    return lv, disc, space, lcfg["gap"], beta
 
 
 @cli.command("rte-spectrum")
 @click.pass_context
 def cmd_rte_spectrum(ctx):
     """Near-zero spectrum of the coupled generator over a coupling sweep."""
-    cfg, out_dir, seed = _prepare(ctx)
-    lv, disc, space, gap, beta = _liouville_space(
-        cfg, seed, "family", "n_tot_max", "amplitude")
-    lambdas = _cfg_floats(cfg, "liouville", "lambdas")
-    if not lambdas:
-        raise ValidationError("[liouville] lambdas: need at least one value")
-    g_off = _cfg_float(cfg, "liouville", "coupling_offdiagonal")
+    cfg, out_dir = _prepare(ctx)
+    lv, disc, space, gap, beta = _liouville_space(cfg, ctx.obj["seed"], "")
+    g_off = cfg["liouville"]["coupling_offdiagonal"]
     import numpy as np
     from .textio import fmt17
     G = np.array([[0.0, g_off], [g_off, 0.0]])
-    sweep = lv.kernel_splitting_sweep(space, gap, G, lambdas)
+    sweep = lv.kernel_splitting_sweep(space, gap, G,
+                                      cfg["liouville"]["lambdas"])
     sweep.save(os.path.join(out_dir, "rte_spectrum.csv"))
     t_rec = disc.recurrence_time()
     lo, hi = lv.fgr_window(disc, gap, t_rec)
-    _write_manifest(out_dir, "rte-spectrum", cfg, ["global", "liouville"],
-                    seed, extra=[("theta", fmt17(sweep.theta)),
-                                 ("recurrence_time", fmt17(t_rec))])
+    _write_manifest(ctx, extra=[("theta", fmt17(sweep.theta)),
+                                ("recurrence_time", fmt17(t_rec))])
     for lam, gp, kd in zip(sweep.lambdas, sweep.gaps, sweep.kernel_dims):
         click.echo("lambda=%s kernel_dim=%d gap=%s"
                    % (fmt17(lam), kd, fmt17(gp)))
@@ -372,25 +399,20 @@ def cmd_rte_spectrum(ctx):
 @click.pass_context
 def cmd_rte_evolve(ctx):
     """Reduced-detector trace distance to equilibrium along the evolution."""
-    cfg, out_dir, seed = _prepare(ctx)
-    lv, disc, space, gap, beta = _liouville_space(
-        cfg, seed, "evolve_family", "evolve_n_tot_max", "evolve_amplitude")
-    g_off = _cfg_float(cfg, "liouville", "coupling_offdiagonal")
-    dt = _cfg_float(cfg, "liouville", "dt", positive=True)
+    cfg, out_dir = _prepare(ctx)
+    lv, disc, space, gap, beta = _liouville_space(cfg, ctx.obj["seed"],
+                                                  "evolve_")
+    lcfg = cfg["liouville"]
+    g_off, dt = lcfg["coupling_offdiagonal"], lcfg["dt"]
     import numpy as np
     from .textio import fmt17
     t_rec = disc.recurrence_time()
     lo, hi = lv.fgr_window(disc, gap, t_rec)
-    raw_lam = cfg["liouville"]["evolve_lambda"]
-    lam = lo if raw_lam == "auto" else _cfg_float(
-        cfg, "liouville", "evolve_lambda", positive=True)
-    raw_tmax = cfg["liouville"]["t_max"]
-    t_max = t_rec if raw_tmax == "auto" else _cfg_float(
-        cfg, "liouville", "t_max", positive=True)
+    lam = lo if lcfg["evolve_lambda"] is None else lcfg["evolve_lambda"]
+    t_max = t_rec if lcfg["t_max"] is None else lcfg["t_max"]
     G = np.array([[0.0, g_off], [g_off, 0.0]])
     L = lv.assemble_liouvillean(space, gap, G, lam)
-    which = cfg["liouville"]["initial"]
-    R = space.reservoir_dim
+    which = lcfg["initial"]
     packet = np.exp(-(((disc.s - gap) / 0.3) ** 2)) * (disc.s > 0)
     if which == "excited":
         psi = lv.product_initial(space, np.diag([1.0, 0.0]))
@@ -402,21 +424,17 @@ def cmd_rte_evolve(ctx):
         psi += lv.one_boson_initial(space, np.array([0, 0, 0, 1.0]),
                                     packet) / math.sqrt(2.0)
         psi /= np.linalg.norm(psi)
-    elif which == "stationary":
+    else:  # stationary
         L0w = L.with_lambda(0.0)
         omega = lv.perturbed_kms_vector(L0w, L.parts["I"], lam, beta)
         psi = lv.product_initial(space, lv.reduce_detector(omega, space))
-    else:
-        raise ValidationError(
-            "[liouville] initial: unknown initial state %r" % which)
     tgrid = np.arange(dt, t_max + dt / 2.0, dt)
     report = lv.rte_distance_series(L, psi, tgrid)
     report.save(os.path.join(out_dir, "rte_evolve.csv"))
-    _write_manifest(out_dir, "rte-evolve", cfg, ["global", "liouville"],
-                    seed, extra=[("lambda_used", fmt17(lam)),
-                                 ("recurrence_time", fmt17(t_rec)),
-                                 ("fgr_window_lo", fmt17(lo)),
-                                 ("fgr_window_hi", fmt17(hi))])
+    _write_manifest(ctx, extra=[("lambda_used", fmt17(lam)),
+                                ("recurrence_time", fmt17(t_rec)),
+                                ("fgr_window_lo", fmt17(lo)),
+                                ("fgr_window_hi", fmt17(hi))])
     click.echo("lambda=%s fgr_window=[%s, %s]"
                % (fmt17(lam), fmt17(lo), fmt17(hi)))
     click.echo("recurrence_time=%s" % fmt17(t_rec))
@@ -431,27 +449,21 @@ def cmd_rte_evolve(ctx):
 @click.pass_context
 def cmd_disjoint(ctx):
     """Fidelity decay between two thermal states over growing mode families."""
-    cfg, out_dir, seed = _prepare(ctx)
-    beta = _cfg_float(cfg, "global", "beta", positive=True)
-    beta2 = _cfg_float(cfg, "disjointness", "beta2", positive=True)
-    v = _cfg_float(cfg, "disjointness", "v")
-    if not abs(v) < 1.0:
-        raise ValidationError("[disjointness] v: |v| must be < 1, got %s"
-                              % cfg["disjointness"]["v"])
-    n_max = _cfg_int(cfg, "disjointness", "n_max_modes", minimum=1)
-    s_lo = _cfg_float(cfg, "disjointness", "s_lo", positive=True)
-    s_hi = _cfg_float(cfg, "disjointness", "s_hi", positive=True)
-    threshold = _cfg_float(cfg, "disjointness", "threshold", positive=True)
+    cfg, out_dir = _prepare(ctx)
+    d_cfg = cfg["disjointness"]
     from .disjointness import adapted_family, overlap_decay
     from .oneparticle import BoostSpec
     from .quasifree import QuasiFreeState
     from .textio import fmt17
-    family = adapted_family(n_max, s_lo=s_lo, s_hi=s_hi)
-    state1 = QuasiFreeState(beta=beta)
-    state2 = QuasiFreeState(beta=beta2, frame=BoostSpec.from_velocity(v))
-    curve = overlap_decay(state1, state2, family, threshold=threshold)
+    family = adapted_family(d_cfg["n_max_modes"], s_lo=d_cfg["s_lo"],
+                            s_hi=d_cfg["s_hi"])
+    state1 = QuasiFreeState(beta=cfg["global"]["beta"])
+    state2 = QuasiFreeState(beta=d_cfg["beta2"],
+                            frame=BoostSpec.from_velocity(d_cfg["v"]))
+    curve = overlap_decay(state1, state2, family,
+                          threshold=d_cfg["threshold"])
     curve.save(os.path.join(out_dir, "disjoint.csv"))
-    _write_manifest(out_dir, "disjoint", cfg, ["global", "disjointness"], seed)
+    _write_manifest(ctx)
     click.echo("n_star=%s" % ("none" if curve.n_star is None
                               else str(curve.n_star)))
     click.echo("log_slope=%s" % fmt17(curve.slope))

@@ -20,17 +20,28 @@ import numpy as np
 
 from .errors import (UnsupportedConfigurationError, ValidationError,
                      WindowBiasWarning)
-from .oneparticle import BoostSpec, planck_occupation
+from .oneparticle import BoostSpec, gl_panels, planck_occupation
 from .quasifree import QuasiFreeState
 
 FOUR_PI2 = 4.0 * math.pi ** 2
 
 __all__ = [
-    "DetectorSpec", "Trajectory", "CouplingProfile", "ResponseWindow",
-    "ResponseCurve", "BetaEffCurve", "BoostInvarianceReport",
+    "hermitian_2x2", "DetectorSpec", "Trajectory", "CouplingProfile",
+    "ResponseWindow", "ResponseCurve", "BetaEffCurve", "BoostInvarianceReport",
     "pullback_wightman", "response_curve", "response_rate",
     "effective_temperature_curve", "boost_invariance_check",
 ]
+
+
+def hermitian_2x2(matrix, name):
+    """The 2x2 matrix as a complex array; ValidationError naming it unless
+    it is Hermitian to 1e-12."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (2, 2):
+        raise ValidationError("%s must be 2x2" % name)
+    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
+        raise ValidationError("%s must be Hermitian" % name)
+    return matrix
 
 
 class DetectorSpec:
@@ -42,11 +53,7 @@ class DetectorSpec:
             raise ValidationError("detector gap must be positive")
         if monopole is None:
             monopole = np.array([[0.0, 1.0], [1.0, 0.0]])
-        monopole = np.asarray(monopole, dtype=complex)
-        if monopole.shape != (2, 2):
-            raise ValidationError("monopole matrix must be 2x2")
-        if np.max(np.abs(monopole - monopole.conj().T)) > 1e-12:
-            raise ValidationError("monopole matrix must be Hermitian")
+        monopole = hermitian_2x2(monopole, "monopole matrix")
         self.gap = float(gap)
         self.coupling_strength = float(coupling_strength)
         self.monopole = monopole
@@ -163,74 +170,26 @@ def _resolve_configuration(state, traj):
 # ---------------------------------------------------------------------------
 # quadrature meshes
 
-def _gl_cache(n):
-    if n not in _gl_cache.store:
-        _gl_cache.store[n] = np.polynomial.legendre.leggauss(n)
-    return _gl_cache.store[n]
-
-
-_gl_cache.store = {}
-
-
-def _panel_nodes(a, b, n):
-    """Composite Gauss-Legendre covering [a, b] with at least n nodes.
-    Node counts per subpanel stay small; large requests split into equal
-    subpanels instead of raising the rule order."""
-    m = max(1, -(-n // 64))
-    order = -(-n // m)
-    x, w = _gl_cache(order)
-    edges = np.linspace(a, b, m + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (edges[:-1, None] + half * (x + 1.0)[None, :]).ravel()
-    weights = np.broadcast_to(half * w, (m, order)).ravel()
-    return nodes, weights
-
-
 def _graded_tau_mesh(eps, tau_max, osc_rate):
     """Gauss-Legendre panels on [0, tau_max], geometrically grown from the
     regulator scale, with widths capped so each 32-node panel resolves the
     requested oscillation rate."""
     width_cap = 36.0 / (osc_rate + 1.0)
-    nodes, weights = [], []
-    left = 0.0
+    edges = [0.0]
     width = 2.0 * eps
-    while left < tau_max:
+    while edges[-1] < tau_max:
         width = min(width, width_cap)
-        right = min(left + width, tau_max)
-        x, w = _panel_nodes(left, right, 32)
-        nodes.append(x)
-        weights.append(w)
-        left = right
+        edges.append(min(edges[-1] + width, tau_max))
         width *= 3.5
-    return np.concatenate(nodes), np.concatenate(weights)
+    return gl_panels(edges, 32)
 
 
-def _thermal_qmesh(beta, phase_rate, q_cap=None):
-    """Panels covering the occupied band of the bath, node counts tied to
-    the largest worldline phase q*(t+r) encountered."""
-    top = 40.0 / beta
-    if q_cap is not None:
-        top = min(top, q_cap)
-    breaks = [x / beta for x in (0.0, 2.0, 5.0, 10.0, 20.0, 40.0)]
-    breaks = [b for b in breaks if b < top] + [top]
-    nodes, weights = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        n = max(48, int(0.65 * (b - a) * phase_rate) + 12)
-        x, w = _panel_nodes(a, b, n)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _coupling_qmesh(q_max, phase_rate):
-    breaks = np.linspace(0.0, q_max, 5)
-    nodes, weights = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        n = max(48, int(0.65 * (b - a) * phase_rate) + 12)
-        x, w = _panel_nodes(a, b, n)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _qmesh(edges, phase_rate):
+    """Momentum panels on the given edges, node counts tied to the largest
+    worldline phase q*(t+r) encountered."""
+    counts = [max(48, int(0.65 * (b - a) * phase_rate) + 12)
+              for a, b in zip(edges[:-1], edges[1:])]
+    return gl_panels(edges, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +255,7 @@ def _wightman_values(state, traj, tau, eps, coupling=None, boost=None):
     r_lab = gamma * v * tau
     phase_rate = gamma * (1.0 + abs(v)) * float(np.max(np.abs(tau)))
     if coupling is not None:
-        q, wq = _coupling_qmesh(coupling.q_max, phase_rate)
+        q, wq = _qmesh(np.linspace(0.0, coupling.q_max, 5), phase_rate)
         cpl = coupling(q)
         mu = np.zeros_like(q) if state.is_vacuum \
             else planck_occupation(q, state.beta)
@@ -305,7 +264,9 @@ def _wightman_values(state, traj, tau, eps, coupling=None, boost=None):
         return _mode_sum(q, wq, a_coef, b_coef, t_lab, r_lab, eps)
     out = _interval_correlation(t_lab, r_lab, eps)
     if not state.is_vacuum:
-        q, wq = _thermal_qmesh(state.beta, phase_rate)
+        # panels over the occupied band of the bath, up to q = 40/beta
+        edges = [x / state.beta for x in (0.0, 2.0, 5.0, 10.0, 20.0, 40.0)]
+        q, wq = _qmesh(edges, phase_rate)
         mu = planck_occupation(q, state.beta)
         out = out + _mode_sum(q, wq, q * mu, q * mu, t_lab, r_lab, eps)
     return out

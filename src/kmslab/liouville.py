@@ -35,7 +35,8 @@ from .errors import (
     TruncationWarning,
     ValidationError,
 )
-from .oneparticle import default_coupling, planck_occupation
+from .detector import hermitian_2x2
+from .oneparticle import default_coupling, gl_panels, planck_occupation
 from .textio import fmt17, write_csv
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "assemble_L0",
     "assemble_coupling",
     "assemble_liouvillean",
-    "modular_conjugation",
     "perturbed_kms_vector",
     "spectrum_scan",
     "kernel_splitting_sweep",
@@ -188,11 +188,6 @@ class ReservoirDiscretization:
         return 2.0 * math.pi / spacing
 
 
-def _gl_panel(a: float, b: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
-
-
 def _pack(beta, s, w, coupling, zeta, amplitude) -> ReservoirDiscretization:
     f = np.sqrt(4.0 * math.pi * w) * form_factor_values(
         s, beta, coupling=coupling, zeta=zeta, amplitude=amplitude)
@@ -205,11 +200,7 @@ def paired_modes(beta, n_side=12, s_min=0.02, s_max=6.0, split=1.5,
                  coupling=None, zeta=math.pi, amplitude=1.0):
     """Exactly mirrored +/- grid.  Resonant by construction; J-compatible."""
     n1 = n_side // 2
-    n2 = n_side - n1
-    q1, w1 = _gl_panel(s_min, split, n1)
-    q2, w2 = _gl_panel(split, s_max, n2)
-    q = np.concatenate([q1, q2])
-    wq = np.concatenate([w1, w2])
+    q, wq = gl_panels([s_min, split, s_max], [n1, n_side - n1])
     s = np.concatenate([q, -q])
     w = np.concatenate([wq, wq])
     return _pack(beta, s, w, coupling, zeta, amplitude)
@@ -221,13 +212,10 @@ def jittered_modes(beta, seed, n_side=12, s_min=0.02, s_max=6.0,
     """Non-resonant grid: independent panel split points on the two sides."""
     rng = np.random.default_rng(seed)
     n1 = n_side // 2
-    n2 = n_side - n1
 
     def one_side():
         b = split_lo + (split_hi - split_lo) * rng.random()
-        q1, w1 = _gl_panel(s_min, b, n1)
-        q2, w2 = _gl_panel(b, s_max, n2)
-        return np.concatenate([q1, q2]), np.concatenate([w1, w2])
+        return gl_panels([s_min, b, s_max], [n1, n_side - n1])
 
     qp, wp = one_side()
     qm, wm = one_side()
@@ -249,15 +237,7 @@ def resonant_shell_modes(beta, gap, seed, orders=(2, 8, 2), s_min=0.02,
 
     def one_side():
         hw = half_width_lo + (half_width_hi - half_width_lo) * rng.random()
-        panels = [(s_min, gap - hw, orders[0]),
-                  (gap - hw, gap + hw, orders[1]),
-                  (gap + hw, s_max, orders[2])]
-        qs, ws = [], []
-        for a, b, n in panels:
-            qq, ww = _gl_panel(a, b, n)
-            qs.append(qq)
-            ws.append(ww)
-        return np.concatenate(qs), np.concatenate(ws)
+        return gl_panels([s_min, gap - hw, gap + hw, s_max], orders)
 
     qp, wp = one_side()
     qm, wm = one_side()
@@ -422,11 +402,7 @@ def gns_vacuum(space: TruncatedFock, E: float, beta: float) -> np.ndarray:
 
 def product_initial(space: TruncatedFock, detector_rho: np.ndarray) -> np.ndarray:
     """Purification vector of (detector density matrix) x reservoir vacuum."""
-    rho = np.asarray(detector_rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValidationError("detector density matrix must be 2x2")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-        raise ValidationError("detector density matrix must be Hermitian")
+    rho = hermitian_2x2(detector_rho, "detector density matrix")
     evals, evecs = np.linalg.eigh(rho)
     if np.any(evals < -1e-10):
         raise ValidationError("detector density matrix must be PSD")
@@ -499,10 +475,7 @@ def assemble_L0(space: TruncatedFock, E: float) -> LiouvilleanOperator:
             "resonant mode grid: %d reservoir sums collide with {0, +-E}: %s%s"
             % (len(collisions), listing, more), ResonanceWarning, stacklevel=2)
     mat = sp.diags(diag).tocsr()
-    parts = {"L_D": sp.kron(sp.diags(d_energy), sp.identity(R)).tocsr(),
-             "dGamma": sp.kron(sp.identity(4),
-                               sp.diags(space.occupation_energy)).tocsr()}
-    return LiouvilleanOperator(matrix=mat, parts=parts, lam=0.0,
+    return LiouvilleanOperator(matrix=mat, parts={}, lam=0.0,
                                beta=space.disc.beta, gap=E, space=space)
 
 
@@ -513,11 +486,7 @@ def assemble_coupling(space: TruncatedFock, G: np.ndarray):
     which uses the detailed-balance property of the glued amplitudes and
     avoids constructing J.
     """
-    G = np.asarray(G, dtype=complex)
-    if G.shape != (2, 2):
-        raise ValidationError("monopole matrix must be 2x2")
-    if np.max(np.abs(G - G.conj().T)) > 1e-12:
-        raise ValidationError("monopole matrix must be Hermitian")
+    G = hermitian_2x2(G, "monopole matrix")
     if np.max(np.abs(G.imag)) == 0.0:
         G = G.real
     disc = space.disc
@@ -540,8 +509,7 @@ def assemble_liouvillean(space: TruncatedFock, E: float, G: np.ndarray,
     I_mat, V = assemble_coupling(space, G)
     mat = (L0.matrix + lam * V).tocsr()
     _check_hermitian(mat, "L")
-    parts = dict(L0.parts)
-    parts.update({"L0": L0.matrix, "I": I_mat, "V": V})
+    parts = {"L0": L0.matrix, "I": I_mat, "V": V}
     return LiouvilleanOperator(matrix=mat, parts=parts, lam=float(lam),
                                beta=space.disc.beta, gap=float(E), space=space)
 
@@ -588,10 +556,6 @@ class ModularConjugation:
             (self._phase, (self._perm, np.arange(len(self._perm)))),
             shape=M.shape)
         return (P @ M.conj() @ P.conj()).tocsr()
-
-
-def modular_conjugation(space: TruncatedFock) -> ModularConjugation:
-    return ModularConjugation(space)
 
 
 def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
@@ -642,10 +606,11 @@ def spectrum_scan(L: LiouvilleanOperator, theta: float | None = None,
 
     Dense eigendecomposition below dimension 4096; otherwise a shift-invert
     Lanczos solve around zero returning the k eigenvalues closest to the
-    shift, with residuals checked against 1e-9 * ||L||.  The threshold
-    theta defaults to 1e-8 * ||L|| (infinity norm proxy) and is reported so
-    the kernel count is auditable; a warning fires when an eigenvalue
-    magnitude falls within a factor of 3 of theta.
+    shift, whose eigenpair residuals must stay below 1e-9 * max(||L||, 1)
+    or a NumericalError is raised.  The threshold theta defaults to
+    1e-8 * ||L|| (infinity norm proxy) and is reported so the kernel count
+    is auditable; a warning fires when an eigenvalue magnitude falls within
+    a factor of 3 of theta.
     """
     norm = L.norm_estimate()
     if theta is None:
@@ -664,6 +629,10 @@ def spectrum_scan(L: LiouvilleanOperator, theta: float | None = None,
                                 sigma=sigma, which="LM")
         res = L.matrix @ vecs - vecs * vals
         residual_max = float(np.max(np.linalg.norm(res, axis=0)))
+        if residual_max > 1e-9 * max(norm, 1.0):
+            raise NumericalError(
+                "shift-invert eigenpairs miss the residual bound: %s > %s"
+                % (fmt17(residual_max), fmt17(1e-9 * max(norm, 1.0))))
         order = np.argsort(np.abs(vals))
         eigs = vals[order]
         method = "shift-invert"
@@ -908,7 +877,7 @@ def tomita_residual(space: TruncatedFock, E: float, beta: float,
     """
     if observables is None:
         observables = [("identity",), ("field_power", 0, 2), ("weyl", 0, 1.0)]
-    J = modular_conjugation(space)
+    J = ModularConjugation(space)
     omega0 = gns_vacuum(space, E, beta)
     R = space.reservoir_dim
     d_energy = np.array([0.0, E, -E, 0.0])

@@ -48,24 +48,31 @@ def geometric_grid(xmin, xmax, n):
     return x, w
 
 
-def gl_panel_grid(xmin, xmax, n_per_panel, breaks=None):
-    """Gauss-Legendre nodes and weights on a panel mesh of [xmin, xmax].
+def gl_panels(edges, n):
+    """Composite Gauss-Legendre nodes and weights on the panels between
+    consecutive edges.
 
-    breaks: optional interior breakpoints; default is a single panel.
+    n is one node count for every panel or a sequence with one count per
+    panel. Node counts per rule stay small: a panel asking for more than
+    64 nodes is split into equal subpanels instead of raising the rule
+    order.
     """
-    if not (xmin < xmax):
-        raise ValidationError("gl_panel_grid needs xmin < xmax")
-    edges = [xmin] + sorted(breaks or []) + [xmax]
-    for a, b in zip(edges[:-1], edges[1:]):
-        if not a < b:
-            raise ValidationError("panel breakpoints must lie inside (xmin, xmax)")
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+        raise ValidationError("panel edges must be strictly increasing")
+    counts = np.broadcast_to(n, (edges.size - 1,))
+    rules = {}
     xs, ws = [], []
-    t, wt = np.polynomial.legendre.leggauss(n_per_panel)
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        xs.append(mid + half * t)
-        ws.append(half * wt)
+    for a, b, count in zip(edges[:-1], edges[1:], counts):
+        m = max(1, -(-int(count) // 64))
+        order = -(-int(count) // m)
+        if order not in rules:
+            rules[order] = np.polynomial.legendre.leggauss(order)
+        x, w = rules[order]
+        sub = np.linspace(a, b, m + 1)
+        half = 0.5 * (sub[1] - sub[0])
+        xs.append((sub[:-1, None] + half * (x + 1.0)).ravel())
+        ws.append(np.tile(half * w, m))
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -74,17 +81,6 @@ def default_qgrid(beta=1.0, n=2048):
     if beta <= 0:
         raise ValidationError("beta must be positive")
     return geometric_grid(1e-4 / beta, 40.0 / beta, n)
-
-
-def default_sgrid(beta=1.0, n_per_sign=2048):
-    """Default doubled frequency grid: +-geometric, s=0 excluded.
-
-    Returns (s, w) of length 2*n_per_sign in ascending order.
-    """
-    q, wq = default_qgrid(beta, n_per_sign)
-    s = np.concatenate([-q[::-1], q])
-    w = np.concatenate([wq[::-1], wq])
-    return s, w
 
 
 def mirror_sgrid(q, wq):
@@ -464,20 +460,6 @@ def load_glued(path):
     return GluedVector(s, w, values,
                        zeta=float(meta.get("zeta", math.pi)),
                        beta_tag=None if beta == "inf" else float(beta))
-
-
-def save_momentum(path, u: MomentumFunction, extra_meta=()):
-    from .textio import write_csv, write_keyvals
-    if u.c is not None:
-        raise ValidationError("CSV layout covers the symmetric sector only")
-    write_csv(path, "q,re,im", [u.q, u.values.real, u.values.imag])
-    meta = [("kind", "momentum"),
-            ("mass", float(u.mass)),
-            ("n_points", str(u.q.size)),
-            ("q_min", float(u.q[0])),
-            ("q_max", float(u.q[-1]))]
-    meta.extend(extra_meta)
-    write_keyvals(path + ".meta", meta)
 
 
 def _weights_from_grid(s):

@@ -1,11 +1,19 @@
 """End-to-end runs of the experiment CLI in subprocesses."""
 
+import math
 import subprocess
 import sys
 
 import pytest
 
+from kmslab import cli
+
 RUN = [sys.executable, "-m", "kmslab.cli"]
+
+# Liouville runs small enough for the dense solvers (dim 1 300), with the
+# evolution cut at a fixed 197 steps.
+SMALL_LIOUVILLE = ("[liouville]\nn_tot_max = 2\nevolve_n_tot_max = 2\n"
+                   "t_max = 98.5\n")
 
 
 def _run(args, cwd, env, env_extra=None, timeout=240):
@@ -84,12 +92,15 @@ def test_config_file_layering(tmp_path, cli_env):
 
 
 def test_config_rejects_unknown_key(tmp_path, cli_env):
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text("[global]\nbogus = 1\n")
-    proc = _run(["--config", str(cfg), "--out", "run", "formfactor"],
-                tmp_path, cli_env)
-    assert proc.returncode == 2
-    assert "bogus" in proc.stderr
+    # gap is a [liouville] key, not a [detector] one
+    for text, key in (("[global]\nbogus = 1\n", "bogus"),
+                      ("[detector]\ngap = 1.0\n", "gap")):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(text)
+        proc = _run(["--config", str(cfg), "--out", "run", "formfactor"],
+                    tmp_path, cli_env)
+        assert proc.returncode == 2
+        assert key in proc.stderr
 
 
 def test_threads_option_accepted(tmp_path, cli_env):
@@ -115,7 +126,6 @@ def test_response_rest_balance(tmp_path, cli_env):
     lines = (tmp_path / "run" / "response.csv").read_text().splitlines()
     assert lines[0] == "E,rate_up,rate_down,balance"
     assert len(lines) == 3
-    import math
     for line in lines[1:]:
         E, up, down, bal = map(float, line.split(","))
         assert abs(bal / math.exp(-E) - 1.0) < 0.02
@@ -131,3 +141,91 @@ def test_disjoint_small_run(tmp_path, cli_env):
     lines = (tmp_path / "run" / "disjoint.csv").read_text().splitlines()
     assert lines[0] == "n,fidelity"
     assert len(lines) == 11
+
+
+def test_readme_accelerated_example(tmp_path, cli_env):
+    args = ["--out", "runs/rs", "response", "--trajectory", "accelerated"]
+    proc = _run(args + ["--beta", "inf"], tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        fields = dict(kv.split("=") for kv in line.split())
+        assert set(fields) == {"E", "balance", "beta_eff"}
+        # vacuum on the hyperbolic orbit reads the Unruh value 2 pi / a
+        assert abs(float(fields["beta_eff"]) / (2.0 * math.pi) - 1.0) < 0.01
+    proc = _run(args, tmp_path, cli_env)
+    assert proc.returncode == 2
+    assert "only the vacuum supports the accelerated worldline" in proc.stderr
+
+
+def test_mixing_outputs(tmp_path, cli_env):
+    proc = _run(["--out", "run", "mixing"], tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr
+    assert 0.0 <= float(_stdout_value(proc, "two_point_tail_fraction")) < 1e-3
+    assert 0.0 <= float(_stdout_value(proc, "weyl_tail_fraction")) < 1e-3
+    out = tmp_path / "run"
+    head = (out / "mixing.csv").read_text().splitlines()[0]
+    assert head == "t,abs_two_point,weyl_residual"
+    assert "command=mixing" in (out / "manifest.txt").read_text()
+
+
+def test_rte_spectrum_small_run(tmp_path, cli_env):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_LIOUVILLE)
+    proc = _run(["--config", str(cfg), "--out", "run", "rte-spectrum"],
+                tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr
+    dims = [int(line.split()[1].split("=")[1])
+            for line in proc.stdout.splitlines()
+            if line.startswith("lambda=")]
+    assert dims == [2, 1, 1, 1]      # the coupling splits the free kernel
+    assert 1.8 <= float(_stdout_value(proc, "fit_exponent")) <= 2.2
+    lines = (tmp_path / "run" / "rte_spectrum.csv").read_text().splitlines()
+    assert lines[0] == "lambda,gap,fit_exponent"
+    assert len(lines) == 5
+
+
+@pytest.mark.parametrize("initial",
+                         ["excited", "one-boson", "entangled", "stationary"])
+def test_rte_evolve_small_run(tmp_path, cli_env, initial):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_LIOUVILLE)
+    proc = _run(["--config", str(cfg), "--out", "run", "rte-evolve"],
+                tmp_path, cli_env,
+                env_extra={"KMSLAB_LIOUVILLE_INITIAL": initial})
+    assert proc.returncode == 0, proc.stderr
+    assert _stdout_value(proc, "reached") == "yes"
+    out = tmp_path / "run"
+    lines = (out / "rte_evolve.csv").read_text().splitlines()
+    assert lines[0] == "t,trace_distance"
+    assert len(lines) == 1 + 197
+    assert "initial=%s" % initial in (out / "manifest.txt").read_text()
+
+
+# every config key that holds a number, with a subcommand that consumes it
+NUMERIC_KEYS = [
+    ("global", key, "formfactor") for key in ("beta", "mass", "zeta",
+                                              "n_grid")
+] + [
+    ("detector", "energies", "response"),
+    ("trajectory", "v", "response"),
+    ("trajectory", "accel", "response"),
+] + [
+    ("liouville", key, "rte-spectrum")
+    for key in ("gap", "n_side", "n_tot_max", "amplitude", "lambdas",
+                "coupling_offdiagonal", "evolve_n_tot_max",
+                "evolve_amplitude", "evolve_lambda", "dt", "t_max")
+] + [
+    ("disjointness", key, "disjoint")
+    for key in ("beta2", "v", "n_max_modes", "s_lo", "s_hi", "threshold")
+]
+
+
+@pytest.mark.parametrize("section,key,command", NUMERIC_KEYS)
+def test_non_numeric_config_value_rejected(tmp_path, monkeypatch, capsys,
+                                           section, key, command):
+    monkeypatch.setenv("KMSLAB_%s_%s" % (section.upper(), key.upper()),
+                       "abc")
+    assert cli.main(["--out", str(tmp_path / "run"), command]) == 2
+    assert "[%s] %s" % (section, key) in capsys.readouterr().err

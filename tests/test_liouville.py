@@ -323,6 +323,26 @@ def test_ambiguous_threshold_warns():
         lv.spectrum_scan(L, theta=floor)
 
 
+def test_shift_invert_residual_bound_enforced(monkeypatch):
+    disc = lv.jittered_modes(1.0, seed=0, n_side=4)
+    space = lv.TruncatedFock(disc, n_tot_max=3)
+    L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.04)
+    monkeypatch.setattr(lv, "_DENSE_DIM", 16)   # force the sparse path
+    report = lv.spectrum_scan(L)
+    assert report.method == "shift-invert"
+    assert report.residual_max <= 1e-9 * max(report.norm_estimate, 1.0)
+
+    eigsh = lv.spla.eigsh
+
+    def perturbed(*args, **kw):
+        vals, vecs = eigsh(*args, **kw)
+        return vals, vecs + 1e-6 * np.ones_like(vecs)
+
+    monkeypatch.setattr(lv.spla, "eigsh", perturbed)
+    with pytest.raises(NumericalError, match="residual bound"):
+        lv.spectrum_scan(L)
+
+
 def test_spectrum_report_serialization(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kmslab.errors import IRSensitivityWarning, StructuralError, ValidationError
 from kmslab.oneparticle import (BoostSpec, CauchyData, GluedVector,
                                 MomentumFunction, boost_pullback,
-                                default_coupling, default_qgrid, gl_panel_grid,
+                                default_coupling, default_qgrid, gl_panels,
                                 ground_map, jf_conjugate, kms_glue,
                                 load_glued, planck_occupation, save_glued,
                                 time_translate)
@@ -92,7 +92,7 @@ def test_ground_map_norm_vs_refined_quadrature():
     g = lambda q: np.exp(-q * q)
     norms = []
     for npp in (16, 64):
-        q, w = gl_panel_grid(1e-4, 12.0, npp, breaks=(0.5, 2.0, 5.0))
+        q, w = gl_panels((1e-4, 0.5, 2.0, 5.0, 12.0), npp)
         out = ground_map(CauchyData(q, w, g(q), np.zeros_like(q), mass=1.0))
         norms.append(out.norm2())
     assert abs(norms[0] - norms[1]) < 1e-8 * norms[1]
