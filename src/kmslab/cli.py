@@ -3,11 +3,12 @@
 Configuration is plain key=value text with one level of [section]
 headers.  Resolution order, lowest to highest: built-in defaults, the
 --config file, environment variables KMSLAB_<SECTION>_<KEY>, command
-line flags.  Every run writes a manifest echoing the resolved values it
-consumed plus the tool version, so a run is reproducible from its
-output directory alone.  All numeric file output uses 17 significant
-digits and fixed reduction order; identical configuration and seed give
-byte-identical files.
+line flags.  An unknown key is an error in the file and in the
+environment alike (KMSLAB_THREADS aside).  Every run writes a manifest
+echoing the resolved values it consumed plus the tool version, so a run
+is reproducible from its output directory alone.  All numeric file
+output uses 17 significant digits and fixed reduction order; identical
+configuration and seed give byte-identical files.
 
 Thread control must happen before the numeric libraries load, so this
 module imports them lazily inside the subcommands; --threads (or
@@ -176,11 +177,17 @@ def _resolve_config(config_path):
                 raise ValidationError(
                     "unknown config key %r in section [%s]" % (name, sec))
             resolved[sec][name] = val
+    known = {"%s_THREADS" % _ENV_PREFIX}
     for sec, kv in resolved.items():
         for name in kv:
             env_key = "%s_%s_%s" % (_ENV_PREFIX, sec.upper(), name.upper())
+            known.add(env_key)
             if env_key in os.environ:
                 kv[name] = os.environ[env_key]
+    for env_key in sorted(os.environ):
+        if env_key.startswith(_ENV_PREFIX + "_") and env_key not in known:
+            raise ValidationError(
+                "unknown config variable %s: no such [section] key" % env_key)
     return resolved
 
 
@@ -434,7 +441,9 @@ def cmd_rte_evolve(ctx):
     _write_manifest(ctx, extra=[("lambda_used", fmt17(lam)),
                                 ("recurrence_time", fmt17(t_rec)),
                                 ("fgr_window_lo", fmt17(lo)),
-                                ("fgr_window_hi", fmt17(hi))])
+                                ("fgr_window_hi", fmt17(hi)),
+                                ("norm_drift", fmt17(report.norm_drift)),
+                                ("energy_drift", fmt17(report.energy_drift))])
     click.echo("lambda=%s fgr_window=[%s, %s]"
                % (fmt17(lam), fmt17(lo), fmt17(hi)))
     click.echo("recurrence_time=%s" % fmt17(t_rec))

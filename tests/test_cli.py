@@ -10,8 +10,8 @@ from kmslab import cli
 
 RUN = [sys.executable, "-m", "kmslab.cli"]
 
-# Liouville runs small enough for the dense solvers (dim 1 300), with the
-# evolution cut at a fixed 197 steps.
+# Liouville runs small enough for the dense spectrum solver (dim 1 300),
+# with the evolution cut at a fixed 197 steps.
 SMALL_LIOUVILLE = ("[liouville]\nn_tot_max = 2\nevolve_n_tot_max = 2\n"
                    "t_max = 98.5\n")
 
@@ -22,11 +22,15 @@ def _run(args, cwd, env, env_extra=None, timeout=240):
                           capture_output=True, text=True, timeout=timeout)
 
 
-def _stdout_value(proc, key):
-    for line in proc.stdout.splitlines():
+def _line_value(text, key):
+    for line in text.splitlines():
         if line.startswith(key + "="):
             return line.split("=", 1)[1]
-    raise AssertionError("no %r line in:\n%s" % (key, proc.stdout))
+    raise AssertionError("no %r line in:\n%s" % (key, text))
+
+
+def _stdout_value(proc, key):
+    return _line_value(proc.stdout, key)
 
 
 def test_formfactor_run_and_outputs(tmp_path, cli_env):
@@ -103,9 +107,22 @@ def test_config_rejects_unknown_key(tmp_path, cli_env):
         assert key in proc.stderr
 
 
+def test_env_rejects_unknown_key(tmp_path, monkeypatch, capsys):
+    for name in ("KMSLAB_GLOBAL_BTEA", "KMSLAB_DETECTOR_GAP"):
+        with monkeypatch.context() as m:
+            m.setenv(name, "7")
+            assert cli.main(["--out", str(tmp_path / "run"),
+                             "formfactor"]) == 2
+        assert name in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_threads_option_accepted(tmp_path, cli_env):
     proc = _run(["--threads", "1", "--out", "run", "formfactor"], tmp_path,
                 cli_env)
+    assert proc.returncode == 0, proc.stderr
+    proc = _run(["--out", "run", "formfactor"], tmp_path, cli_env,
+                env_extra={"KMSLAB_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
 
 
@@ -200,7 +217,10 @@ def test_rte_evolve_small_run(tmp_path, cli_env, initial):
     lines = (out / "rte_evolve.csv").read_text().splitlines()
     assert lines[0] == "t,trace_distance"
     assert len(lines) == 1 + 197
-    assert "initial=%s" % initial in (out / "manifest.txt").read_text()
+    manifest = (out / "manifest.txt").read_text()
+    assert "initial=%s" % initial in manifest
+    for key in ("norm_drift", "energy_drift"):
+        assert 0 <= float(_line_value(manifest, key)) < 1e-10
 
 
 # every config key that holds a number, with a subcommand that consumes it

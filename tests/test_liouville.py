@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from kmslab import liouville as lv
 from kmslab.errors import (AmbiguousThresholdWarning, NumericalError,
@@ -331,6 +333,8 @@ def test_shift_invert_residual_bound_enforced(monkeypatch):
     report = lv.spectrum_scan(L)
     assert report.method == "shift-invert"
     assert report.residual_max <= 1e-9 * max(report.norm_estimate, 1.0)
+    # the seeded start vector makes reruns bit-identical
+    assert np.array_equal(lv.spectrum_scan(L).eigenvalues, report.eigenvalues)
 
     eigsh = lv.spla.eigsh
 
@@ -341,6 +345,16 @@ def test_shift_invert_residual_bound_enforced(monkeypatch):
     monkeypatch.setattr(lv.spla, "eigsh", perturbed)
     with pytest.raises(NumericalError, match="residual bound"):
         lv.spectrum_scan(L)
+
+
+def test_shift_invert_saturated_kernel_raises(monkeypatch):
+    disc = lv.jittered_modes(1.0, seed=0, n_side=4)
+    space = lv.TruncatedFock(disc, n_tot_max=3)
+    L0 = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.0)
+    monkeypatch.setattr(lv, "_DENSE_DIM", 16)   # force the sparse path
+    assert lv.spectrum_scan(L0).kernel_dim == 2
+    with pytest.raises(NumericalError, match="all 2 shift-invert"):
+        lv.spectrum_scan(L0, k=2)
 
 
 def test_spectrum_report_serialization(tmp_path):
@@ -381,6 +395,60 @@ def test_equilibrium_vector_is_stationary():
     result = lv.evolve(L0, omega.astype(complex), [1.0, 3.0])
     for state in result.states:
         assert np.max(np.abs(state - omega)) < 1e-12
+
+
+@pytest.mark.parametrize("zeta", [math.pi, math.pi / 2])
+def test_evolution_matches_dense_exponential(zeta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        disc = lv.paired_modes(1.0, n_side=4, amplitude=0.5, zeta=zeta)
+        space = lv.TruncatedFock(disc, n_tot_max=2)
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
+    assert np.iscomplexobj(L.matrix.data) == (zeta != math.pi)
+    rng = np.random.default_rng(7)
+    spread = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    tgrid = np.array([0.3, 0.5, 1.7, 2.0, 4.6, 60.0])   # the last in sub-steps
+    M = L.matrix.toarray()
+    for psi0 in (spread / np.linalg.norm(spread),
+                 lv.product_initial(space, np.diag([1.0, 0.0]))):
+        result = lv.evolve(L, psi0, tgrid)
+        for t, state in zip(tgrid, result.states):
+            exact = sla.expm(-1j * t * M) @ psi0
+            assert np.max(np.abs(state - exact)) < 1e-12
+
+
+def test_evolution_stays_in_its_component():
+    disc = lv.jittered_modes(1.0, seed=0, n_side=4)
+    space = lv.TruncatedFock(disc, n_tot_max=3)
+    L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
+    n_comp, labels = connected_components(L.matrix, directed=False)
+    assert n_comp == 2
+    psi0 = lv.product_initial(space, np.diag([1.0, 0.0]))
+    other = labels != labels[np.nonzero(psi0)[0][0]]
+    assert np.all(psi0[other] == 0)
+    result = lv.evolve(L, psi0, np.linspace(0.5, 8.0, 16))
+    assert np.all(result.states[:, other] == 0)
+    assert np.max(np.abs(result.states[-1] - psi0)) > 0.1
+
+
+def test_evolution_observe_keeps_reduced_states():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        _, space = _small_paired()
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.2)
+    psi0 = lv.product_initial(space, np.diag([1.0, 0.0]))
+    tgrid = np.linspace(0.5, 8.0, 16)
+    full = lv.evolve(L, psi0, tgrid)
+    reduced = lv.evolve(L, psi0, tgrid,
+                        observe=lambda psi: lv.reduce_detector(psi, space))
+    assert reduced.states.shape == (16, 2, 2)
+    for state, rho in zip(full.states, reduced.states):
+        assert np.array_equal(lv.reduce_detector(state, space), rho)
+    assert reduced.norm_drift == full.norm_drift
+    assert reduced.energy_drift == full.energy_drift
+    report = lv.rte_distance_series(L, psi0, tgrid)
+    assert report.norm_drift == full.norm_drift
+    assert report.energy_drift == full.energy_drift
 
 
 def test_reduce_detector_recovers_product_state():
