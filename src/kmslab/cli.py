@@ -392,7 +392,9 @@ def cmd_rte_spectrum(ctx):
     t_rec = disc.recurrence_time()
     lo, hi = lv.fgr_window(disc, gap, t_rec)
     _write_manifest(ctx, extra=[("theta", fmt17(sweep.theta)),
-                                ("recurrence_time", fmt17(t_rec))])
+                                ("recurrence_time", fmt17(t_rec)),
+                                ("lu_nnz_max", str(sweep.lu_nnz)),
+                                ("solves_total", str(sweep.solves))])
     for lam, gp, kd in zip(sweep.lambdas, sweep.gaps, sweep.kernel_dims):
         click.echo("lambda=%s kernel_dim=%d gap=%s"
                    % (fmt17(lam), kd, fmt17(gp)))

@@ -73,7 +73,6 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-13
-_DENSE_DIM = 4096
 
 
 def _gluing_phase(zeta):
@@ -227,11 +226,16 @@ def jittered_modes(beta, seed, n_side=12, s_min=0.02, s_max=6.0,
 def resonant_shell_modes(beta, gap, seed, orders=(2, 8, 2), s_min=0.02,
                          s_max=6.0, half_width_lo=0.35, half_width_hi=0.5,
                          coupling=None, zeta=math.pi, amplitude=1.0):
-    """Non-resonant grid concentrating quadrature around |s| = gap.
+    """Grid concentrating quadrature around |s| = gap.
 
     The middle panel brackets the detector gap so the modes that exchange
     quanta with the detector are densely resolved; revival of the resonant
-    shell then happens late compared to the golden-rule decay.
+    shell then happens late compared to the golden-rule decay.  The grid is
+    not free of resonances: the middle panel is centred on gap on both
+    sides and Gauss-Legendre nodes are symmetric in a panel, so pairs of
+    nodes sum to +-2*gap to rounding, and four-boson occupation sums hit
+    {0, +-gap} from n_tot_max = 4 on (36 collisions there with the default
+    orders; assemble_L0 warns).
     """
     rng = np.random.default_rng(seed)
 
@@ -587,6 +591,7 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
 @dataclass
 class SpectrumReport:
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     kernel_dim: int
     theta: float
     norm_estimate: float
@@ -594,6 +599,8 @@ class SpectrumReport:
     gap_above: float
     residual_max: float
     method: str
+    lu_nnz: int
+    solves: int
 
     def save(self, path):
         idx = np.arange(len(self.eigenvalues))
@@ -601,48 +608,69 @@ class SpectrumReport:
 
 
 def spectrum_scan(L: LiouvilleanOperator, theta: float | None = None,
-                  k: int = 12) -> SpectrumReport:
-    """Eigenvalues near zero and the numerical kernel dimension.
+                  k: int = 12, method: str = "shift-invert") -> SpectrumReport:
+    """Eigenpairs nearest zero and the numerical kernel dimension.
 
-    Dense eigendecomposition below dimension 4096; otherwise a shift-invert
-    Lanczos solve around zero returning the k eigenvalues closest to the
-    shift, whose eigenpair residuals must stay below 1e-9 * max(||L||, 1)
-    or a NumericalError is raised.  The solve starts from a seeded random
-    vector, so reruns agree bit for bit.  When all k eigenvalues lie below
-    theta the kernel may be larger than k, and a NumericalError is raised
-    rather than a kernel dimension that is only a lower bound.  The
-    threshold theta defaults to 1e-8 * ||L|| (infinity norm proxy) and is
-    reported so the kernel count is auditable; a warning fires when an
-    eigenvalue magnitude falls within a factor of 3 of theta.
+    One path: L - sigma (sigma = 1e-7 * max(||L||, 1)) is factorized once by
+    sparse LU under a minimum-degree ordering of the symmetric pattern
+    A^T + A, and shift-invert Lanczos returns the k eigenpairs closest to
+    sigma, ordered by |eigenvalue|.  Their residuals must stay below
+    1e-9 * max(||L||, 1) or a NumericalError is raised.  The solve starts
+    from a seeded random vector, so reruns agree bit for bit; the report
+    records the L+U fill and the number of solves.  When all k eigenvalues
+    lie below theta the kernel may be larger than k, and a NumericalError
+    is raised rather than a kernel dimension that is only a lower bound.
+    At most dim - 2 eigenpairs are returned, so an operator below
+    dimension 3 raises a ValidationError.  method="dense" instead returns
+    the full dense eigendecomposition, an oracle for tests.  The threshold
+    theta defaults to 1e-8 * ||L|| (infinity norm proxy) and is reported so
+    the kernel count is auditable; a warning fires when an eigenvalue
+    magnitude falls within a factor of 3 of theta.
     """
     norm = L.norm_estimate()
     if theta is None:
         theta = 1e-8 * max(norm, 1.0)
     theta = float(theta)
-    residual_max = 0.0
-    if L.dim < _DENSE_DIM:
-        dense = L.matrix.toarray()
-        vals = np.linalg.eigvalsh(dense)
-        method = "dense"
-        order = np.argsort(np.abs(vals))
-        eigs = vals[order]
-    else:
+    residual_max, lu_nnz, solves = 0.0, 0, 0
+    if method == "dense":
+        vals, vecs = np.linalg.eigh(L.matrix.toarray())
+    elif method == "shift-invert":
+        n_eig = min(k, L.dim - 2)
+        if n_eig < 1:
+            raise ValidationError(
+                "shift-invert needs 1 <= k < dim - 1; got k=%d at dim %d"
+                % (k, L.dim))
         sigma = 1e-7 * max(norm, 1.0)
+        # The generator's pattern is symmetric, and a minimum-degree ordering
+        # of A^T + A keeps the LU fill some 30 times below the default
+        # column ordering on the criterion-8 operator.
+        lu = spla.splu((L.matrix - sigma * sp.identity(L.dim)).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A")
+        lu_nnz = int(lu.L.nnz + lu.U.nnz)
+
+        def solve(x):
+            nonlocal solves
+            solves += 1
+            return lu.solve(x)
+
         # A seeded random start makes reruns bit-identical.  A constant
         # start would not do: single-vector Lanczos from it sees only one
         # direction of an exactly degenerate kernel.
         v0 = np.random.default_rng(0).standard_normal(L.dim)
-        vals, vecs = spla.eigsh(L.matrix.tocsc(), k=min(k, L.dim - 2),
-                                sigma=sigma, which="LM", v0=v0)
+        vals, vecs = spla.eigsh(
+            L.matrix, k=n_eig, sigma=sigma, which="LM", v0=v0,
+            OPinv=spla.LinearOperator(L.matrix.shape, matvec=solve,
+                                      dtype=L.matrix.dtype))
         res = L.matrix @ vecs - vecs * vals
         residual_max = float(np.max(np.linalg.norm(res, axis=0)))
         if residual_max > 1e-9 * max(norm, 1.0):
             raise NumericalError(
                 "shift-invert eigenpairs miss the residual bound: %s > %s"
                 % (fmt17(residual_max), fmt17(1e-9 * max(norm, 1.0))))
-        order = np.argsort(np.abs(vals))
-        eigs = vals[order]
-        method = "shift-invert"
+    else:
+        raise ValidationError("unknown spectrum method %r" % (method,))
+    order = np.argsort(np.abs(vals))
+    eigs, vecs = vals[order], vecs[:, order]
     mags = np.abs(eigs)
     kernel_dim = int(np.sum(mags < theta))
     if method == "shift-invert" and kernel_dim == len(eigs):
@@ -661,10 +689,11 @@ def spectrum_scan(L: LiouvilleanOperator, theta: float | None = None,
             "largest magnitude below theta %s, smallest above %s"
             % (fmt17(theta), fmt17(gap_below), fmt17(gap_above)),
             AmbiguousThresholdWarning, stacklevel=2)
-    return SpectrumReport(eigenvalues=eigs, kernel_dim=kernel_dim,
-                          theta=theta, norm_estimate=norm,
-                          gap_below=gap_below, gap_above=gap_above,
-                          residual_max=residual_max, method=method)
+    return SpectrumReport(eigenvalues=eigs, eigenvectors=vecs,
+                          kernel_dim=kernel_dim, theta=theta,
+                          norm_estimate=norm, gap_below=gap_below,
+                          gap_above=gap_above, residual_max=residual_max,
+                          method=method, lu_nnz=lu_nnz, solves=solves)
 
 
 @dataclass
@@ -674,7 +703,10 @@ class SweepReport:
     kernel_dims: np.ndarray
     fit_exponent: float
     fit_prefactor: float
+    predicted_prefactor: float
     theta: float
+    lu_nnz: int
+    solves: int
 
     def save(self, path):
         fit = np.full(len(self.lambdas), self.fit_exponent)
@@ -684,23 +716,36 @@ class SweepReport:
 def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
                            lambdas: Sequence[float],
                            theta: float | None = None) -> SweepReport:
-    """Scan the near-zero spectrum over a coupling sweep.
+    """Track the splitting of the free kernel pair over a coupling sweep.
 
-    The gap column is the second-smallest eigenvalue magnitude, i.e. the
-    separation of the formerly degenerate kernel pair; the exponent is a
+    L0 is diagonal, so its kernel K is spanned by the unit vectors where
+    |diag L0| < theta.  At each coupling the eigenvector nearest zero is
+    set aside (the coupled KMS vector); of the rest, the one with the
+    largest weight on K is the partner of the split pair, and its
+    eigenvalue magnitude is the gap column.  The exponent is a
     least-squares fit of log(gap) against log(lambda) over the positive
-    couplings.
+    couplings.  The second-order prediction of the splitting is lambda^2
+    times the largest |eigenvalue| of the level-shift matrix
+    M = -K^T V L0^+ V K (predicted_prefactor).  lu_nnz is the largest LU
+    fill of the sweep's scans and solves their total solve count.
     """
-    base = assemble_liouvillean(space, E, G, 0.0)
-    gaps, kdims = [], []
-    theta_used = None
-    for lam in lambdas:
-        rep = spectrum_scan(base.with_lambda(lam), theta=theta)
-        theta_used = rep.theta
-        mags = np.abs(rep.eigenvalues)
-        gaps.append(float(np.sort(mags)[1]))
-        kdims.append(rep.kernel_dim)
     lambdas = np.asarray(list(lambdas), dtype=float)
+    base = assemble_liouvillean(space, E, G, 0.0)
+    reports = [spectrum_scan(base.with_lambda(lam), theta=theta)
+               for lam in lambdas]
+    theta_used = float(reports[-1].theta)
+    d0 = base.parts["L0"].diagonal()
+    kernel = np.abs(d0) < theta_used
+    gaps = []
+    for rep in reports:
+        weight = np.linalg.norm(rep.eigenvectors[kernel, 1:], axis=0)
+        gaps.append(float(abs(rep.eigenvalues[1 + np.argmax(weight)])))
+    VK = base.parts["V"][:, np.nonzero(kernel)[0]]
+    pinv = np.zeros_like(d0)
+    pinv[~kernel] = 1.0 / d0[~kernel]
+    M = -(VK.conj().T @ (sp.diags(pinv) @ VK)).toarray()
+    predicted = (float(np.max(np.abs(np.linalg.eigvalsh(M))))
+                 if M.size else math.nan)
     gaps = np.asarray(gaps)
     posmask = lambdas > 0
     if np.sum(posmask) >= 2 and np.all(gaps[posmask] > 0):
@@ -709,9 +754,12 @@ def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
     else:
         fit_p, fit_c = math.nan, math.nan
     return SweepReport(lambdas=lambdas, gaps=gaps,
-                       kernel_dims=np.asarray(kdims, dtype=int),
+                       kernel_dims=np.asarray([r.kernel_dim for r in reports],
+                                              dtype=int),
                        fit_exponent=fit_p, fit_prefactor=fit_c,
-                       theta=float(theta_used))
+                       predicted_prefactor=predicted, theta=theta_used,
+                       lu_nnz=max(r.lu_nnz for r in reports),
+                       solves=sum(r.solves for r in reports))
 
 
 @dataclass

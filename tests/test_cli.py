@@ -10,8 +10,8 @@ from kmslab import cli
 
 RUN = [sys.executable, "-m", "kmslab.cli"]
 
-# Liouville runs small enough for the dense spectrum solver (dim 1 300),
-# with the evolution cut at a fixed 197 steps.
+# Liouville runs at dim 1 300 (n_tot_max = 2), with the evolution cut at a
+# fixed 197 steps.
 SMALL_LIOUVILLE = ("[liouville]\nn_tot_max = 2\nevolve_n_tot_max = 2\n"
                    "t_max = 98.5\n")
 
@@ -201,6 +201,9 @@ def test_rte_spectrum_small_run(tmp_path, cli_env):
     lines = (tmp_path / "run" / "rte_spectrum.csv").read_text().splitlines()
     assert lines[0] == "lambda,gap,fit_exponent"
     assert len(lines) == 5
+    manifest = (tmp_path / "run" / "manifest.txt").read_text()
+    for key in ("lu_nnz_max", "solves_total"):
+        assert int(_line_value(manifest, key)) > 0
 
 
 @pytest.mark.parametrize("initial",

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
@@ -300,7 +301,7 @@ def test_dense_spectrum_symmetric_about_zero():
         warnings.simplefilter("ignore", ResonanceWarning)
         _, space = _small_paired()
         L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.1)
-    report = lv.spectrum_scan(L)
+    report = lv.spectrum_scan(L, method="dense")
     assert report.method == "dense"
     full = np.sort(np.linalg.eigvalsh(L.matrix.toarray()))
     assert np.max(np.abs(full + full[::-1])) < 1e-10 * max(1.0, abs(full[-1]))
@@ -329,7 +330,6 @@ def test_shift_invert_residual_bound_enforced(monkeypatch):
     disc = lv.jittered_modes(1.0, seed=0, n_side=4)
     space = lv.TruncatedFock(disc, n_tot_max=3)
     L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.04)
-    monkeypatch.setattr(lv, "_DENSE_DIM", 16)   # force the sparse path
     report = lv.spectrum_scan(L)
     assert report.method == "shift-invert"
     assert report.residual_max <= 1e-9 * max(report.norm_estimate, 1.0)
@@ -347,14 +347,82 @@ def test_shift_invert_residual_bound_enforced(monkeypatch):
         lv.spectrum_scan(L)
 
 
-def test_shift_invert_saturated_kernel_raises(monkeypatch):
+def test_shift_invert_saturated_kernel_raises():
     disc = lv.jittered_modes(1.0, seed=0, n_side=4)
     space = lv.TruncatedFock(disc, n_tot_max=3)
     L0 = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.0)
-    monkeypatch.setattr(lv, "_DENSE_DIM", 16)   # force the sparse path
     assert lv.spectrum_scan(L0).kernel_dim == 2
     with pytest.raises(NumericalError, match="all 2 shift-invert"):
         lv.spectrum_scan(L0, k=2)
+
+
+def test_shift_invert_matches_dense_oracle():
+    disc = lv.jittered_modes(1.0, seed=0, n_side=4)
+    space = lv.TruncatedFock(disc, n_tot_max=2)
+    L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.1)
+    dense = lv.spectrum_scan(L, method="dense")
+    report = lv.spectrum_scan(L)
+    assert report.method == "shift-invert"
+    assert len(report.eigenvalues) == 12 < len(dense.eigenvalues)
+    # the k eigenvalues nearest zero, each equal to a dense one
+    dist = np.abs(dense.eigenvalues[:, None] - report.eigenvalues[None, :])
+    assert np.max(np.min(dist, axis=0)) < 1e-10
+    assert np.max(np.abs(report.eigenvalues)) \
+        <= np.abs(dense.eigenvalues[11]) + 1e-10
+    assert report.kernel_dim == dense.kernel_dim
+    assert report.eigenvectors.shape == (L.dim, 12)
+    assert report.lu_nnz > 0 and report.solves > 0
+    assert dense.lu_nnz == dense.solves == 0
+
+
+def test_shift_invert_rejects_tiny_operator():
+    tiny = lv.LiouvilleanOperator(
+        matrix=sp.csr_matrix(np.diag([0.0, 1.0])), parts={}, lam=0.0,
+        beta=1.0, gap=1.0, space=None)
+    with pytest.raises(ValidationError, match="shift-invert"):
+        lv.spectrum_scan(tiny)
+    assert lv.spectrum_scan(tiny, method="dense").kernel_dim == 1
+    with pytest.raises(ValidationError, match="unknown spectrum method"):
+        lv.spectrum_scan(tiny, method="lanczos")
+
+
+def _criterion_8_space(seed=0):
+    disc = lv.jittered_modes(1.0, seed=seed, amplitude=0.03)
+    return lv.TruncatedFock(disc, n_tot_max=3)
+
+
+def test_shift_invert_fill_guard():
+    # the default column ordering fills L+U with 19.9 M entries here
+    L = lv.assemble_liouvillean(_criterion_8_space(), 1.0, OFFDIAG, 0.02)
+    report = lv.spectrum_scan(L)
+    assert L.dim == 11700
+    assert report.lu_nnz < 2_000_000
+    again = lv.spectrum_scan(L)
+    assert (again.lu_nnz, again.solves) == (report.lu_nnz, report.solves)
+
+
+@pytest.fixture(scope="module")
+def criterion_8_sweeps():
+    return {seed: lv.kernel_splitting_sweep(_criterion_8_space(seed), 1.0,
+                                            OFFDIAG, [0.0, 0.02, 0.04, 0.08])
+            for seed in (0, 11, 15, 18)}
+
+
+def test_split_pair_tracked_past_reservoir_levels(criterion_8_sweeps):
+    # on these grids a reservoir eigenvalue lies nearer zero than the split
+    # partner, and the second-smallest |eigenvalue| gave exponents 1.37,
+    # -0.11 and 1.44
+    for seed in (11, 15, 18):
+        rep = criterion_8_sweeps[seed]
+        assert rep.kernel_dims.tolist() == [2, 1, 1, 1]
+        assert 1.8 <= rep.fit_exponent <= 2.2, (seed, rep.fit_exponent)
+
+
+def test_level_shift_predicts_splitting(criterion_8_sweeps):
+    for seed in (0, 11, 15, 18):
+        rep = criterion_8_sweeps[seed]
+        predicted = rep.predicted_prefactor * 0.02 ** 2
+        assert abs(predicted / rep.gaps[1] - 1.0) < 0.01, seed
 
 
 def test_spectrum_report_serialization(tmp_path):
