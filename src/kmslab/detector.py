@@ -28,7 +28,7 @@ FOUR_PI2 = 4.0 * math.pi ** 2
 __all__ = [
     "hermitian_2x2", "DetectorSpec", "Trajectory", "CouplingProfile",
     "ResponseWindow", "ResponseCurve", "BetaEffCurve", "BoostInvarianceReport",
-    "pullback_wightman", "response_curve", "response_rate",
+    "pullback_wightman", "response_curve",
     "effective_temperature_curve", "boost_invariance_check",
 ]
 
@@ -406,11 +406,6 @@ def response_curve(state, traj, energies, window=None, eps=None,
         desc["coupling"] = coupling.name
     desc.update(descriptor or {})
     return ResponseCurve(energies, rates, window, eps, floor, desc)
-
-
-def response_rate(state, traj, energy, **kw):
-    """Single windowed rate R(E); see response_curve."""
-    return response_curve(state, traj, [energy], **kw).rates[0]
 
 
 class BetaEffCurve:

@@ -2,11 +2,13 @@
 
 Two thermal states of the field, at different temperatures or expressed
 in frames related by a boost, are compared on growing families of
-orthonormal one-particle modes.  Each restriction is a Gaussian state
-determined by the thermally weighted Gram matrix of the modes; for the
-default families the restrictions factor over modes and the fidelity is
-a product of single-mode thermal fidelities, so it is non-increasing by
-construction and its decay toward zero is the observable.
+unit-norm point modes, one radial node per mode and no node shared.
+Each restriction is a Gaussian state determined by the thermally
+weighted Gram matrix of the modes.  Distinct nodes make that Gram
+diagonal in any frame, so restrictions always factor over modes and the
+fidelity is a product of single-mode thermal fidelities: it is
+non-increasing by construction and its decay toward zero is the
+observable.
 
 The decay is an overlap proxy.  Inequivalence of the states themselves
 is a statement about the full infinite system; only the trend of the
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import (
     NumericalError,
-    StructuralError,
     UnsupportedConfigurationError,
     ValidationError,
 )
@@ -54,7 +55,14 @@ _MAX_CUTOFF = 4096
 
 @dataclass
 class ModeFamily:
-    """Orthonormal one-particle modes with a reproducible descriptor."""
+    """Unit-norm point modes on distinct nodes, with a reproducible descriptor.
+
+    Each mode is a one-point radial mode (the shape `_point_mass_modes`
+    builds), and no two modes share a node.  Modes on distinct nodes have
+    exactly vanishing cross inner products in any frame, so the family is
+    orthonormal once each mode has unit norm, the restriction of a
+    quasi-free state to it factors mode by mode, and validation is O(n).
+    """
 
     modes: list
     descriptor: str = ""
@@ -62,47 +70,30 @@ class ModeFamily:
     def __post_init__(self):
         if not self.modes:
             raise ValidationError("mode family must be nonempty")
-        g = self.gram()
-        defect = float(np.max(np.abs(g - np.eye(len(self.modes)))))
+        if any(m.c is not None or m.q.size != 1 for m in self.modes):
+            raise ValidationError(
+                "family modes must be one-point radial modes")
+        nodes = np.array([m.q[0] for m in self.modes])
+        if len(np.unique(nodes)) != len(nodes):
+            raise ValidationError("family modes must sit on distinct nodes")
+        defect = float(np.max(np.abs(np.diag(self.gram()) - 1.0)))
         if defect > _GRAM_TOL:
             raise ValidationError(
-                "modes are not orthonormal: Gram defect %s" % fmt17(defect))
+                "modes are not unit norm: norm defect %s" % fmt17(defect))
 
     def __len__(self) -> int:
         return len(self.modes)
 
     def gram(self) -> np.ndarray:
-        n = len(self.modes)
-        g = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = _cross_inner(self.modes[i], self.modes[j])
-                g[j, i] = np.conj(g[i, j])
-        return g
+        """Gram matrix: the mode norms squared on the diagonal, exact zeros
+        off it."""
+        return np.diag(np.array([m.norm2() for m in self.modes], dtype=complex))
 
     def prefix(self, n: int) -> "ModeFamily":
         if not 1 <= n <= len(self.modes):
             raise ValidationError("prefix length out of range")
         return ModeFamily(self.modes[:n],
                           descriptor="%s#prefix=%d" % (self.descriptor, n))
-
-
-def _supports_disjoint(a: MomentumFunction, b: MomentumFunction) -> bool:
-    qa = a.q[np.abs(a.values) > 0]
-    qb = b.q[np.abs(b.values) > 0]
-    if len(qa) == 0 or len(qb) == 0:
-        return True
-    return bool(np.min(np.abs(qa[:, None] - qb[None, :])) > 1e-12)
-
-
-def _cross_inner(a: MomentumFunction, b: MomentumFunction) -> complex:
-    """Inner product allowing modes on different grids with disjoint support."""
-    if a.same_points(b):
-        return a.inner(b)
-    if _supports_disjoint(a, b):
-        return 0.0
-    raise StructuralError(
-        "modes must share a point set or have disjoint momentum supports")
 
 
 def _point_mass_modes(centers, half_width, mass=0.0):
@@ -143,10 +134,8 @@ def adapted_family(n: int, s_lo: float = 0.1, s_hi: float = 5.0,
 
 
 def single_frequency_family(frequencies, mass: float = 0.0) -> ModeFamily:
-    """Point modes at explicitly chosen frequencies."""
+    """Point modes at explicitly chosen, distinct frequencies."""
     freqs = np.asarray(frequencies, dtype=float).reshape(-1)
-    if len(np.unique(freqs)) != len(freqs):
-        raise ValidationError("frequencies must be distinct")
     hw = 0.5 * float(np.min(np.abs(freqs)))
     return ModeFamily(
         _point_mass_modes(freqs, hw, mass=mass),
@@ -199,18 +188,6 @@ class RestrictedGaussianState:
             raise ValidationError("occupation cutoff must be >= 2")
         self.gram = M
         self.cutoff = int(cutoff)
-
-    @property
-    def n_modes(self) -> int:
-        return self.gram.shape[0]
-
-    @property
-    def S(self) -> np.ndarray:
-        return self.gram.real.copy()
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.gram.imag.copy()
 
     def occupations(self) -> np.ndarray:
         off = self.gram - np.diag(np.diag(self.gram))
@@ -283,21 +260,14 @@ def _thermal_diagonal(nbar: float, cutoff: int) -> np.ndarray:
 
 def restricted_gaussian(state: QuasiFreeState, family: ModeFamily,
                         cutoff: int = 12, n_c: int = 48):
-    """Covariance-level restriction of a state to a mode family."""
-    n = len(family)
-    M = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            if i == j or family.modes[i].same_points(family.modes[j]):
-                M[i, j] = doubled_gram(state, family.modes[i],
-                                       family.modes[j], n_c=n_c)
-            elif _supports_disjoint(family.modes[i], family.modes[j]):
-                M[i, j] = 0.0
-            else:
-                raise StructuralError(
-                    "modes must share a point set or have disjoint supports")
-            M[j, i] = np.conj(M[i, j])
-    return RestrictedGaussianState(M, cutoff=cutoff)
+    """Covariance-level restriction of a state to a mode family.
+
+    The family's modes sit on distinct nodes, so the thermal Gram is
+    diagonal, M = diag(1 + 2 <n_k>) with the occupations of
+    mode_occupations.
+    """
+    occ = mode_occupations(state, family, n_c=n_c)
+    return RestrictedGaussianState(np.diag(1.0 + 2.0 * occ), cutoff=cutoff)
 
 
 def restrict_state(state: QuasiFreeState, family: ModeFamily,

@@ -36,7 +36,8 @@ from .errors import (
     ValidationError,
 )
 from .detector import hermitian_2x2
-from .oneparticle import default_coupling, gl_panels, planck_occupation
+from .oneparticle import (default_coupling, gl_panels, glue_branches,
+                          gluing_phase, planck_occupation)
 from .textio import fmt17, write_csv
 
 __all__ = [
@@ -69,25 +70,16 @@ __all__ = [
     "fgr_window",
     "rte_distance_series",
     "tomita_residual",
-    "write_coordinate",
 ]
 
 _HERMITICITY_TOL = 1e-13
 
 
-def _gluing_phase(zeta):
-    # -e^{i zeta}, with the rounding residue of pi-multiples snapped away
-    # so the default gluing keeps mode amplitudes and generators real.
-    phase = -cmath.exp(1j * zeta)
-    if abs(phase.imag) < 1e-15:
-        return complex(phase.real, 0.0)
-    return phase
-
-
 def form_factor_values(s, beta, coupling=None, zeta=math.pi, amplitude=1.0):
     """Evaluate the glued form factor at signed frequencies s.
 
-    For s > 0 the value is s*sqrt(1+mu_beta(s))*u(s); at -s it is
+    The branches are those of oneparticle.glue_branches at |s|: for s > 0
+    the value is s*sqrt(1+mu_beta(s))*u(s); at -s it is
     -e^{i zeta} * s*sqrt(mu_beta(s))*conj(u(s)), which keeps the
     detailed-balance ratio |f(-s)|^2/|f(s)|^2 = e^{-beta s} exact.
     """
@@ -96,15 +88,10 @@ def form_factor_values(s, beta, coupling=None, zeta=math.pi, amplitude=1.0):
     s = np.asarray(s, dtype=float)
     if np.any(s == 0.0):
         raise ValidationError("form factor is undefined at s = 0")
-    phase = _gluing_phase(zeta)
-    out = np.empty(s.shape, dtype=complex)
-    pos = s > 0
-    spos = s[pos]
-    out[pos] = spos * np.sqrt(1.0 + planck_occupation(spos, beta)) \
-        * amplitude * np.asarray(coupling(spos), dtype=complex)
-    sneg = -s[~pos]
-    out[~pos] = phase * sneg * np.sqrt(planck_occupation(sneg, beta)) \
-        * np.conj(amplitude * np.asarray(coupling(sneg), dtype=complex))
+    q = np.abs(s)
+    f_pos, f_neg = glue_branches(q, beta, np.asarray(coupling(q), dtype=complex),
+                                 zeta, amplitude)
+    out = np.where(s > 0, f_pos, f_neg)
     if abs(zeta - math.pi) < 1e-15 and np.max(np.abs(out.imag)) == 0.0:
         return out.real.astype(float)
     return out
@@ -536,7 +523,7 @@ class ModularConjugation:
         perm_r = np.searchsorted(space._keys, keys)
         if np.any(space._keys[perm_r] != keys):
             raise StructuralError("mirrored occupation leaves the truncation")
-        phase_unit = _gluing_phase(disc.zeta)
+        phase_unit = gluing_phase(disc.zeta)
         tot = B.sum(axis=1)
         res_phase = phase_unit ** tot
         det_perm = np.array([0, 2, 1, 3])
@@ -726,8 +713,12 @@ def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
     least-squares fit of log(gap) against log(lambda) over the positive
     couplings.  The second-order prediction of the splitting is lambda^2
     times the largest |eigenvalue| of the level-shift matrix
-    M = -K^T V L0^+ V K (predicted_prefactor).  lu_nnz is the largest LU
-    fill of the sweep's scans and solves their total solve count.
+    M = -K^T V L0^+ V K (predicted_prefactor); an AmbiguousThresholdWarning
+    names each positive coupling whose predicted splitting falls below
+    3 theta, where the kernel count cannot tell the split pair apart (an
+    empty kernel gives a NaN prediction, which never warns).
+    lu_nnz is the largest LU fill of the sweep's scans and solves their
+    total solve count.
     """
     lambdas = np.asarray(list(lambdas), dtype=float)
     base = assemble_liouvillean(space, E, G, 0.0)
@@ -746,6 +737,14 @@ def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
     M = -(VK.conj().T @ (sp.diags(pinv) @ VK)).toarray()
     predicted = (float(np.max(np.abs(np.linalg.eigvalsh(M))))
                  if M.size else math.nan)
+    for lam, rep in zip(lambdas, reports):
+        split = lam ** 2 * predicted
+        if lam > 0 and split < 3.0 * rep.theta:
+            warnings.warn(
+                "predicted splitting %s at lambda=%s is below 3 theta "
+                "(theta=%s): the kernel count there may include the split "
+                "partner" % (fmt17(split), fmt17(lam), fmt17(rep.theta)),
+                AmbiguousThresholdWarning, stacklevel=2)
     gaps = np.asarray(gaps)
     posmask = lambdas > 0
     if np.sum(posmask) >= 2 and np.all(gaps[posmask] > 0):
@@ -1053,15 +1052,6 @@ def tomita_residual(space: TruncatedFock, E: float, beta: float,
         labels.append(label)
         residuals.append(float(np.linalg.norm(lhs - rhs)))
     return TomitaReport(labels=labels, residuals=np.asarray(residuals))
-
-
-def write_coordinate(M, path):
-    """Export a matrix in coordinate text format: row,col,re,im."""
-    C = sp.coo_matrix(M)
-    order = np.lexsort((C.col, C.row))
-    write_csv(path, "row,col,re,im",
-              [C.row[order], C.col[order],
-               np.real(C.data[order]), np.imag(C.data[order])])
 
 
 def resonance_floor(space: TruncatedFock, E: float) -> float:

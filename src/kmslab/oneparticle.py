@@ -14,6 +14,7 @@ Conventions used throughout the package:
   tests rely on.
 """
 
+import cmath
 import math
 import warnings
 
@@ -360,6 +361,28 @@ def ground_map(data: CauchyData):
     return out
 
 
+def gluing_phase(zeta):
+    """The gluing phase -e^{i zeta}, with the rounding residue of
+    multiples of pi snapped away so the default gluing stays real."""
+    phase = -cmath.exp(1j * zeta)
+    if abs(phase.imag) < 1e-15:
+        return complex(phase.real, 0.0)
+    return phase
+
+
+def glue_branches(q, beta, u, zeta=math.pi, amplitude=1.0):
+    """Both branches of the thermal glue of amplitudes u at q > 0.
+
+    Returns (f(q), f(-q)) with f(q) = q sqrt(1 + mu_beta(q)) a u(q) and
+    f(-q) = -e^{i zeta} q sqrt(mu_beta(q)) conj(a u(q)), a the amplitude,
+    so that |f(-q)|^2 / |f(q)|^2 = e^{-beta q}.
+    """
+    mu = planck_occupation(q, beta)
+    pos = q * np.sqrt(1.0 + mu) * amplitude * u
+    neg = gluing_phase(zeta) * q * np.sqrt(mu) * np.conj(amplitude * u)
+    return pos, neg
+
+
 def kms_glue(u: MomentumFunction, beta, zeta=math.pi, beta_tag=True):
     """Glue a symmetric-sector massless one-particle vector into its
     thermal doubled vector on the frequency line.
@@ -374,12 +397,8 @@ def kms_glue(u: MomentumFunction, beta, zeta=math.pi, beta_tag=True):
         raise ValidationError("gluing expects the rotationally symmetric sector")
     if beta <= 0:
         raise ValidationError("beta must be positive")
-    q = u.q
-    mu = planck_occupation(q, beta)
-    w_dq = u.wtot / FOUR_PI
-    pos = q * np.sqrt(1.0 + mu) * u.values
-    neg = -np.exp(1j * zeta) * q * np.sqrt(mu) * np.conj(u.values)
-    s, w = mirror_sgrid(q, w_dq)
+    pos, neg = glue_branches(u.q, beta, u.values, zeta)
+    s, w = mirror_sgrid(u.q, u.wtot / FOUR_PI)
     values = np.concatenate([neg[::-1], pos])
     return GluedVector(s, w, values, zeta=zeta,
                        beta_tag=(float(beta) if beta_tag else None))
@@ -392,8 +411,7 @@ def jf_conjugate(g: GluedVector):
     """
     if not g.is_mirror_symmetric():
         raise StructuralError("frequency conjugation needs a mirror-symmetric grid")
-    phase = -np.exp(1j * g.zeta)
-    values = phase * np.conj(g.values[::-1])
+    values = gluing_phase(g.zeta) * np.conj(g.values[::-1])
     return g.copy_with(values)
 
 

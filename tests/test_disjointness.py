@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from kmslab import disjointness as dj
-from kmslab.errors import (StructuralError, UnsupportedConfigurationError,
-                           ValidationError)
-from kmslab.oneparticle import BoostSpec
-from kmslab.quasifree import QuasiFreeState
+from kmslab.errors import UnsupportedConfigurationError, ValidationError
+from kmslab.oneparticle import BoostSpec, MomentumFunction
+from kmslab.quasifree import QuasiFreeState, doubled_gram
 
 
 def _random_density(seed, dim=4):
@@ -51,6 +50,18 @@ def test_family_validation():
         dj.single_frequency_family([1.0, 1.0])
 
 
+def test_family_rejects_modes_that_are_not_unit_point_modes():
+    mode = dj.adapted_family(1).modes[0]
+    two_point = MomentumFunction.from_radial(
+        np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.array([0.1, 0.1]))
+    with pytest.raises(ValidationError, match="one-point"):
+        dj.ModeFamily([two_point])
+    with pytest.raises(ValidationError, match="distinct nodes"):
+        dj.ModeFamily([mode, mode.copy_with(mode.values)])
+    with pytest.raises(ValidationError, match="unit norm"):
+        dj.ModeFamily([mode.copy_with(1.1 * mode.values)])
+
+
 def test_single_frequency_occupation_closed_form():
     fam = dj.single_frequency_family([1.0])
     occ = dj.mode_occupations(QuasiFreeState(beta=1.0), fam)
@@ -87,6 +98,16 @@ def test_density_matrix_reproduces_moments():
     rho = rgs.density_matrix()
     assert abs(np.trace(rho).real - 1.0) < 1e-12
     assert rgs.verify_moments(rho) < 1e-6
+
+
+def test_boosted_restriction_is_diagonal_occupation_gram():
+    fam = dj.adapted_family(12)
+    state = QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(0.5))
+    M = dj.restricted_gaussian(state, fam).gram
+    occ = dj.mode_occupations(state, fam)
+    assert np.max(np.abs(M - np.diag(1.0 + 2.0 * occ))) < 1e-12
+    direct = [doubled_gram(state, m, m).real for m in fam.modes]
+    assert np.max(np.abs(np.diag(M).real - direct)) < 1e-12
 
 
 def test_restrict_state_single_mode_thermal():

@@ -16,6 +16,7 @@ from kmslab.errors import (AmbiguousThresholdWarning, NumericalError,
                            ResonanceWarning, StructuralError,
                            TruncationWarning, ValidationError)
 from kmslab.oneparticle import default_coupling, kms_glue, MomentumFunction
+from kmslab.textio import fmt17
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -425,6 +426,35 @@ def test_level_shift_predicts_splitting(criterion_8_sweeps):
         assert abs(predicted / rep.gaps[1] - 1.0) < 0.01, seed
 
 
+def _splitting_warnings(space, lambdas):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = lv.kernel_splitting_sweep(space, 1.0, OFFDIAG, lambdas)
+    return rep, [str(w.message) for w in caught
+                 if issubclass(w.category, AmbiguousThresholdWarning)
+                 and "predicted splitting" in str(w.message)]
+
+
+def test_splitting_below_theta_warns():
+    # theta = 1.27e-7 here; at lambda = 0.005 the split pair is 1.39e-8
+    # apart, below theta / 3, so spectrum_scan alone says nothing and
+    # the kernel count reads 2; at lambda = 0.02 it is 1.75 theta apart
+    disc = lv.jittered_modes(1.0, seed=5, amplitude=0.03)
+    rep, msgs = _splitting_warnings(lv.TruncatedFock(disc, n_tot_max=2),
+                                    [0.0, 0.005, 0.02])
+    assert rep.kernel_dims.tolist()[1] == 2
+    named = [lam for lam in (0.0, 0.005, 0.02)
+             if any("lambda=%s " % fmt17(lam) in m for m in msgs)]
+    assert named == [0.005, 0.02], msgs
+
+
+def test_splitting_well_above_theta_is_quiet():
+    # criterion-8 grid, seed 0: lambda^2 * prefactor is about 300 theta
+    rep, msgs = _splitting_warnings(_criterion_8_space(0), [0.0, 0.02])
+    assert rep.predicted_prefactor * 0.02 ** 2 > 100 * rep.theta
+    assert msgs == []
+
+
 def test_spectrum_report_serialization(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)
@@ -581,15 +611,6 @@ def test_fgr_window_ordering():
     disc = lv.resonant_shell_modes(1.0, 1.0, seed=0)
     lo, hi = lv.fgr_window(disc, 1.0)
     assert 0 < lo < hi
-
-
-def test_coordinate_export(tmp_path):
-    M = np.array([[0.0, 1.5], [2.0 + 1.0j, 0.0]])
-    path = tmp_path / "matrix.csv"
-    lv.write_coordinate(M, path=str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 3
 
 
 @given(st.integers(0, 10 ** 6))
