@@ -445,7 +445,8 @@ def cmd_rte_evolve(ctx):
                                 ("fgr_window_lo", fmt17(lo)),
                                 ("fgr_window_hi", fmt17(hi)),
                                 ("norm_drift", fmt17(report.norm_drift)),
-                                ("energy_drift", fmt17(report.energy_drift))])
+                                ("energy_drift", fmt17(report.energy_drift)),
+                                ("matvecs_total", str(report.matvecs))])
     click.echo("lambda=%s fgr_window=[%s, %s]"
                % (fmt17(lam), fmt17(lo), fmt17(hi)))
     click.echo("recurrence_time=%s" % fmt17(t_rec))

@@ -136,7 +136,8 @@ def adapted_family(n: int, s_lo: float = 0.1, s_hi: float = 5.0,
 def single_frequency_family(frequencies, mass: float = 0.0) -> ModeFamily:
     """Point modes at explicitly chosen, distinct frequencies."""
     freqs = np.asarray(frequencies, dtype=float).reshape(-1)
-    hw = 0.5 * float(np.min(np.abs(freqs)))
+    # no frequencies leave no modes, which ModeFamily rejects by name
+    hw = 0.5 * float(np.min(np.abs(freqs), initial=np.inf))
     return ModeFamily(
         _point_mass_modes(freqs, hw, mass=mass),
         descriptor="single:%s" % ",".join(fmt17(x) for x in freqs))

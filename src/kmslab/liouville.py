@@ -16,7 +16,6 @@ phase -e^{i zeta}, and the two are exchanged by the modular conjugation.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -333,8 +332,8 @@ class TruncatedFock:
 
 
 def _hermiticity_defect(M) -> float:
-    D = (M - M.conj().T).tocoo()
-    if D.nnz == 0:
+    D = M - M.conj().T
+    if D.data.size == 0:
         return 0.0
     return float(np.max(np.abs(D.data)))
 
@@ -481,14 +480,19 @@ def assemble_coupling(space: TruncatedFock, G: np.ndarray):
     if np.max(np.abs(G.imag)) == 0.0:
         G = G.real
     disc = space.disc
-    Phi_f = space.field_matrix(disc.f)
-    Phi_g = space.field_matrix(np.exp(-disc.beta * disc.s / 2.0) * disc.f)
     I2 = sp.identity(2, format="csr")
-    I_mat = sp.kron(sp.kron(sp.csr_matrix(G), I2), Phi_f).tocsr()
-    JIJ = sp.kron(sp.kron(I2, sp.csr_matrix(np.conj(G))), Phi_g).tocsr()
-    V = (I_mat - JIJ).tocsr()
+    # each factor is released before the next is built: at large
+    # truncations these matrices set the peak memory of a run
+    Phi = space.field_matrix(disc.f)
+    I_mat = sp.kron(sp.kron(sp.csr_matrix(G), I2), Phi, format="csr")
+    del Phi
     _check_hermitian(I_mat, "I")
+    Phi = space.field_matrix(np.exp(-disc.beta * disc.s / 2.0) * disc.f)
+    JIJ = sp.kron(sp.kron(I2, sp.csr_matrix(np.conj(G))), Phi, format="csr")
+    del Phi
     _check_hermitian(JIJ, "JIJ")
+    V = (I_mat - JIJ).tocsr()
+    del JIJ
     _check_hermitian(V, "V")
     return I_mat, V
 
@@ -551,28 +555,40 @@ class ModularConjugation:
 
 def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
                          beta: float, consistency_tol: float = 1e-9):
-    """Normalized e^{-beta(L0 + lam I)/2} Omega_0 via exponential action.
+    """Normalized e^{-beta(L0 + lam I)/2} Omega_0 by a Chebyshev expansion.
 
-    A full-step against two-half-step consistency check guards the Krylov
-    action; disagreement raises a numerical error carrying the residual.
+    Only the block of L0 + lam I that Omega_0 reaches is expanded, scaled
+    into [-1, 1] as in ``evolve``: with B = center + half H the action is
+    e^{-x H} Omega_0 with x = beta * half / 2, up to a factor that the
+    normalization removes.  One recurrence yields the full step and the
+    half step e^{-x H / 2} Omega_0, a second one applies the half step
+    again; each peaks at about _CHEBYSHEV_CHUNK + 8 real vectors of the
+    block's length.  A
+    full-step against two-half-step consistency check guards the
+    expansion; disagreement raises a numerical error carrying the residual.
     """
     space = L0.space
     omega0 = gns_vacuum(space, L0.gap, beta)
     if lam == 0.0:
         return omega0.copy()
-    A = (-(beta / 2.0) * (L0.matrix + lam * I_mat)).tocsc()
-    full = spla.expm_multiply(A, omega0)
-    half = spla.expm_multiply((0.5 * A).tocsc(),
-                              spla.expm_multiply((0.5 * A).tocsc(), omega0))
+    block, H, _, half = _reached_block((L0.matrix + lam * I_mat).tocsr(),
+                                       omega0)
+    x = beta * half / 2.0
+    (full, once), _ = _chebyshev_window(
+        H, omega0[block], _chebyshev_rows([x, x / 2.0], decay=True), 1.0)
+    (twice,), _ = _chebyshev_window(
+        H, once, _chebyshev_rows([x / 2.0], decay=True), 1.0)
     scale = np.linalg.norm(full)
     if scale == 0.0 or not np.all(np.isfinite(full)):
         raise NumericalError("exponential action diverged")
-    residual = float(np.linalg.norm(full - half) / scale)
+    residual = float(np.linalg.norm(full - twice) / scale)
     if residual > consistency_tol:
         raise NumericalError(
             "exponential action failed to converge: half-step residual %s"
             % fmt17(residual))
-    return full / scale
+    omega = np.zeros(L0.dim, dtype=full.dtype)
+    omega[block] = full / scale
+    return omega
 
 
 @dataclass
@@ -767,44 +783,103 @@ class EvolutionResult:
     states: np.ndarray
     norm_drift: float
     energy_drift: float
+    matvecs: int
 
 
-def _chebyshev_coefficients(x: float) -> np.ndarray:
-    """Chebyshev coefficients a_k, k < n, of cos(x t) - sin(x t) on [-1, 1].
+# One Chebyshev recurrence serves every output time within _WINDOW_SPAN
+# radians (of the scaled block) of the window's start, at most
+# _WINDOW_OUTPUTS of them.  A phase of x radians needs about x + O(x^{1/3})
+# terms: 36 at 10 radians, 140 at 80, so a window of eight 10-radian steps
+# pays half the products per radian of a single step.  The output count
+# bounds the window's memory, the span its coefficient rows (153 terms);
+# a farther grid point is reached in equal sub-steps.
+_WINDOW_SPAN = 90.0
+_WINDOW_OUTPUTS = 8
+_CHEBYSHEV_CHUNK = 8
 
-    cos is even and sin odd, so the even a_k expand cos(x t) and the odd
-    ones -sin(x t); |a_k| = 2 |J_k(x)| for k > 0.  n is the first index
-    whose term is bounded below 1e-16 by |J_n(x)| <= (|x|/2)^n / n!; the
-    later terms fall off faster still.
+
+def _chebyshev_rows(xs, decay: bool = False) -> np.ndarray:
+    """Chebyshev coefficients on [-1, 1], one row for each x in xs.
+
+    Row j expands cos(x_j t) + sin(x_j t): the coefficients 2 (-i)^k J_k(x_j)
+    of e^{-i x_j t} (Jacobi-Anger; J_0 without the 2) with the odd ones
+    multiplied by i, so that every row is real.  With ``decay`` row j
+    expands e^{-x_j t}, whose coefficients are 2 (-1)^k I_k(x_j).  The rows
+    share their length n, the first index at which 2 (x/2)^n / n! for the
+    largest |x| falls below 1e-16, times e^{|x|} with ``decay``:
+    |J_k(x)| <= (x/2)^k / k! and I_k(x) <= e^x (x/2)^k / k!, and the later
+    terms fall off faster still.
     """
+    x_max = float(np.max(np.abs(xs)))
+    growth = x_max if decay else 0.0
     n = 2
-    while (math.log(2.0) + n * math.log(abs(x) / 2.0) - math.lgamma(n + 1)
-           > math.log(1e-16)):
+    while x_max > 0.0 and (math.log(2.0) + n * math.log(x_max / 2.0)
+                           - math.lgamma(n + 1) + growth > math.log(1e-16)):
         n += 1
-    return np.polynomial.chebyshev.chebinterpolate(
-        lambda t: np.cos(x * t) - np.sin(x * t), n - 1)
+    f = (lambda u: np.exp(-u)) if decay else (lambda u: np.cos(u) + np.sin(u))
+    return np.array([np.polynomial.chebyshev.chebinterpolate(
+        lambda t: f(x * t), n - 1) for x in xs])
 
 
-def _chebyshev_series(H, a, v):
-    """e^{-i x H} v = cos(x H) v - i sin(x H) v from the coefficients a of
-    _chebyshev_coefficients(x), by the three-term recurrence of T_k(H) v.
+def _chebyshev_window(H, v, rows, odd_factor):
+    """Every row of Chebyshev coefficients applied to v, from one recurrence.
+
+    Returns (out, products): out[j] is the sum over even k of
+    rows[j, k] T_k(H) v plus odd_factor times the sum over odd k, and
+    products counts the products with H.  The vectors T_k(H) v are kept
+    _CHEBYSHEV_CHUNK at a time and folded into both sums by matrix products.
     A real H acts on the real and imaginary parts of v apart: two real
-    products cost half of one complex product."""
+    products cost half of one complex product.
+    """
     if np.iscomplexobj(v) and not np.iscomplexobj(H.data):
-        return (_chebyshev_series(H, a, v.real.copy())
-                + 1j * _chebyshev_series(H, a, v.imag.copy()))
-    t_prev, t_cur = v, H @ v
-    even, odd = a[0] * t_prev, a[1] * t_cur
-    for k in range(2, len(a)):
-        t_next = H @ t_cur
-        t_next *= 2.0
-        t_next -= t_prev
-        if k % 2:
-            odd += a[k] * t_next
+        re, n_re = _chebyshev_window(H, v.real.copy(), rows, odd_factor)
+        im, n_im = _chebyshev_window(H, v.imag.copy(), rows, odd_factor)
+        return re + 1j * im, n_re + n_im
+    n = rows.shape[1]
+    buf = np.empty((_CHEBYSHEV_CHUNK, len(v)),
+                   dtype=np.result_type(H.dtype, v.dtype))
+    even = np.zeros((len(rows), len(v)), dtype=buf.dtype)
+    odd = np.zeros_like(even)
+    for k in range(n):
+        c = k % _CHEBYSHEV_CHUNK    # buf is a ring: buf[c - 1] is T_{k-1}
+        if k == 0:
+            buf[0] = v
+        elif k == 1:
+            buf[1] = H @ v
         else:
-            even += a[k] * t_next
-        t_prev, t_cur = t_cur, t_next
-    return even + 1j * odd
+            np.multiply(H @ buf[c - 1], 2.0, out=buf[c])
+            buf[c] -= buf[c - 2]
+        if c == _CHEBYSHEV_CHUNK - 1 or k == n - 1:
+            k0 = k - c    # even, since _CHEBYSHEV_CHUNK is
+            even += rows[:, k0:k + 1:2] @ buf[0:c + 1:2]
+            odd += rows[:, k0 + 1:k + 1:2] @ buf[1:c + 1:2]
+    return even + odd_factor * odd, n - 1
+
+
+def _reached_block(M, v):
+    """The block of M that v reaches, scaled into [-1, 1].
+
+    The block is the union of the connected components of M's sparsity
+    graph on which v is nonzero; M stays exact on it.  Returns (block, H,
+    center, half) with H = (M[block, block] - center) / half, shifted and
+    scaled by the block's Gershgorin bounds.
+    """
+    # imported here, not at the top: it adds about 5% to importing kmslab
+    from scipy.sparse.csgraph import connected_components
+    pattern = sp.csr_matrix((np.broadcast_to(1.0, M.data.shape), M.indices,
+                             M.indptr), shape=M.shape, copy=False)
+    _, labels = connected_components(pattern, directed=False)
+    block = np.nonzero(np.isin(labels, labels[np.nonzero(v)[0]]))[0]
+    B = M[block][:, block]
+    diag = B.diagonal().real
+    radius = np.asarray(abs(B).sum(axis=1)).ravel() - np.abs(diag)
+    hi, lo = np.max(diag + radius), np.min(diag - radius)
+    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    if half == 0.0:   # B is a multiple of the identity
+        half = 1.0
+    H = (B - center * sp.identity(B.shape[0], format="csr")).tocsr()
+    H.data /= half
+    return block, H, float(center), float(half)
 
 
 def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
@@ -813,16 +888,25 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
 
     Only the block of L that psi0 reaches is propagated: the union of the
     connected components of L's sparsity graph on which psi0 is nonzero.
-    This is exact for the stored matrix.  Each step applies a Chebyshev
-    expansion of e^{-i B dt} (Tal-Ezer & Kosloff 1984) to the block B,
-    shifted and scaled into [-1, 1] by its Gershgorin bounds; a real block
-    acts on the real and imaginary parts of the state as two real vectors.
-    The coefficients are computed once per distinct step length.
+    This is exact for the stored matrix.  The grid is cut into windows: one
+    Chebyshev recurrence (Tal-Ezer & Kosloff 1984) of the block, shifted
+    and scaled into [-1, 1] by its Gershgorin bounds, runs from the state at
+    the window's start and yields the state at each grid time in the window.
+    A window holds the grid times within _WINDOW_SPAN = 90 radians of the
+    scaled block from its start, at most _WINDOW_OUTPUTS = 8 of them; a grid
+    time farther than that from the last one is reached in equal sub-steps
+    of at most 90 radians.  A real block acts on the real and imaginary
+    parts of the state as two real vectors.  Besides L, only the scaled
+    block is kept; a window peaks below _CHEBYSHEV_CHUNK +
+    7 * _WINDOW_OUTPUTS (64) real vectors of the block's length, which is
+    less than building the block takes.
 
     Each state, as a full-space vector, is stored in ``states``, or, when
     ``observe`` is given, only ``observe(state)`` is.  Norm and
-    energy-expectation drift are checked at every step and must stay below
-    1e-10, otherwise a numerical error reports the failing step.
+    energy-expectation drift are checked at every grid time and must stay
+    below 1e-10, otherwise a numerical error reports the failing step.
+    ``matvecs`` counts every product with the block, the drift checks'
+    included.
     """
     tgrid = np.asarray(tgrid, dtype=float)
     if len(tgrid) == 0 or np.any(np.diff(tgrid) <= 0):
@@ -831,62 +915,70 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     nrm0 = np.linalg.norm(psi0)
     if abs(nrm0 - 1.0) > 1e-10:
         raise ValidationError("initial vector must be normalized")
-    e0 = float(np.real(np.vdot(psi0, L.matrix @ psi0)))
-    # imported here, not at the top: it adds about 5% to importing kmslab
-    from scipy.sparse.csgraph import connected_components
-    _, labels = connected_components(abs(L.matrix), directed=False)
-    block = np.nonzero(np.isin(labels, labels[np.nonzero(psi0)[0]]))[0]
-    B = L.matrix[block][:, block]
+    block, H, center, half = _reached_block(L.matrix, psi0)
+    matvecs = 0
+
+    def energy(psi):
+        """<psi, B psi> = center |psi|^2 + half <psi, H psi>."""
+        nonlocal matvecs
+        if np.iscomplexobj(H.data):
+            matvecs += 1
+            value = np.vdot(psi, H @ psi).real
+        else:   # for a real symmetric H, in two real products
+            matvecs += 2
+            value = psi.real @ (H @ psi.real) + psi.imag @ (H @ psi.imag)
+        return center * np.vdot(psi, psi).real + half * float(value)
+
+    def advance(psi, dts):
+        """The states e^{-i B dt} psi, one row for each dt in dts."""
+        nonlocal matvecs
+        out, products = _chebyshev_window(H, psi, _chebyshev_rows(half * dts),
+                                          -1j)
+        matvecs += products
+        out *= np.exp(-1j * center * dts)[:, None]
+        return out
+
     psi = psi0[block].astype(complex)
-    diag = B.diagonal().real
-    radius = np.asarray(abs(B).sum(axis=1)).ravel() - np.abs(diag)
-    hi, lo = np.max(diag + radius), np.min(diag - radius)
-    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    if half == 0.0:   # B is a multiple of the identity
-        half = 1.0
-    H = ((B - center * sp.identity(B.shape[0], format="csr")) / half).tocsr()
-    steps = {}
+    e0 = energy(psi)
     norm_drift = 0.0
     energy_drift = 0.0
-    prev_t = 0.0
-    for i, t in enumerate(tgrid):
-        dt = t - prev_t
-        prev_t = t
-        if dt != 0.0:
-            if dt not in steps:
-                # sub-steps of at most 200 radians keep the series at
-                # 304 terms or fewer, and its interpolation matrix small
-                n_sub = math.ceil(abs(half * dt) / 200.0)
-                steps[dt] = (n_sub, cmath.exp(-1j * center * dt / n_sub),
-                             _chebyshev_coefficients(half * dt / n_sub))
-            n_sub, phase, a = steps[dt]
-            for _ in range(n_sub):
-                psi = phase * _chebyshev_series(H, a, psi)
-        nd = abs(np.linalg.norm(psi) - 1.0)
-        if np.iscomplexobj(B.data):
-            energy = np.vdot(psi, B @ psi).real
-        else:   # <psi, B psi> for real symmetric B, in two real products
-            energy = psi.real @ (B @ psi.real) + psi.imag @ (B @ psi.imag)
-        ed = abs(float(energy) - e0)
-        norm_drift = max(norm_drift, nd)
-        energy_drift = max(energy_drift, ed)
-        if nd > 1e-10:
-            raise NumericalError(
-                "propagation norm drift %s at step %d (t=%s)"
-                % (fmt17(nd), i, fmt17(t)))
-        if ed > 1e-10 * max(abs(e0), 1.0):
-            raise NumericalError(
-                "generator expectation drift %s at step %d (t=%s)"
-                % (fmt17(ed), i, fmt17(t)))
-        full = np.zeros(L.dim, dtype=complex)
-        full[block] = psi
-        record = full if observe is None else observe(full)
-        if i == 0:
-            states = np.empty((len(tgrid),) + np.shape(record),
-                              dtype=np.result_type(record))
-        states[i] = record
-    return EvolutionResult(times=tgrid, states=states,
-                           norm_drift=norm_drift, energy_drift=energy_drift)
+    start, i = 0.0, 0
+    while i < len(tgrid):
+        reach = half * (tgrid[i] - start)
+        if reach > _WINDOW_SPAN:
+            n_sub = math.ceil(reach / _WINDOW_SPAN)
+            step = (tgrid[i] - start) / n_sub
+            for _ in range(n_sub - 1):
+                psi = advance(psi, np.array([step]))[0]
+                start += step
+        j = i + 1
+        while (j < len(tgrid) and j - i < _WINDOW_OUTPUTS
+               and half * (tgrid[j] - start) <= _WINDOW_SPAN):
+            j += 1
+        for i, psi in enumerate(advance(psi, tgrid[i:j] - start), start=i):
+            t = tgrid[i]
+            nd = abs(np.linalg.norm(psi) - 1.0)
+            ed = abs(energy(psi) - e0)
+            norm_drift = max(norm_drift, nd)
+            energy_drift = max(energy_drift, ed)
+            if nd > 1e-10:
+                raise NumericalError(
+                    "propagation norm drift %s at step %d (t=%s)"
+                    % (fmt17(nd), i, fmt17(t)))
+            if ed > 1e-10 * max(abs(e0), 1.0):
+                raise NumericalError(
+                    "generator expectation drift %s at step %d (t=%s)"
+                    % (fmt17(ed), i, fmt17(t)))
+            full = np.zeros(L.dim, dtype=complex)
+            full[block] = psi
+            record = full if observe is None else observe(full)
+            if i == 0:
+                states = np.empty((len(tgrid),) + np.shape(record),
+                                  dtype=np.result_type(record))
+            states[i] = record
+        start, i = tgrid[i], i + 1
+    return EvolutionResult(times=tgrid, states=states, norm_drift=norm_drift,
+                           energy_drift=energy_drift, matvecs=matvecs)
 
 
 def reduce_detector(psi: np.ndarray, space: TruncatedFock) -> np.ndarray:
@@ -926,6 +1018,7 @@ class RTEReport:
     reached: bool
     norm_drift: float
     energy_drift: float
+    matvecs: int
 
     def save(self, path):
         write_csv(path, "t,trace_distance", [self.times, self.distances])
@@ -967,7 +1060,7 @@ def rte_distance_series(L: LiouvilleanOperator, initial: np.ndarray,
                      crossing_time=crossing, pre_recurrence_min=pre_min,
                      recurrence_time=t_rec, reached=reached,
                      norm_drift=traj.norm_drift,
-                     energy_drift=traj.energy_drift)
+                     energy_drift=traj.energy_drift, matvecs=traj.matvecs)
 
 
 @dataclass

@@ -62,6 +62,11 @@ def test_family_rejects_modes_that_are_not_unit_point_modes():
         dj.ModeFamily([mode.copy_with(1.1 * mode.values)])
 
 
+def test_empty_single_frequency_family_is_rejected_by_name():
+    with pytest.raises(ValidationError, match="mode family must be nonempty"):
+        dj.single_frequency_family([])
+
+
 def test_single_frequency_occupation_closed_form():
     fam = dj.single_frequency_family([1.0])
     occ = dj.mode_occupations(QuasiFreeState(beta=1.0), fam)

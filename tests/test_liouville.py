@@ -1,5 +1,6 @@
 """Doubled detector-reservoir generator: assembly, symmetry, evolution."""
 
+import dataclasses
 import math
 import warnings
 
@@ -294,6 +295,20 @@ def test_perturbed_vector_is_normalized_and_close():
     assert np.linalg.norm(omega - omega0) < 0.2
 
 
+@pytest.mark.parametrize("zeta", [math.pi, math.pi / 2])
+def test_perturbed_vector_matches_dense_exponential(zeta):
+    space, L = _dense_check_operator(zeta)
+    L0 = L.with_lambda(0.0)
+    omega = lv.perturbed_kms_vector(L0, L.parts["I"], 0.3, 1.0)
+    A = (L0.matrix + 0.3 * L.parts["I"]).toarray()
+    exact = sla.expm(-0.5 * A) @ lv.gns_vacuum(space, 1.0, 1.0)
+    exact /= np.linalg.norm(exact)
+    assert np.max(np.abs(omega - exact)) < 1e-12
+    with pytest.raises(NumericalError, match="half-step residual"):
+        lv.perturbed_kms_vector(L0, L.parts["I"], 0.3, 1.0,
+                                consistency_tol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -495,24 +510,81 @@ def test_equilibrium_vector_is_stationary():
         assert np.max(np.abs(state - omega)) < 1e-12
 
 
-@pytest.mark.parametrize("zeta", [math.pi, math.pi / 2])
-def test_evolution_matches_dense_exponential(zeta):
+def _dense_check_operator(zeta):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)
         disc = lv.paired_modes(1.0, n_side=4, amplitude=0.5, zeta=zeta)
         space = lv.TruncatedFock(disc, n_tot_max=2)
         L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
     assert np.iscomplexobj(L.matrix.data) == (zeta != math.pi)
+    return space, L
+
+
+@pytest.mark.parametrize("zeta", [math.pi, math.pi / 2])
+def test_evolution_matches_dense_exponential(zeta):
+    space, L = _dense_check_operator(zeta)
     rng = np.random.default_rng(7)
     spread = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    tgrid = np.array([0.3, 0.5, 1.7, 2.0, 4.6, 60.0])   # the last in sub-steps
-    M = L.matrix.toarray()
-    for psi0 in (spread / np.linalg.norm(spread),
-                 lv.product_initial(space, np.diag([1.0, 0.0]))):
-        result = lv.evolve(L, psi0, tgrid)
-        for t, state in zip(tgrid, result.states):
-            exact = sla.expm(-1j * t * M) @ psi0
-            assert np.max(np.abs(state - exact)) < 1e-12
+    _, _, _, half = lv._reached_block(L.matrix, spread)
+    # 3.5 windows of full output count, then one point three spans away
+    n_uniform = 7 * lv._WINDOW_OUTPUTS // 2
+    dt = 0.8 * lv._WINDOW_SPAN / (lv._WINDOW_OUTPUTS * half)
+    windowed = np.append(dt * np.arange(1, n_uniform + 1),
+                         n_uniform * dt + 3.0 * lv._WINDOW_SPAN / half)
+    # a shifted spectrum puts the Gershgorin center far from zero
+    shifted = dataclasses.replace(
+        L, matrix=(L.matrix + 2.5 * sp.identity(space.dim)).tocsr())
+    for op, tgrid in ((L, np.array([0.3, 0.5, 1.7, 2.0, 4.6, 60.0])),
+                      (L, windowed), (shifted, windowed)):
+        M = op.matrix.toarray()   # 60 above is reached in sub-steps
+        runs = [(psi0, lv.evolve(op, psi0, tgrid).states)
+                for psi0 in (spread / np.linalg.norm(spread),
+                             lv.product_initial(space, np.diag([1.0, 0.0])))]
+        for i, t in enumerate(tgrid):
+            U = sla.expm(-1j * t * M)
+            for psi0, states in runs:
+                assert np.max(np.abs(states[i] - U @ psi0)) < 1e-12
+
+
+def test_chebyshev_rows_match_bessel_expansions():
+    from scipy.special import iv, jv
+    xs = np.array([0.5, 10.0, 80.5])
+    rows = lv._chebyshev_rows(xs)
+    k = np.arange(rows.shape[1])
+    # 2 (-i)^k J_k(x), J_0 without the 2, odd terms multiplied by i
+    weight = np.where(k == 0, 1.0, 2.0) * np.where(k % 2, 1j, 1.0)
+    for x, row in zip(xs, rows):
+        expected = weight * (-1j) ** k * jv(k, x)
+        assert np.max(np.abs(expected.imag)) < 1e-15
+        assert np.max(np.abs(row - expected.real)) < 1e-13
+    assert 2.0 * abs(jv(rows.shape[1], xs[-1])) < 1e-16   # first term cut
+    # e^{-x t}: 2 (-1)^k I_k(x), good to 1e-13 relative to e^x
+    for x in (0.5, 10.0):
+        row = lv._chebyshev_rows([x], decay=True)[0]
+        k = np.arange(len(row))
+        expected = np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * iv(k, x)
+        assert np.max(np.abs(row - expected)) < 1e-13 * math.exp(x)
+        assert 2.0 * iv(len(row), x) < 1e-16 * math.exp(x)
+
+
+def test_evolution_counts_its_products():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        _, space = _small_paired()
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.2)
+    rng = np.random.default_rng(5)
+    psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi0 /= np.linalg.norm(psi0)
+    tgrid = np.linspace(0.5, 8.0, 16)
+    _, H, _, half = lv._reached_block(L.matrix, psi0)
+    assert not np.iscomplexobj(H.data)
+    # one step at a time: two real series and two drift-check products each
+    terms = lv._chebyshev_rows([half * 0.5]).shape[1]
+    one_step_at_a_time = 16 * (2 * (terms - 1) + 2)
+    first = lv.evolve(L, psi0, tgrid)
+    # at least the drift checks (with the initial energy) and one window
+    assert 2 * 17 + 2 * (terms - 1) < first.matvecs < one_step_at_a_time
+    assert lv.evolve(L, psi0, tgrid).matvecs == first.matvecs
 
 
 def test_evolution_stays_in_its_component():
