@@ -560,12 +560,12 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
     Only the block of L0 + lam I that Omega_0 reaches is expanded, scaled
     into [-1, 1] as in ``evolve``: with B = center + half H the action is
     e^{-x H} Omega_0 with x = beta * half / 2, up to a factor that the
-    normalization removes.  One recurrence yields the full step and the
-    half step e^{-x H / 2} Omega_0, a second one applies the half step
-    again; each peaks at about _CHEBYSHEV_CHUNK + 8 real vectors of the
-    block's length.  A
-    full-step against two-half-step consistency check guards the
-    expansion; disagreement raises a numerical error carrying the residual.
+    normalization removes.  It is applied in equal sub-steps of at most
+    _DECAY_SPAN; each sub-step is one recurrence and peaks at about
+    _CHEBYSHEV_CHUNK + 4 real vectors of the block's length.  A full step
+    against two-half-step consistency check guards the expansion: the two
+    half steps take twice as many sub-steps of half the length.
+    Disagreement raises a numerical error carrying the residual.
     """
     space = L0.space
     omega0 = gns_vacuum(space, L0.gap, beta)
@@ -574,10 +574,18 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
     block, H, _, half = _reached_block((L0.matrix + lam * I_mat).tocsr(),
                                        omega0)
     x = beta * half / 2.0
-    (full, once), _ = _chebyshev_window(
-        H, omega0[block], _chebyshev_rows([x, x / 2.0], decay=True), 1.0)
-    (twice,), _ = _chebyshev_window(
-        H, once, _chebyshev_rows([x / 2.0], decay=True), 1.0)
+    n_sub = max(1, math.ceil(x / _DECAY_SPAN))
+
+    def decay(n):
+        """e^{-x H} Omega_0 on the block, in n equal sub-steps."""
+        rows = _chebyshev_rows([x / n], decay=True)
+        v = omega0[block]
+        for _ in range(n):
+            (v,), _ = _chebyshev_window(H, v, rows, 1.0)
+        return v
+
+    full = decay(n_sub)
+    twice = decay(2 * n_sub)
     scale = np.linalg.norm(full)
     if scale == 0.0 or not np.all(np.isfinite(full)):
         raise NumericalError("exponential action diverged")
@@ -797,6 +805,15 @@ _WINDOW_SPAN = 90.0
 _WINDOW_OUTPUTS = 8
 _CHEBYSHEV_CHUNK = 8
 
+# The coefficients 2 (-1)^k I_k(x) of e^{-x t} add up to about e^x in
+# magnitude, while e^{-x H} v stays of the order of v where H is near 0:
+# one expansion of a large x loses a factor e^x to cancellation (3e-7 at
+# x = 20 on the default rte-evolve block).  Sub-steps of at most
+# _DECAY_SPAN keep the loss below e^2; the block's grading (free energies
+# on the diagonal, a weak coupling off it) keeps the rounding of one
+# sub-step from being amplified by the later ones.
+_DECAY_SPAN = 2.0
+
 
 def _chebyshev_rows(xs, decay: bool = False) -> np.ndarray:
     """Chebyshev coefficients on [-1, 1], one row for each x in xs.
@@ -894,8 +911,8 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     the window's start and yields the state at each grid time in the window.
     A window holds the grid times within _WINDOW_SPAN = 90 radians of the
     scaled block from its start, at most _WINDOW_OUTPUTS = 8 of them; a grid
-    time farther than that from the last one is reached in equal sub-steps
-    of at most 90 radians.  A real block acts on the real and imaginary
+    time farther than that from the last one (from 0 for the first, which
+    may lie before it) is reached in equal sub-steps of at most 90 radians.  A real block acts on the real and imaginary
     parts of the state as two real vectors.  Besides L, only the scaled
     block is kept; a window peaks below _CHEBYSHEV_CHUNK +
     7 * _WINDOW_OUTPUTS (64) real vectors of the block's length, which is
@@ -944,7 +961,7 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     energy_drift = 0.0
     start, i = 0.0, 0
     while i < len(tgrid):
-        reach = half * (tgrid[i] - start)
+        reach = half * abs(tgrid[i] - start)
         if reach > _WINDOW_SPAN:
             n_sub = math.ceil(reach / _WINDOW_SPAN)
             step = (tgrid[i] - start) / n_sub
@@ -953,7 +970,7 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
                 start += step
         j = i + 1
         while (j < len(tgrid) and j - i < _WINDOW_OUTPUTS
-               and half * (tgrid[j] - start) <= _WINDOW_SPAN):
+               and half * abs(tgrid[j] - start) <= _WINDOW_SPAN):
             j += 1
         for i, psi in enumerate(advance(psi, tgrid[i:j] - start), start=i):
             t = tgrid[i]

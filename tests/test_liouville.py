@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
@@ -309,6 +310,28 @@ def test_perturbed_vector_matches_dense_exponential(zeta):
                                 consistency_tol=0.0)
 
 
+@pytest.mark.parametrize("beta", [4.0, 8.0])
+def test_perturbed_vector_accurate_at_large_beta(beta):
+    # x = beta * half / 2 of 20 and 40: one expansion of e^{-x t} would
+    # lose about e^x to cancellation
+    disc = lv.paired_modes(beta, n_side=4, amplitude=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        space = lv.TruncatedFock(disc, n_tot_max=2)
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
+    L0 = L.with_lambda(0.0)
+    A = (L0.matrix + 0.3 * L.parts["I"]).tocsc()
+    omega0 = lv.gns_vacuum(space, 1.0, beta)
+    _, _, _, half = lv._reached_block(A.tocsr(), omega0)
+    assert beta * half / 2.0 > 20.0
+    omega = lv.perturbed_kms_vector(L0, L.parts["I"], 0.3, beta,
+                                    consistency_tol=1e-13)
+    # scipy's Taylor action in short steps, exact here to 2e-16
+    exact = spla.expm_multiply(-(beta / 2.0) * A, omega0)
+    exact /= np.linalg.norm(exact)
+    assert np.max(np.abs(omega - exact)) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -544,6 +567,28 @@ def test_evolution_matches_dense_exponential(zeta):
             U = sla.expm(-1j * t * M)
             for psi0, states in runs:
                 assert np.max(np.abs(states[i] - U @ psi0)) < 1e-12
+
+
+def test_evolution_windows_stay_within_span(monkeypatch):
+    space, L = _dense_check_operator(math.pi)
+    psi0 = lv.product_initial(space, np.diag([1.0, 0.0]))
+    _, _, _, half = lv._reached_block(L.matrix, psi0)
+    spans = []
+    rows = lv._chebyshev_rows
+
+    def recording(xs, decay=False):
+        spans.append(float(np.max(np.abs(xs))))
+        return rows(xs, decay)
+
+    monkeypatch.setattr(lv, "_chebyshev_rows", recording)
+    # a grid that starts before 0 is reached backwards in sub-steps
+    tgrid = np.array([-60.0, -59.5, 1.0, 60.0])
+    assert half * 60.0 > 2.0 * lv._WINDOW_SPAN
+    states = lv.evolve(L, psi0, tgrid).states
+    assert max(spans) <= lv._WINDOW_SPAN
+    M = L.matrix.toarray()
+    for t, state in zip(tgrid, states):
+        assert np.max(np.abs(state - sla.expm(-1j * t * M) @ psi0)) < 1e-12
 
 
 def test_chebyshev_rows_match_bessel_expansions():
