@@ -85,6 +85,13 @@ def _auto_or_positive(raw):
     return None if raw == "auto" else _positive(raw)
 
 
+def _initial_state(raw):
+    # the names are the keys of liouville's table of builders; the two
+    # subcommands that read [liouville] load liouville right after
+    from .liouville import INITIAL_STATES
+    return _one_of("initial state", INITIAL_STATES)(raw)
+
+
 # mode family -> (liouville builder, the arguments it takes besides beta,
 # amplitude and zeta)
 _MODE_FAMILIES = {
@@ -126,8 +133,7 @@ _SCHEMA = {
         "evolve_n_tot_max": ("4", _int_at_least(1)),
         "evolve_amplitude": ("1.0", _positive),
         "evolve_lambda": ("auto", _auto_or_positive),
-        "initial": ("excited", _one_of("initial state", (
-            "excited", "one-boson", "entangled", "stationary"))),
+        "initial": ("excited", _initial_state),
         "dt": ("0.5", _positive),
         "t_max": ("auto", _auto_or_positive),
     },
@@ -193,9 +199,9 @@ def _resolve_config(config_path):
 
 def _prepare(ctx):
     """Resolve the config, apply the subcommand's override options (from
-    ctx.params) and parse every key of its sections, all before any
-    numeric library is imported.  Returns ({section: {key: value}}, output
-    directory).
+    ctx.params) and parse every key of its sections, all before the
+    subcommand's numeric work starts.  Returns ({section: {key: value}},
+    output directory).
     """
     raw = _resolve_config(ctx.obj["config"])
     for name, val in ctx.params.items():
@@ -373,7 +379,7 @@ def _liouville_space(cfg, seed, prefix):
         beta, amplitude=lcfg[prefix + "amplitude"], zeta=cfg["global"]["zeta"],
         **{name: args[name] for name in takes})
     space = lv.TruncatedFock(disc, n_tot_max=lcfg[prefix + "n_tot_max"])
-    return lv, disc, space, lcfg["gap"], beta
+    return lv, disc, space, lcfg["gap"]
 
 
 @cli.command("rte-spectrum")
@@ -381,7 +387,7 @@ def _liouville_space(cfg, seed, prefix):
 def cmd_rte_spectrum(ctx):
     """Near-zero spectrum of the coupled generator over a coupling sweep."""
     cfg, out_dir = _prepare(ctx)
-    lv, disc, space, gap, beta = _liouville_space(cfg, ctx.obj["seed"], "")
+    lv, disc, space, gap = _liouville_space(cfg, ctx.obj["seed"], "")
     g_off = cfg["liouville"]["coupling_offdiagonal"]
     import numpy as np
     from .textio import fmt17
@@ -409,8 +415,7 @@ def cmd_rte_spectrum(ctx):
 def cmd_rte_evolve(ctx):
     """Reduced-detector trace distance to equilibrium along the evolution."""
     cfg, out_dir = _prepare(ctx)
-    lv, disc, space, gap, beta = _liouville_space(cfg, ctx.obj["seed"],
-                                                  "evolve_")
+    lv, disc, space, gap = _liouville_space(cfg, ctx.obj["seed"], "evolve_")
     lcfg = cfg["liouville"]
     g_off, dt = lcfg["coupling_offdiagonal"], lcfg["dt"]
     import numpy as np
@@ -421,22 +426,7 @@ def cmd_rte_evolve(ctx):
     t_max = t_rec if lcfg["t_max"] is None else lcfg["t_max"]
     G = np.array([[0.0, g_off], [g_off, 0.0]])
     L = lv.assemble_liouvillean(space, gap, G, lam)
-    which = lcfg["initial"]
-    packet = np.exp(-(((disc.s - gap) / 0.3) ** 2)) * (disc.s > 0)
-    if which == "excited":
-        psi = lv.product_initial(space, np.diag([1.0, 0.0]))
-    elif which == "one-boson":
-        psi = lv.one_boson_initial(space, np.array([0, 0, 0, 1.0]), packet)
-    elif which == "entangled":
-        psi = np.zeros(space.dim, dtype=complex)
-        psi[space.vacuum] = 1.0 / math.sqrt(2.0)
-        psi += lv.one_boson_initial(space, np.array([0, 0, 0, 1.0]),
-                                    packet) / math.sqrt(2.0)
-        psi /= np.linalg.norm(psi)
-    else:  # stationary
-        L0w = L.with_lambda(0.0)
-        omega = lv.perturbed_kms_vector(L0w, L.parts["I"], lam, beta)
-        psi = lv.product_initial(space, lv.reduce_detector(omega, space))
+    psi = lv.INITIAL_STATES[lcfg["initial"]](L)
     tgrid = np.arange(dt, t_max + dt / 2.0, dt)
     report = lv.rte_distance_series(L, psi, tgrid)
     report.save(os.path.join(out_dir, "rte_evolve.csv"))

@@ -68,6 +68,7 @@ __all__ = [
     "trace_distance",
     "fgr_window",
     "rte_distance_series",
+    "INITIAL_STATES",
     "tomita_residual",
 ]
 
@@ -127,9 +128,7 @@ class ReservoirDiscretization:
 
     def mirror_index(self) -> np.ndarray:
         """Index map j -> j' with s[j'] = -s[j]; StructuralError if unpaired."""
-        order = {}
-        for j, sv in enumerate(self.s):
-            order[sv] = j
+        order = {sv: j for j, sv in enumerate(self.s)}
         mirror = np.empty(self.n_modes, dtype=int)
         for j, sv in enumerate(self.s):
             if -sv not in order:
@@ -242,73 +241,85 @@ class TruncatedFock:
     The reservoir occupation basis is enumerated in lexicographic order,
     either with a total-occupation budget (n_tot_max) or per-mode caps
     (n_max).  Full-space indices are detector-major: index = d*R + r with
-    d in {0:++, 1:+-, 2:-+, 3:--}.
+    d in {0:++, 1:+-, 2:-+, 3:--}, a (4, R) array flattened.  ``rank`` is
+    the exact index of an occupation n: sum_j C[j+1, left_j + 1] -
+    C[j+1, left_j - n_j + 1], where left_j is the budget less the quanta
+    before mode j.  C[j, b + 1] is the sum over b' <= b of the number of
+    allowed occupations of modes j, j+1, ... with at most b' quanta, so each
+    term counts basis rows and stays below the dimension.  Memory: the basis
+    (reservoir_dim x modes int64) and C ((modes + 1) x (n_tot_max + 2)).
     """
-
-    detector_dim = 4
 
     def __init__(self, disc: ReservoirDiscretization, n_tot_max=None, n_max=None):
         if (n_tot_max is None) == (n_max is None):
             raise ValidationError("give exactly one of n_tot_max or n_max")
         self.disc = disc
         N = disc.n_modes
-        if n_tot_max is not None:
-            if int(n_tot_max) < 1:
-                raise ValidationError("n_tot_max must be >= 1")
-            self.n_tot_max = int(n_tot_max)
-            self.caps = np.full(N, self.n_tot_max, dtype=np.int64)
-        else:
-            caps = np.full(N, int(n_max), dtype=np.int64)
-            if np.any(caps < 1):
-                raise ValidationError("n_max must be >= 1")
-            self.n_tot_max = int(np.sum(caps))
-            self.caps = caps
-        self.basis = self._enumerate(N, self.caps, self.n_tot_max)
-        base = (int(np.max(self.caps)) if N else 0) + 2
-        self._radix = base ** np.arange(N - 1, -1, -1, dtype=np.int64)
-        self._keys = self.basis @ self._radix
-        if np.any(np.diff(self._keys) <= 0):
-            raise StructuralError("occupation basis is not key-sorted")
-        self.reservoir_dim = self.basis.shape[0]
+        name, cap = (("n_tot_max", n_tot_max) if n_max is None
+                     else ("n_max", n_max))
+        if int(cap) < 1:
+            raise ValidationError("%s must be >= 1" % name)
+        self.caps = np.full(N, int(cap), dtype=np.int64)
+        self.n_tot_max = int(cap) if n_max is None else int(np.sum(self.caps))
+        # From the last mode up: each value m of mode j goes in front of the
+        # rows of modes j+1, ... that hold at most n_tot_max - m quanta.
+        budget = self.n_tot_max
+        self._counts = np.zeros((N + 1, budget + 2), dtype=np.int64)
+        rows, tot = np.zeros((1, 0), dtype=np.int64), np.zeros(1, np.int64)
+        for j in range(N, -1, -1):
+            if j < N:
+                keep = [(m, tot <= budget - m)
+                        for m in range(min(int(self.caps[j]), budget) + 1)]
+                rows = np.concatenate([np.insert(rows[k], 0, m, axis=1)
+                                       for m, k in keep])
+                tot = np.concatenate([tot[k] + m for m, k in keep])
+            self._counts[j, 1:] = np.cumsum(np.cumsum(
+                np.bincount(tot, minlength=budget + 1)))
+        self.basis = rows
+        self.reservoir_dim = len(rows)
         self.dim = 4 * self.reservoir_dim
+        if not np.array_equal(self.rank(rows), np.arange(len(rows))):
+            raise StructuralError("occupation basis is not rank-ordered")
         self.vacuum = 0
         self.occupation_energy = self.basis @ self.disc.s
 
-    @staticmethod
-    def _enumerate(N, caps, budget) -> np.ndarray:
-        rows = []
-        state = np.zeros(N, dtype=np.int64)
+    def rank(self, occupations) -> np.ndarray:
+        """Basis index of each occupation tuple (the last axis).
 
-        def rec(j, left):
-            if j == N:
-                rows.append(state.copy())
-                return
-            for n in range(min(int(caps[j]), left) + 1):
-                state[j] = n
-                rec(j + 1, left - n)
-            state[j] = 0
-
-        rec(0, budget)
-        return np.array(rows, dtype=np.int64)
+        A wrong length, a negative entry, an entry above its cap or a total
+        above n_tot_max raises ValidationError.
+        """
+        occ = np.asarray(occupations, dtype=np.int64)
+        if occ.shape[-1:] != self.caps.shape:
+            raise ValidationError("occupation tuples need %d entries, got "
+                                  "shape %s" % (len(self.caps), occ.shape))
+        if (np.any(occ < 0) or np.any(occ > self.caps)
+                or np.any(occ.sum(axis=-1) > self.n_tot_max)):
+            raise ValidationError("occupation tuple outside the truncation")
+        out = np.zeros(occ.shape[:-1], dtype=np.int64)
+        left = np.full(occ.shape[:-1], self.n_tot_max, dtype=np.int64)
+        for j, C in enumerate(self._counts[1:]):
+            out += C[left + 1] - C[left - occ[..., j] + 1]
+            left -= occ[..., j]
+        return out
 
     def index_of(self, occupation) -> int:
-        key = np.asarray(occupation, dtype=np.int64) @ self._radix
-        i = int(np.searchsorted(self._keys, key))
-        if i >= len(self._keys) or self._keys[i] != key:
-            raise ValidationError("occupation tuple outside the truncation")
-        return i
+        return int(self.rank(occupation))
 
     def occupation_of(self, index) -> np.ndarray:
         return self.basis[index].copy()
 
+    def free_energies(self, E: float) -> np.ndarray:
+        """Diagonal of L0, detector-major: (0, E, -E, 0)[d] + occupation energy."""
+        return np.concatenate([d + self.occupation_energy
+                               for d in (0.0, E, -E, 0.0)])
+
     def creation_matrix(self, mode: int) -> sp.csr_matrix:
         """Matrix of a_mode^dagger on the truncated reservoir basis."""
         B = self.basis
-        tot = B.sum(axis=1)
-        ok = (B[:, mode] < self.caps[mode]) & (tot < self.n_tot_max)
-        cols = np.nonzero(ok)[0]
-        child_keys = self._keys[cols] + self._radix[mode]
-        rows = np.searchsorted(self._keys, child_keys)
+        cols = np.nonzero((B[:, mode] < self.caps[mode])
+                          & (B.sum(axis=1) < self.n_tot_max))[0]
+        rows = self.rank(B[cols] + (np.arange(B.shape[1]) == mode))
         vals = np.sqrt(B[cols, mode] + 1.0)
         return sp.csr_matrix((vals, (rows, cols)),
                              shape=(self.reservoir_dim, self.reservoir_dim))
@@ -382,12 +393,9 @@ def detector_gibbs_vector(E: float, beta: float) -> np.ndarray:
 
 def gns_vacuum(space: TruncatedFock, E: float, beta: float) -> np.ndarray:
     """Omega_0: detector Gibbs vector tensor the reservoir Fock vacuum."""
-    g = detector_gibbs_vector(E, beta)
-    out = np.zeros(space.dim)
-    R = space.reservoir_dim
-    for d in range(4):
-        out[d * R + space.vacuum] = g[d]
-    return out
+    out = np.zeros((4, space.reservoir_dim))
+    out[:, space.vacuum] = detector_gibbs_vector(E, beta)
+    return out.ravel()
 
 
 def product_initial(space: TruncatedFock, detector_rho: np.ndarray) -> np.ndarray:
@@ -399,12 +407,9 @@ def product_initial(space: TruncatedFock, detector_rho: np.ndarray) -> np.ndarra
     if abs(np.sum(evals) - 1.0) > 1e-10:
         raise ValidationError("detector density matrix must have unit trace")
     root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    psi = np.zeros(space.dim, dtype=complex)
-    R = space.reservoir_dim
-    for a in range(2):
-        for b in range(2):
-            psi[(2 * a + b) * R + space.vacuum] = root[a, b]
-    return psi / np.linalg.norm(psi)
+    psi = np.zeros((4, space.reservoir_dim), dtype=complex)
+    psi[:, space.vacuum] = root.ravel()    # d = 2a + b for root[a, b]
+    return psi.ravel() / np.linalg.norm(psi)
 
 
 def one_boson_initial(space: TruncatedFock, detector_vec: np.ndarray,
@@ -420,18 +425,11 @@ def one_boson_initial(space: TruncatedFock, detector_vec: np.ndarray,
     if nrm == 0:
         raise ValidationError("mode profile must be nonzero")
     prof = prof / nrm
-    psi = np.zeros(space.dim, dtype=complex)
-    R = space.reservoir_dim
-    occ = np.zeros(space.disc.n_modes, dtype=np.int64)
-    for j in range(space.disc.n_modes):
-        if prof[j] == 0:
-            continue
-        occ[:] = 0
-        occ[j] = 1
-        r = space.index_of(occ)
-        for d in range(4):
-            psi[d * R + r] += dv[d] * prof[j]
-    return psi / np.linalg.norm(psi)
+    psi = np.zeros((4, space.reservoir_dim), dtype=complex)
+    modes = np.nonzero(prof)[0]
+    psi[:, space.rank(np.eye(len(prof), dtype=np.int64)[modes])] += (
+        np.outer(dv, prof[modes]))
+    return psi.ravel() / np.linalg.norm(psi)
 
 
 def assemble_L0(space: TruncatedFock, E: float) -> LiouvilleanOperator:
@@ -443,19 +441,10 @@ def assemble_L0(space: TruncatedFock, E: float) -> LiouvilleanOperator:
     """
     if E <= 0:
         raise ValidationError("detector gap must be positive")
-    R = space.reservoir_dim
-    d_energy = np.array([0.0, E, -E, 0.0])
-    diag = (np.repeat(d_energy, R)
-            + np.tile(space.occupation_energy, 4))
-    collisions = []
-    occ_tot = space.basis.sum(axis=1)
-    for d in range(4):
-        vals = d_energy[d] + space.occupation_energy
-        hit = np.nonzero(np.abs(vals) < 1e-12)[0]
-        for r in hit:
-            if d in (0, 3) and occ_tot[r] == 0:
-                continue
-            collisions.append((d, r))
+    diag = space.free_energies(E)
+    hit = np.abs(diag.reshape(4, space.reservoir_dim)) < 1e-12
+    hit[[0, 3], space.vacuum] = False    # the equilibrium kernel itself
+    collisions = list(zip(*np.nonzero(hit)))
     if collisions:
         listing = ", ".join(
             "(detector %d, occupation %s)" % (d, tuple(int(x) for x in space.basis[r]))
@@ -520,21 +509,11 @@ class ModularConjugation:
     def __init__(self, space: TruncatedFock):
         self.space = space
         disc = space.disc
-        mirror = disc.mirror_index()
         B = space.basis
-        mirrored = B[:, mirror]
-        keys = mirrored @ space._radix
-        perm_r = np.searchsorted(space._keys, keys)
-        if np.any(space._keys[perm_r] != keys):
-            raise StructuralError("mirrored occupation leaves the truncation")
-        phase_unit = gluing_phase(disc.zeta)
-        tot = B.sum(axis=1)
-        res_phase = phase_unit ** tot
-        det_perm = np.array([0, 2, 1, 3])
-        R = space.reservoir_dim
-        self._perm = np.concatenate(
-            [det_perm[d] * R + perm_r for d in range(4)])
-        self._phase = np.tile(res_phase, 4)
+        perm_r = space.rank(B[:, disc.mirror_index()])
+        self._perm = (np.array([[0], [2], [1], [3]]) * space.reservoir_dim
+                      + perm_r).ravel()
+        self._phase = np.tile(gluing_phase(disc.zeta) ** B.sum(axis=1), 4)
         if np.max(np.abs(self._phase.imag)) == 0.0:
             self._phase = self._phase.real
 
@@ -1080,6 +1059,40 @@ def rte_distance_series(L: LiouvilleanOperator, initial: np.ndarray,
                      energy_drift=traj.energy_drift, matvecs=traj.matvecs)
 
 
+_GROUND = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def _gap_packet(L: LiouvilleanOperator) -> np.ndarray:
+    """Gaussian profile of width 0.3 on the positive modes, centred on the gap."""
+    s = L.space.disc.s
+    return np.exp(-(((s - L.gap) / 0.3) ** 2)) * (s > 0)
+
+
+def _entangled_initial(L: LiouvilleanOperator) -> np.ndarray:
+    psi = np.zeros(L.space.dim, dtype=complex)
+    psi[L.space.vacuum] = 1.0 / math.sqrt(2.0)
+    psi += one_boson_initial(L.space, _GROUND, _gap_packet(L)) / math.sqrt(2.0)
+    return psi / np.linalg.norm(psi)
+
+
+def _stationary_initial(L: LiouvilleanOperator) -> np.ndarray:
+    omega = perturbed_kms_vector(L.with_lambda(0.0), L.parts["I"], L.lam,
+                                 L.beta)
+    return product_initial(L.space, reduce_detector(omega, L.space))
+
+
+# Initial states of the return-to-equilibrium runs, by name, built from the
+# coupled generator: the excited detector or the reduced perturbed KMS state
+# times the reservoir vacuum, one boson in the gap packet on the ground
+# vector, and the normalized sum of that and the ++ vacuum vector.
+INITIAL_STATES = {
+    "excited": lambda L: product_initial(L.space, np.diag([1.0, 0.0])),
+    "one-boson": lambda L: one_boson_initial(L.space, _GROUND, _gap_packet(L)),
+    "entangled": _entangled_initial,
+    "stationary": _stationary_initial,
+}
+
+
 @dataclass
 class TomitaReport:
     labels: list
@@ -1118,9 +1131,7 @@ def tomita_residual(space: TruncatedFock, E: float, beta: float,
     J = ModularConjugation(space)
     omega0 = gns_vacuum(space, E, beta)
     R = space.reservoir_dim
-    d_energy = np.array([0.0, E, -E, 0.0])
-    diag = np.repeat(d_energy, R) + np.tile(space.occupation_energy, 4)
-    half_mod = np.exp(-beta * diag / 2.0)
+    half_mod = np.exp(-beta * space.free_energies(E) / 2.0)
     I2 = sp.identity(2, format="csr")
     IR = sp.identity(R, format="csr")
     labels, residuals = [], []
@@ -1166,9 +1177,7 @@ def tomita_residual(space: TruncatedFock, E: float, beta: float,
 
 def resonance_floor(space: TruncatedFock, E: float) -> float:
     """Smallest nonzero |free eigenvalue|: the quasi-resonance gap at lam=0."""
-    d_energy = np.array([0.0, E, -E, 0.0])
-    vals = np.concatenate([d + space.occupation_energy for d in d_energy])
-    mags = np.abs(vals)
+    mags = np.abs(space.free_energies(E))
     nz = mags[mags > 1e-12]
     if len(nz) == 0:
         raise StructuralError("all free eigenvalues vanish")

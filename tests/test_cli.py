@@ -252,3 +252,11 @@ def test_non_numeric_config_value_rejected(tmp_path, monkeypatch, capsys,
                        "abc")
     assert cli.main(["--out", str(tmp_path / "run"), command]) == 2
     assert "[%s] %s" % (section, key) in capsys.readouterr().err
+
+
+def test_initial_choices_are_the_table_names():
+    from kmslab.liouville import INITIAL_STATES
+    parse = cli._SCHEMA["liouville"]["initial"][1]
+    assert [parse(name) for name in INITIAL_STATES] == list(INITIAL_STATES)
+    with pytest.raises(ValueError):
+        parse("thermal")

@@ -1,6 +1,7 @@
 """Doubled detector-reservoir generator: assembly, symmetry, evolution."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -134,6 +135,57 @@ def test_index_occupation_roundtrip():
     for idx in range(0, space.reservoir_dim, 7):
         occ = space.occupation_of(idx)
         assert space.index_of(occ) == idx
+
+
+def test_index_of_rejects_occupations_outside_the_truncation():
+    _, space = _small_paired(n_side=4, n_tot=3)
+    assert space.index_of([0, 3, 0, 0, 0, 0, 0, 0]) == 119
+    capped = lv.TruncatedFock(space.disc, n_max=1)
+    for sp_, occ in [(space, [0, 3, 0, 0, 0, 0, 0]),          # wrong length
+                     (space, [1, -2, 0, 0, 0, 0, 0, 0]),      # negative
+                     (capped, [2, 0, 0, 0, 0, 0, 0, 0]),      # above its cap
+                     (space, [2, 2, 0, 0, 0, 0, 0, 0])]:      # above budget
+        with pytest.raises(ValidationError):
+            sp_.index_of(occ)
+
+
+@pytest.mark.parametrize("n_tot, dim", [(5, 118755), (6, 593775)])
+def test_rank_on_the_shell_grid_at_n_tot_max_5_and_6(n_tot, dim):
+    space = lv.TruncatedFock(lv.resonant_shell_modes(1.0, 1.0, seed=0),
+                             n_tot_max=n_tot)
+    assert space.reservoir_dim == dim
+    assert np.array_equal(space.rank(space.basis), np.arange(dim))
+    for idx in np.random.default_rng(0).integers(0, dim, 50):
+        assert space.index_of(space.occupation_of(idx)) == idx
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_rank_matches_brute_force_enumeration(n_modes, cap, per_mode):
+    disc = lv.ReservoirDiscretization(np.arange(1.0, n_modes + 1),
+                                      np.ones(n_modes), np.ones(n_modes),
+                                      beta=1.0)
+    if per_mode:
+        space = lv.TruncatedFock(disc, n_max=cap)
+        rows = list(itertools.product(range(cap + 1), repeat=n_modes))
+    else:
+        space = lv.TruncatedFock(disc, n_tot_max=cap)
+        rows = [r for r in itertools.product(range(cap + 1), repeat=n_modes)
+                if sum(r) <= cap]
+    rows = np.array(sorted(rows))
+    assert np.array_equal(space.basis, rows)
+    assert np.array_equal(space.rank(rows), np.arange(len(rows)))
+
+
+def test_free_energies_are_detector_major():
+    disc = lv.jittered_modes(1.0, seed=1, n_side=4)
+    space = lv.TruncatedFock(disc, n_tot_max=2)
+    E = 0.7
+    expected = [d + space.occupation_energy[r] for d in (0.0, E, -E, 0.0)
+                for r in range(space.reservoir_dim)]
+    assert np.array_equal(space.free_energies(E), expected)
+    assert np.array_equal(lv.assemble_L0(space, E).matrix.diagonal(),
+                          expected)
 
 
 def test_creation_operator_algebra():
@@ -691,6 +743,29 @@ def test_distance_series_constant_at_zero_coupling():
     report = lv.rte_distance_series(L, psi, np.linspace(1.0, 5.0, 5))
     assert np.max(report.distances) - np.min(report.distances) < 1e-10
     assert not report.reached
+
+
+def test_initial_state_table_matches_criterion_10():
+    # the construction of tests/test_acceptance.py, criterion 10, on a
+    # smaller truncation of the same grid
+    disc = lv.resonant_shell_modes(1.0, 1.0, seed=0)
+    space = lv.TruncatedFock(disc, n_tot_max=2)
+    lam = lv.fgr_window(disc, 1.0, disc.recurrence_time())[0]
+    L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, lam)
+    packet = np.exp(-(((disc.s - 1.0) / 0.3) ** 2)) * (disc.s > 0)
+    ground = np.array([0.0, 0.0, 0.0, 1.0])
+    expected = {"excited": lv.product_initial(space, np.diag([1.0, 0.0])),
+                "one-boson": lv.one_boson_initial(space, ground, packet)}
+    psi = np.zeros(space.dim, dtype=complex)
+    psi[space.vacuum] = 1.0 / math.sqrt(2.0)
+    psi += lv.one_boson_initial(space, ground, packet) / math.sqrt(2.0)
+    expected["entangled"] = psi / np.linalg.norm(psi)
+    omega = lv.perturbed_kms_vector(L.with_lambda(0.0), L.parts["I"], lam, 1.0)
+    expected["stationary"] = lv.product_initial(
+        space, lv.reduce_detector(omega, space))
+    assert list(lv.INITIAL_STATES) == list(expected)
+    for name, build in lv.INITIAL_STATES.items():
+        assert np.array_equal(build(L), expected[name]), name
 
 
 def test_one_boson_initial_normalized():

@@ -11,3 +11,33 @@ def test_all_names_exist(module):
     mod = importlib.import_module("kmslab." + module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_fock_and_initial_state_names_exist():
+    from kmslab import liouville as lv
+    for name in ("rank", "free_energies", "index_of", "creation_matrix"):
+        assert callable(getattr(lv.TruncatedFock, name))
+    assert "INITIAL_STATES" in lv.__all__
+
+
+# The functions bench/tracing.py wraps, with the parameters they keep.
+TRACED = {
+    "TruncatedFock.__init__": ["self", "disc", "n_tot_max", "n_max"],
+    "assemble_liouvillean": ["space", "E", "G", "lam"],
+    "perturbed_kms_vector": ["L0", "I_mat", "lam", "beta",
+                             "consistency_tol"],
+    "spectrum_scan": ["L", "theta", "k", "method"],
+    "evolve": ["L", "psi0", "tgrid", "observe"],
+    "reduce_detector": ["psi", "space"],
+    "trace_distance": ["rho1", "rho2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_traced_signatures_unchanged(name):
+    import inspect
+    from kmslab import liouville as lv
+    obj = lv
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    assert list(inspect.signature(obj).parameters) == TRACED[name]
