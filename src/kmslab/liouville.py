@@ -17,7 +17,9 @@ phase -e^{i zeta}, and the two are exchanged by the modular conjugation.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -565,10 +567,10 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
 
     full = decay(n_sub)
     twice = decay(2 * n_sub)
-    scale = np.linalg.norm(full)
+    scale = math.sqrt(_norm2(full))
     if scale == 0.0 or not np.all(np.isfinite(full)):
         raise NumericalError("exponential action diverged")
-    residual = float(np.linalg.norm(full - twice) / scale)
+    residual = math.sqrt(_norm2(full - twice)) / scale
     if residual > consistency_tol:
         raise NumericalError(
             "exponential action failed to converge: half-step residual %s"
@@ -783,6 +785,15 @@ class EvolutionResult:
 _WINDOW_SPAN = 90.0
 _WINDOW_OUTPUTS = 8
 _CHEBYSHEV_CHUNK = 8
+# A chunk of T_k vectors is folded into a window's sums through a scratch of
+# this many columns, in place of a temporary of the block's length.
+_FOLD_COLUMNS = 8192
+# Below this many rows the products are too short for a second thread to
+# pay: on the 650-row default block at evolve_n_tot_max = 2 the two threads'
+# Python overhead and handoffs of the interpreter lock made a propagation
+# take 0.23 s in place of 0.14 s on one thread; at 13 090 rows two threads
+# took 0.6-0.75 s in place of 1.1 s (2-core host).
+_WORKER_ROWS = 8192
 
 # The coefficients 2 (-1)^k I_k(x) of e^{-x t} add up to about e^x in
 # magnitude, while e^{-x H} v stays of the order of v where H is near 0:
@@ -813,43 +824,130 @@ def _chebyshev_rows(xs, decay: bool = False) -> np.ndarray:
                            - math.lgamma(n + 1) + growth > math.log(1e-16)):
         n += 1
     f = (lambda u: np.exp(-u)) if decay else (lambda u: np.cos(u) + np.sin(u))
-    return np.array([np.polynomial.chebyshev.chebinterpolate(
-        lambda t: f(x * t), n - 1) for x in xs])
+    # chebinterpolate for every x at once: one Vandermonde matrix for all
+    # rows, applied by einsum in place of its np.dot (see _fold)
+    nodes = np.polynomial.chebyshev.chebpts1(n)
+    rows = np.einsum("ik,kj->ij", f(np.multiply.outer(xs, nodes)),
+                     np.polynomial.chebyshev.chebvander(nodes, n - 1))
+    rows[:, 0] /= n
+    rows[:, 1:] /= 0.5 * n
+    return rows
 
 
-def _chebyshev_window(H, v, rows, odd_factor):
+def _chebyshev_window(H, v, rows, odd_factor, worker=None):
     """Every row of Chebyshev coefficients applied to v, from one recurrence.
 
     Returns (out, products): out[j] is the sum over even k of
     rows[j, k] T_k(H) v plus odd_factor times the sum over odd k, and
-    products counts the products with H.  The vectors T_k(H) v are kept
-    _CHEBYSHEV_CHUNK at a time and folded into both sums by matrix products.
-    A real H acts on the real and imaginary parts of v apart: two real
-    products cost half of one complex product.
+    products counts the products with H.  A real H acts on the real and
+    imaginary parts of a complex v (with odd_factor -1j) apart, as two real
+    recurrences: two real products cost half of one complex product, and a
+    part that is all zero is not run.  The real part's sums go straight
+    into out, the imaginary part's into a second array added to out at the
+    end.  Given an executor ``worker``, the imaginary part runs on it while
+    the real part runs here; each part's arithmetic is the same on either
+    thread.
     """
-    if np.iscomplexobj(v) and not np.iscomplexobj(H.data):
-        re, n_re = _chebyshev_window(H, v.real.copy(), rows, odd_factor)
-        im, n_im = _chebyshev_window(H, v.imag.copy(), rows, odd_factor)
-        return re + 1j * im, n_re + n_im
-    n = rows.shape[1]
-    buf = np.empty((_CHEBYSHEV_CHUNK, len(v)),
-                   dtype=np.result_type(H.dtype, v.dtype))
-    even = np.zeros((len(rows), len(v)), dtype=buf.dtype)
-    odd = np.zeros_like(even)
+    m, length = rows.shape[0], len(v)
+    dtype = np.result_type(H.dtype, v.dtype, odd_factor)
+    out = np.zeros((m, length), dtype=dtype)
+    if np.iscomplexobj(H.data) or not np.iscomplexobj(v):
+        parts = [(v.astype(dtype, copy=False),
+                  [(0, rows.astype(dtype, copy=False), out, np.add),
+                   (1, (odd_factor * rows).astype(dtype), out, np.add)])]
+    else:   # out = (E_re + O_im) + i (E_im - O_re), E even sums, O odd
+        re, im = v.real, v.imag
+        acc = np.zeros_like(out) if re.any() and im.any() else out
+        parts = [(x, folds) for x, folds in (
+            (re, [(0, rows, out.real, np.add),
+                  (1, rows, out.imag, np.subtract)]),
+            (im, [(0, rows, acc.imag, np.add), (1, rows, acc.real, np.add)]))
+            if x.any()]
+    jobs = [(H, x, folds,
+             np.empty((_CHEBYSHEV_CHUNK, length), dtype=x.dtype),
+             np.empty((m, min(length, _FOLD_COLUMNS)), dtype=x.dtype))
+            for x, folds in parts]
+    if worker is not None and len(jobs) == 2:
+        future = worker.submit(_recurrence, *jobs.pop())
+        products = _recurrence(*jobs[0]) + future.result()
+    else:
+        products = sum(_recurrence(*job) for job in jobs)
+    if len(parts) == 2:
+        out += acc
+    return out, products
+
+
+def _recurrence(H, x, folds, ring, scratch):
+    """T_k(H) x for every k below the coefficient rows' length, folded.
+
+    Each fold (parity, coef, target, op) applies op (np.add or np.subtract)
+    to target and coef[:, k] T_k(H) x, for every k of that parity.  The
+    vectors T_k(H) x are kept in ring, _CHEBYSHEV_CHUNK at a time, and
+    folded chunk by chunk through scratch.  Returns the number of products
+    with H.
+    """
+    n = folds[0][1].shape[1]
     for k in range(n):
-        c = k % _CHEBYSHEV_CHUNK    # buf is a ring: buf[c - 1] is T_{k-1}
+        c = k % _CHEBYSHEV_CHUNK    # ring[c - 1] is T_{k-1}
         if k == 0:
-            buf[0] = v
+            ring[0] = x
         elif k == 1:
-            buf[1] = H @ v
+            ring[1] = H @ ring[0]
         else:
-            np.multiply(H @ buf[c - 1], 2.0, out=buf[c])
-            buf[c] -= buf[c - 2]
+            np.multiply(H @ ring[c - 1], 2.0, out=ring[c])
+            ring[c] -= ring[c - 2]
         if c == _CHEBYSHEV_CHUNK - 1 or k == n - 1:
             k0 = k - c    # even, since _CHEBYSHEV_CHUNK is
-            even += rows[:, k0:k + 1:2] @ buf[0:c + 1:2]
-            odd += rows[:, k0 + 1:k + 1:2] @ buf[1:c + 1:2]
-    return even + odd_factor * odd, n - 1
+            for parity, coef, target, op in folds:
+                _fold(coef[:, k0 + parity:k + 1:2], ring[parity:c + 1:2],
+                      target, op, scratch)
+    return n - 1
+
+
+def _fold(coef, vectors, target, op, scratch):
+    """target = op(target, coef @ vectors), _FOLD_COLUMNS columns at a time.
+
+    By einsum, not a matrix product: a BLAS call wakes BLAS's thread pool,
+    whose threads then spin on the core that the other recurrence needs.
+    """
+    width = scratch.shape[1]
+    for lo in range(0, target.shape[1], width):
+        part = scratch[:, :target.shape[1] - lo]
+        np.einsum("jk,kn->jn", coef, vectors[:, lo:lo + width], out=part)
+        cols = target[:, lo:lo + width]
+        op(cols, part, out=cols)
+
+
+def _dot(x, y) -> float:
+    """Real inner product by einsum, not BLAS (see _fold)."""
+    return float(np.einsum("i,i->", x, y))
+
+
+def _norm2(x) -> float:
+    """Squared Euclidean norm by einsum, which gives the same bits for any
+    BLAS thread count."""
+    if np.iscomplexobj(x):
+        return _dot(x.real, x.real) + _dot(x.imag, x.imag)
+    return _dot(x, x)
+
+
+def _worker_allowed(rows: int) -> bool:
+    """Whether evolve runs a worker thread beside the caller on a real
+    block of this many rows.
+
+    The block must have at least _WORKER_ROWS rows, and both the CPUs this
+    process may run on and the thread cap that --threads (or
+    KMSLAB_THREADS) pins into OMP_NUM_THREADS, when set, must allow two.
+    """
+    if rows < _WORKER_ROWS:
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    try:
+        cpus = min(cpus, int(os.environ.get("OMP_NUM_THREADS", "")))
+    except ValueError:
+        pass    # unset, or not a plain count: no cap
+    return cpus >= 2
 
 
 def _reached_block(M, v):
@@ -891,11 +989,21 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     A window holds the grid times within _WINDOW_SPAN = 90 radians of the
     scaled block from its start, at most _WINDOW_OUTPUTS = 8 of them; a grid
     time farther than that from the last one (from 0 for the first, which
-    may lie before it) is reached in equal sub-steps of at most 90 radians.  A real block acts on the real and imaginary
-    parts of the state as two real vectors.  Besides L, only the scaled
-    block is kept; a window peaks below _CHEBYSHEV_CHUNK +
-    7 * _WINDOW_OUTPUTS (64) real vectors of the block's length, which is
-    less than building the block takes.
+    may lie before it) is reached in equal sub-steps of at most 90 radians.
+
+    A real block acts on the real and imaginary parts of the state as two
+    real recurrences; on a large block, when two CPUs are allowed (see
+    _worker_allowed), they run at once, the imaginary part's on a worker
+    thread that lives for this call.  The loop makes no BLAS call,
+    since one would wake BLAS's spinning thread pool.  Besides L, only the
+    scaled block is kept.  Beyond its input and a _WINDOW_OUTPUTS x
+    _FOLD_COLUMNS scratch for each recurrence, a window holds two rings of
+    _CHEBYSHEV_CHUNK real vectors of the block's length, the output and the
+    imaginary part's sums (2 * _WINDOW_OUTPUTS each) and a product in flight
+    for each recurrence: 50 vectors.  The coefficients and the bookkeeping
+    do not grow with the block, and for a block of a few thousand rows the
+    whole stays below 2 * _CHEBYSHEV_CHUNK + 4 * _WINDOW_OUTPUTS + 3 (51)
+    vectors; that is less than building the block takes.
 
     Each state, as a full-space vector, is stored in ``states``, or, when
     ``observe`` is given, only ``observe(state)`` is.  Norm and
@@ -908,8 +1016,7 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     if len(tgrid) == 0 or np.any(np.diff(tgrid) <= 0):
         raise ValidationError("time grid must be nonempty and increasing")
     psi0 = np.asarray(psi0)
-    nrm0 = np.linalg.norm(psi0)
-    if abs(nrm0 - 1.0) > 1e-10:
+    if abs(math.sqrt(_norm2(psi0)) - 1.0) > 1e-10:
         raise ValidationError("initial vector must be normalized")
     block, H, center, half = _reached_block(L.matrix, psi0)
     matvecs = 0
@@ -919,17 +1026,19 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
         nonlocal matvecs
         if np.iscomplexobj(H.data):
             matvecs += 1
-            value = np.vdot(psi, H @ psi).real
+            h = H @ psi
+            h_re, h_im = h.real, h.imag
         else:   # for a real symmetric H, in two real products
             matvecs += 2
-            value = psi.real @ (H @ psi.real) + psi.imag @ (H @ psi.imag)
-        return center * np.vdot(psi, psi).real + half * float(value)
+            h_re, h_im = H @ psi.real, H @ psi.imag
+        return (center * _norm2(psi)
+                + half * (_dot(psi.real, h_re) + _dot(psi.imag, h_im)))
 
     def advance(psi, dts):
         """The states e^{-i B dt} psi, one row for each dt in dts."""
         nonlocal matvecs
         out, products = _chebyshev_window(H, psi, _chebyshev_rows(half * dts),
-                                          -1j)
+                                          -1j, worker)
         matvecs += products
         out *= np.exp(-1j * center * dts)[:, None]
         return out
@@ -939,40 +1048,48 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     norm_drift = 0.0
     energy_drift = 0.0
     start, i = 0.0, 0
-    while i < len(tgrid):
-        reach = half * abs(tgrid[i] - start)
-        if reach > _WINDOW_SPAN:
-            n_sub = math.ceil(reach / _WINDOW_SPAN)
-            step = (tgrid[i] - start) / n_sub
-            for _ in range(n_sub - 1):
-                psi = advance(psi, np.array([step]))[0]
-                start += step
-        j = i + 1
-        while (j < len(tgrid) and j - i < _WINDOW_OUTPUTS
-               and half * abs(tgrid[j] - start) <= _WINDOW_SPAN):
-            j += 1
-        for i, psi in enumerate(advance(psi, tgrid[i:j] - start), start=i):
-            t = tgrid[i]
-            nd = abs(np.linalg.norm(psi) - 1.0)
-            ed = abs(energy(psi) - e0)
-            norm_drift = max(norm_drift, nd)
-            energy_drift = max(energy_drift, ed)
-            if nd > 1e-10:
-                raise NumericalError(
-                    "propagation norm drift %s at step %d (t=%s)"
-                    % (fmt17(nd), i, fmt17(t)))
-            if ed > 1e-10 * max(abs(e0), 1.0):
-                raise NumericalError(
-                    "generator expectation drift %s at step %d (t=%s)"
-                    % (fmt17(ed), i, fmt17(t)))
-            full = np.zeros(L.dim, dtype=complex)
-            full[block] = psi
-            record = full if observe is None else observe(full)
-            if i == 0:
-                states = np.empty((len(tgrid),) + np.shape(record),
-                                  dtype=np.result_type(record))
-            states[i] = record
-        start, i = tgrid[i], i + 1
+    if not np.iscomplexobj(H.data) and _worker_allowed(len(block)):
+        # imported here, not at the top: it adds 2% to importing kmslab
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=1)
+    else:
+        pool = nullcontext()
+    with pool as worker:
+        while i < len(tgrid):
+            reach = half * abs(tgrid[i] - start)
+            if reach > _WINDOW_SPAN:
+                n_sub = math.ceil(reach / _WINDOW_SPAN)
+                step = (tgrid[i] - start) / n_sub
+                for _ in range(n_sub - 1):
+                    psi = advance(psi, np.array([step]))[0]
+                    start += step
+            j = i + 1
+            while (j < len(tgrid) and j - i < _WINDOW_OUTPUTS
+                   and half * abs(tgrid[j] - start) <= _WINDOW_SPAN):
+                j += 1
+            for i, psi in enumerate(advance(psi, tgrid[i:j] - start),
+                                    start=i):
+                t = tgrid[i]
+                nd = abs(math.sqrt(_norm2(psi)) - 1.0)
+                ed = abs(energy(psi) - e0)
+                norm_drift = max(norm_drift, nd)
+                energy_drift = max(energy_drift, ed)
+                if nd > 1e-10:
+                    raise NumericalError(
+                        "propagation norm drift %s at step %d (t=%s)"
+                        % (fmt17(nd), i, fmt17(t)))
+                if ed > 1e-10 * max(abs(e0), 1.0):
+                    raise NumericalError(
+                        "generator expectation drift %s at step %d (t=%s)"
+                        % (fmt17(ed), i, fmt17(t)))
+                full = np.zeros(L.dim, dtype=complex)
+                full[block] = psi
+                record = full if observe is None else observe(full)
+                if i == 0:
+                    states = np.empty((len(tgrid),) + np.shape(record),
+                                      dtype=np.result_type(record))
+                states[i] = record
+            start, i = tgrid[i], i + 1
     return EvolutionResult(times=tgrid, states=states, norm_drift=norm_drift,
                            energy_drift=energy_drift, matvecs=matvecs)
 

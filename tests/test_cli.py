@@ -126,6 +126,26 @@ def test_threads_option_accepted(tmp_path, cli_env):
     assert proc.returncode == 0, proc.stderr
 
 
+# a block of 650 rows, propagated on one thread, and one of 40 950 rows, on
+# two where two CPUs are allowed
+@pytest.mark.parametrize("n_tot", [2, 4])
+def test_rte_evolve_threads_one_changes_no_byte(tmp_path, cli_env, n_tot):
+    cfg = tmp_path / "evolve.cfg"
+    cfg.write_text("[liouville]\nevolve_n_tot_max = %d\nt_max = 20\n"
+                   % n_tot)
+    # no pinned pools, so that the default run may propagate on two threads
+    env = {k: v for k, v in cli_env.items() if not k.endswith("_NUM_THREADS")}
+    outputs = []
+    for name, threads in (("default", []), ("one", ["--threads", "1"])):
+        proc = _run(threads + ["--config", str(cfg), "--out", name,
+                               "rte-evolve"], tmp_path, env)
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / name
+        outputs.append((proc.stdout, (out / "rte_evolve.csv").read_bytes(),
+                        (out / "manifest.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_kms_check_outputs(tmp_path, cli_env):
     proc = _run(["--out", "run", "kms-check"], tmp_path, cli_env)
     assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,10 @@
 import dataclasses
 import itertools
 import math
+import threading
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -682,6 +685,106 @@ def test_evolution_counts_its_products():
     # at least the drift checks (with the initial energy) and one window
     assert 2 * 17 + 2 * (terms - 1) < first.matvecs < one_step_at_a_time
     assert lv.evolve(L, psi0, tgrid).matvecs == first.matvecs
+
+
+def test_evolution_skips_an_all_zero_part():
+    space, L = _dense_check_operator(math.pi)
+    real = lv.product_initial(space, np.diag([1.0, 0.0]))
+    _, _, _, half = lv._reached_block(L.matrix, real)
+    series = lv._chebyshev_rows([half * 0.5]).shape[1] - 1
+    # the initial energy and the one drift check take two products each
+    runs = {}
+    for name, psi0 in (("real", real), ("imaginary", 1j * real),
+                       ("both", (1.0 + 1.0j) / math.sqrt(2.0) * real)):
+        runs[name] = lv.evolve(L, psi0, [0.5])
+        assert runs[name].matvecs == 4 + (2 if name == "both" else 1) * series
+    assert np.array_equal(runs["imaginary"].states, 1j * runs["real"].states)
+
+
+def _spread_state(space):
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    return psi / np.linalg.norm(psi)
+
+
+def test_evolution_worker_changes_no_bit(monkeypatch):
+    space, L = _dense_check_operator(math.pi)
+    psi0 = _spread_state(space)
+    tgrid = np.append(np.linspace(0.5, 20.0, 24), 60.0)
+    recurrence = lv._recurrence
+    runs = []
+    for allowed in (False, True):
+        threads = set()
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return recurrence(*args)
+
+        monkeypatch.setattr(lv, "_worker_allowed", lambda rows: allowed)
+        monkeypatch.setattr(lv, "_recurrence", recording)
+        before = threading.active_count()
+        runs.append(lv.evolve(L, psi0, tgrid))
+        assert threading.active_count() == before
+        assert len(threads) == (2 if allowed else 1)
+    assert np.array_equal(runs[0].states, runs[1].states)
+    assert runs[0].matvecs == runs[1].matvecs
+
+
+def test_evolution_worker_error_reaches_the_caller(monkeypatch):
+    space, L = _dense_check_operator(math.pi)
+    recurrence = lv._recurrence
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("recurrence failed on the worker")
+        return recurrence(*args)
+
+    monkeypatch.setattr(lv, "_worker_allowed", lambda rows: True)
+    monkeypatch.setattr(lv, "_recurrence", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="on the worker"):
+        lv.evolve(L, _spread_state(space), [0.5, 1.0])
+    assert threading.active_count() == before
+
+
+def test_worker_follows_block_size_affinity_and_thread_cap(monkeypatch):
+    monkeypatch.setattr(lv.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    large = lv._WORKER_ROWS
+    assert lv._worker_allowed(large)
+    assert not lv._worker_allowed(large - 1)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert not lv._worker_allowed(large)
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    assert lv._worker_allowed(large)
+    monkeypatch.setattr(lv.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert not lv._worker_allowed(large)
+
+
+def test_window_memory_stays_within_its_vector_count():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        _, space = _small_paired(n_side=8, n_tot=3)
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
+    block, H, _, half = lv._reached_block(L.matrix, _spread_state(space))
+    v = _spread_state(space)[block]
+    assert 2000 < len(v) < lv._FOLD_COLUMNS
+    rows = lv._chebyshev_rows(np.linspace(0.1, 1.0, lv._WINDOW_OUTPUTS)
+                              * lv._WINDOW_SPAN)
+    vectors = 2 * lv._CHEBYSHEV_CHUNK + 4 * lv._WINDOW_OUTPUTS + 3
+    scratch = 2 * lv._WINDOW_OUTPUTS * min(len(v), lv._FOLD_COLUMNS)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        worker.submit(int).result()     # start the thread before tracing
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            lv._chebyshev_window(H, v, rows, -1j, worker)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 * (vectors * len(v) + scratch)
 
 
 def test_evolution_stays_in_its_component():
