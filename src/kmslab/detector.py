@@ -58,10 +58,6 @@ class DetectorSpec:
         self.coupling_strength = float(coupling_strength)
         self.monopole = monopole
 
-    @property
-    def has_offdiagonal(self):
-        return abs(self.monopole[0, 1]) > 0
-
 
 class Trajectory:
     """Stationary worldline in proper-time parametrization."""

@@ -139,14 +139,6 @@ class ReservoirDiscretization:
             mirror[j] = order[-sv]
         return mirror
 
-    @property
-    def is_paired(self) -> bool:
-        try:
-            self.mirror_index()
-        except StructuralError:
-            return False
-        return True
-
     def norm_defect(self, n_quad: int = 4000) -> float:
         """Relative defect of sum |f_j|^2 against the continuum glued norm."""
         if self.coupling is None:
@@ -250,6 +242,10 @@ class TruncatedFock:
     allowed occupations of modes j, j+1, ... with at most b' quanta, so each
     term counts basis rows and stays below the dimension.  Memory: the basis
     (reservoir_dim x modes int64) and C ((modes + 1) x (n_tot_max + 2)).
+    Ladder operators come from one raising table, one entry per (row with
+    room, mode): a row n below its cap in the mode and below n_tot_max in
+    total goes to rank(n + e_mode) with weight sqrt(n_mode + 1).  It is
+    built per call of creation_matrix or field_matrix and not kept.
     """
 
     def __init__(self, disc: ReservoirDiscretization, n_tot_max=None, n_max=None):
@@ -305,40 +301,45 @@ class TruncatedFock:
             left -= occ[..., j]
         return out
 
-    def index_of(self, occupation) -> int:
-        return int(self.rank(occupation))
-
-    def occupation_of(self, index) -> np.ndarray:
-        return self.basis[index].copy()
-
     def free_energies(self, E: float) -> np.ndarray:
         """Diagonal of L0, detector-major: (0, E, -E, 0)[d] + occupation energy."""
         return np.concatenate([d + self.occupation_energy
                                for d in (0.0, E, -E, 0.0)])
 
+    def _raising_table(self, modes):
+        """(row, col, mode, value) of a_mode^dagger, mode-major; see above."""
+        B = self.basis
+        modes = np.asarray(modes, dtype=np.int64)
+        room = ((B[:, modes] < self.caps[modes])
+                & (B.sum(axis=1) < self.n_tot_max)[:, None])
+        k, cols = np.nonzero(room.T)
+        mode = modes[k]
+        rows = np.empty_like(cols)
+        start = 0
+        for j, count in zip(modes, room.sum(axis=0)):
+            seg = slice(start, start + count)
+            rows[seg] = self.rank(B[cols[seg]] + (np.arange(B.shape[1]) == j))
+            start += count
+        return rows, cols, mode, np.sqrt(B[cols, mode] + 1.0)
+
     def creation_matrix(self, mode: int) -> sp.csr_matrix:
         """Matrix of a_mode^dagger on the truncated reservoir basis."""
-        B = self.basis
-        cols = np.nonzero((B[:, mode] < self.caps[mode])
-                          & (B.sum(axis=1) < self.n_tot_max))[0]
-        rows = self.rank(B[cols] + (np.arange(B.shape[1]) == mode))
-        vals = np.sqrt(B[cols, mode] + 1.0)
+        rows, cols, _, vals = self._raising_table([mode])
         return sp.csr_matrix((vals, (rows, cols)),
                              shape=(self.reservoir_dim, self.reservoir_dim))
 
     def field_matrix(self, amplitudes) -> sp.csr_matrix:
-        """Phi(f) = sum_j f_j a_j^dagger + conj(f_j) a_j, truncated."""
+        """Phi(f) = sum_j f_j a_j^dagger + conj(f_j) a_j, truncated.
+
+        One CSR build of f_mode * value over the raising table of every
+        mode, held only during the call, plus its adjoint; the sum drops
+        the entries of zero amplitudes.
+        """
         amplitudes = np.asarray(amplitudes)
-        acc = None
-        for j in range(self.disc.n_modes):
-            if amplitudes[j] == 0:
-                continue
-            A = self.creation_matrix(j)
-            term = amplitudes[j] * A
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return sp.csr_matrix((self.reservoir_dim, self.reservoir_dim))
-        out = acc + acc.conj().T
+        rows, cols, mode, vals = self._raising_table(range(self.disc.n_modes))
+        A = sp.csr_matrix((amplitudes[mode] * vals, (rows, cols)),
+                          shape=(self.reservoir_dim, self.reservoir_dim))
+        out = A + A.conj().T
         if np.isrealobj(amplitudes):
             out = out.real
         return out.tocsr()
@@ -471,15 +472,15 @@ def assemble_coupling(space: TruncatedFock, G: np.ndarray):
     if np.max(np.abs(G.imag)) == 0.0:
         G = G.real
     disc = space.disc
-    I2 = sp.identity(2, format="csr")
-    # each factor is released before the next is built: at large
-    # truncations these matrices set the peak memory of a run
+    Gs, I2 = sp.csr_matrix(G), sp.identity(2, format="csr")
+    # each factor, and the raising table behind Phi, is released before the
+    # next is built: at large truncations they set the peak memory of a run
     Phi = space.field_matrix(disc.f)
-    I_mat = sp.kron(sp.kron(sp.csr_matrix(G), I2), Phi, format="csr")
+    I_mat = sp.kron(sp.kron(Gs, I2, format="csr"), Phi, format="csr")
     del Phi
     _check_hermitian(I_mat, "I")
     Phi = space.field_matrix(np.exp(-disc.beta * disc.s / 2.0) * disc.f)
-    JIJ = sp.kron(sp.kron(I2, sp.csr_matrix(np.conj(G))), Phi, format="csr")
+    JIJ = sp.kron(sp.kron(I2, Gs.conj(), format="csr"), Phi, format="csr")
     del Phi
     _check_hermitian(JIJ, "JIJ")
     V = (I_mat - JIJ).tocsr()
@@ -1137,6 +1138,17 @@ class RTEReport:
         write_csv(path, "t,trace_distance", [self.times, self.distances])
 
 
+def _dressed_reference(L: LiouvilleanOperator) -> np.ndarray:
+    """Reduced perturbed KMS state at L's coupling, from its L0 and I parts."""
+    if "I" not in L.parts:
+        raise ValidationError(
+            "operator lacks an interaction part; pass a reference state")
+    L0 = LiouvilleanOperator(matrix=L.parts["L0"], parts=L.parts, lam=0.0,
+                             beta=L.beta, gap=L.gap, space=L.space)
+    return reduce_detector(
+        perturbed_kms_vector(L0, L.parts["I"], L.lam, L.beta), L.space)
+
+
 def rte_distance_series(L: LiouvilleanOperator, initial: np.ndarray,
                         tgrid: Sequence[float], threshold: float = 0.05,
                         reference: np.ndarray | None = None) -> RTEReport:
@@ -1150,13 +1162,7 @@ def rte_distance_series(L: LiouvilleanOperator, initial: np.ndarray,
     space = L.space
     t_rec = space.disc.recurrence_time()
     if reference is None:
-        if "I" not in L.parts:
-            raise ValidationError(
-                "operator lacks an interaction part; pass a reference state")
-        L0 = LiouvilleanOperator(matrix=L.parts["L0"], parts=L.parts,
-                                 lam=0.0, beta=L.beta, gap=L.gap, space=space)
-        omega = perturbed_kms_vector(L0, L.parts["I"], L.lam, L.beta)
-        reference = reduce_detector(omega, space)
+        reference = _dressed_reference(L)
     traj = evolve(L, initial, tgrid,
                   observe=lambda psi: reduce_detector(psi, space))
     dists = np.array([trace_distance(rho, reference) for rho in traj.states])
@@ -1192,12 +1198,6 @@ def _entangled_initial(L: LiouvilleanOperator) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _stationary_initial(L: LiouvilleanOperator) -> np.ndarray:
-    omega = perturbed_kms_vector(L.with_lambda(0.0), L.parts["I"], L.lam,
-                                 L.beta)
-    return product_initial(L.space, reduce_detector(omega, L.space))
-
-
 # Initial states of the return-to-equilibrium runs, by name, built from the
 # coupled generator: the excited detector or the reduced perturbed KMS state
 # times the reservoir vacuum, one boson in the gap packet on the ground
@@ -1206,7 +1206,7 @@ INITIAL_STATES = {
     "excited": lambda L: product_initial(L.space, np.diag([1.0, 0.0])),
     "one-boson": lambda L: one_boson_initial(L.space, _GROUND, _gap_packet(L)),
     "entangled": _entangled_initial,
-    "stationary": _stationary_initial,
+    "stationary": lambda L: product_initial(L.space, _dressed_reference(L)),
 }
 
 

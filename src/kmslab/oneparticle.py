@@ -140,9 +140,6 @@ class BoostSpec:
             raise ValidationError("|v| must be < 1, got %r" % v)
         return cls(math.atanh(v))
 
-    def inverse(self):
-        return BoostSpec(-self.rapidity)
-
     def __repr__(self):
         return "BoostSpec(rapidity=%g)" % self.rapidity
 
@@ -152,7 +149,7 @@ class MomentumFunction:
 
     Two layouts share this class: the rotationally symmetric sector
     (c is None, one value per radial node) and a flat (q, cos theta)
-    point list produced by angular expansion or a boost. The per-point
+    point list produced by angular expansion. The per-point
     weight wtot already contains all angular factors, so
     ||u||^2 = sum wtot_i q_i^2 |u_i|^2 in either layout.
     """
@@ -418,35 +415,6 @@ def jf_conjugate(g: GluedVector):
 def time_translate(g: GluedVector, t):
     """Multiply by e^{i s t}; composes additively in t."""
     return g.copy_with(g.values * np.exp(1j * g.s * t))
-
-
-def boost_pullback(u: MomentumFunction, boost: BoostSpec, n_c=64):
-    """Re-express a massless momentum-space vector in a frame boosted by
-    the given rapidity along z.
-
-    Each point (q, c) moves to (q', c') with q' = q*gamma*(1 - v c) and
-    c' = (c - v)/(1 - v c); values transport as invariant amplitudes,
-    u' = u * sqrt(q/q'), so the norm is preserved exactly. Symmetric-sector
-    input is first expanded onto a Gauss-Legendre cos-theta grid.
-    Applying the inverse rapidity afterwards restores the original points.
-    """
-    if u.mass != 0.0:
-        raise ValidationError("boost pullback is implemented for the massless field")
-    if isinstance(boost, (int, float)):
-        boost = BoostSpec(boost)
-    v = boost.v_rel
-    if not abs(v) < 1.0:
-        raise ValidationError("|v| must be < 1")
-    if boost.rapidity == 0.0:
-        return u if u.c is not None else u.with_angular(n_c)
-    w = u.with_angular(n_c)
-    gam = boost.gamma
-    doppler = gam * (1.0 - v * w.c)
-    q_new = w.q * doppler
-    c_new = (w.c - v) / (1.0 - v * w.c)
-    wtot_new = w.wtot / doppler            # invariant mass wtot*q unchanged
-    vals_new = w.values * np.sqrt(w.q / q_new)
-    return MomentumFunction(q_new, wtot_new, vals_new, 0.0, c_new)
 
 
 # ---------------------------------------------------------------------------

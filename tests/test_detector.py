@@ -18,14 +18,13 @@ from kmslab.quasifree import QuasiFreeState
 # specs and trajectories
 
 def test_detector_spec_validation():
-    spec = DetectorSpec(1.0)
-    assert spec.has_offdiagonal
+    assert DetectorSpec(1.0).monopole[0, 1] == 1.0
     with pytest.raises(ValidationError):
         DetectorSpec(-1.0)
     with pytest.raises(ValidationError):
         DetectorSpec(1.0, monopole=np.array([[0.0, 1.0], [2.0, 0.0]]))
     diag = DetectorSpec(1.0, monopole=np.diag([1.0, -1.0]))
-    assert not diag.has_offdiagonal
+    assert np.array_equal(diag.monopole, np.diag([1.0, -1.0]))
 
 
 def test_trajectory_positions():

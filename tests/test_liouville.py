@@ -65,12 +65,10 @@ def test_paired_grid_structure():
     mirror = disc.mirror_index()
     assert np.array_equal(mirror[mirror], np.arange(disc.n_modes))
     assert np.allclose(disc.s[mirror], -disc.s)
-    assert disc.is_paired
 
 
 def test_jittered_grid_is_unpaired():
     disc = lv.jittered_modes(1.0, seed=0)
-    assert not disc.is_paired
     with pytest.raises(StructuralError):
         disc.mirror_index()
 
@@ -136,20 +134,19 @@ def test_space_requires_exactly_one_truncation():
 def test_index_occupation_roundtrip():
     _, space = _small_paired(n_side=4, n_tot=3)
     for idx in range(0, space.reservoir_dim, 7):
-        occ = space.occupation_of(idx)
-        assert space.index_of(occ) == idx
+        assert space.rank(space.basis[idx]) == idx
 
 
-def test_index_of_rejects_occupations_outside_the_truncation():
+def test_rank_rejects_occupations_outside_the_truncation():
     _, space = _small_paired(n_side=4, n_tot=3)
-    assert space.index_of([0, 3, 0, 0, 0, 0, 0, 0]) == 119
+    assert space.rank([0, 3, 0, 0, 0, 0, 0, 0]) == 119
     capped = lv.TruncatedFock(space.disc, n_max=1)
     for sp_, occ in [(space, [0, 3, 0, 0, 0, 0, 0]),          # wrong length
                      (space, [1, -2, 0, 0, 0, 0, 0, 0]),      # negative
                      (capped, [2, 0, 0, 0, 0, 0, 0, 0]),      # above its cap
                      (space, [2, 2, 0, 0, 0, 0, 0, 0])]:      # above budget
         with pytest.raises(ValidationError):
-            sp_.index_of(occ)
+            sp_.rank(occ)
 
 
 @pytest.mark.parametrize("n_tot, dim", [(5, 118755), (6, 593775)])
@@ -159,7 +156,7 @@ def test_rank_on_the_shell_grid_at_n_tot_max_5_and_6(n_tot, dim):
     assert space.reservoir_dim == dim
     assert np.array_equal(space.rank(space.basis), np.arange(dim))
     for idx in np.random.default_rng(0).integers(0, dim, 50):
-        assert space.index_of(space.occupation_of(idx)) == idx
+        assert space.rank(space.basis[idx]) == idx
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.booleans())
@@ -218,6 +215,19 @@ def test_field_matrix_hermitian():
     disc, space = _small_paired()
     phi = space.field_matrix(disc.f)
     assert lv._hermiticity_defect(phi) < 1e-13
+    # one amplitude zero: same values and pattern as the sum of ladders
+    a = disc.f.copy()
+    a[1] = 0.0
+    phi = space.field_matrix(a)
+    A = sum((a[j] * space.creation_matrix(j) for j in range(disc.n_modes)),
+            sp.csr_matrix(phi.shape))
+    ref = (A + A.conj().T).tocsr()
+    phi.sort_indices()
+    ref.sort_indices()
+    assert phi.nnz == np.count_nonzero(phi.data) == ref.nnz
+    assert np.array_equal(phi.indptr, ref.indptr)
+    assert np.array_equal(phi.indices, ref.indices)
+    assert np.array_equal(phi.data, ref.data)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +281,20 @@ def test_coupling_hermitian_and_vanishing_at_equilibrium():
     assert lv._hermiticity_defect(V) < 1e-13
     omega = lv.gns_vacuum(space, 1.0, 1.0)
     assert abs(np.vdot(omega, V @ omega)) < 1e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.25)
+    for M in (I_mat, V, L.matrix):
+        assert M.nnz == np.count_nonzero(M.data)    # no stored zeros
+
+
+def test_coupling_rejects_a_field_without_its_adjoint(monkeypatch):
+    _, space = _small_paired()
+    raising = lambda amplitudes: sum(
+        a * space.creation_matrix(j) for j, a in enumerate(amplitudes))
+    monkeypatch.setattr(space, "field_matrix", raising)
+    with pytest.raises(StructuralError, match="^I is not Hermitian"):
+        lv.assemble_coupling(space, OFFDIAG)
 
 
 def test_coupling_rejects_nonhermitian_monopole():
@@ -913,4 +937,4 @@ def test_fgr_window_ordering():
 def test_occupation_roundtrip_random(idx):
     _, space = _small_paired(n_side=4, n_tot=3)
     idx = idx % space.reservoir_dim
-    assert space.index_of(space.occupation_of(idx)) == idx
+    assert space.rank(space.basis[idx]) == idx

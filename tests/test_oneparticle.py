@@ -1,4 +1,4 @@
-"""Ground map, thermal gluing, frequency conjugation, boost pullback."""
+"""Ground map, thermal gluing, frequency conjugation, boosts."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kmslab.errors import IRSensitivityWarning, StructuralError, ValidationError
 from kmslab.oneparticle import (BoostSpec, CauchyData, GluedVector,
-                                MomentumFunction, boost_pullback,
+                                MomentumFunction,
                                 default_coupling, default_qgrid, gl_panels,
                                 ground_map, jf_conjugate, kms_glue,
                                 load_glued, planck_occupation, save_glued,
@@ -218,38 +218,13 @@ def test_time_translate_norm_preserving(t):
 
 
 # ---------------------------------------------------------------------------
-# boost pullback
-
-def test_boost_zero_rapidity_identity():
-    u = _default_vector(n=128)
-    w = u.with_angular(16)
-    out = boost_pullback(w, BoostSpec(0.0))
-    assert out is w
-
-
-def test_boost_preserves_norm():
-    u = _default_vector(n=256)
-    n0 = u.norm2()
-    out = boost_pullback(u, BoostSpec.from_velocity(0.5), n_c=32)
-    assert abs(out.norm2() - n0) < 1e-12 * n0
-
-
-def test_boost_roundtrip():
-    u = _default_vector(n=128)
-    b = BoostSpec(1.0)
-    there = boost_pullback(u, b, n_c=24)
-    back = boost_pullback(there, b.inverse(), n_c=24)
-    ref = u.with_angular(24)
-    assert np.max(np.abs(back.q - ref.q)) < 1e-10 * np.max(ref.q)
-    assert np.max(np.abs(back.values - ref.values)) < 1e-12 * np.max(np.abs(ref.values))
-
+# boosts
 
 def test_boost_rejects_superluminal():
     with pytest.raises(ValidationError):
         BoostSpec.from_velocity(1.0)
-    u = _default_vector(n=32)
     with pytest.raises(ValidationError):
-        boost_pullback(u.copy_with(u.values), BoostSpec(float("inf")))
+        BoostSpec(float("inf"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ def test_all_names_exist(module):
 
 def test_fock_and_initial_state_names_exist():
     from kmslab import liouville as lv
-    for name in ("rank", "free_energies", "index_of", "creation_matrix"):
+    for name in ("rank", "free_energies", "creation_matrix"):
         assert callable(getattr(lv.TruncatedFock, name))
     assert "INITIAL_STATES" in lv.__all__
 
