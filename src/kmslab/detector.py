@@ -191,20 +191,34 @@ def _qmesh(edges, phase_rate):
 # ---------------------------------------------------------------------------
 # correlation evaluation
 
-def _mode_sum(q, wq, a_coef, b_coef, t_lab, r_lab, eps, chunk=2048):
-    """(1/4pi^2) sum_q wq [a e^{-iq(t-i eps)} + b e^{+iq(t-i eps)}] sinc(q r)."""
-    out = np.zeros(t_lab.size, dtype=complex)
+def _mode_sum(q, wq, a_coef, b_coef, t_lab, r_lab, eps, chunk=256):
+    """(1/4pi^2) sum_q wq [a e^{-iq(t-i eps)} + b e^{+iq(t-i eps)}] sinc(q r).
+
+    Real arithmetic, one cosine and one sine per (node, time): the sum is
+    (even cos(qt) - i odd sin(qt)) sinc(qr) / 4pi^2 with
+    even, odd = wq (a e^{-q eps} +- b e^{q eps}); the sinc factor is
+    skipped when r vanishes throughout (the rest worldline).
+    """
+    damp = np.exp(-q * eps)
+    down = a_coef * damp
+    up = b_coef / damp
+    even = wq * (down + up)
+    odd = wq * (down - up)
+    moving = np.any(r_lab != 0.0)
+    re = np.zeros(t_lab.size)
+    im = np.zeros(t_lab.size)
     for i0 in range(0, q.size, chunk):
         sl = slice(i0, i0 + chunk)
-        qs = q[sl]
-        damp = np.exp(-np.outer(qs, np.ones_like(t_lab)) * eps)
-        phase = np.exp(-1j * np.outer(qs, t_lab))
-        sincm = np.sinc(np.outer(qs, r_lab) / math.pi)
-        down = phase * damp
-        up = np.conj(phase) / damp
-        out += (wq[sl] * a_coef[sl]) @ (sincm * down)
-        out += (wq[sl] * b_coef[sl]) @ (sincm * up)
-    return out / FOUR_PI2
+        arg = np.outer(q[sl], t_lab)
+        cos = np.cos(arg)
+        sin = np.sin(arg, out=arg)
+        if moving:
+            sinc = np.sinc(np.outer(q[sl], r_lab) / math.pi)
+            cos *= sinc
+            sin *= sinc
+        re += even[sl] @ cos
+        im -= odd[sl] @ sin
+    return (re + 1j * im) / FOUR_PI2
 
 
 def _interval_correlation(dt, dx, eps):
@@ -348,13 +362,14 @@ def _rate_values(state, traj, energies, window, eps, coupling, boost):
     emax = max(abs(e) for e in energies)
     tau, wt = _graded_tau_mesh(eps, window.tau_max, emax)
     wvals = _wightman_values(state, traj, tau, eps, coupling, boost)
-    gw = window(tau) * wt
-    phases = np.exp(-1j * np.outer(np.asarray(energies, float), tau))
-    rates = 2.0 * np.real(phases @ (gw * wvals))
+    g = window(tau) * wt * wvals
+    # 2 Re sum_tau e^{-iE tau} g(tau), from one cosine and one sine
+    arg = np.outer(np.asarray(energies, float), tau)
+    rates = 2.0 * (np.cos(arg) @ g.real + np.sin(arg) @ g.imag)
     # leftover tail of the truncated window, used as the reported floor
     tail = (abs(wvals[-1]) * window(window.tau_max)
             * window.sigma_tau * math.sqrt(2.0 * math.pi))
-    floor = tail + 64.0 * np.finfo(float).eps * float(np.sum(np.abs(gw * wvals)))
+    floor = tail + 64.0 * np.finfo(float).eps * float(np.sum(np.abs(g)))
     return rates, floor
 
 

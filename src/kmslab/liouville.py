@@ -323,7 +323,11 @@ class TruncatedFock:
         return rows, cols, mode, np.sqrt(B[cols, mode] + 1.0)
 
     def creation_matrix(self, mode: int) -> sp.csr_matrix:
-        """Matrix of a_mode^dagger on the truncated reservoir basis."""
+        """Matrix of a_mode^dagger on the truncated reservoir basis; a mode
+        outside [0, n_modes) raises ValidationError."""
+        if not 0 <= mode < self.disc.n_modes:
+            raise ValidationError("mode %r outside [0, %d)"
+                                  % (mode, self.disc.n_modes))
         rows, cols, _, vals = self._raising_table([mode])
         return sp.csr_matrix((vals, (rows, cols)),
                              shape=(self.reservoir_dim, self.reservoir_dim))
@@ -333,9 +337,13 @@ class TruncatedFock:
 
         One CSR build of f_mode * value over the raising table of every
         mode, held only during the call, plus its adjoint; the sum drops
-        the entries of zero amplitudes.
+        the entries of zero amplitudes.  Amplitudes of any other shape than
+        (n_modes,) raise ValidationError.
         """
         amplitudes = np.asarray(amplitudes)
+        if amplitudes.shape != (self.disc.n_modes,):
+            raise ValidationError("field_matrix needs %d amplitudes, got shape "
+                                  "%s" % (self.disc.n_modes, amplitudes.shape))
         rows, cols, mode, vals = self._raising_table(range(self.disc.n_modes))
         A = sp.csr_matrix((amplitudes[mode] * vals, (rows, cols)),
                           shape=(self.reservoir_dim, self.reservoir_dim))

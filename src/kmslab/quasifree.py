@@ -149,13 +149,22 @@ def two_point(state, f, g, n_c=48):
     return doubled_gram(state, f, g, n_c)
 
 
-def _phase_matmul(coeff, freq, tgrid, sign, chunk=4096):
-    """sum_i coeff_i * exp(sign * 1j * freq_i * t) evaluated on tgrid."""
-    out = np.zeros(tgrid.size, dtype=complex)
+def _phase_sum(a, b, freq, tgrid, chunk=1024):
+    """sum_i a_i e^{-i freq_i t} + b_i e^{+i freq_i t} on tgrid.
+
+    One cosine and one sine per (time, frequency): the sum is
+    cos @ (a + b) - i sin @ (a - b), each complex vector taken as two real
+    columns so that the matrices stay real.
+    """
+    even, odd = (np.column_stack([v.real, v.imag]) for v in (a + b, a - b))
+    c = np.zeros((tgrid.size, 2))
+    s = np.zeros((tgrid.size, 2))
     for i0 in range(0, freq.size, chunk):
         sl = slice(i0, i0 + chunk)
-        out += np.exp(sign * 1j * np.outer(tgrid, freq[sl])) @ coeff[sl]
-    return out
+        arg = np.outer(tgrid, freq[sl])
+        c += np.cos(arg) @ even[sl]
+        s += np.sin(arg, out=arg) @ odd[sl]
+    return (c[:, 0] + s[:, 1]) + 1j * (c[:, 1] - s[:, 0])
 
 
 def two_point_series(state, g, f, tgrid, n_c=48):
@@ -170,8 +179,7 @@ def two_point_series(state, g, f, tgrid, n_c=48):
     a = wq2 * (1.0 + mu) * np.conj(kg.values) * kf.values
     b = wq2 * mu * kg.values * np.conj(kf.values)
     tgrid = np.asarray(tgrid, dtype=float)
-    vals = (_phase_matmul(a, om, tgrid, -1)
-            + _phase_matmul(b, om, tgrid, +1))
+    vals = _phase_sum(a, b, om, tgrid)
     return CorrelatorSeries(tgrid, vals, {
         "series": "two_point", "beta": state.beta, "mass": state.mass,
         "frame_rapidity": state.frame.rapidity})
@@ -194,8 +202,7 @@ def weyl_correlator(state, f, g, tgrid, n_c=48):
     wf = math.exp(-0.5 * nf)
     wg = math.exp(-0.5 * ng)
     tgrid = np.asarray(tgrid, dtype=float)
-    z = (_phase_matmul(a, om, tgrid, +1)
-         + _phase_matmul(b, om, tgrid, -1))
+    z = _phase_sum(b, a, om, tgrid)
     vals = wf * wg * np.exp(-z)
     meta = {"series": "weyl_correlator", "beta": state.beta,
             "mass": state.mass, "frame_rapidity": state.frame.rapidity,
@@ -269,23 +276,25 @@ def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
         if np.any(nu_grid <= 0):
             raise ValidationError("nu grid must be positive (both signs are formed internally)")
     half = np.arange(0.0, 0.5 * t_span + 0.5 * dt, dt)
-    same = g is None
-    if same:
-        series = two_point_series(state, f, f, half, n_c)
-        cg = series.values * np.exp(-half ** 2 / (2.0 * sigma_t ** 2))
-        # C(-t) = conj(C(t)) for equal packets, fold the negative half in
-        pos_ph = np.exp(1j * np.outer(nu_grid, half))
-        w_pos = dt * (2.0 * np.real(pos_ph @ cg) - np.real(cg[0]))
-        neg_ph = np.exp(-1j * np.outer(nu_grid, half))
-        w_neg = dt * (2.0 * np.real(neg_ph @ cg) - np.real(cg[0]))
+    if g is None:
+        # C(-t) = conj(C(t)) for equal packets: fold the negative half in,
+        # weighting t > 0 twice
+        tgrid = half
+        series = two_point_series(state, f, f, tgrid, n_c)
+        fold = np.where(half > 0.0, 2.0, 1.0)
         n_t = 2 * half.size - 1
     else:
         tgrid = np.concatenate([-half[:0:-1], half])
         series = two_point_series(state, g, f, tgrid, n_c)
-        cg = series.values * np.exp(-tgrid ** 2 / (2.0 * sigma_t ** 2))
-        w_pos = dt * np.real(np.exp(1j * np.outer(nu_grid, tgrid)) @ cg)
-        w_neg = dt * np.real(np.exp(-1j * np.outer(nu_grid, tgrid)) @ cg)
+        fold = 1.0
         n_t = tgrid.size
+    cg = fold * series.values * np.exp(-tgrid ** 2 / (2.0 * sigma_t ** 2))
+    # Re sum_t e^{+-i nu t} cg(t) = cos @ Re cg -+ sin @ Im cg
+    arg = np.outer(nu_grid, tgrid)
+    cos_part = np.cos(arg) @ cg.real
+    sin_part = np.sin(arg, out=arg) @ cg.imag
+    w_pos = dt * (cos_part - sin_part)
+    w_neg = dt * (cos_part + sin_part)
     peak = float(np.max(np.abs(w_pos)))
     if peak == 0.0:
         raise ValidationError("spectrum vanishes on the requested nu grid")

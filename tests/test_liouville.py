@@ -202,6 +202,20 @@ def test_creation_operator_algebra():
         assert np.max(np.abs(off)) < 1e-14
 
 
+def test_creation_matrix_rejects_modes_outside_the_space():
+    disc, space = _small_paired(n_side=2, n_tot=2)
+    for mode in (-1, disc.n_modes):
+        with pytest.raises(ValidationError):
+            space.creation_matrix(mode)
+
+
+def test_field_matrix_rejects_amplitudes_of_the_wrong_length():
+    disc, space = _small_paired(n_side=2, n_tot=2)
+    for amplitudes in (disc.f[:-1], np.append(disc.f, 1.0)):
+        with pytest.raises(ValidationError):
+            space.field_matrix(amplitudes)
+
+
 def test_single_mode_field_block():
     f = 0.37
     disc = lv.ReservoirDiscretization(np.array([0.8]), np.array([1.0]),

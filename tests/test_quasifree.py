@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from kmslab import quasifree
 from kmslab.errors import ResolutionError, ValidationError
 from kmslab.oneparticle import BoostSpec, default_qgrid
 from kmslab.quasifree import (CorrelatorSeries, QuasiFreeState, doubled_gram,
                               gaussian_packet, kms_balance_check,
                               mixing_decay, shell_packet, two_point,
-                              weyl_correlator, weyl_expectation)
+                              two_point_series, weyl_correlator,
+                              weyl_expectation)
 
 
 def _packets(n=1024, beta=1.0):
@@ -130,8 +132,41 @@ def test_weyl_correlator_product_rule_at_t0():
     assert abs(via_series - indep) < 1e-12 * abs(indep)
 
 
+def test_phase_sum_matches_direct_complex_exponentials():
+    rng = np.random.default_rng(5)
+    freq = rng.uniform(0.0, 6.0, 45)
+    a, b = rng.normal(size=(2, 45)) + 1j * rng.normal(size=(2, 45))
+    t = np.linspace(-4.0, 7.0, 13)
+    terms = np.concatenate([np.exp(-1j * np.outer(freq, t)) * a[:, None],
+                            np.exp(1j * np.outer(freq, t)) * b[:, None]])
+    got = quasifree._phase_sum(a, b, freq, t, chunk=16)
+    err = np.abs(got - np.sum(terms, axis=0))
+    assert np.max(err / np.sum(np.abs(terms), axis=0)) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # detailed balance
+
+@pytest.mark.parametrize("same", [True, False])
+def test_balance_spectra_match_direct_complex_exponentials(same):
+    f, g = _packets(256)
+    state = QuasiFreeState(beta=1.0)
+    dt, sigma_t = 0.5, 10.0
+    report = kms_balance_check(state, f, g=None if same else g, t_span=60.0,
+                               sigma_t=sigma_t, dt=dt)
+    half = np.arange(0.0, 30.25, dt)
+    t = np.concatenate([-half[:0:-1], half])
+    if same:
+        # the check folds C(-t) = conj(C(t)) in from the half grid
+        c = two_point_series(state, f, f, half).values
+        c = np.concatenate([np.conj(c[:0:-1]), c])
+    else:
+        c = two_point_series(state, g, f, t).values
+    cg = c * np.exp(-t ** 2 / (2.0 * sigma_t ** 2))
+    scale = dt * np.sum(np.abs(cg))
+    for sign, got in ((1, report.spectrum_pos), (-1, report.spectrum_neg)):
+        direct = dt * np.real(np.exp(sign * 1j * np.outer(report.nu, t)) @ cg)
+        assert np.max(np.abs(got - direct)) < 1e-13 * scale
 
 def test_balance_thermal_state():
     f, _ = _packets()
