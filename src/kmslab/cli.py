@@ -31,25 +31,31 @@ _ENV_PREFIX = "KMSLAB"
 
 # Config value parsers: raw text -> value, or ValueError with the reason.
 
-def _real(raw):
+def _number(raw):
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
-        raise ValueError("not a number: %r" % raw) from None
+        val = math.nan
+    if math.isnan(val):
+        raise ValueError("not a number: %r" % raw)
+    return val
 
 
 def _bounded(test, need):
     def parse(raw):
-        val = _real(raw)
+        val = _number(raw)
         if not test(val):
             raise ValueError("%s, got %s" % (need, raw))
         return val
     return parse
 
 
-_positive = _bounded(lambda x: x > 0, "must be positive")
-_nonnegative = _bounded(lambda x: not x < 0, "must be >= 0")
+_real = _bounded(math.isfinite, "must be finite")
+_positive = _bounded(lambda x: 0 < x < math.inf, "must be positive and finite")
+_nonnegative = _bounded(lambda x: 0 <= x < math.inf, "must be >= 0 and finite")
 _speed = _bounded(lambda x: abs(x) < 1.0, "|v| must be < 1")
+# inf is the vacuum
+_beta = _bounded(lambda x: x > 0, "must be positive or inf")
 
 
 def _int_at_least(minimum):
@@ -108,7 +114,7 @@ _family = _one_of("mode family", _MODE_FAMILIES)
 # {section: {key: (default text, parser)}}
 _SCHEMA = {
     "global": {
-        "beta": ("1.0", _positive),
+        "beta": ("1.0", _beta),
         "mass": ("0.0", _nonnegative),
         "zeta": (format(math.pi, ".17g"), _real),
         "n_grid": ("1024", _int_at_least(8)),
@@ -138,7 +144,7 @@ _SCHEMA = {
         "t_max": ("auto", _auto_or_positive),
     },
     "disjointness": {
-        "beta2": ("2.0", _positive),
+        "beta2": ("2.0", _beta),
         "v": ("0.0", _speed),
         "n_max_modes": ("200", _int_at_least(1)),
         "s_lo": ("0.1", _positive),

@@ -70,7 +70,7 @@ class ModeFamily:
     def __post_init__(self):
         if not self.modes:
             raise ValidationError("mode family must be nonempty")
-        if any(m.c is not None or m.q.size != 1 for m in self.modes):
+        if any(m.q.size != 1 for m in self.modes):
             raise ValidationError(
                 "family modes must be one-point radial modes")
         nodes = np.array([m.q[0] for m in self.modes])
@@ -143,18 +143,16 @@ def single_frequency_family(frequencies, mass: float = 0.0) -> ModeFamily:
         descriptor="single:%s" % ",".join(fmt17(x) for x in freqs))
 
 
-def mode_occupations(state: QuasiFreeState, family: ModeFamily,
-                     n_c: int = 48) -> np.ndarray:
+def mode_occupations(state: QuasiFreeState, family: ModeFamily) -> np.ndarray:
     """Number expectation of each mode in the given state.
 
-    Uses the thermally weighted norm <kappa e, kappa e> = 1 + 2<n>; the
-    state's frame (including boosts) is folded in by the correlator
-    machinery, so a boosted thermal state yields the band-averaged
-    occupation of each lab-frame mode.
+    Uses the thermally weighted norm <kappa e, kappa e> = 1 + 2<n>.  A
+    boosted thermal state gives each lab-frame mode the exact average of
+    the Doppler-shifted occupation over directions.
     """
     occ = np.empty(len(family))
     for k, mode in enumerate(family.modes):
-        g = doubled_gram(state, mode, mode, n_c=n_c)
+        g = doubled_gram(state, mode, mode)
         if abs(g.imag) > _GRAM_TOL:
             raise NumericalError(
                 "thermal Gram diagonal has imaginary part %s" % fmt17(g.imag))
@@ -260,21 +258,21 @@ def _thermal_diagonal(nbar: float, cutoff: int) -> np.ndarray:
 
 
 def restricted_gaussian(state: QuasiFreeState, family: ModeFamily,
-                        cutoff: int = 12, n_c: int = 48):
+                        cutoff: int = 12):
     """Covariance-level restriction of a state to a mode family.
 
     The family's modes sit on distinct nodes, so the thermal Gram is
     diagonal, M = diag(1 + 2 <n_k>) with the occupations of
     mode_occupations.
     """
-    occ = mode_occupations(state, family, n_c=n_c)
+    occ = mode_occupations(state, family)
     return RestrictedGaussianState(np.diag(1.0 + 2.0 * occ), cutoff=cutoff)
 
 
 def restrict_state(state: QuasiFreeState, family: ModeFamily,
-                   cutoff: int = 12, n_c: int = 48):
+                   cutoff: int = 12):
     """Density matrix of the restriction, with a post-hoc moment check."""
-    rgs = restricted_gaussian(state, family, cutoff=cutoff, n_c=n_c)
+    rgs = restricted_gaussian(state, family, cutoff=cutoff)
     rho = rgs.density_matrix()
     defect = rgs.verify_moments(rho)
     if defect > _MOMENT_TOL:
@@ -360,8 +358,8 @@ class FidelityCurve:
 
 
 def overlap_decay(state1: QuasiFreeState, state2: QuasiFreeState,
-                  family: ModeFamily, threshold: float = 0.01,
-                  n_c: int = 48) -> FidelityCurve:
+                  family: ModeFamily,
+                  threshold: float = 0.01) -> FidelityCurve:
     """Fidelity of the two restrictions over nested family prefixes.
 
     Restrictions of both states factor over the point-mode family, so
@@ -372,8 +370,8 @@ def overlap_decay(state1: QuasiFreeState, state2: QuasiFreeState,
     """
     if not (0.0 < threshold < 1.0):
         raise ValidationError("threshold must be in (0, 1)")
-    occ1 = mode_occupations(state1, family, n_c=n_c)
-    occ2 = mode_occupations(state2, family, n_c=n_c)
+    occ1 = mode_occupations(state1, family)
+    occ2 = mode_occupations(state2, family)
     factors = np.array([thermal_fidelity(a, b) for a, b in zip(occ1, occ2)])
     values = np.cumprod(factors)
     ns = np.arange(1, len(values) + 1)

@@ -3,9 +3,9 @@ at finite temperature.
 
 Conventions used throughout the package:
 
-* Momentum-space vectors u(q) are stored with respect to the measure
-  q^2 dq dOmega, so ||u||^2 = 4*pi * sum_i w_i q_i^2 |u_i|^2 in the
-  rotationally symmetric sector (w_i are plain dq quadrature weights).
+* Momentum-space vectors u(q) are rotationally symmetric and stored with
+  respect to the measure q^2 dq dOmega, so ||u||^2 = 4*pi * sum_i w_i
+  q_i^2 |u_i|^2 (w_i are plain dq quadrature weights).
 * Frequency-space ("doubled") vectors f(s) live on a grid of positive and
   negative frequencies with ||f||^2 = 4*pi * sum_j w_j |f(s_j)|^2.
 * Geometric grids carry uniform-log-step trapezoid weights. For analytic
@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (IRSensitivityWarning, StructuralError, ValidationError)
 
-TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 
@@ -145,16 +144,14 @@ class BoostSpec:
 
 
 class MomentumFunction:
-    """A one-particle vector in momentum space.
+    """A rotationally symmetric one-particle vector in momentum space.
 
-    Two layouts share this class: the rotationally symmetric sector
-    (c is None, one value per radial node) and a flat (q, cos theta)
-    point list produced by angular expansion. The per-point
-    weight wtot already contains all angular factors, so
-    ||u||^2 = sum wtot_i q_i^2 |u_i|^2 in either layout.
+    One value per radial node q_i, on a strictly increasing grid. The
+    weight wtot_i = 4*pi * w_dq_i already holds the solid angle, so
+    ||u||^2 = sum wtot_i q_i^2 |u_i|^2.
     """
 
-    def __init__(self, q, wtot, values, mass=0.0, c=None):
+    def __init__(self, q, wtot, values, mass=0.0):
         q = np.asarray(q, dtype=float)
         wtot = np.asarray(wtot, dtype=float)
         values = np.asarray(values, dtype=complex)
@@ -164,7 +161,7 @@ class MomentumFunction:
             raise ValidationError("momenta must be strictly positive and finite")
         if not np.all(np.isfinite(values)):
             raise ValidationError("amplitudes must be finite")
-        if c is None and np.any(np.diff(q) <= 0):
+        if np.any(np.diff(q) <= 0):
             raise ValidationError("radial grid must be strictly increasing")
         if np.any(wtot <= 0):
             raise ValidationError("quadrature weights must be positive")
@@ -174,13 +171,12 @@ class MomentumFunction:
         self.wtot = wtot
         self.values = values
         self.mass = float(mass)
-        self.c = None if c is None else np.asarray(c, dtype=float)
         self.ir_flagged = False
         self.ir_fraction = 0.0
 
     @classmethod
     def from_radial(cls, q, w_dq, values, mass=0.0):
-        """Rotationally symmetric sector: w_dq are plain dq weights."""
+        """Build from plain dq weights w_dq."""
         return cls(q, FOUR_PI * np.asarray(w_dq, dtype=float), values, mass)
 
     @property
@@ -188,8 +184,7 @@ class MomentumFunction:
         return dispersion(self.q, self.mass)
 
     def copy_with(self, values):
-        out = MomentumFunction(self.q, self.wtot, values, self.mass, self.c)
-        return out
+        return MomentumFunction(self.q, self.wtot, values, self.mass)
 
     def norm2(self):
         return float(np.sum(self.wtot * self.q ** 2 * np.abs(self.values) ** 2))
@@ -198,15 +193,9 @@ class MomentumFunction:
         return math.sqrt(self.norm2())
 
     def same_points(self, other, rtol=1e-12):
-        if (self.c is None) != (other.c is None):
-            return False
-        if self.q.shape != other.q.shape:
-            return False
-        ok = np.allclose(self.q, other.q, rtol=rtol, atol=0.0)
-        ok = ok and np.allclose(self.wtot, other.wtot, rtol=rtol, atol=0.0)
-        if self.c is not None:
-            ok = ok and np.allclose(self.c, other.c, rtol=rtol, atol=1e-14)
-        return bool(ok)
+        return (self.q.shape == other.q.shape
+                and np.allclose(self.q, other.q, rtol=rtol, atol=0.0)
+                and np.allclose(self.wtot, other.wtot, rtol=rtol, atol=0.0))
 
     def inner(self, other):
         """<self, other> with the convention conj on the left slot."""
@@ -226,22 +215,6 @@ class MomentumFunction:
     def time_translate(self, t):
         """Multiply by e^{i omega t} (forward time evolution by t)."""
         return self.copy_with(self.values * np.exp(1j * self.omega * t))
-
-    def with_angular(self, n_c=64):
-        """Expand the symmetric sector onto a (q, cos theta) point list."""
-        if self.c is not None:
-            return self
-        cnod, cw = np.polynomial.legendre.leggauss(n_c)
-        nq, nc = self.q.size, cnod.size
-        q = np.repeat(self.q, nc)
-        c = np.tile(cnod, nq)
-        # wtot currently holds 4*pi*w_dq; the angular expansion replaces
-        # the 4*pi by 2*pi*w_c.
-        w_dq = self.wtot / FOUR_PI
-        wtot = np.repeat(TWO_PI * w_dq, nc) * np.tile(cw, nq)
-        values = np.repeat(self.values, nc)
-        out = MomentumFunction(q, wtot, values, self.mass, c)
-        return out
 
 
 class CauchyData:
@@ -381,8 +354,8 @@ def glue_branches(q, beta, u, zeta=math.pi, amplitude=1.0):
 
 
 def kms_glue(u: MomentumFunction, beta, zeta=math.pi, beta_tag=True):
-    """Glue a symmetric-sector massless one-particle vector into its
-    thermal doubled vector on the frequency line.
+    """Glue a massless one-particle vector into its thermal doubled
+    vector on the frequency line.
 
     Positive branch  f(s) = s sqrt(1 + mu_beta(s)) u(s),
     negative branch  f(-s) = -e^{i zeta} s sqrt(mu_beta(s)) conj(u(s)),
@@ -390,8 +363,6 @@ def kms_glue(u: MomentumFunction, beta, zeta=math.pi, beta_tag=True):
     """
     if u.mass != 0.0:
         raise ValidationError("gluing is defined for the massless field")
-    if u.c is not None:
-        raise ValidationError("gluing expects the rotationally symmetric sector")
     if beta <= 0:
         raise ValidationError("beta must be positive")
     pos, neg = glue_branches(u.q, beta, u.values, zeta)

@@ -7,10 +7,12 @@ are evaluated through the doubled inner product
 
     <f, g>_beta = <kf, (1 + mu) kg> + <kg, mu kf>,
 
-with the occupation mu evaluated at the bath-frame frequency of each
-momentum point. Boosted frames use the (q, cos theta) point layout of the
-one-particle module, where the frequency seen by the bath is the Doppler
-product q * gamma * (1 - v*c).
+with mu the occupation at each radial momentum node. At rest it is the
+Planck occupation of the frequency omega. A massless bath boosted along z
+sees the Doppler frequency q * gamma * (1 - v cos theta); the test
+vectors are radial and every sum is linear in mu, so mu is the exact
+average of the Doppler-shifted occupation over directions (see
+_occupation).
 """
 
 import math
@@ -96,40 +98,49 @@ def _as_kappa(state, f):
     raise ValidationError("expected CauchyData or MomentumFunction")
 
 
-def _aligned_pair(state, f, g, n_c=48):
-    """Bring two kappa-vectors onto one point set appropriate for the
-    state's frame, returning (F, G, q_lab, wq2, q_bath)."""
+def _aligned_pair(state, f, g):
+    """Bring two kappa-vectors onto one radial point set, returning
+    (F, G, wq2) with wq2 the measure weights wtot * q^2."""
     kf = _as_kappa(state, f)
     kg = _as_kappa(state, g) if g is not None else kf
-    boosted = state.frame.rapidity != 0.0
-    if boosted and state.mass != 0.0:
+    if state.frame.rapidity != 0.0 and state.mass != 0.0:
         raise ValidationError("boosted frames are supported for the massless field")
-    if boosted:
-        kf = kf.with_angular(n_c)
-        kg = kg.with_angular(n_c)
     if not kf.same_points(kg):
         raise StructuralError("test vectors must share one momentum point set")
-    q = kf.q
-    wq2 = kf.wtot * q ** 2
-    if boosted:
-        v = state.frame.v_rel
-        q_bath = q * state.frame.gamma * (1.0 - v * kf.c)
-    else:
-        q_bath = None  # omega computed from mass below
-    return kf, kg, q, wq2, q_bath
+    return kf, kg, kf.wtot * kf.q ** 2
 
 
-def _occupation(state, kf, q_bath):
+def _occupation(state, k):
+    """Occupation of each radial node of k, averaged over directions.
+
+    At rest this is mu_beta(omega). A massless bath at rapidity eta sees
+    the lab momentum q in direction cos theta = c at the Doppler frequency
+    x(c) = q gamma (1 - v c), which runs over [q e^{-|eta|}, q e^{|eta|}].
+    Every quasi-free sum is linear in the occupation at a node and the
+    test vectors are radial, so only the direction average enters:
+
+        (1/2) int_{-1}^{1} mu_beta(x(c)) dc
+            = [ln(1 - e^{-beta x})]_{x = q e^{-|eta|}}^{q e^{|eta|}} / d,
+
+    d = 2 beta q sinh|eta|, since d/dx ln(1 - e^{-beta x}) = beta mu_beta(x).
+    With a = beta q e^{-|eta|} the bracket is ln((1 - e^{-a-d}) / (1 - e^{-a}))
+    = log1p(mu_beta(q e^{-|eta|}) (1 - e^{-d})). Written so, it does not
+    cancel as eta -> 0, where it tends to mu_beta(q).
+    """
     if state.is_vacuum:
-        return np.zeros_like(kf.q)
-    freq = q_bath if q_bath is not None else kf.omega
-    return planck_occupation(freq, state.beta)
+        return np.zeros_like(k.q)
+    eta = abs(state.frame.rapidity)
+    if eta == 0.0:
+        return planck_occupation(k.omega, state.beta)
+    d = 2.0 * state.beta * k.q * math.sinh(eta)
+    low = planck_occupation(k.q * math.exp(-eta), state.beta)
+    return np.log1p(low * -np.expm1(-d)) / d
 
 
-def doubled_gram(state, f, g, n_c=48):
+def doubled_gram(state, f, g):
     """<kappa_beta f, kappa_beta g> for the given state."""
-    kf, kg, q, wq2, q_bath = _aligned_pair(state, f, g, n_c)
-    mu = _occupation(state, kf, q_bath)
+    kf, kg, wq2 = _aligned_pair(state, f, g)
+    mu = _occupation(state, kf)
     term1 = np.sum(wq2 * (1.0 + mu) * np.conj(kf.values) * kg.values)
     term2 = np.sum(wq2 * mu * kf.values * np.conj(kg.values))
     return complex(term1 + term2)
@@ -138,15 +149,15 @@ def doubled_gram(state, f, g, n_c=48):
 # ---------------------------------------------------------------------------
 # operations
 
-def weyl_expectation(state, f, n_c=48):
+def weyl_expectation(state, f):
     """Expectation of the Weyl operator W(f): exp(-||kappa_beta f||^2 / 2)."""
-    val = doubled_gram(state, f, f, n_c).real
+    val = doubled_gram(state, f, f).real
     return math.exp(-0.5 * val)
 
 
-def two_point(state, f, g, n_c=48):
+def two_point(state, f, g):
     """Two-point function <kappa_beta f, kappa_beta g>."""
-    return doubled_gram(state, f, g, n_c)
+    return doubled_gram(state, f, g)
 
 
 def _phase_sum(a, b, freq, tgrid, chunk=1024):
@@ -167,14 +178,14 @@ def _phase_sum(a, b, freq, tgrid, chunk=1024):
     return (c[:, 0] + s[:, 1]) + 1j * (c[:, 1] - s[:, 0])
 
 
-def two_point_series(state, g, f, tgrid, n_c=48):
+def two_point_series(state, g, f, tgrid):
     """C(t) = two_point(g, f translated backwards in lab time by t).
 
     The lab time translation multiplies the momentum amplitude by
     e^{-i omega t}; thermal weights stay at the bath-frame frequency.
     """
-    kg, kf, q, wq2, q_bath = _aligned_pair(state, g, f, n_c)
-    mu = _occupation(state, kg, q_bath)
+    kg, kf, wq2 = _aligned_pair(state, g, f)
+    mu = _occupation(state, kg)
     om = kg.omega
     a = wq2 * (1.0 + mu) * np.conj(kg.values) * kf.values
     b = wq2 * mu * kg.values * np.conj(kf.values)
@@ -185,15 +196,15 @@ def two_point_series(state, g, f, tgrid, n_c=48):
         "frame_rapidity": state.frame.rapidity})
 
 
-def weyl_correlator(state, f, g, tgrid, n_c=48):
+def weyl_correlator(state, f, g, tgrid):
     """omega(W(g) alpha_t W(f)) on the given time grid.
 
     Equals omega(W(f)) omega(W(g)) exp(-z(t)) with
     z(t) = <kappa_beta g, kappa_beta T_t f>; bounded by 1 in modulus,
     and exactly omega(W(f)) when g = 0.
     """
-    kg, kf, q, wq2, q_bath = _aligned_pair(state, g, f, n_c)
-    mu = _occupation(state, kg, q_bath)
+    kg, kf, wq2 = _aligned_pair(state, g, f)
+    mu = _occupation(state, kg)
     om = kg.omega
     a = wq2 * (1.0 + mu) * np.conj(kg.values) * kf.values
     b = wq2 * mu * kg.values * np.conj(kf.values)
@@ -241,6 +252,12 @@ class BalanceReport:
         return pairs
 
 
+def _check_span(name, span):
+    if not 0.0 < span < math.inf:
+        raise ValidationError("%s must be positive and finite, got %r"
+                              % (name, span))
+
+
 def default_window_width(t_span):
     """Gaussian window width paired with a time span: sqrt(8 * span).
 
@@ -250,7 +267,7 @@ def default_window_width(t_span):
 
 
 def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
-                      dt=0.1, nu_grid=None, band_floor=1e-4, n_c=48):
+                      dt=0.1, nu_grid=None, band_floor=1e-4):
     """Windowed Fourier transform of t -> two_point(g, f o T_{-t}) and the
     detailed-balance residual of its two frequency branches.
 
@@ -260,8 +277,7 @@ def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
     the peak. For the vacuum the negative-frequency leakage is reported
     instead of a balance ratio.
     """
-    if t_span <= 0:
-        raise ValidationError("t_span must be positive")
+    _check_span("t_span", t_span)
     if sigma_t is None:
         sigma_t = default_window_width(t_span)
     if t_span < 5.0 * sigma_t:
@@ -280,12 +296,12 @@ def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
         # C(-t) = conj(C(t)) for equal packets: fold the negative half in,
         # weighting t > 0 twice
         tgrid = half
-        series = two_point_series(state, f, f, tgrid, n_c)
+        series = two_point_series(state, f, f, tgrid)
         fold = np.where(half > 0.0, 2.0, 1.0)
         n_t = 2 * half.size - 1
     else:
         tgrid = np.concatenate([-half[:0:-1], half])
-        series = two_point_series(state, g, f, tgrid, n_c)
+        series = two_point_series(state, g, f, tgrid)
         fold = 1.0
         n_t = tgrid.size
     cg = fold * series.values * np.exp(-tgrid ** 2 / (2.0 * sigma_t ** 2))
@@ -349,14 +365,15 @@ class MixingReport:
         return f1, f2
 
 
-def mixing_decay(state, f, g=None, t_max=80.0, n_t=801, n_c=48):
+def mixing_decay(state, f, g=None, t_max=80.0, n_t=801):
     """|two_point(g, f o T_{-t})| together with the Weyl-correlator
     factorization residual |omega(W(g) alpha_t W(f)) - omega(W(f)) omega(W(g))|.
     """
+    _check_span("t_max", t_max)
     tgrid = np.linspace(0.0, t_max, n_t)
     gg = f if g is None else g
-    tp = two_point_series(state, gg, f, tgrid, n_c)
-    wc = weyl_correlator(state, f, gg, tgrid, n_c)
+    tp = two_point_series(state, gg, f, tgrid)
+    wc = weyl_correlator(state, f, gg, tgrid)
     prod = wc.metadata["weyl_f"] * wc.metadata["weyl_g"]
     resid = np.abs(wc.values - prod)
     abs_tp = np.abs(tp.values)

@@ -265,11 +265,21 @@ NUMERIC_KEYS = [
 ]
 
 
-@pytest.mark.parametrize("section,key,command", NUMERIC_KEYS)
+# inf is accepted only where it means the vacuum
+VACUUM_KEYS = [("global", "beta"), ("disjointness", "beta2")]
+
+# every numeric key with a text, a nan and (but for the vacuum keys) an inf
+BAD_VALUES = [
+    pytest.param(*keys, raw,
+                 id="-".join(keys) + ("" if raw == "abc" else "-" + raw))
+    for raw in ("abc", "nan", "inf") for keys in NUMERIC_KEYS
+    if not (raw == "inf" and keys[:2] in VACUUM_KEYS)]
+
+
+@pytest.mark.parametrize("section,key,command,raw", BAD_VALUES)
 def test_non_numeric_config_value_rejected(tmp_path, monkeypatch, capsys,
-                                           section, key, command):
-    monkeypatch.setenv("KMSLAB_%s_%s" % (section.upper(), key.upper()),
-                       "abc")
+                                           section, key, command, raw):
+    monkeypatch.setenv("KMSLAB_%s_%s" % (section.upper(), key.upper()), raw)
     assert cli.main(["--out", str(tmp_path / "run"), command]) == 2
     assert "[%s] %s" % (section, key) in capsys.readouterr().err
 

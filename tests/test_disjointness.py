@@ -73,6 +73,27 @@ def test_single_frequency_occupation_closed_form():
     assert abs(occ[0] - 1.0 / (math.e - 1.0)) < 1e-8
 
 
+@pytest.mark.parametrize("v", [0.5, -0.5, 0.99])
+def test_boosted_occupations_match_quadrature_of_direction_average(v):
+    from scipy.integrate import quad
+    freqs = [0.2, 1.0, 3.0]
+    state = QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(v))
+    occ = dj.mode_occupations(state, dj.single_frequency_family(freqs))
+    gamma = 1.0 / math.sqrt(1.0 - v * v)
+    for q, got in zip(freqs, occ):
+        ref, _ = quad(lambda c: 0.5 / math.expm1(q * gamma * (1.0 - v * c)),
+                      -1.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_nearly_resting_boost_keeps_rest_occupations():
+    fam = dj.single_frequency_family([0.2, 1.0, 3.0])
+    rest = dj.mode_occupations(QuasiFreeState(beta=1.0), fam)
+    slow = dj.mode_occupations(
+        QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(1e-9)), fam)
+    np.testing.assert_allclose(slow, rest, rtol=1e-12, atol=0.0)
+
+
 def test_vacuum_occupations_vanish():
     fam = dj.adapted_family(6)
     occ = dj.mode_occupations(QuasiFreeState(), fam)

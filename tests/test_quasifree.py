@@ -196,6 +196,16 @@ def test_balance_span_too_short_raises_with_hint():
     assert err.value.required_span > 5.0
 
 
+@pytest.mark.parametrize("span", [math.nan, math.inf, 0.0])
+def test_balance_and_mixing_need_finite_positive_spans(span):
+    f, _ = _packets(64)
+    state = QuasiFreeState(beta=1.0)
+    with pytest.raises(ValidationError, match="t_span"):
+        kms_balance_check(state, f, t_span=span)
+    with pytest.raises(ValidationError, match="t_max"):
+        mixing_decay(state, f, t_max=span)
+
+
 # ---------------------------------------------------------------------------
 # mixing decay
 
