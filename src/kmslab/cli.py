@@ -381,9 +381,15 @@ def _liouville_space(cfg, seed, prefix):
     beta, lcfg = cfg["global"]["beta"], cfg["liouville"]
     builder, takes = _MODE_FAMILIES[lcfg[prefix + "family"]]
     args = {"seed": seed, "n_side": lcfg["n_side"], "gap": lcfg["gap"]}
-    disc = getattr(lv, builder)(
-        beta, amplitude=lcfg[prefix + "amplitude"], zeta=cfg["global"]["zeta"],
-        **{name: args[name] for name in takes})
+    try:
+        disc = getattr(lv, builder)(
+            beta, amplitude=lcfg[prefix + "amplitude"],
+            zeta=cfg["global"]["zeta"], **{name: args[name] for name in takes})
+    except ValidationError as exc:
+        if math.isfinite(beta):
+            raise
+        # the parser takes inf (the vacuum), which has no thermal modes
+        raise ValidationError("[global] beta: %s" % exc) from None
     space = lv.TruncatedFock(disc, n_tot_max=lcfg[prefix + "n_tot_max"])
     return lv, disc, space, lcfg["gap"]
 

@@ -167,6 +167,11 @@ class ReservoirDiscretization:
 
 
 def _pack(beta, s, w, coupling, zeta, amplitude) -> ReservoirDiscretization:
+    if not 0.0 < beta < math.inf:
+        # at beta = inf every mode at s < 0 would carry a zero amplitude
+        raise ValidationError(
+            "beta must be positive and finite: the modes sample a thermal "
+            "form factor, got %s" % beta)
     f = np.sqrt(4.0 * math.pi * w) * form_factor_values(
         s, beta, coupling=coupling, zeta=zeta, amplitude=amplitude)
     return ReservoirDiscretization(s=s, w=w, f=f, beta=beta, zeta=zeta,
@@ -551,18 +556,24 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
     into [-1, 1] as in ``evolve``: with B = center + half H the action is
     e^{-x H} Omega_0 with x = beta * half / 2, up to a factor that the
     normalization removes.  It is applied in equal sub-steps of at most
-    _DECAY_SPAN; each sub-step is one recurrence and peaks at about
+    _DECAY_SPAN.  Each sub-step is one recurrence, which stops after the
+    last coefficient 2 (-1)^k I_k of e^{-x t} above 1e-16 e^x (see
+    _chebyshev_rows: 18 terms at x = 2), and peaks at about
     _CHEBYSHEV_CHUNK + 4 real vectors of the block's length.  A full step
     against two-half-step consistency check guards the expansion: the two
     half steps take twice as many sub-steps of half the length.
-    Disagreement raises a numerical error carrying the residual.
+    Disagreement raises a numerical error carrying the residual; beta must
+    be positive and finite.
     """
+    if not 0.0 < beta < math.inf:
+        raise ValidationError("beta must be positive and finite, got %s"
+                              % beta)
     space = L0.space
     omega0 = gns_vacuum(space, L0.gap, beta)
     if lam == 0.0:
         return omega0.copy()
-    block, H, _, half = _reached_block((L0.matrix + lam * I_mat).tocsr(),
-                                       omega0)
+    block, H2, _, half = _reached_block((L0.matrix + lam * I_mat).tocsr(),
+                                        omega0)
     x = beta * half / 2.0
     n_sub = max(1, math.ceil(x / _DECAY_SPAN))
 
@@ -571,7 +582,7 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
         rows = _chebyshev_rows([x / n], decay=True)
         v = omega0[block]
         for _ in range(n):
-            (v,), _ = _chebyshev_window(H, v, rows, 1.0)
+            (v,), _ = _chebyshev_window(H2, v, rows, 1.0)
         return v
 
     full = decay(n_sub)
@@ -787,10 +798,10 @@ class EvolutionResult:
 # One Chebyshev recurrence serves every output time within _WINDOW_SPAN
 # radians (of the scaled block) of the window's start, at most
 # _WINDOW_OUTPUTS of them.  A phase of x radians needs about x + O(x^{1/3})
-# terms: 36 at 10 radians, 140 at 80, so a window of eight 10-radian steps
-# pays half the products per radian of a single step.  The output count
-# bounds the window's memory, the span its coefficient rows (153 terms);
-# a farther grid point is reached in equal sub-steps.
+# terms: 36 at 10 radians, 129 at 80.5, so a window of eight 10-radian
+# steps pays half the products per radian of a single step.  The output
+# count bounds the window's memory, the span its coefficient rows (141
+# terms); a farther grid point is reached in equal sub-steps.
 _WINDOW_SPAN = 90.0
 _WINDOW_OUTPUTS = 8
 _CHEBYSHEV_CHUNK = 8
@@ -812,6 +823,51 @@ _WORKER_ROWS = 8192
 # on the diagonal, a weak coupling off it) keeps the rounding of one
 # sub-step from being amplified by the later ones.
 _DECAY_SPAN = 2.0
+# Miller's backward recurrence for a row starts this many terms past the
+# row's a-priori length, where the Bessel values have fallen by about
+# 0.3^8 or more, so its starting error stays far below rounding.
+_MILLER_MARGIN = 8
+
+
+def _a_priori_length(x: float, decay: bool) -> int:
+    """The first n >= 2 at which 2 (x/2)^n / n! falls below 1e-16, times
+    e^x with ``decay``, for x >= 0: |J_k(x)| <= (x/2)^k / k! and
+    I_k(x) <= e^x (x/2)^k / k!, and the later terms fall off faster still."""
+    growth = x if decay else 0.0
+    n = 2
+    while x > 0.0 and (math.log(2.0) + n * math.log(x / 2.0)
+                       - math.lgamma(n + 1) + growth > math.log(1e-16)):
+        n += 1
+    return n
+
+
+def _bessel_row(x: float, decay: bool) -> np.ndarray:
+    """One row of _chebyshev_rows, cut after its last coefficient above
+    1e-16 (1e-16 e^{|x|} with ``decay``)."""
+    a = abs(x)
+    if a <= 1e-16:    # J_0(x) = I_0(x) = 1 and 2 |J_1(x)| = |x| in doubles
+        return np.ones(1)
+    n = _a_priori_length(a, decay) + _MILLER_MARGIN
+    sign = 1.0 if decay else -1.0
+    f = [0.0] * (n + 2)
+    f[n] = 1.0
+    for k in range(n, 0, -1):   # f_{k-1} = (2k/a) f_k -+ f_{k+1}
+        f[k - 1] = 2.0 * k / a * f[k] + sign * f[k + 1]
+    f = np.array(f[:n + 1])
+    # rows hold 2 (-1)^k I_k(x) or 2 (-1)^{k/2} J_k(x), J_0 and I_0 without
+    # the 2, where I_k(-a) = (-1)^k I_k(a) and J_k(-a) = (-1)^k J_k(a)
+    k = np.arange(n + 1)
+    if decay:   # I_0 + 2 sum I_k = e^a
+        f *= math.exp(a) / (f[0] + 2.0 * f[1:].sum())
+        signs = (-1.0) ** k if x > 0 else 1.0
+        cut = 1e-16 * math.exp(a)
+    else:       # J_0 + 2 sum J_2k = 1
+        f /= f[0] + 2.0 * f[2::2].sum()
+        signs = (-1.0) ** (k // 2 + (k if x < 0 else 0))
+        cut = 1e-16
+    f *= 2.0 * signs
+    f[0] /= 2.0
+    return f[:np.nonzero(np.abs(f) > cut)[0][-1] + 1]
 
 
 def _chebyshev_rows(xs, decay: bool = False) -> np.ndarray:
@@ -820,59 +876,55 @@ def _chebyshev_rows(xs, decay: bool = False) -> np.ndarray:
     Row j expands cos(x_j t) + sin(x_j t): the coefficients 2 (-i)^k J_k(x_j)
     of e^{-i x_j t} (Jacobi-Anger; J_0 without the 2) with the odd ones
     multiplied by i, so that every row is real.  With ``decay`` row j
-    expands e^{-x_j t}, whose coefficients are 2 (-1)^k I_k(x_j).  The rows
-    share their length n, the first index at which 2 (x/2)^n / n! for the
-    largest |x| falls below 1e-16, times e^{|x|} with ``decay``:
-    |J_k(x)| <= (x/2)^k / k! and I_k(x) <= e^x (x/2)^k / k!, and the later
-    terms fall off faster still.
+    expands e^{-x_j t}, whose coefficients are 2 (-1)^k I_k(x_j).  The
+    Bessel values come from Miller's backward recurrence (Abramowitz &
+    Stegun 9.12), started _MILLER_MARGIN terms past the row's a-priori
+    length (see _a_priori_length) and normalized by the Neumann sum
+    J_0 + 2 sum J_2k = 1 (I_0 + 2 sum I_k = e^x with ``decay``).  Each
+    row is cut after its own last coefficient above 1e-16 (1e-16 e^{|x_j|}
+    with ``decay``), where its true tail lies below that, and padded with
+    zeros to the longest row's length.
     """
-    x_max = float(np.max(np.abs(xs)))
-    growth = x_max if decay else 0.0
-    n = 2
-    while x_max > 0.0 and (math.log(2.0) + n * math.log(x_max / 2.0)
-                           - math.lgamma(n + 1) + growth > math.log(1e-16)):
-        n += 1
-    f = (lambda u: np.exp(-u)) if decay else (lambda u: np.cos(u) + np.sin(u))
-    # chebinterpolate for every x at once: one Vandermonde matrix for all
-    # rows, applied by einsum in place of its np.dot (see _fold)
-    nodes = np.polynomial.chebyshev.chebpts1(n)
-    rows = np.einsum("ik,kj->ij", f(np.multiply.outer(xs, nodes)),
-                     np.polynomial.chebyshev.chebvander(nodes, n - 1))
-    rows[:, 0] /= n
-    rows[:, 1:] /= 0.5 * n
+    cut = [_bessel_row(float(x), decay) for x in np.ravel(xs)]
+    rows = np.zeros((len(cut), max(len(row) for row in cut)))
+    for out, row in zip(rows, cut):
+        out[:len(row)] = row
     return rows
 
 
-def _chebyshev_window(H, v, rows, odd_factor, worker=None):
+def _chebyshev_window(H2, v, rows, odd_factor, worker=None):
     """Every row of Chebyshev coefficients applied to v, from one recurrence.
 
-    Returns (out, products): out[j] is the sum over even k of
-    rows[j, k] T_k(H) v plus odd_factor times the sum over odd k, and
-    products counts the products with H.  A real H acts on the real and
-    imaginary parts of a complex v (with odd_factor -1j) apart, as two real
-    recurrences: two real products cost half of one complex product, and a
-    part that is all zero is not run.  The real part's sums go straight
-    into out, the imaginary part's into a second array added to out at the
-    end.  Given an executor ``worker``, the imaginary part runs on it while
-    the real part runs here; each part's arithmetic is the same on either
-    thread.
+    H2 is twice the scaled block (see _reached_block).  Returns (out,
+    products): out[j] is the sum over even k of rows[j, k] T_k(H) v plus
+    odd_factor times the sum over odd k, taken up to row j's last nonzero
+    coefficient, and products counts the products with H2: one fewer than
+    the longest row's length for each recurrence.  A real H2 acts on the
+    real and imaginary parts of a complex v (with odd_factor -1j) apart, as
+    two real recurrences: two real products cost half of one complex
+    product, and a part that is all zero is not run.  Each part's even and
+    odd sums are contiguous real arrays that share their memory with two
+    complex arrays of out's shape; the second of these becomes out.  Given
+    an executor ``worker``, the imaginary part runs on it while the real
+    part runs here; each part's arithmetic is the same on either thread.
     """
     m, length = rows.shape[0], len(v)
-    dtype = np.result_type(H.dtype, v.dtype, odd_factor)
-    out = np.zeros((m, length), dtype=dtype)
-    if np.iscomplexobj(H.data) or not np.iscomplexobj(v):
+    # each row's length, up to its last nonzero coefficient
+    lengths = (rows.shape[1]
+               - np.argmax(rows[:, ::-1] != 0.0, axis=1)).tolist()
+    split = not np.iscomplexobj(H2.data) and np.iscomplexobj(v)
+    if split:   # sums[p] = (even, odd) sums of part p (real, imaginary)
+        buf = np.zeros((2, m, length), dtype=complex)
+        sums = buf.view(float).reshape(2, 2, m, length)
+        parts = [(x, [(0, rows, s[0]), (1, rows, s[1])])
+                 for x, s in zip((v.real, v.imag), sums) if x.any()]
+    else:
+        dtype = np.result_type(H2.dtype, v.dtype, odd_factor)
+        out = np.zeros((m, length), dtype=dtype)
         parts = [(v.astype(dtype, copy=False),
-                  [(0, rows.astype(dtype, copy=False), out, np.add),
-                   (1, (odd_factor * rows).astype(dtype), out, np.add)])]
-    else:   # out = (E_re + O_im) + i (E_im - O_re), E even sums, O odd
-        re, im = v.real, v.imag
-        acc = np.zeros_like(out) if re.any() and im.any() else out
-        parts = [(x, folds) for x, folds in (
-            (re, [(0, rows, out.real, np.add),
-                  (1, rows, out.imag, np.subtract)]),
-            (im, [(0, rows, acc.imag, np.add), (1, rows, acc.real, np.add)]))
-            if x.any()]
-    jobs = [(H, x, folds,
+                  [(0, rows.astype(dtype, copy=False), out),
+                   (1, (odd_factor * rows).astype(dtype), out)])]
+    jobs = [(H2, x, folds, lengths,
              np.empty((_CHEBYSHEV_CHUNK, length), dtype=x.dtype),
              np.empty((m, min(length, _FOLD_COLUMNS)), dtype=x.dtype))
             for x, folds in parts]
@@ -881,50 +933,66 @@ def _chebyshev_window(H, v, rows, odd_factor, worker=None):
         products = _recurrence(*jobs[0]) + future.result()
     else:
         products = sum(_recurrence(*job) for job in jobs)
-    if len(parts) == 2:
-        out += acc
+    if split:   # out = (E_re + O_im) + i (E_im - O_re)
+        (even_re, odd_re), (even_im, odd_im) = sums
+        even_re += odd_im
+        np.subtract(even_im, odd_re, out=odd_re)
+        out = buf[1]
+        out.real, out.imag = even_re, odd_re
     return out, products
 
 
-def _recurrence(H, x, folds, ring, scratch):
-    """T_k(H) x for every k below the coefficient rows' length, folded.
+def _recurrence(H2, x, folds, lengths, ring, scratch):
+    """T_k(H) x for every k below the longest of lengths, folded.
 
-    Each fold (parity, coef, target, op) applies op (np.add or np.subtract)
-    to target and coef[:, k] T_k(H) x, for every k of that parity.  The
-    vectors T_k(H) x are kept in ring, _CHEBYSHEV_CHUNK at a time, and
-    folded chunk by chunk through scratch.  Returns the number of products
-    with H.
+    Each fold (parity, coef, target) adds coef[j, k] T_k(H) x to target[j]
+    for every k of that parity below lengths[j].  T_k = H2 T_{k-1} -
+    T_{k-2}, with T_1 = 0.5 H2 T_0; the vectors are kept in ring,
+    _CHEBYSHEV_CHUNK at a time, and folded chunk by chunk through scratch.
+    Returns the number of products with H2.
     """
-    n = folds[0][1].shape[1]
+    n = max(lengths)
     for k in range(n):
         c = k % _CHEBYSHEV_CHUNK    # ring[c - 1] is T_{k-1}
         if k == 0:
             ring[0] = x
         elif k == 1:
-            ring[1] = H @ ring[0]
+            np.multiply(H2 @ ring[0], 0.5, out=ring[1])
         else:
-            np.multiply(H @ ring[c - 1], 2.0, out=ring[c])
-            ring[c] -= ring[c - 2]
+            np.subtract(H2 @ ring[c - 1], ring[c - 2], out=ring[c])
         if c == _CHEBYSHEV_CHUNK - 1 or k == n - 1:
             k0 = k - c    # even, since _CHEBYSHEV_CHUNK is
-            for parity, coef, target, op in folds:
-                _fold(coef[:, k0 + parity:k + 1:2], ring[parity:c + 1:2],
-                      target, op, scratch)
+            for parity, coef, target in folds:
+                # row j takes the chunk's first need[j] terms of this
+                # parity; a run of rows with equal need is folded at once
+                first, terms = k0 + parity, (c - parity) // 2 + 1
+                need = [min(max((n_j - first + 1) // 2, 0), terms)
+                        for n_j in lengths]
+                lo = 0
+                for hi in range(1, len(need) + 1):
+                    if hi < len(need) and need[hi] == need[lo]:
+                        continue
+                    q = need[lo]
+                    if q:
+                        _fold(coef[lo:hi, first:first + 2 * q:2],
+                              ring[parity:parity + 2 * q:2], target[lo:hi],
+                              scratch)
+                    lo = hi
     return n - 1
 
 
-def _fold(coef, vectors, target, op, scratch):
-    """target = op(target, coef @ vectors), _FOLD_COLUMNS columns at a time.
+def _fold(coef, vectors, target, scratch):
+    """target += coef @ vectors, _FOLD_COLUMNS columns at a time.
 
     By einsum, not a matrix product: a BLAS call wakes BLAS's thread pool,
     whose threads then spin on the core that the other recurrence needs.
     """
     width = scratch.shape[1]
     for lo in range(0, target.shape[1], width):
-        part = scratch[:, :target.shape[1] - lo]
+        part = scratch[:len(coef), :target.shape[1] - lo]
         np.einsum("jk,kn->jn", coef, vectors[:, lo:lo + width], out=part)
         cols = target[:, lo:lo + width]
-        op(cols, part, out=cols)
+        cols += part
 
 
 def _dot(x, y) -> float:
@@ -960,12 +1028,14 @@ def _worker_allowed(rows: int) -> bool:
 
 
 def _reached_block(M, v):
-    """The block of M that v reaches, scaled into [-1, 1].
+    """The block of M that v reaches, scaled into [-1, 1] and doubled.
 
     The block is the union of the connected components of M's sparsity
-    graph on which v is nonzero; M stays exact on it.  Returns (block, H,
-    center, half) with H = (M[block, block] - center) / half, shifted and
-    scaled by the block's Gershgorin bounds.
+    graph on which v is nonzero; M stays exact on it.  Returns (block, H2,
+    center, half) with H2 = 2 H and H = (M[block, block] - center) / half,
+    shifted and scaled by the block's Gershgorin bounds.  The factor 2 of
+    the Chebyshev recurrence is taken here once; it is exact in binary
+    floating point, so H2 @ x is exactly 2 (H @ x).
     """
     # imported here, not at the top: it adds about 5% to importing kmslab
     from scipy.sparse.csgraph import connected_components
@@ -980,9 +1050,10 @@ def _reached_block(M, v):
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     if half == 0.0:   # B is a multiple of the identity
         half = 1.0
-    H = (B - center * sp.identity(B.shape[0], format="csr")).tocsr()
-    H.data /= half
-    return block, H, float(center), float(half)
+    H2 = (B - center * sp.identity(B.shape[0], format="csr")).tocsr()
+    H2.data /= half
+    H2.data *= 2.0
+    return block, H2, float(center), float(half)
 
 
 def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
@@ -999,6 +1070,10 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     scaled block from its start, at most _WINDOW_OUTPUTS = 8 of them; a grid
     time farther than that from the last one (from 0 for the first, which
     may lie before it) is reached in equal sub-steps of at most 90 radians.
+    The recurrence runs to the longest of the window's coefficient rows, and
+    each output takes only the terms up to its own row's cut (see
+    _chebyshev_rows); the rows of each distinct set of window offsets are
+    built once per call.
 
     A real block acts on the real and imaginary parts of the state as two
     real recurrences; on a large block, when two CPUs are allowed (see
@@ -1007,12 +1082,16 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     since one would wake BLAS's spinning thread pool.  Besides L, only the
     scaled block is kept.  Beyond its input and a _WINDOW_OUTPUTS x
     _FOLD_COLUMNS scratch for each recurrence, a window holds two rings of
-    _CHEBYSHEV_CHUNK real vectors of the block's length, the output and the
-    imaginary part's sums (2 * _WINDOW_OUTPUTS each) and a product in flight
-    for each recurrence: 50 vectors.  The coefficients and the bookkeeping
-    do not grow with the block, and for a block of a few thousand rows the
-    whole stays below 2 * _CHEBYSHEV_CHUNK + 4 * _WINDOW_OUTPUTS + 3 (51)
-    vectors; that is less than building the block takes.
+    _CHEBYSHEV_CHUNK real vectors of the block's length, the even and odd
+    sums of both parts (4 * _WINDOW_OUTPUTS real vectors, in the memory of
+    two complex arrays of the output's shape, the second of which becomes
+    the output) and a product in flight for each recurrence: 50 vectors.
+    The state carried to the next window is a copy, so one window's sums
+    are freed before the next window's are made.  The coefficients and the
+    bookkeeping do not grow with the block, and for a block of a few
+    thousand rows the whole stays below 2 * _CHEBYSHEV_CHUNK + 4 *
+    _WINDOW_OUTPUTS + 3 (51) vectors; that is less than building the block
+    takes.
 
     Each state, as a full-space vector, is stored in ``states``, or, when
     ``observe`` is given, only ``observe(state)`` is.  Norm and
@@ -1027,27 +1106,30 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     psi0 = np.asarray(psi0)
     if abs(math.sqrt(_norm2(psi0)) - 1.0) > 1e-10:
         raise ValidationError("initial vector must be normalized")
-    block, H, center, half = _reached_block(L.matrix, psi0)
+    block, H2, center, half = _reached_block(L.matrix, psi0)
     matvecs = 0
+    rows = {}   # the coefficient rows of each distinct set of offsets
 
     def energy(psi):
-        """<psi, B psi> = center |psi|^2 + half <psi, H psi>."""
+        """<psi, B psi> = center |psi|^2 + half <psi, H2 psi> / 2."""
         nonlocal matvecs
-        if np.iscomplexobj(H.data):
+        if np.iscomplexobj(H2.data):
             matvecs += 1
-            h = H @ psi
+            h = H2 @ psi
             h_re, h_im = h.real, h.imag
-        else:   # for a real symmetric H, in two real products
+        else:   # for a real symmetric H2, in two real products
             matvecs += 2
-            h_re, h_im = H @ psi.real, H @ psi.imag
+            h_re, h_im = H2 @ psi.real, H2 @ psi.imag
         return (center * _norm2(psi)
-                + half * (_dot(psi.real, h_re) + _dot(psi.imag, h_im)))
+                + 0.5 * half * (_dot(psi.real, h_re) + _dot(psi.imag, h_im)))
 
     def advance(psi, dts):
         """The states e^{-i B dt} psi, one row for each dt in dts."""
         nonlocal matvecs
-        out, products = _chebyshev_window(H, psi, _chebyshev_rows(half * dts),
-                                          -1j, worker)
+        key = dts.tobytes()
+        if key not in rows:
+            rows[key] = _chebyshev_rows(half * dts)
+        out, products = _chebyshev_window(H2, psi, rows[key], -1j, worker)
         matvecs += products
         out *= np.exp(-1j * center * dts)[:, None]
         return out
@@ -1057,7 +1139,7 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     norm_drift = 0.0
     energy_drift = 0.0
     start, i = 0.0, 0
-    if not np.iscomplexobj(H.data) and _worker_allowed(len(block)):
+    if not np.iscomplexobj(H2.data) and _worker_allowed(len(block)):
         # imported here, not at the top: it adds 2% to importing kmslab
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(max_workers=1)
@@ -1098,7 +1180,9 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
                     states = np.empty((len(tgrid),) + np.shape(record),
                                       dtype=np.result_type(record))
                 states[i] = record
-            start, i = tgrid[i], i + 1
+            # a copy, which frees the window's sums before the next
+            # window allocates its own
+            start, i, psi = tgrid[i], i + 1, psi.copy()
     return EvolutionResult(times=tgrid, states=states, norm_drift=norm_drift,
                            energy_drift=energy_drift, matvecs=matvecs)
 

@@ -78,8 +78,11 @@ def gl_panels(edges, n):
 
 def default_qgrid(beta=1.0, n=2048):
     """Default radial momentum grid: geometric on [1e-4/beta, 40/beta]."""
-    if beta <= 0:
-        raise ValidationError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValidationError(
+            "beta must be positive and finite for the default momentum grid: "
+            "it spans [1e-4/beta, 40/beta] about the thermal scale 1/beta, "
+            "which collapses to 0 at beta = inf; got %s" % beta)
     return geometric_grid(1e-4 / beta, 40.0 / beta, n)
 
 

@@ -284,6 +284,27 @@ def test_non_numeric_config_value_rejected(tmp_path, monkeypatch, capsys,
     assert "[%s] %s" % (section, key) in capsys.readouterr().err
 
 
+# the vacuum (beta = inf) passes the parser, but these commands need a
+# thermal state: rte-evolve overflowed and rte-spectrum met a singular factor
+@pytest.mark.parametrize("command", ["rte-evolve", "rte-spectrum"])
+def test_liouville_commands_reject_the_vacuum(tmp_path, monkeypatch, capsys,
+                                              command):
+    monkeypatch.setenv("KMSLAB_GLOBAL_BETA", "inf")
+    assert cli.main(["--out", str(tmp_path / "run"), command]) == 2
+    err = capsys.readouterr().err
+    assert "[global] beta" in err and "positive and finite" in err
+
+
+@pytest.mark.parametrize("command", ["formfactor", "kms-check", "mixing"])
+def test_default_grid_commands_reject_the_vacuum(tmp_path, monkeypatch,
+                                                 capsys, command):
+    monkeypatch.setenv("KMSLAB_GLOBAL_BETA", "inf")
+    assert cli.main(["--out", str(tmp_path / "run"), command]) == 2
+    err = capsys.readouterr().err
+    assert "beta must be positive and finite for the default momentum" in err
+    assert "collapses to 0 at beta = inf" in err
+
+
 def test_initial_choices_are_the_table_names():
     from kmslab.liouville import INITIAL_STATES
     parse = cli._SCHEMA["liouville"]["initial"][1]

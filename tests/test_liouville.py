@@ -104,6 +104,13 @@ def test_discretization_validation():
     with pytest.raises(ValidationError):
         lv.ReservoirDiscretization(np.array([1.0, 1.0]), np.full(2, 0.1),
                                    np.full(2, 0.1), beta=1.0)
+    # every mode family samples a thermal form factor
+    for build, args in ((lv.paired_modes, {}), (lv.jittered_modes,
+                                                {"seed": 0}),
+                        (lv.resonant_shell_modes, {"gap": 1.0, "seed": 0})):
+        for beta in (math.inf, 0.0, math.nan):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                build(beta, **args)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +394,9 @@ def test_perturbed_vector_is_normalized_and_close():
     omega = lv.perturbed_kms_vector(L0, I_mat, 0.05, 1.0)
     assert np.linalg.norm(omega) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(omega - omega0) < 0.2
+    for beta in (math.inf, 0.0):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            lv.perturbed_kms_vector(L0, I_mat, 0.05, beta)
 
 
 @pytest.mark.parametrize("zeta", [math.pi, math.pi / 2])
@@ -684,25 +694,75 @@ def test_evolution_windows_stay_within_span(monkeypatch):
         assert np.max(np.abs(state - sla.expm(-1j * t * M) @ psi0)) < 1e-12
 
 
+def _exact_row(x, count, decay):
+    """The first count coefficients of a _chebyshev_rows row, from Bessel
+    values to 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        if decay:   # 2 (-1)^k I_k(x)
+            vals = [(-1) ** k * mpmath.besseli(k, x) for k in range(count)]
+        else:       # 2 (-i)^k J_k(x) with the odd terms multiplied by i
+            vals = [(-1) ** (k // 2) * mpmath.besselj(k, x)
+                    for k in range(count)]
+        row = np.array([float(2 * v) for v in vals])
+    row[0] /= 2.0
+    return row
+
+
 def test_chebyshev_rows_match_bessel_expansions():
+    # scipy's jv misses J_82(80.5) by 1.6e-15, so the reference is mpmath
     from scipy.special import iv, jv
-    xs = np.array([0.5, 10.0, 80.5])
-    rows = lv._chebyshev_rows(xs)
-    k = np.arange(rows.shape[1])
-    # 2 (-i)^k J_k(x), J_0 without the 2, odd terms multiplied by i
-    weight = np.where(k == 0, 1.0, 2.0) * np.where(k % 2, 1j, 1.0)
-    for x, row in zip(xs, rows):
-        expected = weight * (-1j) ** k * jv(k, x)
-        assert np.max(np.abs(expected.imag)) < 1e-15
-        assert np.max(np.abs(row - expected.real)) < 1e-13
-    assert 2.0 * abs(jv(rows.shape[1], xs[-1])) < 1e-16   # first term cut
-    # e^{-x t}: 2 (-1)^k I_k(x), good to 1e-13 relative to e^x
-    for x in (0.5, 10.0):
-        row = lv._chebyshev_rows([x], decay=True)[0]
-        k = np.arange(len(row))
-        expected = np.where(k == 0, 1.0, 2.0) * (-1.0) ** k * iv(k, x)
-        assert np.max(np.abs(row - expected)) < 1e-13 * math.exp(x)
-        assert 2.0 * iv(len(row), x) < 1e-16 * math.exp(x)
+    xs = np.array([-3.0, 0.0, 0.5, 10.0, 80.5, 90.0])
+    for decay in (False, True):
+        rows = lv._chebyshev_rows(xs, decay=decay)
+        lengths = [int(np.nonzero(row)[0][-1]) + 1 for row in rows]
+        assert rows.shape[1] == max(lengths)
+        for x, row, n in zip(xs, rows, lengths):
+            scale = math.exp(abs(x)) if decay else 1.0
+            # the a-priori bound covers every term from this one on
+            bound = lv._a_priori_length(abs(x), decay)
+            exact = _exact_row(x, max(bound, rows.shape[1]), decay)
+            assert np.max(np.abs(row - exact[:len(row)])) < 1e-15 * scale
+            # cut after the last coefficient above 1e-16, exactly
+            assert abs(row[n - 1]) >= 1e-16 * scale
+            assert np.max(np.abs(exact[n:]), initial=0.0) < 1e-16 * scale
+            k = np.arange(n)    # and scipy agrees to 1e-13 relative to scale
+            ref = iv(k, x) * (-1.0) ** k if decay else \
+                jv(k, x) * np.where((k // 2) % 2, -1.0, 1.0)
+            ref[1:] *= 2.0
+            assert np.max(np.abs(row[:n] - ref)) < 1e-13 * scale
+
+
+def test_window_folds_each_row_to_its_own_cut(monkeypatch):
+    space, L = _dense_check_operator(math.pi)
+    psi0 = _spread_state(space)
+    block, H2, center, half = lv._reached_block(L.matrix, psi0)
+    offsets = np.array([0.5, 2.0, 9.0, 4.0, 30.0])
+    rows = lv._chebyshev_rows(offsets)
+    lengths = [int(np.nonzero(row)[0][-1]) + 1 for row in rows]
+    assert len(set(lengths)) == 5 and rows.shape[1] == max(lengths)
+    folded = []
+    fold = lv._fold
+
+    def recording(coef, vectors, target, scratch):
+        folded.append(coef.copy())
+        return fold(coef, vectors, target, scratch)
+
+    monkeypatch.setattr(lv, "_fold", recording)
+    v = psi0[block]
+    # row j is e^{-i x_j H} applied to x, H = (B - center) / half
+    B = L.matrix.toarray()[np.ix_(block, block)] - center * np.eye(len(v))
+    for x, parts in ((v.real.astype(complex), 1), (v, 2)):
+        folded.clear()
+        out, products = lv._chebyshev_window(H2, x, rows, -1j)
+        # one product fewer than the longest row for each nonzero part
+        assert products == parts * (max(lengths) - 1)
+        # every row-term once, and none with a zero coefficient
+        assert sum(c.size for c in folded) == parts * sum(lengths)
+        assert all(np.all(c != 0.0) for c in folded)
+        for dt, state in zip(offsets / half, out):
+            exact = sla.expm(-1j * dt * B) @ x
+            assert np.max(np.abs(state - exact)) < 1e-12
 
 
 def test_evolution_counts_its_products():
