@@ -35,10 +35,12 @@ __all__ = [
 
 def hermitian_2x2(matrix, name):
     """The 2x2 matrix as a complex array; ValidationError naming it unless
-    it is Hermitian to 1e-12."""
+    its entries are finite and it is Hermitian to 1e-12."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (2, 2):
         raise ValidationError("%s must be 2x2" % name)
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError("%s must have finite entries" % name)
     if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
         raise ValidationError("%s must be Hermitian" % name)
     return matrix

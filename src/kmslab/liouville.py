@@ -20,7 +20,7 @@ import math
 import os
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -162,6 +162,11 @@ class ReservoirDiscretization:
         return 4.0 * math.pi * abs(val) ** 2
 
     def recurrence_time(self) -> float:
+        """2 pi over the smallest spacing of the mode frequencies; fewer
+        than two modes raise ValidationError."""
+        if self.n_modes < 2:
+            raise ValidationError("a recurrence time needs at least two "
+                                  "modes, got %d" % self.n_modes)
         spacing = float(np.min(np.diff(np.sort(self.s))))
         return 2.0 * math.pi / spacing
 
@@ -358,30 +363,31 @@ class TruncatedFock:
         return out.tocsr()
 
 
-def _hermiticity_defect(M) -> float:
-    D = M - M.conj().T
-    if D.data.size == 0:
-        return 0.0
-    return float(np.max(np.abs(D.data)))
-
-
 def _check_hermitian(M, label: str):
-    defect = _hermiticity_defect(M)
-    if defect >= _HERMITICITY_TOL:
+    D = M - M.conj().T
+    defect = float(np.max(np.abs(D.data))) if D.data.size else 0.0
+    if not defect < _HERMITICITY_TOL:
         raise StructuralError(
             "%s is not Hermitian: max entry defect %s" % (label, fmt17(defect)))
 
 
 @dataclass
 class LiouvilleanOperator:
-    """Assembled generator with tagged parts for introspection."""
+    """The generator L0 + lam V and the factors it is built from.
+
+    ``matrix`` is the generator itself and ``dim`` its dimension.  ``I`` is
+    the interaction G x 1 x Phi(f) and ``V`` = I - JIJ; both are None for
+    the free generator of assemble_L0.  L0 is not stored: it is the
+    diagonal space.free_energies(gap).
+    """
 
     matrix: sp.csr_matrix
-    parts: dict
     lam: float
     beta: float
     gap: float
     space: TruncatedFock
+    I: sp.csr_matrix | None = None
+    V: sp.csr_matrix | None = None
 
     @property
     def dim(self) -> int:
@@ -392,10 +398,12 @@ class LiouvilleanOperator:
         return float(spla.norm(self.matrix, np.inf))
 
     def with_lambda(self, lam: float) -> "LiouvilleanOperator":
-        mat = self.parts["L0"] + lam * self.parts["V"]
-        return LiouvilleanOperator(matrix=mat.tocsr(), parts=self.parts,
-                                   lam=float(lam), beta=self.beta,
-                                   gap=self.gap, space=self.space)
+        """The same factors at coupling lam; a non-finite lam raises
+        ValidationError."""
+        if not math.isfinite(lam):
+            raise ValidationError("coupling lam must be finite, got %s" % lam)
+        mat = sp.diags(self.space.free_energies(self.gap)) + lam * self.V
+        return replace(self, matrix=mat.tocsr(), lam=float(lam))
 
 
 def detector_gibbs_vector(E: float, beta: float) -> np.ndarray:
@@ -437,6 +445,8 @@ def one_boson_initial(space: TruncatedFock, detector_vec: np.ndarray,
     prof = np.asarray(mode_profile, dtype=complex)
     if prof.shape != (space.disc.n_modes,):
         raise ValidationError("mode profile length must match the mode count")
+    if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(prof))):
+        raise ValidationError("detector vector and mode profile must be finite")
     nrm = np.linalg.norm(prof)
     if nrm == 0:
         raise ValidationError("mode profile must be nonzero")
@@ -469,9 +479,8 @@ def assemble_L0(space: TruncatedFock, E: float) -> LiouvilleanOperator:
         warnings.warn(
             "resonant mode grid: %d reservoir sums collide with {0, +-E}: %s%s"
             % (len(collisions), listing, more), ResonanceWarning, stacklevel=2)
-    mat = sp.diags(diag).tocsr()
-    return LiouvilleanOperator(matrix=mat, parts={}, lam=0.0,
-                               beta=space.disc.beta, gap=E, space=space)
+    return LiouvilleanOperator(matrix=sp.diags(diag).tocsr(), lam=0.0,
+                               beta=space.disc.beta, gap=float(E), space=space)
 
 
 def assemble_coupling(space: TruncatedFock, G: np.ndarray):
@@ -480,8 +489,20 @@ def assemble_coupling(space: TruncatedFock, G: np.ndarray):
     The conjugate is taken in closed form: 1 x conj(G) x Phi(e^{-beta s/2} f),
     which uses the detailed-balance property of the glued amplitudes and
     avoids constructing J.
+
+    Hermiticity is checked only where outside data comes in: G must pass
+    hermitian_2x2 and is replaced by its exact Hermitian part (G + G^H)/2,
+    which changes no bit of an exactly Hermitian G, and each Phi (of
+    reservoir dimension) is checked once, raising StructuralError "I is
+    not Hermitian" or "JIJ is not Hermitian".  Every later step keeps
+    exact Hermiticity in IEEE arithmetic: mirrored entries of a Kronecker
+    product are products of conjugate factors, mirrored entries of a
+    difference are differences of conjugates, and L0 + lam V adds a real
+    diagonal.  So I, V and every generator built from them are exactly
+    Hermitian without a check over the full dimension.
     """
     G = hermitian_2x2(G, "monopole matrix")
+    G = (G + G.conj().T) / 2.0
     if np.max(np.abs(G.imag)) == 0.0:
         G = G.real
     disc = space.disc
@@ -489,29 +510,22 @@ def assemble_coupling(space: TruncatedFock, G: np.ndarray):
     # each factor, and the raising table behind Phi, is released before the
     # next is built: at large truncations they set the peak memory of a run
     Phi = space.field_matrix(disc.f)
+    _check_hermitian(Phi, "I")
     I_mat = sp.kron(sp.kron(Gs, I2, format="csr"), Phi, format="csr")
     del Phi
-    _check_hermitian(I_mat, "I")
     Phi = space.field_matrix(np.exp(-disc.beta * disc.s / 2.0) * disc.f)
+    _check_hermitian(Phi, "JIJ")
     JIJ = sp.kron(sp.kron(I2, Gs.conj(), format="csr"), Phi, format="csr")
     del Phi
-    _check_hermitian(JIJ, "JIJ")
-    V = (I_mat - JIJ).tocsr()
-    del JIJ
-    _check_hermitian(V, "V")
-    return I_mat, V
+    return I_mat, (I_mat - JIJ).tocsr()
 
 
 def assemble_liouvillean(space: TruncatedFock, E: float, G: np.ndarray,
                          lam: float) -> LiouvilleanOperator:
-    """Full coupled generator L0 + lam*(I - JIJ) with parts tagged."""
+    """Full coupled generator L0 + lam*(I - JIJ), holding I and V."""
     L0 = assemble_L0(space, E)
     I_mat, V = assemble_coupling(space, G)
-    mat = (L0.matrix + lam * V).tocsr()
-    _check_hermitian(mat, "L")
-    parts = {"L0": L0.matrix, "I": I_mat, "V": V}
-    return LiouvilleanOperator(matrix=mat, parts=parts, lam=float(lam),
-                               beta=space.disc.beta, gap=float(E), space=space)
+    return replace(L0, I=I_mat, V=V).with_lambda(lam)
 
 
 class ModularConjugation:
@@ -563,17 +577,21 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
     against two-half-step consistency check guards the expansion: the two
     half steps take twice as many sub-steps of half the length.
     Disagreement raises a numerical error carrying the residual; beta must
-    be positive and finite.
+    be positive and finite, and lam finite.  Of its first argument only
+    ``space`` and ``gap`` are read: L0 is their diagonal free_energies, so
+    any operator on the space, free or coupled, may be passed.
     """
     if not 0.0 < beta < math.inf:
         raise ValidationError("beta must be positive and finite, got %s"
                               % beta)
+    if not math.isfinite(lam):
+        raise ValidationError("coupling lam must be finite, got %s" % lam)
     space = L0.space
     omega0 = gns_vacuum(space, L0.gap, beta)
     if lam == 0.0:
         return omega0.copy()
-    block, H2, _, half = _reached_block((L0.matrix + lam * I_mat).tocsr(),
-                                        omega0)
+    block, H2, _, half = _reached_block(
+        (sp.diags(space.free_energies(L0.gap)) + lam * I_mat).tocsr(), omega0)
     x = beta * half / 2.0
     n_sub = max(1, math.ceil(x / _DECAY_SPAN))
 
@@ -591,11 +609,11 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
     if scale == 0.0 or not np.all(np.isfinite(full)):
         raise NumericalError("exponential action diverged")
     residual = math.sqrt(_norm2(full - twice)) / scale
-    if residual > consistency_tol:
+    if not residual <= consistency_tol:
         raise NumericalError(
             "exponential action failed to converge: half-step residual %s"
             % fmt17(residual))
-    omega = np.zeros(L0.dim, dtype=full.dtype)
+    omega = np.zeros(space.dim, dtype=full.dtype)
     omega[block] = full / scale
     return omega
 
@@ -750,13 +768,13 @@ def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
     reports = [spectrum_scan(base.with_lambda(lam), theta=theta)
                for lam in lambdas]
     theta_used = float(reports[-1].theta)
-    d0 = base.parts["L0"].diagonal()
+    d0 = space.free_energies(E)
     kernel = np.abs(d0) < theta_used
     gaps = []
     for rep in reports:
         weight = np.linalg.norm(rep.eigenvectors[kernel, 1:], axis=0)
         gaps.append(float(abs(rep.eigenvalues[1 + np.argmax(weight)])))
-    VK = base.parts["V"][:, np.nonzero(kernel)[0]]
+    VK = base.V[:, np.nonzero(kernel)[0]]
     pinv = np.zeros_like(d0)
     pinv[~kernel] = 1.0 / d0[~kernel]
     M = -(VK.conj().T @ (sp.diags(pinv) @ VK)).toarray()
@@ -1035,7 +1053,8 @@ def _reached_block(M, v):
     center, half) with H2 = 2 H and H = (M[block, block] - center) / half,
     shifted and scaled by the block's Gershgorin bounds.  The factor 2 of
     the Chebyshev recurrence is taken here once; it is exact in binary
-    floating point, so H2 @ x is exactly 2 (H @ x).
+    floating point, so H2 @ x is exactly 2 (H @ x).  A non-finite entry
+    in the block raises NumericalError.
     """
     # imported here, not at the top: it adds about 5% to importing kmslab
     from scipy.sparse.csgraph import connected_components
@@ -1047,6 +1066,8 @@ def _reached_block(M, v):
     diag = B.diagonal().real
     radius = np.asarray(abs(B).sum(axis=1)).ravel() - np.abs(diag)
     hi, lo = np.max(diag + radius), np.min(diag - radius)
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise NumericalError("the reached block has a non-finite entry")
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     if half == 0.0:   # B is a multiple of the identity
         half = 1.0
@@ -1096,7 +1117,9 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     Each state, as a full-space vector, is stored in ``states``, or, when
     ``observe`` is given, only ``observe(state)`` is.  Norm and
     energy-expectation drift are checked at every grid time and must stay
-    below 1e-10, otherwise a numerical error reports the failing step.
+    below 1e-10, otherwise (a non-finite state included) a numerical error
+    reports the failing step.  A psi0 that is not finite and normalized
+    raises ValidationError.
     ``matvecs`` counts every product with the block, the drift checks'
     included.
     """
@@ -1104,8 +1127,8 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     if len(tgrid) == 0 or np.any(np.diff(tgrid) <= 0):
         raise ValidationError("time grid must be nonempty and increasing")
     psi0 = np.asarray(psi0)
-    if abs(math.sqrt(_norm2(psi0)) - 1.0) > 1e-10:
-        raise ValidationError("initial vector must be normalized")
+    if not abs(math.sqrt(_norm2(psi0)) - 1.0) <= 1e-10:
+        raise ValidationError("initial vector must be finite and normalized")
     block, H2, center, half = _reached_block(L.matrix, psi0)
     matvecs = 0
     rows = {}   # the coefficient rows of each distinct set of offsets
@@ -1165,11 +1188,11 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
                 ed = abs(energy(psi) - e0)
                 norm_drift = max(norm_drift, nd)
                 energy_drift = max(energy_drift, ed)
-                if nd > 1e-10:
+                if not nd <= 1e-10:
                     raise NumericalError(
                         "propagation norm drift %s at step %d (t=%s)"
                         % (fmt17(nd), i, fmt17(t)))
-                if ed > 1e-10 * max(abs(e0), 1.0):
+                if not ed <= 1e-10 * max(abs(e0), 1.0):
                     raise NumericalError(
                         "generator expectation drift %s at step %d (t=%s)"
                         % (fmt17(ed), i, fmt17(t)))
@@ -1231,14 +1254,12 @@ class RTEReport:
 
 
 def _dressed_reference(L: LiouvilleanOperator) -> np.ndarray:
-    """Reduced perturbed KMS state at L's coupling, from its L0 and I parts."""
-    if "I" not in L.parts:
+    """Reduced perturbed KMS state at L's coupling, from its I."""
+    if L.I is None:
         raise ValidationError(
             "operator lacks an interaction part; pass a reference state")
-    L0 = LiouvilleanOperator(matrix=L.parts["L0"], parts=L.parts, lam=0.0,
-                             beta=L.beta, gap=L.gap, space=L.space)
-    return reduce_detector(
-        perturbed_kms_vector(L0, L.parts["I"], L.lam, L.beta), L.space)
+    return reduce_detector(perturbed_kms_vector(L, L.I, L.lam, L.beta),
+                           L.space)
 
 
 def rte_distance_series(L: LiouvilleanOperator, initial: np.ndarray,

@@ -229,7 +229,7 @@ def test_criterion_10_return_to_equilibrium():
         details.append("%s@t=%s" % (name, "none" if rep.crossing_time is None
                                     else "%.1f" % rep.crossing_time))
     L0 = L.with_lambda(0.0)
-    omega = lv.perturbed_kms_vector(L0, L.parts["I"], lam, 1.0)
+    omega = lv.perturbed_kms_vector(L0, L.I, lam, 1.0)
     stationary = lv.product_initial(space, lv.reduce_detector(omega, space))
     rep = lv.rte_distance_series(L, stationary, tgrid)
     drift = float(np.max(rep.distances[rep.times < t_rec]))

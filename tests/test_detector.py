@@ -29,6 +29,13 @@ def test_detector_spec_validation():
     assert np.array_equal(diag.monopole, np.diag([1.0, -1.0]))
 
 
+def test_detector_spec_rejects_a_nonfinite_monopole():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="monopole matrix must have "
+                                                  "finite entries"):
+            DetectorSpec(1.0, monopole=np.array([[0.0, bad], [bad, 0.0]]))
+
+
 def test_trajectory_positions():
     tau = 0.8
     t, x = Trajectory.rest().position(tau)[:2]

@@ -32,6 +32,10 @@ def _small_paired(n_side=4, n_tot=2, beta=1.0, amplitude=0.5):
     return disc, lv.TruncatedFock(disc, n_tot_max=n_tot)
 
 
+def _exactly_hermitian(M):
+    return not np.any((M - M.conj().T).data)
+
+
 def _empty_space(beta=1.0):
     disc = lv.ReservoirDiscretization(np.array([]), np.array([]),
                                       np.array([]), beta=beta)
@@ -90,6 +94,14 @@ def test_recurrence_time_minimal_spacing():
                                       np.full(4, 0.1), np.full(4, 0.3),
                                       beta=1.0)
     assert disc.recurrence_time() == pytest.approx(2.0 * math.pi / 0.25, rel=1e-12)
+
+
+def test_recurrence_time_needs_two_modes():
+    disc = lv.ReservoirDiscretization(np.array([0.8]), np.array([1.0]),
+                                      np.array([0.37]), beta=1.0)
+    for call in (disc.recurrence_time, lambda: lv.fgr_window(disc, 1.0)):
+        with pytest.raises(ValidationError, match="at least two modes"):
+            call()
 
 
 def test_spectral_density_positive():
@@ -235,7 +247,7 @@ def test_single_mode_field_block():
 def test_field_matrix_hermitian():
     disc, space = _small_paired()
     phi = space.field_matrix(disc.f)
-    assert lv._hermiticity_defect(phi) < 1e-13
+    assert _exactly_hermitian(phi)
     # one amplitude zero: same values and pattern as the sum of ladders
     a = disc.f.copy()
     a[1] = 0.0
@@ -296,17 +308,48 @@ def test_jittered_grid_no_resonance_warning():
 
 
 def test_coupling_hermitian_and_vanishing_at_equilibrium():
+    for zeta in (math.pi, math.pi / 2):
+        disc = lv.paired_modes(1.0, n_side=4, amplitude=0.5, zeta=zeta)
+        space = lv.TruncatedFock(disc, n_tot_max=2)
+        I_mat, V = lv.assemble_coupling(space, OFFDIAG)
+        omega = lv.gns_vacuum(space, 1.0, 1.0)
+        assert abs(np.vdot(omega, V @ omega)) < 1e-14
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResonanceWarning)
+            L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.25)
+        for M in (I_mat, V, L.matrix):
+            assert _exactly_hermitian(M)
+            assert M.nnz == np.count_nonzero(M.data)    # no stored zeros
+
+
+@pytest.mark.parametrize("call, label", [(0, "I"), (1, "JIJ")])
+@pytest.mark.parametrize("defect", [1.0 + 1e-9, math.nan])
+def test_coupling_checks_each_field_where_it_enters(monkeypatch, call, label,
+                                                    defect):
     _, space = _small_paired()
-    I_mat, V = lv.assemble_coupling(space, OFFDIAG)
-    assert lv._hermiticity_defect(I_mat) < 1e-13
-    assert lv._hermiticity_defect(V) < 1e-13
-    omega = lv.gns_vacuum(space, 1.0, 1.0)
-    assert abs(np.vdot(omega, V @ omega)) < 1e-14
+    built = []
+
+    def perturbed(amplitudes):
+        phi = lv.TruncatedFock.field_matrix(space, amplitudes)
+        if len(built) == call:
+            phi.data[np.argmax(np.abs(phi.data))] *= defect
+        built.append(phi)
+        return phi
+
+    monkeypatch.setattr(space, "field_matrix", perturbed)
+    with pytest.raises(StructuralError, match="^%s is not Hermitian" % label):
+        lv.assemble_coupling(space, OFFDIAG)
+
+
+def test_nearly_hermitian_monopole_gives_an_exactly_hermitian_generator():
+    # passes hermitian_2x2, which allows 1e-12; its Hermitian part is used
+    G = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+    _, space = _small_paired()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)
-        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.25)
-    for M in (I_mat, V, L.matrix):
-        assert M.nnz == np.count_nonzero(M.data)    # no stored zeros
+        L = lv.assemble_liouvillean(space, 1.0, G, 0.25)
+    for M in (L.I, L.V, L.matrix):
+        assert _exactly_hermitian(M)
 
 
 def test_coupling_rejects_a_field_without_its_adjoint(monkeypatch):
@@ -324,16 +367,42 @@ def test_coupling_rejects_nonhermitian_monopole():
         lv.assemble_coupling(space, np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+def test_coupling_rejects_a_nonfinite_monopole():
+    _, space = _small_paired()
+    G = np.array([[0.0, math.nan], [math.nan, 0.0]])
+    with pytest.raises(ValidationError, match="monopole matrix must have "
+                                              "finite entries"):
+        lv.assemble_coupling(space, G)
+
+
+def test_nonfinite_coupling_is_rejected():
+    _, space = _small_paired()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.25)
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="lam must be finite"):
+                L.with_lambda(lam)
+            with pytest.raises(ValidationError, match="lam must be finite"):
+                lv.assemble_liouvillean(space, 1.0, OFFDIAG, lam)
+            with pytest.raises(ValidationError, match="lam must be finite"):
+                lv.perturbed_kms_vector(L, L.I, lam, 1.0)
+        with pytest.raises(ValidationError, match="lam must be finite"):
+            lv.kernel_splitting_sweep(space, 1.0, OFFDIAG, [0.1, math.nan])
+
+
 def test_liouvillean_parts_and_lambda_rescale():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)
         _, space = _small_paired()
         L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.25)
-        direct = (L.parts["L0"] + 0.25 * L.parts["V"]).toarray()
+        L0 = sp.diags(space.free_energies(1.0))
+        assert L.I is not None and L.lam == 0.25
+        direct = (L0 + 0.25 * L.V).toarray()
         assert np.max(np.abs(L.matrix.toarray() - direct)) < 1e-14
         other = L.with_lambda(0.5)
         assert other.lam == 0.5
-        expect = (L.parts["L0"] + 0.5 * L.parts["V"]).toarray()
+        expect = (L0 + 0.5 * L.V).toarray()
         assert np.max(np.abs(other.matrix.toarray() - expect)) < 1e-14
 
 
@@ -403,13 +472,13 @@ def test_perturbed_vector_is_normalized_and_close():
 def test_perturbed_vector_matches_dense_exponential(zeta):
     space, L = _dense_check_operator(zeta)
     L0 = L.with_lambda(0.0)
-    omega = lv.perturbed_kms_vector(L0, L.parts["I"], 0.3, 1.0)
-    A = (L0.matrix + 0.3 * L.parts["I"]).toarray()
+    omega = lv.perturbed_kms_vector(L0, L.I, 0.3, 1.0)
+    A = (L0.matrix + 0.3 * L.I).toarray()
     exact = sla.expm(-0.5 * A) @ lv.gns_vacuum(space, 1.0, 1.0)
     exact /= np.linalg.norm(exact)
     assert np.max(np.abs(omega - exact)) < 1e-12
     with pytest.raises(NumericalError, match="half-step residual"):
-        lv.perturbed_kms_vector(L0, L.parts["I"], 0.3, 1.0,
+        lv.perturbed_kms_vector(L0, L.I, 0.3, 1.0,
                                 consistency_tol=0.0)
 
 
@@ -423,11 +492,11 @@ def test_perturbed_vector_accurate_at_large_beta(beta):
         space = lv.TruncatedFock(disc, n_tot_max=2)
         L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
     L0 = L.with_lambda(0.0)
-    A = (L0.matrix + 0.3 * L.parts["I"]).tocsc()
+    A = (L0.matrix + 0.3 * L.I).tocsc()
     omega0 = lv.gns_vacuum(space, 1.0, beta)
     _, _, _, half = lv._reached_block(A.tocsr(), omega0)
     assert beta * half / 2.0 > 20.0
-    omega = lv.perturbed_kms_vector(L0, L.parts["I"], 0.3, beta,
+    omega = lv.perturbed_kms_vector(L0, L.I, 0.3, beta,
                                     consistency_tol=1e-13)
     # scipy's Taylor action in short steps, exact here to 2e-16
     exact = spla.expm_multiply(-(beta / 2.0) * A, omega0)
@@ -519,7 +588,7 @@ def test_shift_invert_matches_dense_oracle():
 
 def test_shift_invert_rejects_tiny_operator():
     tiny = lv.LiouvilleanOperator(
-        matrix=sp.csr_matrix(np.diag([0.0, 1.0])), parts={}, lam=0.0,
+        matrix=sp.csr_matrix(np.diag([0.0, 1.0])), lam=0.0,
         beta=1.0, gap=1.0, space=None)
     with pytest.raises(ValidationError, match="shift-invert"):
         lv.spectrum_scan(tiny)
@@ -634,6 +703,41 @@ def test_equilibrium_vector_is_stationary():
     result = lv.evolve(L0, omega.astype(complex), [1.0, 3.0])
     for state in result.states:
         assert np.max(np.abs(state - omega)) < 1e-12
+
+
+def _excited_run():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        _, space = _small_paired()
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.2)
+    return L, lv.product_initial(space, np.diag([1.0, 0.0]))
+
+
+def test_evolve_rejects_a_nonfinite_initial_vector():
+    L, _ = _excited_run()
+    with pytest.raises(ValidationError, match="finite and normalized"):
+        lv.evolve(L, np.full(L.dim, math.nan), [1.0])
+
+
+def test_evolve_rejects_a_nonfinite_block():
+    L, psi0 = _excited_run()
+    broken = L.matrix.copy()
+    broken.data[0] = math.nan    # in row 0, the excited ++ vacuum
+    with pytest.raises(NumericalError, match="non-finite entry"):
+        lv.evolve(dataclasses.replace(L, matrix=broken), psi0, [1.0])
+
+
+def test_evolve_drift_gates_fail_on_a_nonfinite_state(monkeypatch):
+    L, psi0 = _excited_run()
+    window = lv._chebyshev_window
+
+    def poisoned(*args):
+        out, products = window(*args)
+        return np.full_like(out, math.nan), products
+
+    monkeypatch.setattr(lv, "_chebyshev_window", poisoned)
+    with pytest.raises(NumericalError, match="norm drift nan"):
+        lv.evolve(L, psi0, [1.0])
 
 
 def _dense_check_operator(zeta):
@@ -961,12 +1065,22 @@ def test_initial_state_table_matches_criterion_10():
     psi[space.vacuum] = 1.0 / math.sqrt(2.0)
     psi += lv.one_boson_initial(space, ground, packet) / math.sqrt(2.0)
     expected["entangled"] = psi / np.linalg.norm(psi)
-    omega = lv.perturbed_kms_vector(L.with_lambda(0.0), L.parts["I"], lam, 1.0)
+    omega = lv.perturbed_kms_vector(L.with_lambda(0.0), L.I, lam, 1.0)
     expected["stationary"] = lv.product_initial(
         space, lv.reduce_detector(omega, space))
     assert list(lv.INITIAL_STATES) == list(expected)
     for name, build in lv.INITIAL_STATES.items():
         assert np.array_equal(build(L), expected[name]), name
+
+
+def test_one_boson_initial_rejects_nonfinite_input():
+    disc, space = _small_paired()
+    ground = np.array([0.0, 0.0, 0.0, 1.0])
+    profile = np.full(disc.n_modes, math.nan)
+    with pytest.raises(ValidationError, match="must be finite"):
+        lv.one_boson_initial(space, ground, profile)
+    with pytest.raises(ValidationError, match="must be finite"):
+        lv.one_boson_initial(space, ground * math.nan, np.ones(disc.n_modes))
 
 
 def test_one_boson_initial_normalized():

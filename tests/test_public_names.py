@@ -41,3 +41,13 @@ def test_traced_signatures_unchanged(name):
     for part in name.split("."):
         obj = getattr(obj, part)
     assert list(inspect.signature(obj).parameters) == TRACED[name]
+
+
+def test_traced_operator_attributes_kept():
+    # bench/tracing.py reads op.dim and op.matrix.nnz of each assembled
+    # generator
+    import dataclasses
+    from kmslab import liouville as lv
+    fields = [f.name for f in dataclasses.fields(lv.LiouvilleanOperator)]
+    assert "matrix" in fields
+    assert isinstance(lv.LiouvilleanOperator.dim, property)
