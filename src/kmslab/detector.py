@@ -26,39 +26,10 @@ from .quasifree import QuasiFreeState
 FOUR_PI2 = 4.0 * math.pi ** 2
 
 __all__ = [
-    "hermitian_2x2", "DetectorSpec", "Trajectory", "CouplingProfile",
-    "ResponseWindow", "ResponseCurve", "BetaEffCurve", "BoostInvarianceReport",
-    "pullback_wightman", "response_curve",
-    "effective_temperature_curve", "boost_invariance_check",
+    "Trajectory", "CouplingProfile", "ResponseWindow", "ResponseCurve",
+    "BetaEffCurve", "BoostInvarianceReport", "pullback_wightman",
+    "response_curve", "effective_temperature_curve", "boost_invariance_check",
 ]
-
-
-def hermitian_2x2(matrix, name):
-    """The 2x2 matrix as a complex array; ValidationError naming it unless
-    its entries are finite and it is Hermitian to 1e-12."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (2, 2):
-        raise ValidationError("%s must be 2x2" % name)
-    if not np.all(np.isfinite(matrix)):
-        raise ValidationError("%s must have finite entries" % name)
-    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
-        raise ValidationError("%s must be Hermitian" % name)
-    return matrix
-
-
-class DetectorSpec:
-    """Two-level probe: energy gap, coupling strength, and the 2x2
-    Hermitian matrix through which it couples to the field."""
-
-    def __init__(self, gap, coupling_strength=0.05, monopole=None):
-        if not gap > 0:
-            raise ValidationError("detector gap must be positive")
-        if monopole is None:
-            monopole = np.array([[0.0, 1.0], [1.0, 0.0]])
-        monopole = hermitian_2x2(monopole, "monopole matrix")
-        self.gap = float(gap)
-        self.coupling_strength = float(coupling_strength)
-        self.monopole = monopole
 
 
 class Trajectory:
@@ -376,13 +347,8 @@ def _rate_values(state, traj, energies, window, eps, coupling, boost):
 
 
 def response_curve(state, traj, energies, window=None, eps=None,
-                   coupling=None, boost=None, richardson=False,
-                   descriptor=None):
-    """Windowed rates R(E) over the energy grid, one shared window.
-
-    With `richardson` the regulator is halved once and the rates
-    extrapolated linearly to eps = 0.
-    """
+                   coupling=None, boost=None, descriptor=None):
+    """Windowed rates R(E) over the energy grid, one shared window."""
     energies = [float(e) for e in energies]
     if not energies:
         raise ValidationError("no energies requested")
@@ -402,13 +368,7 @@ def response_curve(state, traj, energies, window=None, eps=None,
             WindowBiasWarning)
     rates, floor = _rate_values(state_r, traj_r, energies, window, eps,
                                 coupling, boost)
-    if richardson:
-        rates_h, floor_h = _rate_values(state_r, traj_r, energies, window,
-                                        0.5 * eps, coupling, boost)
-        rates = 2.0 * rates_h - rates
-        floor = max(floor, floor_h)
-    desc = {"beta": state.beta, "trajectory": traj.kind,
-            "richardson": richardson}
+    desc = {"beta": state.beta, "trajectory": traj.kind}
     if traj.kind == "inertial":
         desc["v"] = traj.v
     if traj.kind == "accelerated":
@@ -444,7 +404,7 @@ class BetaEffCurve:
 
 
 def effective_temperature_curve(state, v, energies, window=None, eps=None,
-                                coupling=None, richardson=False):
+                                coupling=None):
     """beta_eff(E) for a lab-rest detector reading a bath that is KMS in a
     frame moving at velocity v.
 
@@ -465,7 +425,7 @@ def effective_temperature_curve(state, v, energies, window=None, eps=None,
         raise ValidationError("energies must be nonzero")
     grid = [-e for e in energies[::-1]] + energies
     curve = response_curve(rest_state, traj, grid, window=window, eps=eps,
-                           coupling=coupling, richardson=richardson,
+                           coupling=coupling,
                            descriptor={"bath_velocity": v_tot})
     beta_eff = []
     for e in energies:

@@ -3,12 +3,11 @@
 Two thermal states of the field, at different temperatures or expressed
 in frames related by a boost, are compared on growing families of
 unit-norm point modes, one radial node per mode and no node shared.
-Each restriction is a Gaussian state determined by the thermally
-weighted Gram matrix of the modes.  Distinct nodes make that Gram
-diagonal in any frame, so restrictions always factor over modes and the
-fidelity is a product of single-mode thermal fidelities: it is
-non-increasing by construction and its decay toward zero is the
-observable.
+Distinct nodes make the modes orthogonal in any frame, so each
+restriction is a product of single-mode thermal states, one per mode at
+that mode's occupation, and the fidelity is a product of single-mode
+thermal fidelities: it is non-increasing by construction and its decay
+toward zero is the observable.
 
 The decay is an overlap proxy.  Inequivalence of the states themselves
 is a statement about the full infinite system; only the trend of the
@@ -23,23 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NumericalError,
-    UnsupportedConfigurationError,
-    ValidationError,
-)
-from .oneparticle import MomentumFunction, planck_occupation
+from .errors import NumericalError, ValidationError
+from .oneparticle import MomentumFunction
 from .quasifree import QuasiFreeState, doubled_gram
 from .textio import fmt17, write_csv, write_keyvals
 
 __all__ = [
     "ModeFamily",
-    "RestrictedGaussianState",
     "FidelityCurve",
     "adapted_family",
     "single_frequency_family",
     "mode_occupations",
-    "restricted_gaussian",
     "restrict_state",
     "fidelity",
     "thermal_fidelity",
@@ -76,24 +69,13 @@ class ModeFamily:
         nodes = np.array([m.q[0] for m in self.modes])
         if len(np.unique(nodes)) != len(nodes):
             raise ValidationError("family modes must sit on distinct nodes")
-        defect = float(np.max(np.abs(np.diag(self.gram()) - 1.0)))
+        defect = max(abs(m.norm2() - 1.0) for m in self.modes)
         if defect > _GRAM_TOL:
             raise ValidationError(
                 "modes are not unit norm: norm defect %s" % fmt17(defect))
 
     def __len__(self) -> int:
         return len(self.modes)
-
-    def gram(self) -> np.ndarray:
-        """Gram matrix: the mode norms squared on the diagonal, exact zeros
-        off it."""
-        return np.diag(np.array([m.norm2() for m in self.modes], dtype=complex))
-
-    def prefix(self, n: int) -> "ModeFamily":
-        if not 1 <= n <= len(self.modes):
-            raise ValidationError("prefix length out of range")
-        return ModeFamily(self.modes[:n],
-                          descriptor="%s#prefix=%d" % (self.descriptor, n))
 
 
 def _point_mass_modes(centers, half_width, mass=0.0):
@@ -163,73 +145,6 @@ def mode_occupations(state: QuasiFreeState, family: ModeFamily) -> np.ndarray:
     return np.clip(occ, 0.0, None)
 
 
-class RestrictedGaussianState:
-    """Covariance data of a quasi-free state restricted to a mode family.
-
-    Stores the Hermitian thermal Gram M = S + iA of the modes, where S
-    is the symmetrized two-point matrix and A the commutator part.  The
-    admissibility bound M >= identity (the uncertainty relation for
-    orthonormal modes) is enforced on construction.
-    """
-
-    def __init__(self, gram, cutoff: int = 12):
-        M = np.asarray(gram, dtype=complex)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValidationError("thermal Gram must be a square matrix")
-        if np.max(np.abs(M - M.conj().T)) > _GRAM_TOL:
-            raise ValidationError("thermal Gram must be Hermitian")
-        evals = np.linalg.eigvalsh(M)
-        if np.min(evals) < 1.0 - _GRAM_TOL:
-            raise ValidationError(
-                "uncertainty violation: thermal Gram eigenvalue %s below 1"
-                % fmt17(float(np.min(evals))))
-        if int(cutoff) < 2:
-            raise ValidationError("occupation cutoff must be >= 2")
-        self.gram = M
-        self.cutoff = int(cutoff)
-
-    def occupations(self) -> np.ndarray:
-        off = self.gram - np.diag(np.diag(self.gram))
-        if np.max(np.abs(off)) > _GRAM_TOL:
-            raise UnsupportedConfigurationError(
-                "restriction does not factor over modes: off-diagonal Gram "
-                "entry %s" % fmt17(float(np.max(np.abs(off)))))
-        occ = (np.diag(self.gram).real - 1.0) / 2.0
-        return np.clip(occ, 0.0, None)
-
-    def density_matrix(self):
-        """Product thermal density matrix reproducing the Gram moments.
-
-        The per-mode cutoff starts at the stored value and is raised
-        until the truncated tail and the realized number expectation
-        both meet tolerance.
-        """
-        occs = self.occupations()
-        diags = []
-        self.achieved_cutoffs = []
-        for nbar in occs:
-            diags.append(_thermal_diagonal(nbar, self.cutoff))
-            self.achieved_cutoffs.append(len(diags[-1]) - 1)
-        full = diags[0]
-        for d in diags[1:]:
-            full = np.kron(full, d)
-        return np.diag(full)
-
-    def verify_moments(self, rho) -> float:
-        """Max defect of realized per-mode number expectations vs target."""
-        occs = self.occupations()
-        dims = [c + 1 for c in self.achieved_cutoffs]
-        diag = np.real(np.diag(np.asarray(rho)))
-        defect = 0.0
-        for k, dim in enumerate(dims):
-            before = int(np.prod(dims[:k])) if k else 1
-            after = int(np.prod(dims[k + 1:])) if k + 1 < len(dims) else 1
-            marg = diag.reshape(before, dim, after).sum(axis=(0, 2))
-            got = float(np.sum(np.arange(dim) * marg))
-            defect = max(defect, abs(got - occs[k]))
-        return defect
-
-
 def _thermal_diagonal(nbar: float, cutoff: int) -> np.ndarray:
     """Normalized truncated geometric weights for occupation nbar.
 
@@ -257,28 +172,22 @@ def _thermal_diagonal(nbar: float, cutoff: int) -> np.ndarray:
         c = min(2 * c, _MAX_CUTOFF)
 
 
-def restricted_gaussian(state: QuasiFreeState, family: ModeFamily,
-                        cutoff: int = 12):
-    """Covariance-level restriction of a state to a mode family.
-
-    The family's modes sit on distinct nodes, so the thermal Gram is
-    diagonal, M = diag(1 + 2 <n_k>) with the occupations of
-    mode_occupations.
-    """
-    occ = mode_occupations(state, family)
-    return RestrictedGaussianState(np.diag(1.0 + 2.0 * occ), cutoff=cutoff)
-
-
 def restrict_state(state: QuasiFreeState, family: ModeFamily,
                    cutoff: int = 12):
-    """Density matrix of the restriction, with a post-hoc moment check."""
-    rgs = restricted_gaussian(state, family, cutoff=cutoff)
-    rho = rgs.density_matrix()
-    defect = rgs.verify_moments(rho)
-    if defect > _MOMENT_TOL:
-        raise NumericalError(
-            "realized moments miss the covariance target by %s" % fmt17(defect))
-    return rho
+    """Density matrix of the restriction: the product of one single-mode
+    thermal state per mode, at the occupations of mode_occupations.
+
+    Each factor starts at `cutoff` and is raised by _thermal_diagonal
+    until its truncated tail and realized number expectation meet
+    tolerance.
+    """
+    cutoff = int(cutoff)
+    if cutoff < 2:
+        raise ValidationError("occupation cutoff must be >= 2")
+    full = np.ones(1)
+    for nbar in mode_occupations(state, family):
+        full = np.kron(full, _thermal_diagonal(nbar, cutoff))
+    return np.diag(full)
 
 
 def fidelity(rho, sigma) -> float:

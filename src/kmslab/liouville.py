@@ -36,7 +36,6 @@ from .errors import (
     TruncationWarning,
     ValidationError,
 )
-from .detector import hermitian_2x2
 from .oneparticle import (default_coupling, gl_panels, glue_branches,
                           gluing_phase, planck_occupation)
 from .textio import fmt17, write_csv
@@ -75,6 +74,19 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-13
+
+
+def _hermitian_2x2(matrix, name):
+    """The 2x2 matrix as a complex array; ValidationError naming it unless
+    its entries are finite and it is Hermitian to 1e-12."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (2, 2):
+        raise ValidationError("%s must be 2x2" % name)
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError("%s must have finite entries" % name)
+    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
+        raise ValidationError("%s must be Hermitian" % name)
+    return matrix
 
 
 def form_factor_values(s, beta, coupling=None, zeta=math.pi, amplitude=1.0):
@@ -117,6 +129,9 @@ class ReservoirDiscretization:
         self.f = np.asarray(self.f)
         if self.s.ndim != 1 or self.s.shape != self.w.shape or self.s.shape != self.f.shape:
             raise ValidationError("mode arrays s, w, f must be 1-d and congruent")
+        for name in ("s", "w", "f"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValidationError("mode array %s must be finite" % name)
         if np.any(self.s == 0.0):
             raise ValidationError("mode frequencies must be nonzero")
         if len(np.unique(self.s)) != len(self.s):
@@ -398,10 +413,13 @@ class LiouvilleanOperator:
         return float(spla.norm(self.matrix, np.inf))
 
     def with_lambda(self, lam: float) -> "LiouvilleanOperator":
-        """The same factors at coupling lam; a non-finite lam raises
-        ValidationError."""
+        """The same factors at coupling lam; a non-finite lam, or an
+        operator without an interaction part, raises ValidationError."""
         if not math.isfinite(lam):
             raise ValidationError("coupling lam must be finite, got %s" % lam)
+        if self.V is None:
+            raise ValidationError(
+                "operator lacks an interaction part; no coupling to rescale")
         mat = sp.diags(self.space.free_energies(self.gap)) + lam * self.V
         return replace(self, matrix=mat.tocsr(), lam=float(lam))
 
@@ -424,7 +442,7 @@ def gns_vacuum(space: TruncatedFock, E: float, beta: float) -> np.ndarray:
 
 def product_initial(space: TruncatedFock, detector_rho: np.ndarray) -> np.ndarray:
     """Purification vector of (detector density matrix) x reservoir vacuum."""
-    rho = hermitian_2x2(detector_rho, "detector density matrix")
+    rho = _hermitian_2x2(detector_rho, "detector density matrix")
     evals, evecs = np.linalg.eigh(rho)
     if np.any(evals < -1e-10):
         raise ValidationError("detector density matrix must be PSD")
@@ -491,7 +509,7 @@ def assemble_coupling(space: TruncatedFock, G: np.ndarray):
     avoids constructing J.
 
     Hermiticity is checked only where outside data comes in: G must pass
-    hermitian_2x2 and is replaced by its exact Hermitian part (G + G^H)/2,
+    _hermitian_2x2 and is replaced by its exact Hermitian part (G + G^H)/2,
     which changes no bit of an exactly Hermitian G, and each Phi (of
     reservoir dimension) is checked once, raising StructuralError "I is
     not Hermitian" or "JIJ is not Hermitian".  Every later step keeps
@@ -501,7 +519,7 @@ def assemble_coupling(space: TruncatedFock, G: np.ndarray):
     diagonal.  So I, V and every generator built from them are exactly
     Hermitian without a check over the full dimension.
     """
-    G = hermitian_2x2(G, "monopole matrix")
+    G = _hermitian_2x2(G, "monopole matrix")
     G = (G + G.conj().T) / 2.0
     if np.max(np.abs(G.imag)) == 0.0:
         G = G.real

@@ -36,20 +36,15 @@ class QuasiFreeState:
     beta = inf. `frame` is the boost carrying lab momenta to bath-frame
     momenta; the default is the lab frame itself."""
 
-    def __init__(self, beta=math.inf, mass=0.0, frame=None, kind=None):
+    def __init__(self, beta=math.inf, mass=0.0, frame=None):
         if beta != math.inf and not (isinstance(beta, (int, float)) and beta > 0):
             raise ValidationError("beta must be positive or inf")
         if mass < 0:
             raise ValidationError("mass must be >= 0")
-        inferred = "vacuum" if beta == math.inf else "kms"
-        if kind is not None and kind != inferred:
-            raise ValidationError(
-                "kind %r inconsistent with beta=%r (vacuum iff beta=inf)"
-                % (kind, beta))
         self.beta = float(beta)
         self.mass = float(mass)
         self.frame = frame if frame is not None else BoostSpec(0.0)
-        self.kind = inferred
+        self.kind = "vacuum" if beta == math.inf else "kms"
 
     @property
     def is_vacuum(self):

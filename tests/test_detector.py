@@ -9,7 +9,7 @@ import pytest
 from kmslab import detector
 from kmslab.errors import (UnsupportedConfigurationError, ValidationError,
                            WindowBiasWarning)
-from kmslab.detector import (DetectorSpec, ResponseWindow, Trajectory,
+from kmslab.detector import (ResponseWindow, Trajectory,
                              effective_temperature_curve, pullback_wightman,
                              response_curve)
 from kmslab.oneparticle import BoostSpec
@@ -17,24 +17,7 @@ from kmslab.quasifree import QuasiFreeState
 
 
 # ---------------------------------------------------------------------------
-# specs and trajectories
-
-def test_detector_spec_validation():
-    assert DetectorSpec(1.0).monopole[0, 1] == 1.0
-    with pytest.raises(ValidationError):
-        DetectorSpec(-1.0)
-    with pytest.raises(ValidationError):
-        DetectorSpec(1.0, monopole=np.array([[0.0, 1.0], [2.0, 0.0]]))
-    diag = DetectorSpec(1.0, monopole=np.diag([1.0, -1.0]))
-    assert np.array_equal(diag.monopole, np.diag([1.0, -1.0]))
-
-
-def test_detector_spec_rejects_a_nonfinite_monopole():
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValidationError, match="monopole matrix must have "
-                                                  "finite entries"):
-            DetectorSpec(1.0, monopole=np.array([[0.0, bad], [bad, 0.0]]))
-
+# trajectories
 
 def test_trajectory_positions():
     tau = 0.8

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kmslab import disjointness as dj
-from kmslab.errors import UnsupportedConfigurationError, ValidationError
+from kmslab.errors import ValidationError
 from kmslab.oneparticle import BoostSpec, MomentumFunction
 from kmslab.quasifree import QuasiFreeState, doubled_gram
 
@@ -23,22 +23,21 @@ def _random_density(seed, dim=4):
 
 def test_adapted_family_is_orthonormal():
     fam = dj.adapted_family(24)
-    g = fam.gram()
-    assert np.max(np.abs(g - np.eye(24))) < 1e-10
+    norms = np.array([m.norm2() for m in fam.modes])
+    assert np.max(np.abs(norms - 1.0)) < 1e-10
+    # distinct nodes: cross inner products vanish in any frame
+    assert len(np.unique([m.q[0] for m in fam.modes])) == 24
     assert len(fam) == 24
     assert fam.descriptor.startswith("adapted:")
 
 
 def test_family_prefix_nesting():
+    # the curve over the first k modes is the head of the full curve
     fam = dj.adapted_family(12)
-    head = fam.prefix(5)
-    assert len(head) == 5
-    for a, b in zip(head.modes, fam.modes):
-        assert a is b
-    with pytest.raises(ValidationError):
-        fam.prefix(0)
-    with pytest.raises(ValidationError):
-        fam.prefix(13)
+    s1, s2 = QuasiFreeState(beta=1.0), QuasiFreeState(beta=2.0)
+    full = dj.overlap_decay(s1, s2, fam).values
+    head = dj.overlap_decay(s1, s2, dj.ModeFamily(fam.modes[:5])).values
+    assert np.array_equal(head, full[:5])
 
 
 def test_family_validation():
@@ -101,39 +100,41 @@ def test_vacuum_occupations_vanish():
 
 
 # ---------------------------------------------------------------------------
-# restricted Gaussian states
+# restricted states
 
-def test_restricted_gaussian_validation():
-    with pytest.raises(ValidationError):
-        dj.RestrictedGaussianState(np.array([[1.0, 0.2], [0.3, 1.0]]))
-    with pytest.raises(ValidationError):
-        dj.RestrictedGaussianState(np.diag([0.5, 2.0]))
-    with pytest.raises(ValidationError):
-        dj.RestrictedGaussianState(np.ones((2, 3)))
+def _number_expectation(rho):
+    diag = np.real(np.diag(rho))
+    return float(np.sum(np.arange(len(diag)) * diag))
 
 
-def test_occupations_require_factorizing_gram():
-    M = np.array([[3.0, 0.5], [0.5, 3.0]])
-    rgs = dj.RestrictedGaussianState(M)
-    with pytest.raises(UnsupportedConfigurationError):
-        rgs.occupations()
+def test_restrict_state_rejects_a_cutoff_below_two():
+    fam = dj.single_frequency_family([1.0])
+    with pytest.raises(ValidationError, match="cutoff must be >= 2"):
+        dj.restrict_state(QuasiFreeState(beta=1.0), fam, cutoff=1)
 
 
 def test_density_matrix_reproduces_moments():
-    rgs = dj.RestrictedGaussianState(np.diag([1.0 + 2 * 0.3, 1.0 + 2 * 1.2]))
-    rho = rgs.density_matrix()
+    fam = dj.single_frequency_family([1.0, 2.0])
+    state = QuasiFreeState(beta=1.0)
+    rho = dj.restrict_state(state, fam)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
-    assert rgs.verify_moments(rho) < 1e-6
+    singles = [dj.restrict_state(state, dj.ModeFamily([m]))
+               for m in fam.modes]
+    assert np.array_equal(rho, np.kron(*singles))
+    occ = dj.mode_occupations(state, fam)
+    for single, nbar in zip(singles, occ):
+        assert abs(_number_expectation(single) - nbar) < 1e-8
 
 
 def test_boosted_restriction_is_diagonal_occupation_gram():
-    fam = dj.adapted_family(12)
+    fam = dj.single_frequency_family([1.0, 2.0, 4.0])
     state = QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(0.5))
-    M = dj.restricted_gaussian(state, fam).gram
-    occ = dj.mode_occupations(state, fam)
-    assert np.max(np.abs(M - np.diag(1.0 + 2.0 * occ))) < 1e-12
-    direct = [doubled_gram(state, m, m).real for m in fam.modes]
-    assert np.max(np.abs(np.diag(M).real - direct)) < 1e-12
+    rho = dj.restrict_state(state, fam)
+    assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 0
+    for m in fam.modes:
+        single = dj.restrict_state(state, dj.ModeFamily([m]))
+        direct = (doubled_gram(state, m, m).real - 1.0) / 2.0
+        assert abs(_number_expectation(single) - direct) < 1e-8
 
 
 def test_restrict_state_single_mode_thermal():
@@ -182,11 +183,11 @@ def test_thermal_fidelity_closed_vs_spectral():
 
 
 def test_thermal_fidelity_matches_uhlmann():
-    n1, n2 = 0.4, 1.3
-    r1 = dj.RestrictedGaussianState(np.array([[1.0 + 2 * n1]]), cutoff=80)
-    r2 = dj.RestrictedGaussianState(np.array([[1.0 + 2 * n2]]), cutoff=80)
-    rho1 = r1.density_matrix()
-    rho2 = r2.density_matrix()
+    # at frequency 1 the occupation 1/(e^beta - 1) is n for beta = ln(1 + 1/n)
+    fam = dj.single_frequency_family([1.0])
+    states = [QuasiFreeState(beta=math.log(1.0 + 1.0 / n)) for n in (0.4, 1.3)]
+    n1, n2 = (dj.mode_occupations(st, fam)[0] for st in states)
+    rho1, rho2 = (dj.restrict_state(st, fam, cutoff=80) for st in states)
     dim = max(rho1.shape[0], rho2.shape[0])
 
     def pad(m):
@@ -196,6 +197,21 @@ def test_thermal_fidelity_matches_uhlmann():
 
     got = dj.fidelity(pad(rho1), pad(rho2))
     assert abs(got - dj.thermal_fidelity(n1, n2)) < 1e-5
+
+
+@pytest.mark.parametrize("state2", [
+    QuasiFreeState(beta=2.0),
+    QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(0.5)),
+], ids=["beta2", "boosted"])
+def test_restriction_fidelity_matches_overlap_decay(state2):
+    fam = dj.single_frequency_family([2.0, 4.0])
+    state1 = QuasiFreeState(beta=1.0)
+    rho1 = dj.restrict_state(state1, fam, 16)
+    rho2 = dj.restrict_state(state2, fam, 16)
+    assert rho1.shape == rho2.shape == (289, 289)
+    got = dj.fidelity(rho1, rho2)
+    want = dj.overlap_decay(state1, state2, fam).values[-1]
+    assert abs(got - want) < 1e-10
 
 
 # ---------------------------------------------------------------------------

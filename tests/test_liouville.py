@@ -116,6 +116,15 @@ def test_discretization_validation():
     with pytest.raises(ValidationError):
         lv.ReservoirDiscretization(np.array([1.0, 1.0]), np.full(2, 0.1),
                                    np.full(2, 0.1), beta=1.0)
+    for name in ("s", "w", "f"):
+        for bad in (math.nan, math.inf):
+            arrays = {"s": np.array([-1.0, 1.0]), "w": np.array([0.1, 0.1]),
+                      "f": np.array([0.3, 0.5])}
+            arrays[name][1] = bad
+            with pytest.raises(ValidationError,
+                               match="mode array %s must be finite" % name):
+                lv.ReservoirDiscretization(arrays["s"], arrays["w"],
+                                           arrays["f"], beta=1.0)
     # every mode family samples a thermal form factor
     for build, args in ((lv.paired_modes, {}), (lv.jittered_modes,
                                                 {"seed": 0}),
@@ -342,7 +351,7 @@ def test_coupling_checks_each_field_where_it_enters(monkeypatch, call, label,
 
 
 def test_nearly_hermitian_monopole_gives_an_exactly_hermitian_generator():
-    # passes hermitian_2x2, which allows 1e-12; its Hermitian part is used
+    # passes _hermitian_2x2, which allows 1e-12; its Hermitian part is used
     G = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
     _, space = _small_paired()
     with warnings.catch_warnings():
@@ -404,6 +413,15 @@ def test_liouvillean_parts_and_lambda_rescale():
         assert other.lam == 0.5
         expect = (L0 + 0.5 * L.V).toarray()
         assert np.max(np.abs(other.matrix.toarray() - expect)) < 1e-14
+
+
+def test_free_operator_has_no_coupling_to_rescale():
+    _, space = _small_paired()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        L0 = lv.assemble_L0(space, 1.0)
+    with pytest.raises(ValidationError, match="lacks an interaction part"):
+        L0.with_lambda(0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,6 @@ def test_state_validation():
         QuasiFreeState(beta=-1.0)
     with pytest.raises(ValidationError):
         QuasiFreeState(beta=0.0)
-    with pytest.raises(ValidationError):
-        QuasiFreeState(beta=math.inf, kind="kms")
 
 
 # ---------------------------------------------------------------------------
