@@ -1,9 +1,11 @@
 """Two-level detector response along stationary worldlines.
 
-The pulled-back field correlation W(tau) is evaluated as a mode integral
-over radial momenta: the occupation-free part in closed form, the thermal
-part by panelled Gauss-Legendre quadrature that tracks the oscillation
-rate of the worldline phases. Windowed transition rates
+The pulled-back correlation W(tau) of the massless field is evaluated in
+closed form: from the worldline separation in the vacuum, on the rest and
+inertial worldlines through a bath at rest, and on the hyperbolic orbit.
+Only a coupling profile |u(q)|^2 needs the mode integral over radial
+momenta, done by panelled Gauss-Legendre quadrature that tracks the
+oscillation rate of the worldline phases. Windowed transition rates
 
     R(E) = int dtau e^{-i E tau} G(tau) W(tau),  G Gaussian,
 
@@ -114,10 +116,17 @@ def _min_timescale(state, traj, energies=None):
 
 def _resolve_configuration(state, traj):
     """Fold a moving bath into an equivalent worldline over a bath at
-    rest. Returns (state', traj') with state'.frame trivial."""
+    rest. Returns (state', traj') with state'.frame trivial.
+
+    Every correlation here is that of the massless field, so a massive
+    state is rejected."""
+    if state.mass != 0.0:
+        raise ValidationError(
+            "detector correlations are massless only; got mass=%r"
+            % (state.mass,))
     if state.is_vacuum:
         if state.frame.rapidity != 0.0:
-            state = QuasiFreeState(math.inf, state.mass)
+            state = QuasiFreeState()
         return state, traj
     if traj.kind == "accelerated":
         raise UnsupportedConfigurationError(
@@ -125,12 +134,10 @@ def _resolve_configuration(state, traj):
             "only the vacuum supports the accelerated worldline")
     if state.frame.rapidity == 0.0:
         return state, traj
-    if state.mass != 0.0:
-        raise ValidationError("moving thermal baths are massless only")
     vb = state.frame.v_rel
     vd = traj.v if traj.kind == "inertial" else 0.0
     v_rel = (vd - vb) / (1.0 - vd * vb)
-    rest_state = QuasiFreeState(state.beta, state.mass)
+    rest_state = QuasiFreeState(state.beta)
     if v_rel == 0.0:
         return rest_state, Trajectory.rest()
     return rest_state, Trajectory.inertial(v_rel)
@@ -206,6 +213,31 @@ def _interval_correlation(dt, dx, eps):
     return (-1.0 / FOUR_PI2) * (1.0 / lightcone_a) * (1.0 / lightcone_b)
 
 
+def _thermal_correlation(beta, dt, dx, eps):
+    """Correlation in a bath at rest at inverse temperature beta, from the
+    worldline separation, in closed form.
+
+    With k = pi/beta, z = dt - i eps and r = |dx| <= |dt|,
+
+        W = -sinhc(2kr) / (4 beta^2 sinh(k(z+r)) sinh(k(z-r))),
+
+    sinhc(x) = sinh(x)/x (Gradshteyn & Ryzhik 3.911.2; Costa & Matsas,
+    Phys. Rev. D 52 (1995) 3466). It reduces to the vacuum correlation as
+    beta -> oo and to -1/(4 beta^2 sinh^2(kz)) at rest. Each hyperbolic
+    factor is written through e^{-2k(z+-r)} at |dt|, so nothing overflows
+    however long the window, and W(-dt) = conj W(dt) because W is even in
+    z and real-analytic.
+    """
+    k = math.pi / beta
+    r = np.abs(dx)
+    s = 4.0 * k * r
+    u = 2.0 * k * (np.abs(dt) - r - 1j * eps)
+    sinhc = np.ones_like(s)
+    np.divide(-np.expm1(-s), s, out=sinhc, where=s > 0.0)
+    w = -np.exp(-u) * sinhc / (beta ** 2 * np.expm1(-u - s) * np.expm1(-u))
+    return np.where(dt < 0.0, np.conj(w), w)
+
+
 def _accelerated_separation(traj, tau, boost=None):
     """Midpoint-symmetric pair separation on the hyperbolic orbit,
     optionally after a literal coordinate boost of both points."""
@@ -221,7 +253,10 @@ def _accelerated_separation(traj, tau, boost=None):
 
 def _wightman_values(state, traj, tau, eps, coupling=None, boost=None):
     """W on an array of proper-time separations; configuration already
-    reduced to a rest-frame bath."""
+    reduced to a rest-frame bath.
+
+    Closed form from the lab separation except with a coupling profile,
+    which weights the modes and so takes the momentum quadrature."""
     tau = np.asarray(tau, dtype=float)
     if traj.kind == "accelerated":
         if coupling is not None:
@@ -236,8 +271,8 @@ def _wightman_values(state, traj, tau, eps, coupling=None, boost=None):
     v = traj.v if traj.kind == "inertial" else 0.0
     t_lab = gamma * tau
     r_lab = gamma * v * tau
-    phase_rate = gamma * (1.0 + abs(v)) * float(np.max(np.abs(tau)))
     if coupling is not None:
+        phase_rate = gamma * (1.0 + abs(v)) * float(np.max(np.abs(tau)))
         q, wq = _qmesh(np.linspace(0.0, coupling.q_max, 5), phase_rate)
         cpl = coupling(q)
         mu = np.zeros_like(q) if state.is_vacuum \
@@ -245,23 +280,21 @@ def _wightman_values(state, traj, tau, eps, coupling=None, boost=None):
         a_coef = q * cpl * (1.0 + mu)
         b_coef = q * cpl * mu
         return _mode_sum(q, wq, a_coef, b_coef, t_lab, r_lab, eps)
-    out = _interval_correlation(t_lab, r_lab, eps)
-    if not state.is_vacuum:
-        # panels over the occupied band of the bath, up to q = 40/beta
-        edges = [x / state.beta for x in (0.0, 2.0, 5.0, 10.0, 20.0, 40.0)]
-        q, wq = _qmesh(edges, phase_rate)
-        mu = planck_occupation(q, state.beta)
-        out = out + _mode_sum(q, wq, q * mu, q * mu, t_lab, r_lab, eps)
-    return out
+    if state.is_vacuum:
+        return _interval_correlation(t_lab, r_lab, eps)
+    return _thermal_correlation(state.beta, t_lab, r_lab, eps)
 
 
 def pullback_wightman(state, traj, tau, eps=None, coupling=None, boost=None):
-    """Field correlation W(tau) along the worldline in the given state.
+    """Massless field correlation W(tau - i eps) along the worldline in
+    the given state.
 
     Stationarity is required: a thermal bath combined with the hyperbolic
-    orbit is rejected. A bath moving relative to the lab is folded into an
-    equivalent worldline velocity first. The regulator defaults to 1e-3
-    times the shortest timescale of the configuration.
+    orbit is rejected, and so is a state of nonzero mass. A bath moving
+    relative to the lab is folded into an equivalent worldline velocity
+    first. Without a coupling profile W is a closed form; with one it is
+    a quadrature over momenta. The regulator defaults to 1e-3 times the
+    shortest timescale of the configuration.
     """
     state, traj = _resolve_configuration(state, traj)
     if eps is None:

@@ -145,14 +145,19 @@ def mode_occupations(state: QuasiFreeState, family: ModeFamily) -> np.ndarray:
     return np.clip(occ, 0.0, None)
 
 
+def _check_occupation(nbar: float) -> None:
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValidationError(
+            "occupation must be finite and >= 0, got %s" % fmt17(nbar))
+
+
 def _thermal_diagonal(nbar: float, cutoff: int) -> np.ndarray:
     """Normalized truncated geometric weights for occupation nbar.
 
     Raises the cutoff until the tail is below 1e-6 and the realized
     number expectation matches nbar within 1e-8.
     """
-    if nbar < 0:
-        raise ValidationError("occupation must be >= 0")
+    _check_occupation(nbar)
     if nbar == 0.0:
         return np.concatenate([[1.0], np.zeros(cutoff)])
     x = nbar / (nbar + 1.0)
@@ -218,8 +223,8 @@ def fidelity(rho, sigma) -> float:
 
 def thermal_fidelity(n1: float, n2: float) -> float:
     """Closed-form fidelity of two single-mode thermal states."""
-    if n1 < 0 or n2 < 0:
-        raise ValidationError("occupations must be >= 0")
+    _check_occupation(n1)
+    _check_occupation(n2)
     return 1.0 / (math.sqrt((n1 + 1.0) * (n2 + 1.0)) - math.sqrt(n1 * n2))
 
 
@@ -228,19 +233,26 @@ def thermal_fidelity_spectral(n1: float, n2: float,
     """Brute-force spectral route: sum of sqrt(p_n q_n) over the spectrum.
 
     Independent of the closed form; the cutoff is raised until both
-    truncated tails are negligible.
+    truncated tails are negligible. An explicit cutoff whose truncated
+    tail exceeds 1e-6 is rejected.
     """
+    _check_occupation(n1)
+    _check_occupation(n2)
+    x = n1 / (n1 + 1.0)
+    y = n2 / (n2 + 1.0)
     if cutoff is None:
         d1 = _thermal_diagonal(n1, 12)
         d2 = _thermal_diagonal(n2, 12)
         c = max(len(d1), len(d2)) - 1
     else:
         c = int(cutoff)
+        tail = max(x, y) ** (c + 1)
+        if tail > _TAIL_TOL:
+            raise ValidationError(
+                "cutoff %d leaves a truncated tail of %s" % (c, fmt17(tail)))
     n = np.arange(c + 1)
-    x = n1 / (n1 + 1.0) if n1 > 0 else 0.0
-    y = n2 / (n2 + 1.0) if n2 > 0 else 0.0
-    p = (1.0 - x) * x ** n if n1 > 0 else np.concatenate([[1.0], np.zeros(c)])
-    q = (1.0 - y) * y ** n if n2 > 0 else np.concatenate([[1.0], np.zeros(c)])
+    p = (1.0 - x) * x ** n
+    q = (1.0 - y) * y ** n
     return float(np.sum(np.sqrt(p * q)))
 
 

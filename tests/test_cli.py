@@ -196,6 +196,50 @@ def test_readme_accelerated_example(tmp_path, cli_env):
     assert "only the vacuum supports the accelerated worldline" in proc.stderr
 
 
+# printed (balance, beta_eff) of the default response at E = 0.5, 1, 1.5, 2
+# (the accelerated worldline in the vacuum)
+DEFAULT_RESPONSE = {
+    "rest": [(0.60684972155791062, 0.99894818852338174),
+             (0.36826635206430702, 0.99894881983420314),
+             (0.22348192582223939, 0.99894982466857973),
+             (0.13561947661807663, 0.99895114045669231)],
+    "inertial": [(0.59227220961734683, 1.0475778724743363),
+                 (0.35318239916649946, 1.0407706439784412),
+                 (0.21323705685042854, 1.0302338594498932),
+                 (0.1308284084988082, 1.0169343365917947)],
+    "accelerated": [(0.043456029608107356, 6.272011331421651),
+                    (0.0018832912033528429, 6.2747343926432526),
+                    (8.1487689475877081e-05, 6.2767057323348689),
+                    (3.5237066698531758e-06, 6.2779985455972112)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_RESPONSE))
+def test_default_response_outputs_are_pinned(tmp_path, cli_env, kind):
+    args = ["--out", "run", "response", "--trajectory", kind]
+    if kind == "accelerated":
+        args += ["--beta", "inf"]
+    proc = _run(args, tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(DEFAULT_RESPONSE[kind])
+    for line, e, (balance, beta_eff) in zip(
+            lines, (0.5, 1.0, 1.5, 2.0), DEFAULT_RESPONSE[kind]):
+        fields = dict(kv.split("=") for kv in line.split())
+        assert float(fields["E"]) == e
+        assert float(fields["balance"]) == pytest.approx(balance, rel=1e-9)
+        assert float(fields["beta_eff"]) == pytest.approx(beta_eff, rel=1e-9)
+
+
+def test_response_rejects_a_massive_field(tmp_path, cli_env):
+    cfg = tmp_path / "massive.cfg"
+    cfg.write_text("[global]\nmass = 0.7\n")
+    proc = _run(["--config", str(cfg), "--out", "run", "response"],
+                tmp_path, cli_env)
+    assert proc.returncode == 2
+    assert "mass=0.7" in proc.stderr
+
+
 def test_mixing_outputs(tmp_path, cli_env):
     proc = _run(["--out", "run", "mixing"], tmp_path, cli_env)
     assert proc.returncode == 0, proc.stderr

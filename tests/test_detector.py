@@ -12,7 +12,7 @@ from kmslab.errors import (UnsupportedConfigurationError, ValidationError,
 from kmslab.detector import (ResponseWindow, Trajectory,
                              effective_temperature_curve, pullback_wightman,
                              response_curve)
-from kmslab.oneparticle import BoostSpec
+from kmslab.oneparticle import BoostSpec, planck_occupation
 from kmslab.quasifree import QuasiFreeState
 
 
@@ -76,6 +76,79 @@ def test_nonstationary_combination_rejected():
         pullback_wightman(boosted, Trajectory.accelerated(1.0), np.array([1.0]))
 
 
+def test_massive_states_rejected():
+    massive = QuasiFreeState(beta=1.0, mass=0.7)
+    with pytest.raises(ValidationError, match="mass=0.7"):
+        pullback_wightman(massive, Trajectory.rest(), np.array([1.0]))
+    with pytest.raises(ValidationError, match="mass=0.7"):
+        response_curve(massive, Trajectory.inertial(0.5), [-1.0, 1.0])
+
+
+# the default response: energies 0.5 .. 2, beta = 1, window tau_max = 160
+_DEFAULT_TAU_MAX = 160.0
+
+
+def _default_mesh(v):
+    """Both signs of the default response's proper-time mesh, with its
+    regulator, for a worldline at speed v through the bath at beta = 1."""
+    traj = Trajectory.inertial(v) if v else Trajectory.rest()
+    eps = 1e-3 * detector._min_timescale(QuasiFreeState(beta=1.0), traj,
+                                        [0.5, 2.0])
+    tau, _ = detector._graded_tau_mesh(eps, _DEFAULT_TAU_MAX, 2.0)
+    return traj, np.concatenate([-tau[::-1], tau]), eps
+
+
+def _mp_thermal(beta, t, r, eps):
+    """Reference W at lab separation (t, r): the coth difference
+    (coth k(z+r) - coth k(z-r)) / (8 pi beta r) with z = t - i eps, or its
+    r -> 0 limit -csch^2(kz) / (4 beta^2), with enough digits to survive
+    the cancellation between the two coth terms."""
+    mpmath = pytest.importorskip("mpmath")
+    digits = 30 + int(2.0 * math.pi / beta * (abs(t) + abs(r)) / math.log(10))
+    with mpmath.workdps(digits):
+        k = mpmath.pi / beta
+        z = mpmath.mpf(t) - 1j * mpmath.mpf(eps)
+        r = abs(mpmath.mpf(r))
+        if r == 0:
+            w = -mpmath.csch(k * z) ** 2 / (4 * beta ** 2)
+        else:
+            w = ((mpmath.coth(k * (z + r)) - mpmath.coth(k * (z - r)))
+                 / (8 * mpmath.pi * beta * r))
+        return complex(w)
+
+
+@pytest.mark.parametrize("v", [0.0, 0.5, 0.9])
+def test_thermal_closed_form_matches_mpmath(v):
+    traj, mesh, eps = _default_mesh(v)
+    state = QuasiFreeState(beta=1.0)
+    assert np.all(np.isfinite(pullback_wightman(state, traj, mesh, eps=eps)))
+    tau = np.array([0.0, 0.3 * eps, eps, 3.0 * eps, 0.01, 0.3, 1.0, 7.0,
+                    40.0, _DEFAULT_TAU_MAX])
+    tau = np.concatenate([-tau[:0:-1], tau])
+    got = pullback_wightman(state, traj, tau, eps=eps)
+    ref = np.array([_mp_thermal(1.0, traj.gamma * x, traj.gamma * traj.v * x,
+                                eps) for x in tau])
+    assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref) + 1e-300)
+    # W(-tau) = conj W(tau) to rounding
+    half = tau.size // 2
+    assert np.array_equal(got[:half][::-1], np.conj(got[half + 1:]))
+
+
+@pytest.mark.parametrize("v", [0.0, 0.5, 0.9])
+def test_thermal_closed_form_matches_mode_quadrature(v):
+    # the momentum quadrature the closed form replaced: vacuum part from
+    # the separation plus the thermal mode sum on panels up to q = 40/beta
+    traj, tau, eps = _default_mesh(v)
+    t, r = traj.gamma * tau, traj.gamma * traj.v * tau
+    edges = [0.0, 2.0, 5.0, 10.0, 20.0, 40.0]
+    q, wq = detector._qmesh(edges, traj.gamma * (1.0 + v) * _DEFAULT_TAU_MAX)
+    mu = planck_occupation(q, 1.0)
+    quad = (detector._interval_correlation(t, r, eps)
+            + detector._mode_sum(q, wq, q * mu, q * mu, t, r, eps))
+    got = pullback_wightman(QuasiFreeState(beta=1.0), traj, tau, eps=eps)
+    assert np.max(np.abs(got - quad)) < 1e-8 * np.max(np.abs(got))
+
+
 def _mode_sum_case(moving):
     rng = np.random.default_rng(3)
     q = np.sort(rng.uniform(0.05, 12.0, 53))
@@ -112,9 +185,10 @@ def test_rates_match_direct_complex_exponentials():
 
 
 def test_mode_sum_memory_is_bounded_by_its_chunk():
-    """One call at the size of the default inertial response (7 320
-    momentum nodes, 672 proper times) peaks below 16 MB of traced
-    allocations; a full-width complex evaluation peaks above 100 MB."""
+    """One call at 7 320 momentum nodes and 672 proper times peaks below
+    16 MB of traced allocations; a full-width complex evaluation peaks
+    above 100 MB. That is about the size a coupling profile of horizon
+    q_max = 40 takes on the default inertial window (7 308 nodes)."""
     tau, _ = detector._graded_tau_mesh(5e-4, 160.0, 2.0)
     assert tau.size == 672
     q = np.linspace(0.01, 40.0, 7320)

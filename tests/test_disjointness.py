@@ -182,6 +182,24 @@ def test_thermal_fidelity_closed_vs_spectral():
         dj.thermal_fidelity(-0.1, 0.5)
 
 
+@pytest.mark.parametrize("fn", [dj.thermal_fidelity,
+                                dj.thermal_fidelity_spectral])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_thermal_fidelity_rejects_a_bad_occupation(fn, bad):
+    for n1, n2 in ((bad, 0.3), (0.3, bad)):
+        with pytest.raises(ValidationError, match="occupation"):
+            fn(n1, n2)
+
+
+def test_spectral_fidelity_rejects_a_cutoff_that_truncates():
+    # at n = 0.3 the geometric tail beyond n = 1 is (0.3/1.3)^2 = 0.053
+    with pytest.raises(ValidationError, match="cutoff 1"):
+        dj.thermal_fidelity_spectral(0.2, 0.3, cutoff=1)
+    got = dj.thermal_fidelity_spectral(0.2, 0.3, cutoff=40)
+    assert got == pytest.approx(dj.thermal_fidelity(0.2, 0.3), rel=1e-14)
+    assert dj.thermal_fidelity_spectral(0.0, 0.0, cutoff=0) == 1.0
+
+
 def test_thermal_fidelity_matches_uhlmann():
     # at frequency 1 the occupation 1/(e^beta - 1) is n for beta = ln(1 + 1/n)
     fam = dj.single_frequency_family([1.0])
