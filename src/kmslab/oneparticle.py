@@ -196,6 +196,8 @@ class MomentumFunction:
         return math.sqrt(self.norm2())
 
     def same_points(self, other, rtol=1e-12):
+        if other is self:
+            return True
         return (self.q.shape == other.q.shape
                 and np.allclose(self.q, other.q, rtol=rtol, atol=0.0)
                 and np.allclose(self.wtot, other.wtot, rtol=rtol, atol=0.0))

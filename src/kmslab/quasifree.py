@@ -13,6 +13,14 @@ sees the Doppler frequency q * gamma * (1 - v cos theta); the test
 vectors are radial and every sum is linear in mu, so mu is the exact
 average of the Doppler-shifted occupation over directions (see
 _occupation).
+
+Time series and their Fourier transforms are phase sums
+sum_i a_i e^{-i omega_i t_n} over an evenly spaced time grid t_n = t_0 + n dt
+(any linspace or arange grid; other grids raise ValidationError). Writing
+n = p B + r with B = ceil(sqrt(N)) splits every phase into two factor tables
+of about sqrt(N) rows each (_phase_tables), so N times by F frequencies cost
+2 sqrt(N) F exponentials, one complex matrix product of O(N F) flops, and
+O(sqrt(N) F) memory: at N = 2001 and F = 1024 about 2.5 MB at the peak.
 """
 
 import math
@@ -155,22 +163,44 @@ def two_point(state, f, g):
     return doubled_gram(state, f, g)
 
 
-def _phase_sum(a, b, freq, tgrid, chunk=1024):
-    """sum_i a_i e^{-i freq_i t} + b_i e^{+i freq_i t} on tgrid.
+def _phase_tables(freq, tgrid):
+    """Factor tables of e^{-i freq t} on an evenly spaced time grid.
 
-    One cosine and one sine per (time, frequency): the sum is
-    cos @ (a + b) - i sin @ (a - b), each complex vector taken as two real
-    columns so that the matrices stay real.
+    With t_n = t_0 + n dt and n = p B + r, B = ceil(sqrt(N)), each phase
+    factors as e^{-i freq t_n} = U[p] W[r]:
+
+        U[p] = e^{-i freq t_{pB}}   (P x F, P = ceil(N / B)),
+        W[r] = e^{-i freq r dt}     (B x F),
+
+    (P + B) F exponentials in place of N F, and memory of the same order
+    (the baby-step/giant-step split of Paterson and Stockmeyer, SIAM J.
+    Comput. 2 (1973) 60). The grid must be finite, nonempty and within
+    4 eps max|t| of t_0 + n dt, which every linspace or arange grid is.
     """
-    even, odd = (np.column_stack([v.real, v.imag]) for v in (a + b, a - b))
-    c = np.zeros((tgrid.size, 2))
-    s = np.zeros((tgrid.size, 2))
-    for i0 in range(0, freq.size, chunk):
-        sl = slice(i0, i0 + chunk)
-        arg = np.outer(tgrid, freq[sl])
-        c += np.cos(arg) @ even[sl]
-        s += np.sin(arg, out=arg) @ odd[sl]
-    return (c[:, 0] + s[:, 1]) + 1j * (c[:, 1] - s[:, 0])
+    tgrid = np.asarray(tgrid, dtype=float)
+    if tgrid.ndim != 1 or tgrid.size == 0 or not np.all(np.isfinite(tgrid)):
+        raise ValidationError("tgrid must be a nonempty 1d array of finite times")
+    n = tgrid.size
+    dt = (tgrid[-1] - tgrid[0]) / (n - 1) if n > 1 else 0.0
+    drift = np.max(np.abs(tgrid - (tgrid[0] + np.arange(n) * dt)))
+    if drift > 4.0 * np.finfo(float).eps * np.max(np.abs(tgrid)):
+        raise ValidationError("tgrid must be evenly spaced; it is %.3g off "
+                              "the line t_0 + n dt" % drift)
+    step = math.isqrt(n - 1) + 1
+    return (np.exp(-1j * (tgrid[::step, None] * freq)),
+            np.exp(-1j * ((np.arange(step) * dt)[:, None] * freq)))
+
+
+def _phase_sum(a, b, freq, tgrid):
+    """sum_i a_i e^{-i freq_i t} + b_i e^{+i freq_i t} on an evenly spaced
+    tgrid, as (U o a) W^T + conj((U o conj b) W^T) from _phase_tables,
+    reshaped from P x B to the N grid points.
+    """
+    u, w = _phase_tables(freq, tgrid)
+    x = u * a
+    s = x @ w.T
+    s += np.conj(np.multiply(u, np.conj(b), out=x) @ w.T)
+    return s.ravel()[:np.size(tgrid)]
 
 
 def two_point_series(state, g, f, tgrid):
@@ -178,6 +208,9 @@ def two_point_series(state, g, f, tgrid):
 
     The lab time translation multiplies the momentum amplitude by
     e^{-i omega t}; thermal weights stay at the bath-frame frequency.
+    tgrid must be finite, nonempty and evenly spaced; the sum over F
+    momentum nodes costs 2 sqrt(N) F exponentials and O(sqrt(N) F) memory
+    for N times (see _phase_tables).
     """
     kg, kf, wq2 = _aligned_pair(state, g, f)
     mu = _occupation(state, kg)
@@ -196,7 +229,8 @@ def weyl_correlator(state, f, g, tgrid):
 
     Equals omega(W(f)) omega(W(g)) exp(-z(t)) with
     z(t) = <kappa_beta g, kappa_beta T_t f>; bounded by 1 in modulus,
-    and exactly omega(W(f)) when g = 0.
+    and exactly omega(W(f)) when g = 0. z is summed as in
+    two_point_series, on the same kind of evenly spaced tgrid.
     """
     kg, kf, wq2 = _aligned_pair(state, g, f)
     mu = _occupation(state, kg)
@@ -247,10 +281,10 @@ class BalanceReport:
         return pairs
 
 
-def _check_span(name, span):
-    if not 0.0 < span < math.inf:
+def _check_positive(name, value):
+    if not 0.0 < value < math.inf:
         raise ValidationError("%s must be positive and finite, got %r"
-                              % (name, span))
+                              % (name, value))
 
 
 def default_window_width(t_span):
@@ -271,10 +305,20 @@ def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
     version restricted to the band where |W(nu)| exceeds band_floor times
     the peak. For the vacuum the negative-frequency leakage is reported
     instead of a balance ratio.
+
+    The correlator is sampled on the uniform grid of step dt over
+    [-t_span/2, t_span/2] (over [0, t_span/2] when g is None, folding
+    C(-t) = conj C(t) in). The transform sum_n e^{-+i nu t_n} C_n is
+    evaluated at any positive nu_grid from the factor tables of
+    _phase_tables: with C reshaped to P x B rows it is sum_p U[p] (C W)[p],
+    in O(sqrt(N) (F + len(nu_grid))) memory for N samples and F momentum
+    nodes. t_span, dt and sigma_t must be positive and finite, dt < t_span.
     """
-    _check_span("t_span", t_span)
+    _check_positive("t_span", t_span)
+    _check_positive("dt", dt)
     if sigma_t is None:
         sigma_t = default_window_width(t_span)
+    _check_positive("sigma_t", sigma_t)
     if t_span < 5.0 * sigma_t:
         raise ResolutionError(
             "time span %.6g cannot hold a window of width %.6g; "
@@ -284,9 +328,15 @@ def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
         nu_grid = np.linspace(0.1, 3.5, 171)
     else:
         nu_grid = np.asarray(nu_grid, dtype=float)
-        if np.any(nu_grid <= 0):
-            raise ValidationError("nu grid must be positive (both signs are formed internally)")
+        if (nu_grid.ndim != 1 or nu_grid.size == 0
+                or not np.all((nu_grid > 0) & (nu_grid < math.inf))):
+            raise ValidationError(
+                "nu_grid must be a nonempty 1d array of positive finite "
+                "frequencies (both signs are formed internally)")
     half = np.arange(0.0, 0.5 * t_span + 0.5 * dt, dt)
+    if half.size < 2:
+        raise ValidationError("dt=%r leaves a single sample on the half "
+                              "span; need dt < t_span=%r" % (dt, t_span))
     if g is None:
         # C(-t) = conj(C(t)) for equal packets: fold the negative half in,
         # weighting t > 0 twice
@@ -300,12 +350,15 @@ def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
         fold = 1.0
         n_t = tgrid.size
     cg = fold * series.values * np.exp(-tgrid ** 2 / (2.0 * sigma_t ** 2))
-    # Re sum_t e^{+-i nu t} cg(t) = cos @ Re cg -+ sin @ Im cg
-    arg = np.outer(nu_grid, tgrid)
-    cos_part = np.cos(arg) @ cg.real
-    sin_part = np.sin(arg, out=arg) @ cg.imag
-    w_pos = dt * (cos_part - sin_part)
-    w_neg = dt * (cos_part + sin_part)
+    # w_neg, w_pos = dt Re sum_n e^{-+i nu t_n} cg_n. With cg zero-padded to
+    # a P x B matrix C (n = pB + r), sum_n e^{-i nu t_n} cg_n is
+    # sum_p U[p] (C W)[p]; the + sign has the real part of that sum on conj C.
+    u, w = _phase_tables(nu_grid, tgrid)
+    p = u.shape[0]
+    c = np.pad(cg, (0, p * w.shape[0] - cg.size)).reshape(p, -1)
+    cw = np.concatenate([c, np.conj(c)]) @ w
+    w_neg = dt * np.sum(u * cw[:p], axis=0).real
+    w_pos = dt * np.sum(u * cw[p:], axis=0).real
     peak = float(np.max(np.abs(w_pos)))
     if peak == 0.0:
         raise ValidationError("spectrum vanishes on the requested nu grid")
@@ -364,7 +417,9 @@ def mixing_decay(state, f, g=None, t_max=80.0, n_t=801):
     """|two_point(g, f o T_{-t})| together with the Weyl-correlator
     factorization residual |omega(W(g) alpha_t W(f)) - omega(W(f)) omega(W(g))|.
     """
-    _check_span("t_max", t_max)
+    _check_positive("t_max", t_max)
+    if not (isinstance(n_t, (int, np.integer)) and n_t >= 2):
+        raise ValidationError("n_t must be an integer >= 2, got %r" % (n_t,))
     tgrid = np.linspace(0.0, t_max, n_t)
     gg = f if g is None else g
     tp = two_point_series(state, gg, f, tgrid)

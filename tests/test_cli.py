@@ -231,6 +231,34 @@ def test_default_response_outputs_are_pinned(tmp_path, cli_env, kind):
         assert float(fields["beta_eff"]) == pytest.approx(beta_eff, rel=1e-9)
 
 
+# printed stdout of the default kms-check and mixing runs; the floats are
+# pinned to 1e-8 relative, the other fields exactly
+DEFAULT_QUASIFREE = {
+    "kms-check": {"max_err": 0.00029663394878879507,
+                  "max_band_err": 0.013653801275591862,
+                  "negative_leakage": 0.26041493414757194,
+                  "t_span": "200", "sigma_t": "40", "n_t": "2001",
+                  "beta": "1", "nu_min": "0.10000000000000001",
+                  "nu_max": "3.5", "nu_points": "171"},
+    "mixing": {"two_point_tail_fraction": 6.8629038422698435e-07,
+               "weyl_tail_fraction": 3.1615142762074082e-05},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_QUASIFREE))
+def test_default_quasifree_outputs_are_pinned(tmp_path, cli_env, command):
+    proc = _run(["--out", "run", command], tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr
+    fields = dict(line.split("=", 1) for line in proc.stdout.splitlines())
+    expect = DEFAULT_QUASIFREE[command]
+    assert list(fields) == list(expect)
+    for key, val in expect.items():
+        if isinstance(val, float):
+            assert float(fields[key]) == pytest.approx(val, rel=1e-8), key
+        else:
+            assert fields[key] == val, key
+
+
 def test_response_rejects_a_massive_field(tmp_path, cli_env):
     cfg = tmp_path / "massive.cfg"
     cfg.write_text("[global]\nmass = 0.7\n")

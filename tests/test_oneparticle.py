@@ -242,6 +242,15 @@ def test_momentum_function_validation():
                                      np.array([1.0, np.nan]))
 
 
+def test_same_points_of_itself_skips_the_comparison(monkeypatch):
+    u = _default_vector(n=64)
+    monkeypatch.setattr(np, "allclose", None)  # any comparison would fail
+    assert u.same_points(u)
+    monkeypatch.undo()
+    assert u.same_points(u.copy_with(2.0 * u.values))
+    assert not u.same_points(_default_vector(n=65))
+
+
 def test_glued_vector_roundtrip(tmp_path):
     g = kms_glue(_default_vector(n=64), 1.0)
     path = tmp_path / "glued.csv"

@@ -1,13 +1,14 @@
 """Quasi-free correlators, detailed balance, and clustering decay."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kmslab import quasifree
 from kmslab.errors import ResolutionError, ValidationError
-from kmslab.oneparticle import BoostSpec, default_qgrid
+from kmslab.oneparticle import BoostSpec, default_qgrid, planck_occupation
 from kmslab.quasifree import (CorrelatorSeries, QuasiFreeState, doubled_gram,
                               gaussian_packet, kms_balance_check,
                               mixing_decay, shell_packet, two_point,
@@ -137,9 +138,67 @@ def test_phase_sum_matches_direct_complex_exponentials():
     t = np.linspace(-4.0, 7.0, 13)
     terms = np.concatenate([np.exp(-1j * np.outer(freq, t)) * a[:, None],
                             np.exp(1j * np.outer(freq, t)) * b[:, None]])
-    got = quasifree._phase_sum(a, b, freq, t, chunk=16)
+    got = quasifree._phase_sum(a, b, freq, t)
     err = np.abs(got - np.sum(terms, axis=0))
     assert np.max(err / np.sum(np.abs(terms), axis=0)) < 1e-13
+
+
+def _mp_phase_sum(mpmath, coef, freq, t):
+    """sum_i coef_i e^{-i freq_i t} in 30-digit arithmetic, from the exact
+    float values of coef, freq and t."""
+    with mpmath.workdps(30):
+        tot = mpmath.mpc(0)
+        for c, om in zip(coef, freq):
+            tot += mpmath.mpc(c.real, c.imag) * mpmath.expj(
+                -mpmath.mpf(om) * mpmath.mpf(t))
+        return complex(tot)
+
+
+@pytest.mark.parametrize("coefficients", ["packet", "unit"])
+def test_phase_tables_match_mpmath_at_large_phases(coefficients):
+    # the default grid's frequencies on the half grid of t_span = 400, where
+    # omega t reaches 8 000; the packet's weights underflow to 0 above
+    # omega = 20, so "unit" gives every frequency a unit coefficient
+    mpmath = pytest.importorskip("mpmath")
+    f, _ = _packets()
+    half = np.arange(0.0, 200.05, 0.1)
+    assert half.size == 2001 and half[-1] * f.omega.max() > 7900.0
+    if coefficients == "packet":
+        got = two_point_series(QuasiFreeState(beta=1.0), f, f, half).values
+        weight = f.wtot * f.q ** 2 * np.abs(f.values) ** 2
+        mu = planck_occupation(f.omega, 1.0)
+        # C(t) = sum_i weight_i ((1 + mu_i) e^{-i omega_i t} + mu_i e^{i omega_i t})
+        a, b = weight * (1.0 + mu), weight * mu
+    else:
+        a, b = np.exp(2j * np.pi * np.random.default_rng(3).random((2, f.q.size)))
+        got = quasifree._phase_sum(a, b, f.omega, half)
+    coef, freq = np.concatenate([a, b]), np.concatenate([f.omega, -f.omega])
+    keep = coef != 0.0
+    coef, freq = coef[keep], freq[keep]
+    scale = np.sum(np.abs(coef))
+    for n in list(range(0, half.size, 173)) + [half.size - 1]:
+        ref = _mp_phase_sum(mpmath, coef, freq, half[n])
+        assert abs(got[n] - ref) < 1e-13 * scale, n
+
+
+def test_balance_transform_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    f, _ = _packets()
+    state = QuasiFreeState(beta=1.0)
+    report = kms_balance_check(state, f, t_span=400.0)
+    dt, half = 0.1, np.arange(0.0, 200.05, 0.1)
+    assert report.n_t == 2 * half.size - 1
+    fold = np.where(half > 0.0, 2.0, 1.0)
+    cg = (fold * two_point_series(state, f, f, half).values
+          * np.exp(-half ** 2 / (2.0 * report.sigma_t ** 2)))
+    scale = dt * np.sum(np.abs(cg))
+    for k in range(0, report.nu.size, 34):
+        nu = report.nu[k]
+        # sum_n cg_n e^{-+i nu t_n}: the times stand in the frequency slot
+        neg = dt * _mp_phase_sum(mpmath, cg, half, nu)
+        pos = dt * _mp_phase_sum(mpmath, cg, -half, nu)
+        assert abs(report.spectrum_neg[k] - neg.real) < 1e-13 * scale, k
+        assert abs(report.spectrum_pos[k] - pos.real) < 1e-13 * scale, k
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +261,65 @@ def test_balance_and_mixing_need_finite_positive_spans(span):
         kms_balance_check(state, f, t_span=span)
     with pytest.raises(ValidationError, match="t_max"):
         mixing_decay(state, f, t_max=span)
+
+
+@pytest.mark.parametrize("kw", [
+    {"dt": 0.0}, {"dt": -0.1}, {"dt": math.nan}, {"dt": math.inf},
+    {"dt": 200.0},  # = t_span: the half grid holds t = 0 alone
+    {"sigma_t": math.nan}, {"sigma_t": 0.0}, {"sigma_t": -40.0},
+    {"nu_grid": [0.5, math.nan]}, {"nu_grid": []},
+], ids=lambda kw: "%s=%s" % next(iter(kw.items())))
+def test_balance_check_rejects_bad_parameters(kw):
+    f, _ = _packets(64)
+    name = next(iter(kw))
+    with pytest.raises(ValidationError, match=name):
+        kms_balance_check(QuasiFreeState(beta=1.0), f, t_span=200.0, **kw)
+
+
+@pytest.mark.parametrize("n_t", [0, 1])
+def test_mixing_needs_two_times(n_t):
+    f, _ = _packets(64)
+    with pytest.raises(ValidationError, match="n_t"):
+        mixing_decay(QuasiFreeState(beta=1.0), f, n_t=n_t)
+
+
+@pytest.mark.parametrize("series", [two_point_series, weyl_correlator])
+@pytest.mark.parametrize("tgrid", [[], [0.0, math.nan], [0.0, math.inf]],
+                         ids=["empty", "nan", "inf"])
+def test_series_reject_empty_or_non_finite_times(series, tgrid):
+    f, g = _packets(64)
+    with pytest.raises(ValidationError, match="tgrid"):
+        series(QuasiFreeState(beta=1.0), f, g, tgrid)
+
+
+def test_series_need_an_evenly_spaced_grid():
+    f, g = _packets(64)
+    state = QuasiFreeState(beta=1.0)
+    with pytest.raises(ValidationError, match="evenly spaced"):
+        two_point_series(state, f, g, [0.0, 1.0, 3.0])
+    # a linspace grid nudged by one ulp at every point is still accepted
+    t = np.linspace(-4.0, 7.0, 13)
+    nudged = np.nextafter(t, np.where(np.arange(13) % 2, np.inf, -np.inf))
+    ref = two_point_series(state, f, g, t).values
+    got = two_point_series(state, f, g, nudged).values
+    assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("run", [
+    lambda state, f: kms_balance_check(state, f, t_span=400.0),
+    lambda state, f: mixing_decay(state, f),
+], ids=["kms_balance_check", "mixing_decay"])
+def test_phase_sums_peak_below_4_mb(run):
+    # the phase tables hold O(sqrt(N) F) numbers, not an N x F matrix
+    f, _ = _packets()
+    state = QuasiFreeState(beta=1.0)
+    tracemalloc.start()
+    try:
+        run(state, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
