@@ -426,15 +426,6 @@ class BetaEffCurve:
     def spread(self):
         return float(np.max(self.beta_eff) - np.min(self.beta_eff))
 
-    def save(self, path):
-        from .textio import write_csv, write_keyvals
-        write_csv(path, "E,beta_eff", [self.energies, self.beta_eff])
-        pairs = [("spread", self.spread),
-                 ("sigma_tau", self.curve.window.sigma_tau),
-                 ("eps", self.curve.eps)]
-        pairs += sorted(self.curve.descriptor.items())
-        write_keyvals(path + ".meta", pairs)
-
 
 def effective_temperature_curve(state, v, energies, window=None, eps=None,
                                 coupling=None):

@@ -1,13 +1,15 @@
 """Fidelity decay between restrictions of quasi-free states.
 
 Two thermal states of the field, at different temperatures or expressed
-in frames related by a boost, are compared on growing families of
-unit-norm point modes, one radial node per mode and no node shared.
-Distinct nodes make the modes orthogonal in any frame, so each
-restriction is a product of single-mode thermal states, one per mode at
-that mode's occupation, and the fidelity is a product of single-mode
-thermal fidelities: it is non-increasing by construction and its decay
-toward zero is the observable.
+in frames related by a boost, are compared on growing families of point
+modes of the massless field, one per frequency node and no node shared.
+Point modes on distinct nodes are orthogonal in any frame, so each
+restriction is a product of single-mode Gibbs states, one per node at the
+bath occupation of that node (oneparticle.bath_occupation: the Araki-Woods
+structure of quasi-free thermal states, J. Math. Phys. 4 (1963) 637), and
+the fidelity is a product of single-mode thermal fidelities: it is
+non-increasing by construction and its decay toward zero is the
+observable.
 
 The decay is an overlap proxy.  Inequivalence of the states themselves
 is a statement about the full infinite system; only the trend of the
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .oneparticle import MomentumFunction
-from .quasifree import QuasiFreeState, doubled_gram
+from .oneparticle import bath_occupation
+from .quasifree import QuasiFreeState
 from .textio import fmt17, write_csv, write_keyvals
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "overlap_decay",
 ]
 
-_GRAM_TOL = 1e-10
 _MOMENT_TOL = 1e-8
 _TAIL_TOL = 1e-6
 _MAX_CUTOFF = 4096
@@ -48,56 +49,37 @@ _MAX_CUTOFF = 4096
 
 @dataclass
 class ModeFamily:
-    """Unit-norm point modes on distinct nodes, with a reproducible descriptor.
+    """Distinct, positive, finite frequency nodes, one point mode each,
+    with a reproducible descriptor.
 
-    Each mode is a one-point radial mode (the shape `_point_mass_modes`
-    builds), and no two modes share a node.  Modes on distinct nodes have
-    exactly vanishing cross inner products in any frame, so the family is
-    orthonormal once each mode has unit norm, the restriction of a
-    quasi-free state to it factors mode by mode, and validation is O(n).
+    Point modes on distinct nodes have exactly vanishing cross inner
+    products in any frame, so the restriction of a quasi-free state to
+    the family factors node by node and only the nodes are kept.
     """
 
-    modes: list
+    nodes: np.ndarray
     descriptor: str = ""
 
     def __post_init__(self):
-        if not self.modes:
+        nodes = np.array(self.nodes, dtype=float)
+        if nodes.ndim != 1:
+            raise ValidationError("mode nodes must be a 1-d array")
+        if nodes.size == 0:
             raise ValidationError("mode family must be nonempty")
-        if any(m.q.size != 1 for m in self.modes):
+        bad = nodes[~(np.isfinite(nodes) & (nodes > 0))]
+        if bad.size:
             raise ValidationError(
-                "family modes must be one-point radial modes")
-        nodes = np.array([m.q[0] for m in self.modes])
+                "mode nodes must be positive and finite, got %s"
+                % ", ".join(fmt17(x) for x in bad))
         if len(np.unique(nodes)) != len(nodes):
             raise ValidationError("family modes must sit on distinct nodes")
-        defect = max(abs(m.norm2() - 1.0) for m in self.modes)
-        if defect > _GRAM_TOL:
-            raise ValidationError(
-                "modes are not unit norm: norm defect %s" % fmt17(defect))
+        self.nodes = nodes
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return len(self.nodes)
 
 
-def _point_mass_modes(centers, half_width, mass=0.0):
-    """One mode per center: a unit-norm spike on its own quadrature node.
-
-    Distinct nodes give exactly vanishing cross inner products, so the
-    family is orthonormal to machine precision and restrictions factor
-    mode by mode.
-    """
-    centers = np.asarray(centers, dtype=float)
-    modes = []
-    for qc in centers:
-        q = np.array([qc])
-        w_dq = np.array([2.0 * half_width])
-        amp = 1.0 / math.sqrt(4.0 * math.pi * w_dq[0] * qc * qc)
-        modes.append(MomentumFunction.from_radial(q, w_dq, np.array([amp]),
-                                                 mass=mass))
-    return modes
-
-
-def adapted_family(n: int, s_lo: float = 0.1, s_hi: float = 5.0,
-                   mass: float = 0.0) -> ModeFamily:
+def adapted_family(n: int, s_lo: float = 0.1, s_hi: float = 5.0) -> ModeFamily:
     """Thermally ordered grid family: n point modes, low frequency first.
 
     Low-frequency modes carry the largest thermal weight, so the family
@@ -108,41 +90,30 @@ def adapted_family(n: int, s_lo: float = 0.1, s_hi: float = 5.0,
         raise ValidationError("family size must be >= 1")
     if not (0 < s_lo < s_hi):
         raise ValidationError("need 0 < s_lo < s_hi")
-    centers = np.linspace(s_lo, s_hi, n)
-    hw = (centers[1] - centers[0]) / 2.0 if n > 1 else (s_hi - s_lo) / 2.0
     return ModeFamily(
-        _point_mass_modes(centers, hw, mass=mass),
+        np.linspace(s_lo, s_hi, n),
         descriptor="adapted:n=%d,s_lo=%s,s_hi=%s" % (n, fmt17(s_lo), fmt17(s_hi)))
 
 
-def single_frequency_family(frequencies, mass: float = 0.0) -> ModeFamily:
+def single_frequency_family(frequencies) -> ModeFamily:
     """Point modes at explicitly chosen, distinct frequencies."""
     freqs = np.asarray(frequencies, dtype=float).reshape(-1)
-    # no frequencies leave no modes, which ModeFamily rejects by name
-    hw = 0.5 * float(np.min(np.abs(freqs), initial=np.inf))
     return ModeFamily(
-        _point_mass_modes(freqs, hw, mass=mass),
-        descriptor="single:%s" % ",".join(fmt17(x) for x in freqs))
+        freqs, descriptor="single:%s" % ",".join(fmt17(x) for x in freqs))
 
 
 def mode_occupations(state: QuasiFreeState, family: ModeFamily) -> np.ndarray:
     """Number expectation of each mode in the given state.
 
-    Uses the thermally weighted norm <kappa e, kappa e> = 1 + 2<n>.  A
-    boosted thermal state gives each lab-frame mode the exact average of
-    the Doppler-shifted occupation over directions.
+    The bath occupation at each node; a boosted thermal state gives each
+    lab-frame mode the exact average of the Doppler-shifted occupation
+    over directions.  The modes are those of the massless field.
     """
-    occ = np.empty(len(family))
-    for k, mode in enumerate(family.modes):
-        g = doubled_gram(state, mode, mode)
-        if abs(g.imag) > _GRAM_TOL:
-            raise NumericalError(
-                "thermal Gram diagonal has imaginary part %s" % fmt17(g.imag))
-        occ[k] = (g.real - 1.0) / 2.0
-        if occ[k] < -_GRAM_TOL:
-            raise NumericalError(
-                "negative occupation %s from thermal Gram" % fmt17(occ[k]))
-    return np.clip(occ, 0.0, None)
+    if state.mass != 0.0:
+        raise ValidationError(
+            "mode families are massless; the state has mass %s"
+            % fmt17(state.mass))
+    return bath_occupation(family.nodes, state.beta, state.frame.rapidity)
 
 
 def _check_occupation(nbar: float) -> None:
@@ -222,10 +193,17 @@ def fidelity(rho, sigma) -> float:
 
 
 def thermal_fidelity(n1: float, n2: float) -> float:
-    """Closed-form fidelity of two single-mode thermal states."""
+    """Closed-form fidelity of two single-mode thermal states,
+    1 / (sqrt((n1 + 1)(n2 + 1)) - sqrt(n1 n2)).
+
+    Evaluated as (sqrt((n1 + 1)(n2 + 1)) + sqrt(n1 n2)) / (n1 + n2 + 1),
+    which has no cancellation: the difference form divides by zero once
+    n1 and n2 are large enough that n + 1 rounds to n.
+    """
     _check_occupation(n1)
     _check_occupation(n2)
-    return 1.0 / (math.sqrt((n1 + 1.0) * (n2 + 1.0)) - math.sqrt(n1 * n2))
+    root = math.sqrt(n1 + 1.0) * math.sqrt(n2 + 1.0) + math.sqrt(n1) * math.sqrt(n2)
+    return root / (n1 + n2 + 1.0)
 
 
 def thermal_fidelity_spectral(n1: float, n2: float,

@@ -89,6 +89,19 @@ def _hermitian_2x2(matrix, name):
     return matrix
 
 
+def _density_2x2(matrix, name):
+    """The 2x2 density matrix as a complex array; ValidationError naming it
+    unless it is Hermitian (see _hermitian_2x2), PSD to -1e-10 and of unit
+    trace to 1e-10."""
+    rho = _hermitian_2x2(matrix, name)
+    evals = np.linalg.eigvalsh(rho)
+    if np.any(evals < -1e-10):
+        raise ValidationError("%s must be PSD" % name)
+    if abs(np.sum(evals) - 1.0) > 1e-10:
+        raise ValidationError("%s must have unit trace" % name)
+    return rho
+
+
 def form_factor_values(s, beta, coupling=None, zeta=math.pi, amplitude=1.0):
     """Evaluate the glued form factor at signed frequencies s.
 
@@ -186,50 +199,59 @@ class ReservoirDiscretization:
         return 2.0 * math.pi / spacing
 
 
-def _pack(beta, s, w, coupling, zeta, amplitude) -> ReservoirDiscretization:
+# panels of the reservoir grids, in |s| on each side
+_S_MIN, _S_MAX = 0.02, 6.0
+_PAIRED_SPLIT = 1.5
+_JITTER_SPLIT = (1.2, 1.8)       # range of the jittered split point
+_SHELL_ORDERS = (2, 8, 2)
+_SHELL_HALF_WIDTH = (0.35, 0.5)  # range of the shell's jittered half width
+
+
+def _two_sided_modes(beta, plus, minus, zeta, amplitude) -> ReservoirDiscretization:
+    """Modes on composite Gauss-Legendre panels, sampling the glued form
+    factor of the default coupling.
+
+    plus and minus are the (edges, counts) of gl_panels for the positive
+    side and for |s| on the negative side.
+    """
     if not 0.0 < beta < math.inf:
         # at beta = inf every mode at s < 0 would carry a zero amplitude
         raise ValidationError(
             "beta must be positive and finite: the modes sample a thermal "
             "form factor, got %s" % beta)
+    qp, wp = gl_panels(*plus)
+    qm, wm = gl_panels(*minus)
+    s = np.concatenate([qp, -qm])
+    w = np.concatenate([wp, wm])
     f = np.sqrt(4.0 * math.pi * w) * form_factor_values(
-        s, beta, coupling=coupling, zeta=zeta, amplitude=amplitude)
+        s, beta, zeta=zeta, amplitude=amplitude)
     return ReservoirDiscretization(s=s, w=w, f=f, beta=beta, zeta=zeta,
-                                   coupling=coupling or default_coupling,
+                                   coupling=default_coupling,
                                    amplitude=amplitude)
 
 
-def paired_modes(beta, n_side=12, s_min=0.02, s_max=6.0, split=1.5,
-                 coupling=None, zeta=math.pi, amplitude=1.0):
+def paired_modes(beta, n_side=12, zeta=math.pi, amplitude=1.0):
     """Exactly mirrored +/- grid.  Resonant by construction; J-compatible."""
     n1 = n_side // 2
-    q, wq = gl_panels([s_min, split, s_max], [n1, n_side - n1])
-    s = np.concatenate([q, -q])
-    w = np.concatenate([wq, wq])
-    return _pack(beta, s, w, coupling, zeta, amplitude)
+    side = ([_S_MIN, _PAIRED_SPLIT, _S_MAX], [n1, n_side - n1])
+    return _two_sided_modes(beta, side, side, zeta, amplitude)
 
 
-def jittered_modes(beta, seed, n_side=12, s_min=0.02, s_max=6.0,
-                   split_lo=1.2, split_hi=1.8, coupling=None,
-                   zeta=math.pi, amplitude=1.0):
+def jittered_modes(beta, seed, n_side=12, zeta=math.pi, amplitude=1.0):
     """Non-resonant grid: independent panel split points on the two sides."""
     rng = np.random.default_rng(seed)
     n1 = n_side // 2
+    lo, hi = _JITTER_SPLIT
 
     def one_side():
-        b = split_lo + (split_hi - split_lo) * rng.random()
-        return gl_panels([s_min, b, s_max], [n1, n_side - n1])
+        b = lo + (hi - lo) * rng.random()
+        return [_S_MIN, b, _S_MAX], [n1, n_side - n1]
 
-    qp, wp = one_side()
-    qm, wm = one_side()
-    s = np.concatenate([qp, -qm])
-    w = np.concatenate([wp, wm])
-    return _pack(beta, s, w, coupling, zeta, amplitude)
+    plus = one_side()
+    return _two_sided_modes(beta, plus, one_side(), zeta, amplitude)
 
 
-def resonant_shell_modes(beta, gap, seed, orders=(2, 8, 2), s_min=0.02,
-                         s_max=6.0, half_width_lo=0.35, half_width_hi=0.5,
-                         coupling=None, zeta=math.pi, amplitude=1.0):
+def resonant_shell_modes(beta, gap, seed, zeta=math.pi, amplitude=1.0):
     """Grid concentrating quadrature around |s| = gap.
 
     The middle panel brackets the detector gap so the modes that exchange
@@ -238,20 +260,18 @@ def resonant_shell_modes(beta, gap, seed, orders=(2, 8, 2), s_min=0.02,
     not free of resonances: the middle panel is centred on gap on both
     sides and Gauss-Legendre nodes are symmetric in a panel, so pairs of
     nodes sum to +-2*gap to rounding, and four-boson occupation sums hit
-    {0, +-gap} from n_tot_max = 4 on (36 collisions there with the default
-    orders; assemble_L0 warns).
+    {0, +-gap} from n_tot_max = 4 on (36 collisions there; assemble_L0
+    warns).
     """
     rng = np.random.default_rng(seed)
+    lo, hi = _SHELL_HALF_WIDTH
 
     def one_side():
-        hw = half_width_lo + (half_width_hi - half_width_lo) * rng.random()
-        return gl_panels([s_min, gap - hw, gap + hw, s_max], orders)
+        hw = lo + (hi - lo) * rng.random()
+        return [_S_MIN, gap - hw, gap + hw, _S_MAX], _SHELL_ORDERS
 
-    qp, wp = one_side()
-    qm, wm = one_side()
-    s = np.concatenate([qp, -qm])
-    w = np.concatenate([wp, wm])
-    return _pack(beta, s, w, coupling, zeta, amplitude)
+    plus = one_side()
+    return _two_sided_modes(beta, plus, one_side(), zeta, amplitude)
 
 
 class TruncatedFock:
@@ -442,12 +462,8 @@ def gns_vacuum(space: TruncatedFock, E: float, beta: float) -> np.ndarray:
 
 def product_initial(space: TruncatedFock, detector_rho: np.ndarray) -> np.ndarray:
     """Purification vector of (detector density matrix) x reservoir vacuum."""
-    rho = _hermitian_2x2(detector_rho, "detector density matrix")
+    rho = _density_2x2(detector_rho, "detector density matrix")
     evals, evecs = np.linalg.eigh(rho)
-    if np.any(evals < -1e-10):
-        raise ValidationError("detector density matrix must be PSD")
-    if abs(np.sum(evals) - 1.0) > 1e-10:
-        raise ValidationError("detector density matrix must have unit trace")
     root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
     psi = np.zeros((4, space.reservoir_dim), dtype=complex)
     psi[:, space.vacuum] = root.ravel()    # d = 2a + b for root[a, b]
@@ -1287,13 +1303,18 @@ def rte_distance_series(L: LiouvilleanOperator, initial: np.ndarray,
 
     The reference defaults to the reduced perturbed KMS vector at the
     operator's own coupling, i.e. the detector Gibbs state plus its O(lam)
-    dressing.  Failure to reach the threshold before the recurrence time is
-    reported in the summary, not raised.
+    dressing; a reference passed in must be a 2x2 density matrix.  The
+    threshold must lie in (0, 1).  Failure to reach the threshold before
+    the recurrence time is reported in the summary, not raised.
     """
+    if not 0.0 < threshold < 1.0:
+        raise ValidationError("threshold must be in (0, 1), got %r" % threshold)
     space = L.space
     t_rec = space.disc.recurrence_time()
     if reference is None:
         reference = _dressed_reference(L)
+    else:
+        reference = _density_2x2(reference, "reference")
     traj = evolve(L, initial, tgrid,
                   observe=lambda psi: reduce_detector(psi, space))
     dists = np.array([trace_distance(rho, reference) for rho in traj.states])

@@ -108,6 +108,37 @@ def planck_occupation(x, beta=1.0):
         return 1.0 / np.expm1(beta * x)
 
 
+def bath_occupation(omega, beta, rapidity=0.0):
+    """Occupation of a thermal bath at lab frequencies omega, averaged over
+    directions; zeros at beta = inf.
+
+    At rest this is mu_beta(omega). A massless bath at rapidity eta sees
+    the lab momentum q = omega in direction cos theta = c at the Doppler
+    frequency x(c) = q gamma (1 - v c), which runs over
+    [q e^{-|eta|}, q e^{|eta|}]. Every quasi-free sum over radial vectors
+    is linear in the occupation at a node, so only the direction average
+    enters:
+
+        (1/2) int_{-1}^{1} mu_beta(x(c)) dc
+            = [ln(1 - e^{-beta x})]_{x = q e^{-|eta|}}^{q e^{|eta|}} / d,
+
+    d = 2 beta q sinh|eta|, since d/dx ln(1 - e^{-beta x}) = beta mu_beta(x).
+    With a = beta q e^{-|eta|} the bracket is ln((1 - e^{-a-d}) / (1 - e^{-a}))
+    = log1p(mu_beta(q e^{-|eta|}) (1 - e^{-d})). Written so, it does not
+    cancel as eta -> 0, where it tends to mu_beta(q). A nonzero rapidity
+    assumes a massless field, where omega = q.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if beta == math.inf:
+        return np.zeros_like(omega)
+    eta = abs(rapidity)
+    if eta == 0.0:
+        return planck_occupation(omega, beta)
+    d = 2.0 * beta * omega * math.sinh(eta)
+    low = planck_occupation(omega * math.exp(-eta), beta)
+    return np.log1p(low * -np.expm1(-d)) / d
+
+
 def dispersion(q, mass=0.0):
     q = np.asarray(q, dtype=float)
     if mass == 0.0:

@@ -7,12 +7,12 @@ are evaluated through the doubled inner product
 
     <f, g>_beta = <kf, (1 + mu) kg> + <kg, mu kf>,
 
-with mu the occupation at each radial momentum node. At rest it is the
-Planck occupation of the frequency omega. A massless bath boosted along z
-sees the Doppler frequency q * gamma * (1 - v cos theta); the test
-vectors are radial and every sum is linear in mu, so mu is the exact
-average of the Doppler-shifted occupation over directions (see
-_occupation).
+with mu the occupation at each radial momentum node, from
+oneparticle.bath_occupation. At rest it is the Planck occupation of the
+frequency omega. A massless bath boosted along z sees the Doppler
+frequency q * gamma * (1 - v cos theta); the test vectors are radial and
+every sum is linear in mu, so mu is the exact average of the
+Doppler-shifted occupation over directions.
 
 Time series and their Fourier transforms are phase sums
 sum_i a_i e^{-i omega_i t_n} over an evenly spaced time grid t_n = t_0 + n dt
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ResolutionError, StructuralError, ValidationError
 from .oneparticle import (BoostSpec, CauchyData, MomentumFunction,
-                          ground_map, planck_occupation)
+                          bath_occupation, ground_map)
 
 __all__ = [
     "QuasiFreeState", "CorrelatorSeries", "BalanceReport",
@@ -113,37 +113,10 @@ def _aligned_pair(state, f, g):
     return kf, kg, kf.wtot * kf.q ** 2
 
 
-def _occupation(state, k):
-    """Occupation of each radial node of k, averaged over directions.
-
-    At rest this is mu_beta(omega). A massless bath at rapidity eta sees
-    the lab momentum q in direction cos theta = c at the Doppler frequency
-    x(c) = q gamma (1 - v c), which runs over [q e^{-|eta|}, q e^{|eta|}].
-    Every quasi-free sum is linear in the occupation at a node and the
-    test vectors are radial, so only the direction average enters:
-
-        (1/2) int_{-1}^{1} mu_beta(x(c)) dc
-            = [ln(1 - e^{-beta x})]_{x = q e^{-|eta|}}^{q e^{|eta|}} / d,
-
-    d = 2 beta q sinh|eta|, since d/dx ln(1 - e^{-beta x}) = beta mu_beta(x).
-    With a = beta q e^{-|eta|} the bracket is ln((1 - e^{-a-d}) / (1 - e^{-a}))
-    = log1p(mu_beta(q e^{-|eta|}) (1 - e^{-d})). Written so, it does not
-    cancel as eta -> 0, where it tends to mu_beta(q).
-    """
-    if state.is_vacuum:
-        return np.zeros_like(k.q)
-    eta = abs(state.frame.rapidity)
-    if eta == 0.0:
-        return planck_occupation(k.omega, state.beta)
-    d = 2.0 * state.beta * k.q * math.sinh(eta)
-    low = planck_occupation(k.q * math.exp(-eta), state.beta)
-    return np.log1p(low * -np.expm1(-d)) / d
-
-
 def doubled_gram(state, f, g):
     """<kappa_beta f, kappa_beta g> for the given state."""
     kf, kg, wq2 = _aligned_pair(state, f, g)
-    mu = _occupation(state, kf)
+    mu = bath_occupation(kf.omega, state.beta, state.frame.rapidity)
     term1 = np.sum(wq2 * (1.0 + mu) * np.conj(kf.values) * kg.values)
     term2 = np.sum(wq2 * mu * kf.values * np.conj(kg.values))
     return complex(term1 + term2)
@@ -213,8 +186,8 @@ def two_point_series(state, g, f, tgrid):
     for N times (see _phase_tables).
     """
     kg, kf, wq2 = _aligned_pair(state, g, f)
-    mu = _occupation(state, kg)
     om = kg.omega
+    mu = bath_occupation(om, state.beta, state.frame.rapidity)
     a = wq2 * (1.0 + mu) * np.conj(kg.values) * kf.values
     b = wq2 * mu * kg.values * np.conj(kf.values)
     tgrid = np.asarray(tgrid, dtype=float)
@@ -233,8 +206,8 @@ def weyl_correlator(state, f, g, tgrid):
     two_point_series, on the same kind of evenly spaced tgrid.
     """
     kg, kf, wq2 = _aligned_pair(state, g, f)
-    mu = _occupation(state, kg)
     om = kg.omega
+    mu = bath_occupation(om, state.beta, state.frame.rapidity)
     a = wq2 * (1.0 + mu) * np.conj(kg.values) * kf.values
     b = wq2 * mu * kg.values * np.conj(kf.values)
     nf = np.sum(wq2 * (1.0 + 2.0 * mu) * np.abs(kf.values) ** 2).real

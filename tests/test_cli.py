@@ -259,6 +259,31 @@ def test_default_quasifree_outputs_are_pinned(tmp_path, cli_env, command):
             assert fields[key] == val, key
 
 
+# printed stdout of disjoint at its defaults and at [disjointness] v = 0.5;
+# n_star is pinned exactly, the floats to 1e-12 relative
+DEFAULT_DISJOINT = {
+    "": ("118", -0.024612493922891991, 0.0053199646747098981),
+    "[disjointness]\nv = 0.5\n": ("115", -0.023038358480692935,
+                                   0.0058155050808569378),
+}
+
+
+@pytest.mark.parametrize("config", sorted(DEFAULT_DISJOINT),
+                         ids=["defaults", "v_0.5"])
+def test_default_disjoint_outputs_are_pinned(tmp_path, cli_env, config):
+    cfg = tmp_path / "disjoint.cfg"
+    cfg.write_text(config)
+    proc = _run(["--config", str(cfg), "--out", "run", "disjoint"],
+                tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr
+    fields = dict(line.split("=", 1) for line in proc.stdout.splitlines())
+    assert list(fields) == ["n_star", "log_slope", "final_fidelity"]
+    n_star, slope, final = DEFAULT_DISJOINT[config]
+    assert fields["n_star"] == n_star
+    assert float(fields["log_slope"]) == pytest.approx(slope, rel=1e-12)
+    assert float(fields["final_fidelity"]) == pytest.approx(final, rel=1e-12)
+
+
 def test_response_rejects_a_massive_field(tmp_path, cli_env):
     cfg = tmp_path / "massive.cfg"
     cfg.write_text("[global]\nmass = 0.7\n")

@@ -7,8 +7,9 @@ import pytest
 
 from kmslab import disjointness as dj
 from kmslab.errors import ValidationError
-from kmslab.oneparticle import BoostSpec, MomentumFunction
+from kmslab.oneparticle import BoostSpec, MomentumFunction, planck_occupation
 from kmslab.quasifree import QuasiFreeState, doubled_gram
+from kmslab.textio import fmt17
 
 
 def _random_density(seed, dim=4):
@@ -18,15 +19,22 @@ def _random_density(seed, dim=4):
     return rho / np.trace(rho).real
 
 
+def _point_mode(node):
+    """Unit-norm one-point radial mode at a node (any positive weight)."""
+    w_dq = 0.5 * node
+    amp = 1.0 / math.sqrt(4.0 * math.pi * w_dq * node * node)
+    return MomentumFunction.from_radial(np.array([node]), np.array([w_dq]),
+                                        np.array([amp]))
+
+
 # ---------------------------------------------------------------------------
 # mode families
 
 def test_adapted_family_is_orthonormal():
     fam = dj.adapted_family(24)
-    norms = np.array([m.norm2() for m in fam.modes])
-    assert np.max(np.abs(norms - 1.0)) < 1e-10
-    # distinct nodes: cross inner products vanish in any frame
-    assert len(np.unique([m.q[0] for m in fam.modes])) == 24
+    # distinct nodes: cross inner products of point modes vanish in any frame
+    assert np.array_equal(fam.nodes, np.linspace(0.1, 5.0, 24))
+    assert len(np.unique(fam.nodes)) == 24
     assert len(fam) == 24
     assert fam.descriptor.startswith("adapted:")
 
@@ -36,7 +44,7 @@ def test_family_prefix_nesting():
     fam = dj.adapted_family(12)
     s1, s2 = QuasiFreeState(beta=1.0), QuasiFreeState(beta=2.0)
     full = dj.overlap_decay(s1, s2, fam).values
-    head = dj.overlap_decay(s1, s2, dj.ModeFamily(fam.modes[:5])).values
+    head = dj.overlap_decay(s1, s2, dj.ModeFamily(fam.nodes[:5])).values
     assert np.array_equal(head, full[:5])
 
 
@@ -50,15 +58,41 @@ def test_family_validation():
 
 
 def test_family_rejects_modes_that_are_not_unit_point_modes():
-    mode = dj.adapted_family(1).modes[0]
-    two_point = MomentumFunction.from_radial(
-        np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.array([0.1, 0.1]))
-    with pytest.raises(ValidationError, match="one-point"):
-        dj.ModeFamily([two_point])
+    node = dj.adapted_family(1).nodes[0]
     with pytest.raises(ValidationError, match="distinct nodes"):
-        dj.ModeFamily([mode, mode.copy_with(mode.values)])
-    with pytest.raises(ValidationError, match="unit norm"):
-        dj.ModeFamily([mode.copy_with(1.1 * mode.values)])
+        dj.ModeFamily([node, node])
+    with pytest.raises(ValidationError, match="1-d array"):
+        dj.ModeFamily([[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_family_rejects_a_node_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ValidationError, match="positive and finite, got %s$"
+                       % fmt17(bad)):
+        dj.single_frequency_family([1.0, bad])
+
+
+def test_family_accepts_extreme_nodes():
+    # 1e-105 and 1e103 are positive and finite; the occupation at 1e103
+    # underflows to exactly 0
+    nodes = [1e-105, 1.0, 1e103]
+    fam = dj.single_frequency_family(nodes)
+    state = QuasiFreeState(beta=1.0)
+    occ = dj.mode_occupations(state, fam)
+    assert np.all(np.isfinite(occ))
+    assert np.array_equal(occ, planck_occupation(np.array(nodes), 1.0))
+    assert occ[2] == 0.0
+    for other in (QuasiFreeState(beta=2.0), state,
+                  QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(0.5))):
+        values = dj.overlap_decay(state, other, fam).values
+        assert np.all(np.isfinite(values))
+        assert np.all((values > 0.0) & (values <= 1.0 + 1e-15))
+
+
+def test_occupations_need_a_massless_state():
+    with pytest.raises(ValidationError, match="mass 0.5"):
+        dj.mode_occupations(QuasiFreeState(beta=1.0, mass=0.5),
+                            dj.adapted_family(3))
 
 
 def test_empty_single_frequency_family_is_rejected_by_name():
@@ -99,6 +133,25 @@ def test_vacuum_occupations_vanish():
     assert np.max(occ) < 1e-10
 
 
+@pytest.mark.parametrize("v", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("beta", [1.0, 2.0, math.inf])
+def test_occupations_match_the_thermal_gram_route(beta, v):
+    # reference: a unit-norm point mode per node of the default disjoint
+    # family, read through the doubled Gram diagonal <kappa e, kappa e> =
+    # 1 + 2 <n>, which cancels in 1 + 2 <n> - 1 and so is only good to
+    # about eps / <n> relative
+    state = QuasiFreeState(beta=beta, frame=BoostSpec.from_velocity(v))
+    fam = dj.adapted_family(200)
+    occ = dj.mode_occupations(state, fam)
+    if state.is_vacuum:
+        assert np.array_equal(occ, np.zeros(len(fam)))
+        return
+    gram = np.array([doubled_gram(state, _point_mode(x), _point_mode(x))
+                     for x in fam.nodes])
+    np.testing.assert_allclose(occ, (gram.real - 1.0) / 2.0,
+                               rtol=1e-10, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # restricted states
 
@@ -118,8 +171,8 @@ def test_density_matrix_reproduces_moments():
     state = QuasiFreeState(beta=1.0)
     rho = dj.restrict_state(state, fam)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
-    singles = [dj.restrict_state(state, dj.ModeFamily([m]))
-               for m in fam.modes]
+    singles = [dj.restrict_state(state, dj.ModeFamily([x]))
+               for x in fam.nodes]
     assert np.array_equal(rho, np.kron(*singles))
     occ = dj.mode_occupations(state, fam)
     for single, nbar in zip(singles, occ):
@@ -131,8 +184,9 @@ def test_boosted_restriction_is_diagonal_occupation_gram():
     state = QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(0.5))
     rho = dj.restrict_state(state, fam)
     assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 0
-    for m in fam.modes:
-        single = dj.restrict_state(state, dj.ModeFamily([m]))
+    for x in fam.nodes:
+        single = dj.restrict_state(state, dj.ModeFamily([x]))
+        m = _point_mode(x)
         direct = (doubled_gram(state, m, m).real - 1.0) / 2.0
         assert abs(_number_expectation(single) - direct) < 1e-8
 
@@ -169,6 +223,13 @@ def test_fidelity_extremes_and_symmetry():
     up = np.diag([1.0, 0.0]).astype(complex)
     down = np.diag([0.0, 1.0]).astype(complex)
     assert dj.fidelity(up, down) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_thermal_fidelity_does_not_cancel_at_large_occupations():
+    # n + 1 rounds to n here; the difference form divided by zero
+    assert dj.thermal_fidelity(1e17, 1e17) == pytest.approx(1.0, rel=1e-15)
+    assert dj.thermal_fidelity(1e105, 5e104) == pytest.approx(
+        2.0 * math.sqrt(0.5) / 1.5, rel=1e-15)
 
 
 def test_thermal_fidelity_closed_vs_spectral():

@@ -1068,6 +1068,36 @@ def test_distance_series_constant_at_zero_coupling():
     assert not report.reached
 
 
+@pytest.mark.parametrize("reference, match", [
+    (np.array([[math.nan, 0.0], [0.0, 0.5]]), "finite"),
+    (np.diag([1.0, 1.0]), "unit trace"),
+    (np.array([[0.5, 0.4], [0.1, 0.5]]), "Hermitian"),
+    (np.diag([1.0, 0.0, 0.0]), "2x2"),
+], ids=["nan", "trace_2", "non_hermitian", "3x3"])
+def test_distance_series_rejects_a_bad_reference(reference, match):
+    L, psi = _excited_run()
+    with pytest.raises(ValidationError, match="reference must.*" + match):
+        lv.rte_distance_series(L, psi, [1.0, 2.0], reference=reference)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, 5.0])
+def test_distance_series_rejects_a_threshold_outside_the_unit_interval(
+        threshold):
+    L, psi = _excited_run()
+    with pytest.raises(ValidationError, match=r"threshold must be in \(0, 1\)"):
+        lv.rte_distance_series(L, psi, [1.0, 2.0], threshold=threshold)
+
+
+def test_product_initial_and_distance_series_share_the_state_checks():
+    _, space = _small_paired()
+    negative = np.diag([1.5, -0.5])
+    with pytest.raises(ValidationError, match="detector density matrix must be PSD"):
+        lv.product_initial(space, negative)
+    L, psi = _excited_run()
+    with pytest.raises(ValidationError, match="reference must be PSD"):
+        lv.rte_distance_series(L, psi, [1.0, 2.0], reference=negative)
+
+
 def test_initial_state_table_matches_criterion_10():
     # the construction of tests/test_acceptance.py, criterion 10, on a
     # smaller truncation of the same grid
