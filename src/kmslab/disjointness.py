@@ -107,13 +107,21 @@ def mode_occupations(state: QuasiFreeState, family: ModeFamily) -> np.ndarray:
 
     The bath occupation at each node; a boosted thermal state gives each
     lab-frame mode the exact average of the Doppler-shifted occupation
-    over directions.  The modes are those of the massless field.
+    over directions.  The modes are those of the massless field.  A node
+    whose occupation is not finite (one so small that 1/(e^{beta s} - 1)
+    overflows) raises ValidationError naming it.
     """
     if state.mass != 0.0:
         raise ValidationError(
             "mode families are massless; the state has mass %s"
             % fmt17(state.mass))
-    return bath_occupation(family.nodes, state.beta, state.frame.rapidity)
+    occ = bath_occupation(family.nodes, state.beta, state.frame.rapidity)
+    bad = family.nodes[~np.isfinite(occ)]
+    if bad.size:
+        raise ValidationError(
+            "bath occupation is not finite at mode nodes %s"
+            % ", ".join(fmt17(x) for x in bad))
+    return occ
 
 
 def _check_occupation(nbar: float) -> None:

@@ -230,22 +230,28 @@ def _two_sided_modes(beta, plus, minus, zeta, amplitude) -> ReservoirDiscretizat
                                    amplitude=amplitude)
 
 
+def _side_counts(n_side):
+    """Node counts of the two panels of a side; n_side < 2 raises."""
+    if not n_side >= 2:
+        raise ValidationError("n_side must be >= 2, got %r" % (n_side,))
+    return [n_side // 2, n_side - n_side // 2]
+
+
 def paired_modes(beta, n_side=12, zeta=math.pi, amplitude=1.0):
     """Exactly mirrored +/- grid.  Resonant by construction; J-compatible."""
-    n1 = n_side // 2
-    side = ([_S_MIN, _PAIRED_SPLIT, _S_MAX], [n1, n_side - n1])
+    side = ([_S_MIN, _PAIRED_SPLIT, _S_MAX], _side_counts(n_side))
     return _two_sided_modes(beta, side, side, zeta, amplitude)
 
 
 def jittered_modes(beta, seed, n_side=12, zeta=math.pi, amplitude=1.0):
     """Non-resonant grid: independent panel split points on the two sides."""
+    counts = _side_counts(n_side)
     rng = np.random.default_rng(seed)
-    n1 = n_side // 2
     lo, hi = _JITTER_SPLIT
 
     def one_side():
         b = lo + (hi - lo) * rng.random()
-        return [_S_MIN, b, _S_MAX], [n1, n_side - n1]
+        return [_S_MIN, b, _S_MAX], counts
 
     plus = one_side()
     return _two_sided_modes(beta, plus, one_side(), zeta, amplitude)
@@ -286,7 +292,9 @@ class TruncatedFock:
     before mode j.  C[j, b + 1] is the sum over b' <= b of the number of
     allowed occupations of modes j, j+1, ... with at most b' quanta, so each
     term counts basis rows and stays below the dimension.  Memory: the basis
-    (reservoir_dim x modes int64) and C ((modes + 1) x (n_tot_max + 2)).
+    (reservoir_dim x modes, in the smallest unsigned dtype that holds
+    n_tot_max: uint8 up to 255), occupation_energy (reservoir_dim floats)
+    and C ((modes + 1) x (n_tot_max + 2) int64).
     Ladder operators come from one raising table, one entry per (row with
     room, mode): a row n below its cap in the mode and below n_tot_max in
     total goes to rank(n + e_mode) with weight sqrt(n_mode + 1).  It is
@@ -308,7 +316,8 @@ class TruncatedFock:
         # rows of modes j+1, ... that hold at most n_tot_max - m quanta.
         budget = self.n_tot_max
         self._counts = np.zeros((N + 1, budget + 2), dtype=np.int64)
-        rows, tot = np.zeros((1, 0), dtype=np.int64), np.zeros(1, np.int64)
+        rows = np.zeros((1, 0), dtype=np.min_scalar_type(budget))
+        tot = np.zeros(1, np.int64)
         for j in range(N, -1, -1):
             if j < N:
                 keep = [(m, tot <= budget - m)
@@ -410,10 +419,13 @@ def _check_hermitian(M, label: str):
 class LiouvilleanOperator:
     """The generator L0 + lam V and the factors it is built from.
 
-    ``matrix`` is the generator itself and ``dim`` its dimension.  ``I`` is
-    the interaction G x 1 x Phi(f) and ``V`` = I - JIJ; both are None for
-    the free generator of assemble_L0.  L0 is not stored: it is the
-    diagonal space.free_energies(gap).
+    ``matrix`` is the generator itself and ``dim`` its dimension; it is
+    the only field of that dimension.  The coupling is held as its
+    factors: ``G``, the Hermitian part of the 2x2 monopole matrix, and
+    the two reservoir field matrices ``phi`` = Phi(f) and ``phi_conj`` =
+    Phi(e^{-beta s/2} f).  All three are None for the free generator of
+    assemble_L0.  L0 is not stored: it is the diagonal
+    space.free_energies(gap).
     """
 
     matrix: sp.csr_matrix
@@ -421,12 +433,27 @@ class LiouvilleanOperator:
     beta: float
     gap: float
     space: TruncatedFock
-    I: sp.csr_matrix | None = None
-    V: sp.csr_matrix | None = None
+    G: np.ndarray | None = None
+    phi: sp.csr_matrix | None = None
+    phi_conj: sp.csr_matrix | None = None
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def I(self) -> sp.csr_matrix | None:
+        """The interaction G x 1 x Phi(f), built anew at each access."""
+        if self.G is None:
+            return None
+        return _interaction(self.G, self.phi)
+
+    @property
+    def V(self) -> sp.csr_matrix | None:
+        """V = I - JIJ, built anew at each access; see assemble_coupling."""
+        if self.G is None:
+            return None
+        return _difference(self.G, self.I, self.phi_conj)
 
     def norm_estimate(self) -> float:
         """Infinity norm of the matrix, the documented proxy for ||L||."""
@@ -434,10 +461,11 @@ class LiouvilleanOperator:
 
     def with_lambda(self, lam: float) -> "LiouvilleanOperator":
         """The same factors at coupling lam; a non-finite lam, or an
-        operator without an interaction part, raises ValidationError."""
+        operator without an interaction part, raises ValidationError.  V
+        is built for the call and released with it."""
         if not math.isfinite(lam):
             raise ValidationError("coupling lam must be finite, got %s" % lam)
-        if self.V is None:
+        if self.G is None:
             raise ValidationError(
                 "operator lacks an interaction part; no coupling to rescale")
         mat = sp.diags(self.space.free_energies(self.gap)) + lam * self.V
@@ -517,6 +545,35 @@ def assemble_L0(space: TruncatedFock, E: float) -> LiouvilleanOperator:
                                beta=space.disc.beta, gap=float(E), space=space)
 
 
+def _coupling_factors(space: TruncatedFock, G: np.ndarray):
+    """The Hermitian part of G, Phi(f) and Phi(e^{-beta s/2} f), checked."""
+    G = _hermitian_2x2(G, "monopole matrix")
+    G = (G + G.conj().T) / 2.0
+    if np.max(np.abs(G.imag)) == 0.0:
+        G = G.real
+    disc = space.disc
+    phi = space.field_matrix(disc.f)
+    _check_hermitian(phi, "I")
+    phi_conj = space.field_matrix(np.exp(-disc.beta * disc.s / 2.0) * disc.f)
+    _check_hermitian(phi_conj, "JIJ")
+    return G, phi, phi_conj
+
+
+def _interaction(G, phi) -> sp.csr_matrix:
+    """I = G x 1 x phi."""
+    I2 = sp.identity(2, format="csr")
+    return sp.kron(sp.kron(sp.csr_matrix(G), I2, format="csr"), phi,
+                   format="csr")
+
+
+def _difference(G, I_mat, phi_conj) -> sp.csr_matrix:
+    """V = I - JIJ, with JIJ = 1 x conj(G) x phi_conj."""
+    I2 = sp.identity(2, format="csr")
+    JIJ = sp.kron(sp.kron(I2, sp.csr_matrix(G).conj(), format="csr"),
+                  phi_conj, format="csr")
+    return (I_mat - JIJ).tocsr()
+
+
 def assemble_coupling(space: TruncatedFock, G: np.ndarray):
     """Interaction I = G x 1 x Phi(f) and V = I - (its modular conjugate).
 
@@ -535,31 +592,22 @@ def assemble_coupling(space: TruncatedFock, G: np.ndarray):
     diagonal.  So I, V and every generator built from them are exactly
     Hermitian without a check over the full dimension.
     """
-    G = _hermitian_2x2(G, "monopole matrix")
-    G = (G + G.conj().T) / 2.0
-    if np.max(np.abs(G.imag)) == 0.0:
-        G = G.real
-    disc = space.disc
-    Gs, I2 = sp.csr_matrix(G), sp.identity(2, format="csr")
-    # each factor, and the raising table behind Phi, is released before the
-    # next is built: at large truncations they set the peak memory of a run
-    Phi = space.field_matrix(disc.f)
-    _check_hermitian(Phi, "I")
-    I_mat = sp.kron(sp.kron(Gs, I2, format="csr"), Phi, format="csr")
-    del Phi
-    Phi = space.field_matrix(np.exp(-disc.beta * disc.s / 2.0) * disc.f)
-    _check_hermitian(Phi, "JIJ")
-    JIJ = sp.kron(sp.kron(I2, Gs.conj(), format="csr"), Phi, format="csr")
-    del Phi
-    return I_mat, (I_mat - JIJ).tocsr()
+    G, phi, phi_conj = _coupling_factors(space, G)
+    I_mat = _interaction(G, phi)
+    return I_mat, _difference(G, I_mat, phi_conj)
 
 
 def assemble_liouvillean(space: TruncatedFock, E: float, G: np.ndarray,
                          lam: float) -> LiouvilleanOperator:
-    """Full coupled generator L0 + lam*(I - JIJ), holding I and V."""
+    """Full coupled generator L0 + lam*(I - JIJ).
+
+    It keeps the generator and the coupling's factors (the Hermitian part
+    of G and the two reservoir field matrices), checked as in
+    assemble_coupling; I and V are rebuilt from them on access.
+    """
     L0 = assemble_L0(space, E)
-    I_mat, V = assemble_coupling(space, G)
-    return replace(L0, I=I_mat, V=V).with_lambda(lam)
+    G, phi, phi_conj = _coupling_factors(space, G)
+    return replace(L0, G=G, phi=phi, phi_conj=phi_conj).with_lambda(lam)
 
 
 class ModularConjugation:
@@ -1289,7 +1337,7 @@ class RTEReport:
 
 def _dressed_reference(L: LiouvilleanOperator) -> np.ndarray:
     """Reduced perturbed KMS state at L's coupling, from its I."""
-    if L.I is None:
+    if L.G is None:
         raise ValidationError(
             "operator lacks an interaction part; pass a reference state")
     return reduce_detector(perturbed_kms_vector(L, L.I, L.lam, L.beta),

@@ -53,14 +53,17 @@ def gl_panels(edges, n):
     consecutive edges.
 
     n is one node count for every panel or a sequence with one count per
-    panel. Node counts per rule stay small: a panel asking for more than
-    64 nodes is split into equal subpanels instead of raising the rule
-    order.
+    panel; a count below 1 raises ValidationError. Node counts per rule
+    stay small: a panel asking for more than 64 nodes is split into equal
+    subpanels instead of raising the rule order.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValidationError("panel edges must be strictly increasing")
     counts = np.broadcast_to(n, (edges.size - 1,))
+    if np.any(counts < 1):
+        raise ValidationError("panel node counts must be >= 1, got %s"
+                              % ", ".join(str(c) for c in counts))
     rules = {}
     xs, ws = [], []
     for a, b, count in zip(edges[:-1], edges[1:], counts):

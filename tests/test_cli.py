@@ -323,6 +323,38 @@ def test_rte_spectrum_small_run(tmp_path, cli_env):
         assert int(_line_value(manifest, key)) > 0
 
 
+# exact stdout of both Liouville subcommands at SMALL_LIOUVILLE; a change to
+# how the generator is stored or built must leave every byte as it is
+SMALL_LIOUVILLE_STDOUT = {
+    "rte-spectrum": (
+        'lambda=0 kernel_dim=2 gap=6.3527471044072525e-22\n'
+        'lambda=0.02 kernel_dim=1 gap=3.8197782355540839e-05\n'
+        'lambda=0.040000000000000001 kernel_dim=1 gap=0.0001512527864388405\n'
+        'lambda=0.080000000000000002 kernel_dim=1 gap=0.00058251060868133424\n'
+        'theta=1.2701662267482409e-07\n'
+        'fit_exponent=1.9653617684731906\n'
+        'recurrence_time=45.511885694202604\n'
+        'fgr_window=[6.7358256912314145, 9.0883124775847097]\n'),
+    "rte-evolve": (
+        'lambda=0.13746748338643031 '
+        'fgr_window=[0.13746748338643031, 0.27264937432754133]\n'
+        'recurrence_time=98.344268707849693\n'
+        'crossing_time=14\n'
+        'pre_recurrence_min=0.00019266519264266035\n'
+        'reached=yes\n'),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_LIOUVILLE_STDOUT))
+def test_small_liouville_stdout_is_pinned(tmp_path, cli_env, command):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_LIOUVILLE)
+    proc = _run(["--config", str(cfg), "--out", "run", command], tmp_path,
+                cli_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == SMALL_LIOUVILLE_STDOUT[command]
+
+
 @pytest.mark.parametrize("initial",
                          ["excited", "one-boson", "entangled", "stationary"])
 def test_rte_evolve_small_run(tmp_path, cli_env, initial):

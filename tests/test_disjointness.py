@@ -89,6 +89,25 @@ def test_family_accepts_extreme_nodes():
         assert np.all((values > 0.0) & (values <= 1.0 + 1e-15))
 
 
+def test_occupations_name_each_node_whose_occupation_overflows():
+    # 1/expm1(beta s) overflows to inf for subnormal beta s, at rest and in
+    # the boosted average alike; 1e-305 overflows only at the small beta
+    nodes = [1e-310, 1.0, 1e-309, 1e-305]
+    fam = dj.single_frequency_family(nodes)
+    for beta, bad in ((1.0, [0, 2]), (1e-5, [0, 2, 3])):
+        named = ", ".join(fmt17(nodes[i]) for i in bad)
+        for frame in (BoostSpec(), BoostSpec.from_velocity(0.5)):
+            state = QuasiFreeState(beta=beta, frame=frame)
+            with pytest.raises(ValidationError) as err:
+                dj.mode_occupations(state, fam)
+            assert str(err.value) == ("bath occupation is not finite at "
+                                      "mode nodes " + named)
+    # overlap_decay fails at the family, not inside thermal_fidelity
+    with pytest.raises(ValidationError, match="bath occupation is not finite"):
+        dj.overlap_decay(QuasiFreeState(beta=1.0), QuasiFreeState(beta=2.0),
+                         fam)
+
+
 def test_occupations_need_a_massless_state():
     with pytest.raises(ValidationError, match="mass 0.5"):
         dj.mode_occupations(QuasiFreeState(beta=1.0, mass=0.5),

@@ -83,6 +83,16 @@ def test_jittered_grids_differ_by_seed():
     assert np.max(np.abs(a.s - b.s)) > 1e-3
 
 
+@pytest.mark.parametrize("n_side", [1, 0, -3])
+def test_mode_grids_reject_fewer_than_two_modes_a_side(n_side):
+    with pytest.raises(ValidationError, match="n_side must be >= 2, got %d"
+                                              % n_side):
+        lv.paired_modes(1.0, n_side=n_side)
+    with pytest.raises(ValidationError, match="n_side must be >= 2, got %d"
+                                              % n_side):
+        lv.jittered_modes(1.0, seed=0, n_side=n_side)
+
+
 def test_discretization_norm_defect():
     assert lv.paired_modes(1.0).norm_defect() < 5e-3
     assert lv.jittered_modes(1.0, seed=0).norm_defect() < 5e-3
@@ -413,6 +423,83 @@ def test_liouvillean_parts_and_lambda_rescale():
         assert other.lam == 0.5
         expect = (L0 + 0.5 * L.V).toarray()
         assert np.max(np.abs(other.matrix.toarray() - expect)) < 1e-14
+
+
+def _same_csr(A, B):
+    """The same CSR arrays, bit for bit."""
+    return (A.format == B.format == "csr" and A.shape == B.shape
+            and A.dtype == B.dtype and np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data, B.data))
+
+
+def _shell_operator(n_tot, lam=0.1375):
+    space = lv.TruncatedFock(lv.resonant_shell_modes(1.0, 1.0, seed=0),
+                             n_tot_max=n_tot)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        return lv.assemble_liouvillean(space, 1.0, OFFDIAG, lam)
+
+
+@pytest.mark.parametrize("zeta", [math.pi, math.pi / 2])
+def test_coupling_rebuilt_from_its_factors_is_bit_identical(zeta):
+    disc = lv.paired_modes(1.0, n_side=4, amplitude=0.5, zeta=zeta)
+    space = lv.TruncatedFock(disc, n_tot_max=2)
+    G = np.array([[0.3, 1.0 - 0.2j], [1.0 + 0.2j, -0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        L = lv.assemble_liouvillean(space, 1.0, G, 0.25)
+    I_mat, V = lv.assemble_coupling(space, G)
+    assert _same_csr(L.I, I_mat) and _same_csr(L.V, V)
+    assert L.I is not L.I            # built at each access, never cached
+    free = sp.diags(space.free_energies(1.0))
+    for lam in (0.0, 0.25, -0.1):
+        assert _same_csr(L.with_lambda(lam).matrix, (free + lam * V).tocsr())
+
+
+def test_only_the_generator_has_the_doubled_dimension():
+    L = _shell_operator(2)
+    for f in dataclasses.fields(L):
+        value = getattr(L, f.name)
+        if f.name != "matrix" and hasattr(value, "shape"):
+            assert L.dim not in value.shape, f.name
+    assert L.phi.shape == L.phi_conj.shape == (L.space.reservoir_dim,) * 2
+    free = lv.assemble_L0(L.space, 1.0)
+    assert free.G is free.phi is free.phi_conj is free.I is free.V is None
+
+
+def test_assembly_keeps_the_generator_and_the_reservoir_factors():
+    # criterion-10 set-up at n_tot_max = 3 (dim 11 700).  What the space
+    # and the operator keep, traced, is the generator, both fields and the
+    # basis, plus a slack: the occupation energies (8 bytes a row), the
+    # rank counts C, and 64 KiB for Python objects and first-call caches
+    # (about 35 KB measured).  I and V would add 2.3 MB here.
+    csr_bytes = lambda M: M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    tracemalloc.start()
+    try:
+        L = _shell_operator(3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    space = L.space
+    kept = (csr_bytes(L.matrix) + csr_bytes(L.phi) + csr_bytes(L.phi_conj)
+            + space.basis.nbytes)
+    slack = space.occupation_energy.nbytes + space._counts.nbytes + 65536
+    assert L.dim == 11700
+    assert kept <= held <= kept + slack
+
+
+def test_occupation_basis_takes_the_smallest_unsigned_dtype():
+    shell = lv.resonant_shell_modes(1.0, 1.0, seed=0)
+    assert lv.TruncatedFock(shell, n_tot_max=4).basis.dtype == np.uint8
+    two = lv.ReservoirDiscretization(np.array([-1.0, 1.0]), np.full(2, 0.1),
+                                     np.full(2, 0.3), beta=1.0)
+    space = lv.TruncatedFock(two, n_max=128)      # caps sum to 256
+    assert space.basis.dtype == np.uint16
+    assert space.reservoir_dim == 129 ** 2
+    assert np.array_equal(space.rank(space.basis), np.arange(129 ** 2))
+    assert np.array_equal(space.occupation_energy,
+                          space.basis.astype(np.int64) @ two.s)
 
 
 def test_free_operator_has_no_coupling_to_rescale():

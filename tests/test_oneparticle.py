@@ -98,6 +98,14 @@ def test_ground_map_norm_vs_refined_quadrature():
     assert abs(norms[0] - norms[1]) < 1e-8 * norms[1]
 
 
+@pytest.mark.parametrize("n", [0, -3, (2, 0), (1, -1)])
+def test_gl_panels_rejects_a_node_count_below_one(n):
+    with pytest.raises(ValidationError, match="panel node counts must be >= 1"):
+        gl_panels((0.0, 1.0, 2.0), n)
+    q, w = gl_panels((0.0, 1.0, 2.0), 1)      # the smallest rule: midpoints
+    assert np.array_equal(q, [0.5, 1.5]) and np.array_equal(w, [1.0, 1.0])
+
+
 def test_ground_map_infrared_warning():
     q, w = default_qgrid(1.0, n=256)
     f2 = np.exp(-q * q)            # nonvanishing velocity datum at q -> 0
