@@ -312,16 +312,16 @@ def pullback_wightman(state, traj, tau, eps=None, coupling=None, boost=None):
 
 class ResponseWindow:
     """Gaussian smearing G(tau) = exp(-tau^2 / 2 sigma^2), truncated at
-    tau_max (default 4 sigma)."""
+    tau_max = 4 sigma."""
 
-    def __init__(self, sigma_tau, tau_max=None):
-        if not sigma_tau > 0:
-            raise ValidationError("window width must be positive")
+    def __init__(self, sigma_tau):
+        # an infinite truncation would never end the tau mesh
+        if not 0 < 4.0 * sigma_tau < math.inf:
+            raise ValidationError(
+                "window width must be positive and its truncation finite, "
+                "got %r" % (sigma_tau,))
         self.sigma_tau = float(sigma_tau)
-        self.tau_max = float(tau_max) if tau_max is not None \
-            else 4.0 * self.sigma_tau
-        if self.tau_max <= self.sigma_tau:
-            raise ValidationError("window truncation must exceed its width")
+        self.tau_max = 4.0 * self.sigma_tau
 
     def __call__(self, tau):
         return np.exp(-np.asarray(tau) ** 2 / (2.0 * self.sigma_tau ** 2))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .oneparticle import bath_occupation
 from .quasifree import QuasiFreeState
 from .textio import fmt17, write_csv, write_keyvals
@@ -33,18 +33,10 @@ __all__ = [
     "ModeFamily",
     "FidelityCurve",
     "adapted_family",
-    "single_frequency_family",
     "mode_occupations",
-    "restrict_state",
-    "fidelity",
     "thermal_fidelity",
-    "thermal_fidelity_spectral",
     "overlap_decay",
 ]
-
-_MOMENT_TOL = 1e-8
-_TAIL_TOL = 1e-6
-_MAX_CUTOFF = 4096
 
 
 @dataclass
@@ -95,13 +87,6 @@ def adapted_family(n: int, s_lo: float = 0.1, s_hi: float = 5.0) -> ModeFamily:
         descriptor="adapted:n=%d,s_lo=%s,s_hi=%s" % (n, fmt17(s_lo), fmt17(s_hi)))
 
 
-def single_frequency_family(frequencies) -> ModeFamily:
-    """Point modes at explicitly chosen, distinct frequencies."""
-    freqs = np.asarray(frequencies, dtype=float).reshape(-1)
-    return ModeFamily(
-        freqs, descriptor="single:%s" % ",".join(fmt17(x) for x in freqs))
-
-
 def mode_occupations(state: QuasiFreeState, family: ModeFamily) -> np.ndarray:
     """Number expectation of each mode in the given state.
 
@@ -130,76 +115,6 @@ def _check_occupation(nbar: float) -> None:
             "occupation must be finite and >= 0, got %s" % fmt17(nbar))
 
 
-def _thermal_diagonal(nbar: float, cutoff: int) -> np.ndarray:
-    """Normalized truncated geometric weights for occupation nbar.
-
-    Raises the cutoff until the tail is below 1e-6 and the realized
-    number expectation matches nbar within 1e-8.
-    """
-    _check_occupation(nbar)
-    if nbar == 0.0:
-        return np.concatenate([[1.0], np.zeros(cutoff)])
-    x = nbar / (nbar + 1.0)
-    c = int(cutoff)
-    while True:
-        n = np.arange(c + 1)
-        p = (1.0 - x) * x ** n
-        tail = x ** (c + 1)
-        probs = p / p.sum()
-        got = float(np.sum(n * probs))
-        if tail < _TAIL_TOL and abs(got - nbar) < _MOMENT_TOL:
-            return probs
-        if c >= _MAX_CUTOFF:
-            raise NumericalError(
-                "cutoff %d cannot reach moment tolerance for occupation %s"
-                % (c, fmt17(nbar)))
-        c = min(2 * c, _MAX_CUTOFF)
-
-
-def restrict_state(state: QuasiFreeState, family: ModeFamily,
-                   cutoff: int = 12):
-    """Density matrix of the restriction: the product of one single-mode
-    thermal state per mode, at the occupations of mode_occupations.
-
-    Each factor starts at `cutoff` and is raised by _thermal_diagonal
-    until its truncated tail and realized number expectation meet
-    tolerance.
-    """
-    cutoff = int(cutoff)
-    if cutoff < 2:
-        raise ValidationError("occupation cutoff must be >= 2")
-    full = np.ones(1)
-    for nbar in mode_occupations(state, family):
-        full = np.kron(full, _thermal_diagonal(nbar, cutoff))
-    return np.diag(full)
-
-
-def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)).
-
-    Computed by eigendecomposition of Hermitian PSD inputs; symmetric in
-    its arguments to numerical precision.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape or rho.ndim != 2:
-        raise ValidationError("states must be square matrices on one space")
-    for name, M in (("rho", rho), ("sigma", sigma)):
-        if np.max(np.abs(M - M.conj().T)) > 1e-10:
-            raise ValidationError("%s is not Hermitian" % name)
-        evals = np.linalg.eigvalsh(M)
-        if float(np.min(evals)) < -1e-10:
-            raise ValidationError(
-                "%s is not PSD: eigenvalue %s" % (name, fmt17(float(np.min(evals)))))
-        if abs(float(np.sum(evals)) - 1.0) > 1e-8:
-            raise ValidationError("%s does not have unit trace" % name)
-    evals, vecs = np.linalg.eigh(rho)
-    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    inner = root @ sigma @ root
-    vals = np.linalg.eigvalsh(inner)
-    return float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
-
-
 def thermal_fidelity(n1: float, n2: float) -> float:
     """Closed-form fidelity of two single-mode thermal states,
     1 / (sqrt((n1 + 1)(n2 + 1)) - sqrt(n1 n2)).
@@ -212,34 +127,6 @@ def thermal_fidelity(n1: float, n2: float) -> float:
     _check_occupation(n2)
     root = math.sqrt(n1 + 1.0) * math.sqrt(n2 + 1.0) + math.sqrt(n1) * math.sqrt(n2)
     return root / (n1 + n2 + 1.0)
-
-
-def thermal_fidelity_spectral(n1: float, n2: float,
-                              cutoff: int | None = None) -> float:
-    """Brute-force spectral route: sum of sqrt(p_n q_n) over the spectrum.
-
-    Independent of the closed form; the cutoff is raised until both
-    truncated tails are negligible. An explicit cutoff whose truncated
-    tail exceeds 1e-6 is rejected.
-    """
-    _check_occupation(n1)
-    _check_occupation(n2)
-    x = n1 / (n1 + 1.0)
-    y = n2 / (n2 + 1.0)
-    if cutoff is None:
-        d1 = _thermal_diagonal(n1, 12)
-        d2 = _thermal_diagonal(n2, 12)
-        c = max(len(d1), len(d2)) - 1
-    else:
-        c = int(cutoff)
-        tail = max(x, y) ** (c + 1)
-        if tail > _TAIL_TOL:
-            raise ValidationError(
-                "cutoff %d leaves a truncated tail of %s" % (c, fmt17(tail)))
-    n = np.arange(c + 1)
-    p = (1.0 - x) * x ** n
-    q = (1.0 - y) * y ** n
-    return float(np.sum(np.sqrt(p * q)))
 
 
 @dataclass

@@ -167,12 +167,13 @@ class ReservoirDiscretization:
             mirror[j] = order[-sv]
         return mirror
 
-    def norm_defect(self, n_quad: int = 4000) -> float:
-        """Relative defect of sum |f_j|^2 against the continuum glued norm."""
+    def norm_defect(self) -> float:
+        """Relative defect of sum |f_j|^2 against the continuum glued norm,
+        the latter by the trapezoid rule on 4000 points."""
         if self.coupling is None:
             raise ValidationError("norm defect needs the continuum coupling")
         smax = float(np.max(np.abs(self.s)))
-        q = np.linspace(1e-6, smax, n_quad)
+        q = np.linspace(1e-6, smax, 4000)
         u2 = np.abs(self.amplitude * np.asarray(self.coupling(q), dtype=complex)) ** 2
         mu = planck_occupation(q, self.beta)
         dens = 4.0 * math.pi * q * q * (1.0 + 2.0 * mu) * u2
@@ -205,6 +206,11 @@ _PAIRED_SPLIT = 1.5
 _JITTER_SPLIT = (1.2, 1.8)       # range of the jittered split point
 _SHELL_ORDERS = (2, 8, 2)
 _SHELL_HALF_WIDTH = (0.35, 0.5)  # range of the shell's jittered half width
+# TruncatedFock checks its rank order and sums its occupation energies over
+# blocks of this many basis rows, so that no int64 or float64 copy of the
+# whole uint8 basis is made.  The benchmarked grids (up to 20 475 rows) fit
+# in one block.
+_FOCK_BLOCK = 1 << 15
 
 
 def _two_sided_modes(beta, plus, minus, zeta, amplitude) -> ReservoirDiscretization:
@@ -330,10 +336,14 @@ class TruncatedFock:
         self.basis = rows
         self.reservoir_dim = len(rows)
         self.dim = 4 * self.reservoir_dim
-        if not np.array_equal(self.rank(rows), np.arange(len(rows))):
-            raise StructuralError("occupation basis is not rank-ordered")
         self.vacuum = 0
-        self.occupation_energy = self.basis @ self.disc.s
+        self.occupation_energy = np.empty(len(rows))
+        for start in range(0, len(rows), _FOCK_BLOCK):
+            block = rows[start:start + _FOCK_BLOCK]
+            stop = start + len(block)
+            if not np.array_equal(self.rank(block), np.arange(start, stop)):
+                raise StructuralError("occupation basis is not rank-ordered")
+            self.occupation_energy[start:stop] = block @ self.disc.s
 
     def rank(self, occupations) -> np.ndarray:
         """Basis index of each occupation tuple (the last axis).
@@ -734,7 +744,9 @@ def spectrum_scan(L: LiouvilleanOperator, theta: float | None = None,
     is raised rather than a kernel dimension that is only a lower bound.
     At most dim - 2 eigenpairs are returned, so an operator below
     dimension 3 raises a ValidationError.  method="dense" instead returns
-    the full dense eigendecomposition, an oracle for tests.  The threshold
+    the full dense eigendecomposition.  Only tests pass it, and it stays:
+    it is their reference for the sparse path, and the benchmark's tracer
+    counts sparse scans by the report's method.  The threshold
     theta defaults to 1e-8 * ||L|| (infinity norm proxy) and is reported so
     the kernel count is auditable; a warning fires when an eigenvalue
     magnitude falls within a factor of 3 of theta.

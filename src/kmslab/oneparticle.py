@@ -23,6 +23,8 @@ import numpy as np
 from .errors import (IRSensitivityWarning, StructuralError, ValidationError)
 
 FOUR_PI = 4.0 * math.pi
+# relative tolerance at which two quadrature grids count as the same
+_GRID_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +231,13 @@ class MomentumFunction:
     def norm(self):
         return math.sqrt(self.norm2())
 
-    def same_points(self, other, rtol=1e-12):
+    def same_points(self, other):
         if other is self:
             return True
         return (self.q.shape == other.q.shape
-                and np.allclose(self.q, other.q, rtol=rtol, atol=0.0)
-                and np.allclose(self.wtot, other.wtot, rtol=rtol, atol=0.0))
+                and np.allclose(self.q, other.q, rtol=_GRID_RTOL, atol=0.0)
+                and np.allclose(self.wtot, other.wtot, rtol=_GRID_RTOL,
+                                atol=0.0))
 
     def inner(self, other):
         """<self, other> with the convention conj on the left slot."""
@@ -315,31 +318,31 @@ class GluedVector:
     def norm(self):
         return math.sqrt(self.norm2())
 
-    def same_grid(self, other, rtol=1e-12):
+    def same_grid(self, other):
         return (self.s.shape == other.s.shape
-                and np.allclose(self.s, other.s, rtol=rtol, atol=0.0)
-                and np.allclose(self.w, other.w, rtol=rtol, atol=0.0))
+                and np.allclose(self.s, other.s, rtol=_GRID_RTOL, atol=0.0)
+                and np.allclose(self.w, other.w, rtol=_GRID_RTOL, atol=0.0))
 
     def inner(self, other):
         if not self.same_grid(other):
             raise StructuralError("inner product needs matching frequency grids")
         return FOUR_PI * complex(np.sum(self.w * np.conj(self.values) * other.values))
 
-    def is_mirror_symmetric(self, rtol=1e-12):
+    def is_mirror_symmetric(self):
         n = self.s.size
         if n % 2 != 0:
             return False
-        return (np.allclose(self.s, -self.s[::-1], rtol=rtol, atol=0.0)
-                and np.allclose(self.w, self.w[::-1], rtol=rtol, atol=0.0))
+        return (np.allclose(self.s, -self.s[::-1], rtol=_GRID_RTOL, atol=0.0)
+                and np.allclose(self.w, self.w[::-1], rtol=_GRID_RTOL, atol=0.0))
 
 
 # ---------------------------------------------------------------------------
 # operations
 
-def default_coupling(q, scale=1.0):
-    """Default radial coupling profile q^{1/2} e^{-q^2/scale^2}."""
+def default_coupling(q):
+    """Default radial coupling profile q^{1/2} e^{-q^2}."""
     q = np.asarray(q, dtype=float)
-    return np.sqrt(q) * np.exp(-(q / scale) ** 2)
+    return np.sqrt(q) * np.exp(-q ** 2)
 
 
 def ground_map(data: CauchyData):
@@ -392,7 +395,7 @@ def glue_branches(q, beta, u, zeta=math.pi, amplitude=1.0):
     return pos, neg
 
 
-def kms_glue(u: MomentumFunction, beta, zeta=math.pi, beta_tag=True):
+def kms_glue(u: MomentumFunction, beta, zeta=math.pi):
     """Glue a massless one-particle vector into its thermal doubled
     vector on the frequency line.
 
@@ -407,8 +410,7 @@ def kms_glue(u: MomentumFunction, beta, zeta=math.pi, beta_tag=True):
     pos, neg = glue_branches(u.q, beta, u.values, zeta)
     s, w = mirror_sgrid(u.q, u.wtot / FOUR_PI)
     values = np.concatenate([neg[::-1], pos])
-    return GluedVector(s, w, values, zeta=zeta,
-                       beta_tag=(float(beta) if beta_tag else None))
+    return GluedVector(s, w, values, zeta=zeta, beta_tag=float(beta))
 
 
 def jf_conjugate(g: GluedVector):

@@ -38,6 +38,9 @@ __all__ = [
     "gaussian_packet", "shell_packet",
 ]
 
+# kms_balance_check's band: |W(nu)| above this fraction of the peak
+_BAND_FLOOR = 1e-4
+
 
 class QuasiFreeState:
     """A quasi-free reference state: thermal at finite beta, vacuum at
@@ -269,14 +272,14 @@ def default_window_width(t_span):
 
 
 def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
-                      dt=0.1, nu_grid=None, band_floor=1e-4):
+                      dt=0.1, nu_grid=None):
     """Windowed Fourier transform of t -> two_point(g, f o T_{-t}) and the
     detailed-balance residual of its two frequency branches.
 
     Reports max_err = max |W(-nu) - e^{-beta nu} W(nu)| / max |W| over the
     positive frequency grid, and max_band_err, the pointwise relative
-    version restricted to the band where |W(nu)| exceeds band_floor times
-    the peak. For the vacuum the negative-frequency leakage is reported
+    version restricted to the band where |W(nu)| exceeds 1e-4 times the
+    peak. For the vacuum the negative-frequency leakage is reported
     instead of a balance ratio.
 
     The correlator is sampled on the uniform grid of step dt over
@@ -343,7 +346,7 @@ def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
                              leakage, state.beta)
     expfac = np.exp(-state.beta * nu_grid)
     residual = np.abs(w_neg - expfac * w_pos) / peak
-    band = np.abs(w_pos) > band_floor * peak
+    band = np.abs(w_pos) > _BAND_FLOOR * peak
     if np.any(band):
         rel = np.abs(w_neg[band] / w_pos[band] - expfac[band]) / expfac[band]
         max_band = float(np.max(rel))
@@ -355,14 +358,14 @@ def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
                          leakage, state.beta)
 
 
-def balance_span_study(state, f, spans=(200.0, 400.0, 800.0), **kw):
+def balance_span_study(state, f, spans=(200.0, 400.0, 800.0)):
     """Balance residuals over doubling spans plus the fitted decay order.
 
     Returns (residuals, order) where order is the mean of
     log2(r_i / r_{i+1}) over consecutive span doublings.
     """
     spans = list(spans)
-    res = [kms_balance_check(state, f, t_span=s, **kw).max_err for s in spans]
+    res = [kms_balance_check(state, f, t_span=s).max_err for s in spans]
     orders = [math.log2(res[i] / res[i + 1]) for i in range(len(res) - 1)]
     return res, (sum(orders) / len(orders) if orders else math.nan)
 
@@ -416,12 +419,9 @@ def gaussian_packet(q, w_dq, center=1.0, width=1.0, mass=0.0):
     return MomentumFunction.from_radial(q, w_dq, vals, mass)
 
 
-def shell_packet(q, w_dq, radius=0.0, width=1.0, momentum_part=0.0, mass=0.0):
-    """Cauchy data of a spherical-shell Gaussian at the given radius.
-
-    f1(q) = j0(q * radius) exp(-q^2 width^2 / 4); the optional momentum
-    component puts the same profile into the second slot scaled by
-    momentum_part.
+def shell_packet(q, w_dq, radius=0.0, width=1.0):
+    """Massless Cauchy data of a spherical-shell Gaussian at the given
+    radius: f1(q) = j0(q * radius) exp(-q^2 width^2 / 4), f2 = 0.
     """
     q = np.asarray(q, dtype=float)
     prof = np.exp(-0.25 * (q * width) ** 2)
@@ -430,6 +430,4 @@ def shell_packet(q, w_dq, radius=0.0, width=1.0, momentum_part=0.0, mass=0.0):
     else:
         x = q * radius
         j0 = np.sin(x) / x
-    f1 = j0 * prof
-    f2 = momentum_part * j0 * prof
-    return CauchyData(q, w_dq, f1, f2, mass)
+    return CauchyData(q, w_dq, j0 * prof, np.zeros_like(q))

@@ -231,6 +231,20 @@ def test_narrow_window_warns():
                        window=ResponseWindow(2.0))
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e308])
+def test_window_rejects_a_width_without_a_finite_truncation(sigma):
+    # 1e308 is finite, but its 4-sigma truncation overflows to inf
+    with pytest.raises(ValidationError, match="window width"):
+        ResponseWindow(sigma)
+
+
+def test_subnormal_energies_are_rejected_rather_than_meshed_forever():
+    # the default width 20 / 1e-310 overflows to inf
+    state = QuasiFreeState(beta=1.0)
+    with pytest.raises(ValidationError, match="window width"):
+        response_curve(state, Trajectory.rest(), [1e-310, -1e-310])
+
+
 def test_curve_serialization(tmp_path):
     state = QuasiFreeState(beta=1.0)
     curve = response_curve(state, Trajectory.rest(), [-1.0, 1.0])

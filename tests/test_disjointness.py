@@ -6,10 +6,121 @@ import numpy as np
 import pytest
 
 from kmslab import disjointness as dj
-from kmslab.errors import ValidationError
+from kmslab.errors import NumericalError, ValidationError
 from kmslab.oneparticle import BoostSpec, MomentumFunction, planck_occupation
 from kmslab.quasifree import QuasiFreeState, doubled_gram
 from kmslab.textio import fmt17
+
+
+# ---------------------------------------------------------------------------
+# the density-matrix route: the reference the closed forms are checked on
+
+_MOMENT_TOL = 1e-8
+_TAIL_TOL = 1e-6
+_MAX_CUTOFF = 4096
+
+
+def _single_frequency_family(frequencies):
+    """Point modes at explicitly chosen, distinct frequencies."""
+    freqs = np.asarray(frequencies, dtype=float).reshape(-1)
+    return dj.ModeFamily(
+        freqs, descriptor="single:%s" % ",".join(fmt17(x) for x in freqs))
+
+
+def _thermal_diagonal(nbar, cutoff):
+    """Normalized truncated geometric weights for occupation nbar.
+
+    Raises the cutoff until the tail is below 1e-6 and the realized
+    number expectation matches nbar within 1e-8.
+    """
+    dj._check_occupation(nbar)
+    if nbar == 0.0:
+        return np.concatenate([[1.0], np.zeros(cutoff)])
+    x = nbar / (nbar + 1.0)
+    c = int(cutoff)
+    while True:
+        n = np.arange(c + 1)
+        p = (1.0 - x) * x ** n
+        tail = x ** (c + 1)
+        probs = p / p.sum()
+        got = float(np.sum(n * probs))
+        if tail < _TAIL_TOL and abs(got - nbar) < _MOMENT_TOL:
+            return probs
+        if c >= _MAX_CUTOFF:
+            raise NumericalError(
+                "cutoff %d cannot reach moment tolerance for occupation %s"
+                % (c, fmt17(nbar)))
+        c = min(2 * c, _MAX_CUTOFF)
+
+
+def _restrict_state(state, family, cutoff=12):
+    """Density matrix of the restriction: the product of one single-mode
+    thermal state per mode, at the occupations of mode_occupations.
+
+    Each factor starts at `cutoff` and is raised by _thermal_diagonal
+    until its truncated tail and realized number expectation meet
+    tolerance.
+    """
+    cutoff = int(cutoff)
+    if cutoff < 2:
+        raise ValidationError("occupation cutoff must be >= 2")
+    full = np.ones(1)
+    for nbar in dj.mode_occupations(state, family):
+        full = np.kron(full, _thermal_diagonal(nbar, cutoff))
+    return np.diag(full)
+
+
+def _fidelity(rho, sigma):
+    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)).
+
+    Computed by eigendecomposition of Hermitian PSD inputs; symmetric in
+    its arguments to numerical precision.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    if rho.shape != sigma.shape or rho.ndim != 2:
+        raise ValidationError("states must be square matrices on one space")
+    for name, M in (("rho", rho), ("sigma", sigma)):
+        if np.max(np.abs(M - M.conj().T)) > 1e-10:
+            raise ValidationError("%s is not Hermitian" % name)
+        evals = np.linalg.eigvalsh(M)
+        if float(np.min(evals)) < -1e-10:
+            raise ValidationError(
+                "%s is not PSD: eigenvalue %s" % (name, fmt17(float(np.min(evals)))))
+        if abs(float(np.sum(evals)) - 1.0) > 1e-8:
+            raise ValidationError("%s does not have unit trace" % name)
+    evals, vecs = np.linalg.eigh(rho)
+    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+    inner = root @ sigma @ root
+    vals = np.linalg.eigvalsh(inner)
+    return float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
+
+
+def _thermal_fidelity_spectral(n1, n2, cutoff=None):
+    """Brute-force spectral route: sum of sqrt(p_n q_n) over the spectrum.
+
+    Independent of the closed form; the cutoff is raised until both
+    truncated tails are negligible. An explicit cutoff whose truncated
+    tail exceeds 1e-6 is rejected.
+    """
+    dj._check_occupation(n1)
+    dj._check_occupation(n2)
+    x = n1 / (n1 + 1.0)
+    y = n2 / (n2 + 1.0)
+    if cutoff is None:
+        d1 = _thermal_diagonal(n1, 12)
+        d2 = _thermal_diagonal(n2, 12)
+        c = max(len(d1), len(d2)) - 1
+    else:
+        c = int(cutoff)
+        tail = max(x, y) ** (c + 1)
+        if tail > _TAIL_TOL:
+            raise ValidationError(
+                "cutoff %d leaves a truncated tail of %s" % (c, fmt17(tail)))
+    n = np.arange(c + 1)
+    p = (1.0 - x) * x ** n
+    q = (1.0 - y) * y ** n
+    return float(np.sum(np.sqrt(p * q)))
 
 
 def _random_density(seed, dim=4):
@@ -54,7 +165,7 @@ def test_family_validation():
     with pytest.raises(ValidationError):
         dj.adapted_family(5, s_lo=2.0, s_hi=1.0)
     with pytest.raises(ValidationError):
-        dj.single_frequency_family([1.0, 1.0])
+        _single_frequency_family([1.0, 1.0])
 
 
 def test_family_rejects_modes_that_are_not_unit_point_modes():
@@ -69,14 +180,14 @@ def test_family_rejects_modes_that_are_not_unit_point_modes():
 def test_family_rejects_a_node_that_is_not_positive_and_finite(bad):
     with pytest.raises(ValidationError, match="positive and finite, got %s$"
                        % fmt17(bad)):
-        dj.single_frequency_family([1.0, bad])
+        _single_frequency_family([1.0, bad])
 
 
 def test_family_accepts_extreme_nodes():
     # 1e-105 and 1e103 are positive and finite; the occupation at 1e103
     # underflows to exactly 0
     nodes = [1e-105, 1.0, 1e103]
-    fam = dj.single_frequency_family(nodes)
+    fam = _single_frequency_family(nodes)
     state = QuasiFreeState(beta=1.0)
     occ = dj.mode_occupations(state, fam)
     assert np.all(np.isfinite(occ))
@@ -93,7 +204,7 @@ def test_occupations_name_each_node_whose_occupation_overflows():
     # 1/expm1(beta s) overflows to inf for subnormal beta s, at rest and in
     # the boosted average alike; 1e-305 overflows only at the small beta
     nodes = [1e-310, 1.0, 1e-309, 1e-305]
-    fam = dj.single_frequency_family(nodes)
+    fam = _single_frequency_family(nodes)
     for beta, bad in ((1.0, [0, 2]), (1e-5, [0, 2, 3])):
         named = ", ".join(fmt17(nodes[i]) for i in bad)
         for frame in (BoostSpec(), BoostSpec.from_velocity(0.5)):
@@ -116,11 +227,11 @@ def test_occupations_need_a_massless_state():
 
 def test_empty_single_frequency_family_is_rejected_by_name():
     with pytest.raises(ValidationError, match="mode family must be nonempty"):
-        dj.single_frequency_family([])
+        _single_frequency_family([])
 
 
 def test_single_frequency_occupation_closed_form():
-    fam = dj.single_frequency_family([1.0])
+    fam = _single_frequency_family([1.0])
     occ = dj.mode_occupations(QuasiFreeState(beta=1.0), fam)
     assert abs(occ[0] - 1.0 / (math.e - 1.0)) < 1e-8
 
@@ -130,7 +241,7 @@ def test_boosted_occupations_match_quadrature_of_direction_average(v):
     from scipy.integrate import quad
     freqs = [0.2, 1.0, 3.0]
     state = QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(v))
-    occ = dj.mode_occupations(state, dj.single_frequency_family(freqs))
+    occ = dj.mode_occupations(state, _single_frequency_family(freqs))
     gamma = 1.0 / math.sqrt(1.0 - v * v)
     for q, got in zip(freqs, occ):
         ref, _ = quad(lambda c: 0.5 / math.expm1(q * gamma * (1.0 - v * c)),
@@ -139,7 +250,7 @@ def test_boosted_occupations_match_quadrature_of_direction_average(v):
 
 
 def test_nearly_resting_boost_keeps_rest_occupations():
-    fam = dj.single_frequency_family([0.2, 1.0, 3.0])
+    fam = _single_frequency_family([0.2, 1.0, 3.0])
     rest = dj.mode_occupations(QuasiFreeState(beta=1.0), fam)
     slow = dj.mode_occupations(
         QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(1e-9)), fam)
@@ -180,17 +291,17 @@ def _number_expectation(rho):
 
 
 def test_restrict_state_rejects_a_cutoff_below_two():
-    fam = dj.single_frequency_family([1.0])
+    fam = _single_frequency_family([1.0])
     with pytest.raises(ValidationError, match="cutoff must be >= 2"):
-        dj.restrict_state(QuasiFreeState(beta=1.0), fam, cutoff=1)
+        _restrict_state(QuasiFreeState(beta=1.0), fam, cutoff=1)
 
 
 def test_density_matrix_reproduces_moments():
-    fam = dj.single_frequency_family([1.0, 2.0])
+    fam = _single_frequency_family([1.0, 2.0])
     state = QuasiFreeState(beta=1.0)
-    rho = dj.restrict_state(state, fam)
+    rho = _restrict_state(state, fam)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
-    singles = [dj.restrict_state(state, dj.ModeFamily([x]))
+    singles = [_restrict_state(state, dj.ModeFamily([x]))
                for x in fam.nodes]
     assert np.array_equal(rho, np.kron(*singles))
     occ = dj.mode_occupations(state, fam)
@@ -199,20 +310,20 @@ def test_density_matrix_reproduces_moments():
 
 
 def test_boosted_restriction_is_diagonal_occupation_gram():
-    fam = dj.single_frequency_family([1.0, 2.0, 4.0])
+    fam = _single_frequency_family([1.0, 2.0, 4.0])
     state = QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(0.5))
-    rho = dj.restrict_state(state, fam)
+    rho = _restrict_state(state, fam)
     assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 0
     for x in fam.nodes:
-        single = dj.restrict_state(state, dj.ModeFamily([x]))
+        single = _restrict_state(state, dj.ModeFamily([x]))
         m = _point_mode(x)
         direct = (doubled_gram(state, m, m).real - 1.0) / 2.0
         assert abs(_number_expectation(single) - direct) < 1e-8
 
 
 def test_restrict_state_single_mode_thermal():
-    rho = dj.restrict_state(QuasiFreeState(beta=1.0),
-                            dj.single_frequency_family([1.0]))
+    rho = _restrict_state(QuasiFreeState(beta=1.0),
+                            _single_frequency_family([1.0]))
     diag = np.real(np.diag(rho))
     nbar = float(np.sum(np.arange(len(diag)) * diag))
     assert abs(nbar - 1.0 / (math.e - 1.0)) < 1e-6
@@ -226,22 +337,22 @@ def test_fidelity_validation():
     bad = rho.copy()
     bad[0, 1] += 0.2
     with pytest.raises(ValidationError):
-        dj.fidelity(rho, bad)
+        _fidelity(rho, bad)
     neg = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValidationError):
-        dj.fidelity(rho, neg)
+        _fidelity(rho, neg)
     with pytest.raises(ValidationError):
-        dj.fidelity(rho, 2.0 * rho)
+        _fidelity(rho, 2.0 * rho)
 
 
 def test_fidelity_extremes_and_symmetry():
     rho = _random_density(1)
     sig = _random_density(2)
-    assert dj.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
-    assert abs(dj.fidelity(rho, sig) - dj.fidelity(sig, rho)) < 1e-10
+    assert _fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
+    assert abs(_fidelity(rho, sig) - _fidelity(sig, rho)) < 1e-10
     up = np.diag([1.0, 0.0]).astype(complex)
     down = np.diag([0.0, 1.0]).astype(complex)
-    assert dj.fidelity(up, down) == pytest.approx(0.0, abs=1e-10)
+    assert _fidelity(up, down) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_thermal_fidelity_does_not_cancel_at_large_occupations():
@@ -256,14 +367,15 @@ def test_thermal_fidelity_closed_vs_spectral():
              (1.0 / (math.e - 1.0), 1.0 / (math.e ** 2 - 1.0))]
     for n1, n2 in pairs:
         a = dj.thermal_fidelity(n1, n2)
-        b = dj.thermal_fidelity_spectral(n1, n2)
+        b = _thermal_fidelity_spectral(n1, n2)
         assert abs(a - b) < 1e-8
     with pytest.raises(ValidationError):
         dj.thermal_fidelity(-0.1, 0.5)
 
 
 @pytest.mark.parametrize("fn", [dj.thermal_fidelity,
-                                dj.thermal_fidelity_spectral])
+                                _thermal_fidelity_spectral],
+                         ids=["thermal_fidelity", "thermal_fidelity_spectral"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
 def test_thermal_fidelity_rejects_a_bad_occupation(fn, bad):
     for n1, n2 in ((bad, 0.3), (0.3, bad)):
@@ -274,18 +386,18 @@ def test_thermal_fidelity_rejects_a_bad_occupation(fn, bad):
 def test_spectral_fidelity_rejects_a_cutoff_that_truncates():
     # at n = 0.3 the geometric tail beyond n = 1 is (0.3/1.3)^2 = 0.053
     with pytest.raises(ValidationError, match="cutoff 1"):
-        dj.thermal_fidelity_spectral(0.2, 0.3, cutoff=1)
-    got = dj.thermal_fidelity_spectral(0.2, 0.3, cutoff=40)
+        _thermal_fidelity_spectral(0.2, 0.3, cutoff=1)
+    got = _thermal_fidelity_spectral(0.2, 0.3, cutoff=40)
     assert got == pytest.approx(dj.thermal_fidelity(0.2, 0.3), rel=1e-14)
-    assert dj.thermal_fidelity_spectral(0.0, 0.0, cutoff=0) == 1.0
+    assert _thermal_fidelity_spectral(0.0, 0.0, cutoff=0) == 1.0
 
 
 def test_thermal_fidelity_matches_uhlmann():
     # at frequency 1 the occupation 1/(e^beta - 1) is n for beta = ln(1 + 1/n)
-    fam = dj.single_frequency_family([1.0])
+    fam = _single_frequency_family([1.0])
     states = [QuasiFreeState(beta=math.log(1.0 + 1.0 / n)) for n in (0.4, 1.3)]
     n1, n2 = (dj.mode_occupations(st, fam)[0] for st in states)
-    rho1, rho2 = (dj.restrict_state(st, fam, cutoff=80) for st in states)
+    rho1, rho2 = (_restrict_state(st, fam, cutoff=80) for st in states)
     dim = max(rho1.shape[0], rho2.shape[0])
 
     def pad(m):
@@ -293,7 +405,7 @@ def test_thermal_fidelity_matches_uhlmann():
         out[:m.shape[0], :m.shape[1]] = m
         return out
 
-    got = dj.fidelity(pad(rho1), pad(rho2))
+    got = _fidelity(pad(rho1), pad(rho2))
     assert abs(got - dj.thermal_fidelity(n1, n2)) < 1e-5
 
 
@@ -302,12 +414,12 @@ def test_thermal_fidelity_matches_uhlmann():
     QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(0.5)),
 ], ids=["beta2", "boosted"])
 def test_restriction_fidelity_matches_overlap_decay(state2):
-    fam = dj.single_frequency_family([2.0, 4.0])
+    fam = _single_frequency_family([2.0, 4.0])
     state1 = QuasiFreeState(beta=1.0)
-    rho1 = dj.restrict_state(state1, fam, 16)
-    rho2 = dj.restrict_state(state2, fam, 16)
+    rho1 = _restrict_state(state1, fam, 16)
+    rho2 = _restrict_state(state2, fam, 16)
     assert rho1.shape == rho2.shape == (289, 289)
-    got = dj.fidelity(rho1, rho2)
+    got = _fidelity(rho1, rho2)
     want = dj.overlap_decay(state1, state2, fam).values[-1]
     assert abs(got - want) < 1e-10
 

@@ -502,6 +502,29 @@ def test_occupation_basis_takes_the_smallest_unsigned_dtype():
                           space.basis.astype(np.int64) @ two.s)
 
 
+def test_fock_space_peak_stays_near_what_it_holds():
+    # The enumeration holds at most three basis-sized uint8 arrays (the
+    # previous rows, the widened pieces, their concatenation) and two int64
+    # row-total arrays, the energies one float64 array.  The rank check and
+    # the energy sum then take one block of rows at a time; 10 bytes an
+    # entry of the block cover the larger of its int64 copy with the two
+    # boolean masks (8 + 1 + 1) and the float64 cast inside block @ s (8).
+    # An unblocked check converts the whole basis to int64 (8 bytes an
+    # entry, 23 MB here: a 32 MB peak).
+    shell = lv.resonant_shell_modes(1.0, 1.0, seed=0)
+    tracemalloc.start()
+    try:
+        space = lv.TruncatedFock(shell, n_tot_max=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = space.reservoir_dim
+    block = lv._FOCK_BLOCK * shell.n_modes
+    assert rows == 118755 > lv._FOCK_BLOCK
+    assert peak <= 3 * space.basis.nbytes + 3 * 8 * rows + 10 * block
+    assert np.array_equal(space.occupation_energy, space.basis @ shell.s)
+
+
 def test_free_operator_has_no_coupling_to_rescale():
     _, space = _small_paired()
     with warnings.catch_warnings():

@@ -1,8 +1,13 @@
-"""Every name a module lists in __all__ exists, so `import *` works."""
+"""Every name a module lists in __all__ exists, so `import *` works, and
+every module-level import is used."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+SRC = Path(importlib.import_module("kmslab").__file__).parent
 
 
 @pytest.mark.parametrize("module", ["quasifree", "detector", "disjointness",
@@ -11,6 +16,30 @@ def test_all_names_exist(module):
     mod = importlib.import_module("kmslab." + module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def _top_level_imports(tree):
+    """(bound name, line) of each import in the module body itself."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_are_used_or_exported(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+            used |= set(ast.literal_eval(node.value))
+    unused = ["%s (line %d)" % (name, line)
+              for name, line in _top_level_imports(tree) if name not in used]
+    assert unused == []
 
 
 def test_fock_and_initial_state_names_exist():
