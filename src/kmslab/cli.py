@@ -252,14 +252,20 @@ _beta_option = click.option("--beta", type=float, default=None,
               help="output directory for CSV files and the manifest")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="seed for randomized mode-grid jitter")
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=click.IntRange(min=1, clamp=True),
+              default=None, envvar="%s_THREADS" % _ENV_PREFIX,
               help="pin BLAS/OpenMP thread pools (must precede heavy work)")
 @click.version_option(version=__version__, prog_name="kmslab")
 @click.pass_context
 def cli(ctx, config, out, seed, threads):
     """Numerical laboratory for thermal field states, detector response,
     coupled-generator spectra, and state-overlap decay."""
-    ctx.obj = {"config": config, "out": out, "seed": seed, "threads": threads}
+    # runs before any subcommand imports numpy
+    if threads is not None:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            os.environ[var] = str(threads)
+    ctx.obj = {"config": config, "out": out, "seed": seed}
 
 
 @cli.command("formfactor")
@@ -346,8 +352,7 @@ def cmd_response(ctx, **_overrides):
     cfg, out_dir = _prepare(ctx)
     energies = cfg["detector"]["energies"]
     t_cfg = cfg["trajectory"]
-    import numpy as np
-    from .detector import Trajectory, response_curve
+    from .detector import BetaEffCurve, Trajectory, response_curve
     from .quasifree import QuasiFreeState
     from .textio import fmt17, write_csv
     kind = t_cfg["kind"]
@@ -356,20 +361,17 @@ def cmd_response(ctx, **_overrides):
                            mass=cfg["global"]["mass"])
     grid = sorted(set(energies) | set(-e for e in energies))
     curve = response_curve(state, traj, grid)
-    pos = np.asarray(sorted(energies))
-    up = np.array([curve.rate_at(e) for e in pos])
-    down = np.array([curve.rate_at(-e) for e in pos])
-    balance = up / down
-    beta_eff = -np.log(balance) / pos
+    readout = BetaEffCurve(curve)
+    pos = readout.energies
     write_csv(os.path.join(out_dir, "response.csv"),
               "E,rate_up,rate_down,balance",
-              [pos, up, down, balance])
+              [pos, readout.up, readout.down, readout.balance])
     write_csv(os.path.join(out_dir, "response_beta_eff.csv"),
-              "E,beta_eff", [pos, beta_eff])
+              "E,beta_eff", [pos, readout.beta_eff])
     _write_manifest(ctx, extra=[
         ("window_sigma_tau", fmt17(curve.window.sigma_tau)),
         ("eps", fmt17(curve.eps))])
-    for e, b, be in zip(pos, balance, beta_eff):
+    for e, b, be in zip(pos, readout.balance, readout.beta_eff):
         click.echo("E=%s balance=%s beta_eff=%s"
                    % (fmt17(e), fmt17(b), fmt17(be)))
 
@@ -484,36 +486,12 @@ def cmd_disjoint(ctx):
     click.echo("final_fidelity=%s" % fmt17(float(curve.values[-1])))
 
 
-def _apply_threads(argv):
-    """Pin thread pools from --threads/KMSLAB_THREADS before numpy loads."""
-    n = os.environ.get("%s_THREADS" % _ENV_PREFIX)
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            n = argv[i + 1]
-        elif arg.startswith("--threads="):
-            n = arg.split("=", 1)[1]
-    if n is None:
-        return
-    try:
-        count = max(1, int(n))
-    except ValueError:
-        return  # click reports the usage error later
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(count)
-
-
 def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _apply_threads(argv)
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

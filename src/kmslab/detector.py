@@ -20,12 +20,18 @@ import warnings
 
 import numpy as np
 
-from .errors import (UnsupportedConfigurationError, ValidationError,
-                     WindowBiasWarning)
-from .oneparticle import BoostSpec, gl_panels, planck_occupation
+from .errors import (ResolutionError, UnsupportedConfigurationError,
+                     ValidationError, WindowBiasWarning)
+from .oneparticle import BoostSpec, bath_occupation, gl_panels
 from .quasifree import QuasiFreeState
 
 FOUR_PI2 = 4.0 * math.pi ** 2
+
+# each proper-time panel spans at most this phase of the fastest energy
+_PANEL_PHASE = 36.0
+# the most such panels one window may take: the count grows as the window
+# length times the largest energy, without bound as emin -> 0
+_MAX_TAU_PANELS = 2 ** 16
 
 __all__ = [
     "Trajectory", "CouplingProfile", "ResponseWindow", "ResponseCurve",
@@ -150,7 +156,7 @@ def _graded_tau_mesh(eps, tau_max, osc_rate):
     """Gauss-Legendre panels on [0, tau_max], geometrically grown from the
     regulator scale, with widths capped so each 32-node panel resolves the
     requested oscillation rate."""
-    width_cap = 36.0 / (osc_rate + 1.0)
+    width_cap = _PANEL_PHASE / (osc_rate + 1.0)
     edges = [0.0]
     width = 2.0 * eps
     while edges[-1] < tau_max:
@@ -275,8 +281,7 @@ def _wightman_values(state, traj, tau, eps, coupling=None, boost=None):
         phase_rate = gamma * (1.0 + abs(v)) * float(np.max(np.abs(tau)))
         q, wq = _qmesh(np.linspace(0.0, coupling.q_max, 5), phase_rate)
         cpl = coupling(q)
-        mu = np.zeros_like(q) if state.is_vacuum \
-            else planck_occupation(q, state.beta)
+        mu = bath_occupation(q, state.beta)
         a_coef = q * cpl * (1.0 + mu)
         b_coef = q * cpl * mu
         return _mode_sum(q, wq, a_coef, b_coef, t_lab, r_lab, eps)
@@ -391,6 +396,15 @@ def response_curve(state, traj, energies, window=None, eps=None,
     if eps is None:
         eps = 1e-3 * _min_timescale(state_r, traj_r, energies)
     emin = min(abs(e) for e in energies)
+    emax = max(abs(e) for e in energies)
+    panels = window.tau_max * (emax + 1.0) / _PANEL_PHASE
+    if panels > _MAX_TAU_PANELS:
+        raise ValidationError(
+            "a window of width %.6g (truncated at %.6g) needs about %.3g "
+            "proper-time panels for energies %.6g to %.6g, more than %d; "
+            "narrow the energy range"
+            % (window.sigma_tau, window.tau_max, panels, emin, emax,
+               _MAX_TAU_PANELS))
     if window.sigma_tau * emin < 8.0:
         warnings.warn(
             "window of width %.3g barely resolves the gap %.3g; "
@@ -414,12 +428,38 @@ def response_curve(state, traj, energies, window=None, eps=None,
     return ResponseCurve(energies, rates, window, eps, floor, desc)
 
 
-class BetaEffCurve:
-    """Energy-resolved inverse-temperature readout -ln(R(E)/R(-E))/E."""
+def _signed_energies(energies):
+    """The grid -|E| ... +|E| over the distinct nonzero magnitudes."""
+    mags = sorted({float(abs(e)) for e in energies})
+    if not mags or mags[0] == 0.0:
+        raise ValidationError("energies must be nonzero")
+    return [-e for e in mags[::-1]] + mags
 
-    def __init__(self, energies, beta_eff, curve):
-        self.energies = np.asarray(energies, dtype=float)
-        self.beta_eff = np.asarray(beta_eff, dtype=float)
+
+class BetaEffCurve:
+    """Detailed-balance readout of a response curve at its positive
+    energies: up = R(E), down = R(-E), balance = up/down and
+    beta_eff = -ln(balance)/E.
+
+    A rate at or below the curve's floor carries no digits, so such an
+    energy is refused with a ResolutionError.
+    """
+
+    def __init__(self, curve):
+        energies = np.sort(curve.energies[curve.energies > 0])
+        up = np.array([curve.rate_at(e) for e in energies])
+        down = np.array([curve.rate_at(-e) for e in energies])
+        low = (up <= curve.floor) | (down <= curve.floor)
+        if np.any(low):
+            raise ResolutionError(
+                "rate at |E| = %s is at or below the window floor %.3g; "
+                "cannot form a balance readout"
+                % (", ".join("%g" % e for e in energies[low]), curve.floor))
+        self.energies = energies
+        self.up = up
+        self.down = down
+        self.balance = up / down
+        self.beta_eff = -np.log(self.balance) / energies
         self.curve = curve
 
     @property
@@ -430,41 +470,17 @@ class BetaEffCurve:
 def effective_temperature_curve(state, v, energies, window=None, eps=None,
                                 coupling=None):
     """beta_eff(E) for a lab-rest detector reading a bath that is KMS in a
-    frame moving at velocity v.
-
-    Realized by tilting the worldline through the rest-frame bath by the
-    combined relative velocity. Both sign conventions of the readout are
-    evaluated and must agree to 1e-10.
-    """
+    frame moving at velocity v relative to the frame of `state`."""
     if state.is_vacuum:
         raise ValidationError("effective temperature needs a thermal state")
     if not abs(v) < 1:
         raise ValidationError("|v| must be < 1")
-    vb = state.frame.v_rel
-    v_tot = (v + vb) / (1.0 + v * vb)
-    rest_state = QuasiFreeState(state.beta, state.mass)
-    traj = Trajectory.inertial(v_tot) if v_tot != 0.0 else Trajectory.rest()
-    energies = sorted({float(abs(e)) for e in energies})
-    if not energies or energies[0] == 0.0:
-        raise ValidationError("energies must be nonzero")
-    grid = [-e for e in energies[::-1]] + energies
-    curve = response_curve(rest_state, traj, grid, window=window, eps=eps,
-                           coupling=coupling,
-                           descriptor={"bath_velocity": v_tot})
-    beta_eff = []
-    for e in energies:
-        r_up = curve.rate_at(e)
-        r_dn = curve.rate_at(-e)
-        if r_up <= 0 or r_dn <= 0:
-            raise ValidationError(
-                "rate at |E|=%g fell below the window floor; "
-                "cannot form a balance readout" % e)
-        path_a = -math.log(r_up / r_dn) / e
-        path_b = math.log(r_dn / r_up) / e
-        if abs(path_a - path_b) > 1e-10 * max(1.0, abs(path_a)):
-            raise ValidationError("balance readout paths disagree")
-        beta_eff.append(path_a)
-    return BetaEffCurve(energies, beta_eff, curve)
+    bath = QuasiFreeState(state.beta, state.mass, frame=BoostSpec(
+        state.frame.rapidity + math.atanh(v)))
+    curve = response_curve(bath, Trajectory.rest(), _signed_energies(energies),
+                           window=window, eps=eps, coupling=coupling,
+                           descriptor={"bath_velocity": bath.frame.v_rel})
+    return BetaEffCurve(curve)
 
 
 class BoostInvarianceReport:
@@ -496,14 +512,12 @@ def boost_invariance_check(accel, energies, etas=(0.0, 1.0), window=None,
     at exp(-2 pi E / a) throughout."""
     traj = Trajectory.accelerated(accel)
     vac = QuasiFreeState()
-    energies = sorted({float(abs(e)) for e in energies})
-    if not energies or energies[0] == 0.0:
-        raise ValidationError("energies must be nonzero")
-    grid = [-e for e in energies[::-1]] + energies
+    grid = _signed_energies(energies)
+    energies = np.asarray(grid[len(grid) // 2:])
     ratios = {}
     for eta in etas:
-        curve = response_curve(vac, traj, grid, window=window, eps=eps,
-                               boost=BoostSpec(eta))
-        ratios[eta] = np.array([curve.balance_ratio(e) for e in energies])
-    target = np.exp(-2.0 * math.pi * np.asarray(energies) / accel)
+        ratios[eta] = BetaEffCurve(response_curve(
+            vac, traj, grid, window=window, eps=eps,
+            boost=BoostSpec(eta))).balance
+    target = np.exp(-2.0 * math.pi * energies / accel)
     return BoostInvarianceReport(accel, energies, list(etas), ratios, target)

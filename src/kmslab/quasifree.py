@@ -338,21 +338,19 @@ def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
     peak = float(np.max(np.abs(w_pos)))
     if peak == 0.0:
         raise ValidationError("spectrum vanishes on the requested nu grid")
-    if state.is_vacuum:
-        leakage = float(np.max(np.abs(w_neg))) / peak
-        residual = np.abs(w_neg) / peak
-        return BalanceReport(float(np.max(residual)), leakage, nu_grid,
-                             w_pos, w_neg, residual, t_span, sigma_t, n_t,
-                             leakage, state.beta)
-    expfac = np.exp(-state.beta * nu_grid)
-    residual = np.abs(w_neg - expfac * w_pos) / peak
-    band = np.abs(w_pos) > _BAND_FLOOR * peak
-    if np.any(band):
-        rel = np.abs(w_neg[band] / w_pos[band] - expfac[band]) / expfac[band]
-        max_band = float(np.max(rel))
-    else:
-        max_band = math.nan
     leakage = float(np.max(np.abs(w_neg))) / peak
+    if state.is_vacuum:
+        residual = np.abs(w_neg) / peak
+        max_band = leakage
+    else:
+        expfac = np.exp(-state.beta * nu_grid)
+        residual = np.abs(w_neg - expfac * w_pos) / peak
+        band = np.abs(w_pos) > _BAND_FLOOR * peak
+        max_band = math.nan
+        if np.any(band):
+            rel = (np.abs(w_neg[band] / w_pos[band] - expfac[band])
+                   / expfac[band])
+            max_band = float(np.max(rel))
     return BalanceReport(float(np.max(residual)), max_band, nu_grid,
                          w_pos, w_neg, residual, t_span, sigma_t, n_t,
                          leakage, state.beta)

@@ -1,6 +1,7 @@
 """End-to-end runs of the experiment CLI in subprocesses."""
 
 import math
+import os
 import subprocess
 import sys
 
@@ -124,6 +125,36 @@ def test_threads_option_accepted(tmp_path, cli_env):
     proc = _run(["--out", "run", "formfactor"], tmp_path, cli_env,
                 env_extra={"KMSLAB_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_threads_env_that_is_not_an_integer_is_a_usage_error(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KMSLAB_THREADS", "abc")
+    assert cli.main(["--out", str(tmp_path / "run"), "formfactor"]) == 1
+    assert "Invalid value for '--threads'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_threads_below_one_pin_one(tmp_path, monkeypatch):
+    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    for var in pools:
+        monkeypatch.setenv(var, "7")
+    assert cli.main(["--threads", "0", "--out", str(tmp_path / "run"),
+                     "formfactor"]) == 0
+    assert [os.environ[var] for var in pools] == ["1"] * 4
+
+
+def test_cli_import_leaves_the_numeric_libraries_unloaded(tmp_path, cli_env):
+    # the group callback pins the thread pools, which holds only while
+    # numpy and scipy are not yet loaded
+    code = ("import sys, kmslab.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
+                          env=cli_env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # a block of 650 rows, propagated on one thread, and one of 40 950 rows, on
@@ -282,6 +313,42 @@ def test_default_disjoint_outputs_are_pinned(tmp_path, cli_env, config):
     assert fields["n_star"] == n_star
     assert float(fields["log_slope"]) == pytest.approx(slope, rel=1e-12)
     assert float(fields["final_fidelity"]) == pytest.approx(final, rel=1e-12)
+
+
+def _response_with_energies(tmp_path, cli_env, energies, extra=(),
+                            timeout=240):
+    cfg = tmp_path / "energies.cfg"
+    cfg.write_text("[detector]\nenergies = %s\n" % energies)
+    return _run(["--config", str(cfg), "--out", "run", "response"]
+                + list(extra), tmp_path, cli_env, timeout=timeout)
+
+
+def test_response_refuses_a_rate_under_the_floor(tmp_path, cli_env):
+    # R(6) ~ 1e-13 on the orbit lies under the floor 3.4e-12 of this grid
+    # and read 5.03 in place of 2 pi; R(4) lies 3.5 times above its floor
+    accel = ["--trajectory", "accelerated", "--beta", "inf"]
+    proc = _response_with_energies(tmp_path, cli_env, "0.5,6", accel)
+    assert proc.returncode == 2
+    assert "|E| = 6 " in proc.stderr
+    assert "floor" in proc.stderr
+    assert not (tmp_path / "run" / "response.csv").exists()
+    proc = _response_with_energies(tmp_path, cli_env, "0.5,4", accel)
+    assert proc.returncode == 0, proc.stderr
+    fields = dict(kv.split("=") for kv in proc.stdout.splitlines()[-1].split())
+    assert fields["E"] == "4"
+    assert float(fields["beta_eff"]) == pytest.approx(6.2785, abs=1e-4)
+
+
+def test_response_refuses_a_tau_mesh_without_bound(tmp_path, cli_env):
+    # the mesh would take ~4e300 panels and grow until killed
+    proc = _response_with_energies(tmp_path, cli_env, "1e-300,1", timeout=5)
+    assert proc.returncode == 2
+    assert "panels" in proc.stderr
+    assert "1e-300 to 1" in proc.stderr
+    # 44 444 panels stay under the bound
+    proc = _response_with_energies(tmp_path, cli_env, "1e-4,1")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 2
 
 
 def test_response_rejects_a_massive_field(tmp_path, cli_env):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from kmslab import detector
-from kmslab.errors import (UnsupportedConfigurationError, ValidationError,
-                           WindowBiasWarning)
-from kmslab.detector import (ResponseWindow, Trajectory,
+from kmslab.errors import (ResolutionError, UnsupportedConfigurationError,
+                           ValidationError, WindowBiasWarning)
+from kmslab.detector import (BetaEffCurve, ResponseWindow, Trajectory,
                              effective_temperature_curve, pullback_wightman,
                              response_curve)
 from kmslab.oneparticle import BoostSpec, planck_occupation
@@ -281,3 +281,28 @@ def test_beta_eff_rate_vanishes_toward_light_speed():
         curve = effective_temperature_curve(state, v, [1.0])
         rates.append(curve.curve.rate_at(1.0))
     assert rates[1] < rates[0]
+
+
+def test_beta_eff_readout_of_a_curve():
+    curve = response_curve(QuasiFreeState(beta=1.0), Trajectory.rest(),
+                           [1.0, -0.5, 0.5, -1.0])
+    readout = BetaEffCurve(curve)
+    assert readout.energies.tolist() == [0.5, 1.0]
+    assert readout.up.tolist() == [curve.rate_at(0.5), curve.rate_at(1.0)]
+    assert readout.down.tolist() == [curve.rate_at(-0.5), curve.rate_at(-1.0)]
+    assert np.array_equal(readout.balance, readout.up / readout.down)
+    assert readout.curve is curve
+
+
+def test_beta_eff_readout_refuses_rates_under_the_floor():
+    # in the vacuum on the orbit R(6) ~ 1e-13 lies under the floor and
+    # read 5.03 in place of 2 pi; R(4) stays above it
+    orbit = Trajectory.accelerated(1.0)
+    curve = response_curve(QuasiFreeState(), orbit, [-6.0, -0.5, 0.5, 6.0])
+    assert curve.rate_at(6.0) <= curve.floor < curve.rate_at(0.5)
+    with pytest.raises(ResolutionError, match=r"\|E\| = 6 .*floor"):
+        BetaEffCurve(curve)
+    readout = BetaEffCurve(response_curve(QuasiFreeState(), orbit,
+                                          [-4.0, -0.5, 0.5, 4.0]))
+    assert readout.beta_eff[-1] == pytest.approx(6.2785, abs=1e-4)
+    assert readout.up[-1] > readout.curve.floor
