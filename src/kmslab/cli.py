@@ -352,15 +352,15 @@ def cmd_response(ctx, **_overrides):
     cfg, out_dir = _prepare(ctx)
     energies = cfg["detector"]["energies"]
     t_cfg = cfg["trajectory"]
-    from .detector import BetaEffCurve, Trajectory, response_curve
+    from .detector import (BetaEffCurve, Trajectory, _signed_energies,
+                           response_curve)
     from .quasifree import QuasiFreeState
     from .textio import fmt17, write_csv
     kind = t_cfg["kind"]
     traj = Trajectory(kind, **{k: t_cfg[k] for k in _TRAJECTORIES[kind]})
     state = QuasiFreeState(beta=cfg["global"]["beta"],
                            mass=cfg["global"]["mass"])
-    grid = sorted(set(energies) | set(-e for e in energies))
-    curve = response_curve(state, traj, grid)
+    curve = response_curve(state, traj, _signed_energies(energies))
     readout = BetaEffCurve(curve)
     pos = readout.energies
     write_csv(os.path.join(out_dir, "response.csv"),

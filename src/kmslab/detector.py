@@ -356,8 +356,28 @@ class ResponseCurve:
             raise ValidationError("energy %r not on the computed grid" % (e,))
         return float(self.rates[idx[0]])
 
+    def _resolved_pairs(self, energies):
+        """R(E) and R(-E) at each E of energies, as two arrays.
+
+        A rate at or below the floor carries no digits, so such an energy
+        is refused with a ResolutionError naming each |E|.
+        """
+        energies = np.asarray(energies, dtype=float)
+        up = np.array([self.rate_at(e) for e in energies])
+        down = np.array([self.rate_at(-e) for e in energies])
+        low = (up <= self.floor) | (down <= self.floor)
+        if np.any(low):
+            raise ResolutionError(
+                "rate at |E| = %s is at or below the window floor %.3g; "
+                "cannot form a balance readout"
+                % (", ".join("%g" % abs(e) for e in energies[low]),
+                   self.floor))
+        return up, down
+
     def balance_ratio(self, e):
-        return self.rate_at(e) / self.rate_at(-e)
+        """R(e)/R(-e), refused as in _resolved_pairs."""
+        (up,), (down,) = self._resolved_pairs([e])
+        return float(up / down)
 
     def save(self, path):
         from .textio import write_csv, write_keyvals
@@ -442,19 +462,13 @@ class BetaEffCurve:
     beta_eff = -ln(balance)/E.
 
     A rate at or below the curve's floor carries no digits, so such an
-    energy is refused with a ResolutionError.
+    energy is refused with a ResolutionError (see
+    ResponseCurve._resolved_pairs).
     """
 
     def __init__(self, curve):
         energies = np.sort(curve.energies[curve.energies > 0])
-        up = np.array([curve.rate_at(e) for e in energies])
-        down = np.array([curve.rate_at(-e) for e in energies])
-        low = (up <= curve.floor) | (down <= curve.floor)
-        if np.any(low):
-            raise ResolutionError(
-                "rate at |E| = %s is at or below the window floor %.3g; "
-                "cannot form a balance readout"
-                % (", ".join("%g" % e for e in energies[low]), curve.floor))
+        up, down = curve._resolved_pairs(energies)
         self.energies = energies
         self.up = up
         self.down = down

@@ -17,9 +17,7 @@ phase -e^{i zeta}, and the two are exchanged by the modular conjugation.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -920,12 +918,6 @@ _CHEBYSHEV_CHUNK = 8
 # A chunk of T_k vectors is folded into a window's sums through a scratch of
 # this many columns, in place of a temporary of the block's length.
 _FOLD_COLUMNS = 8192
-# Below this many rows the products are too short for a second thread to
-# pay: on the 650-row default block at evolve_n_tot_max = 2 the two threads'
-# Python overhead and handoffs of the interpreter lock made a propagation
-# take 0.23 s in place of 0.14 s on one thread; at 13 090 rows two threads
-# took 0.6-0.75 s in place of 1.1 s (2-core host).
-_WORKER_ROWS = 8192
 
 # The coefficients 2 (-1)^k I_k(x) of e^{-x t} add up to about e^x in
 # magnitude, while e^{-x H} v stays of the order of v where H is near 0:
@@ -1004,53 +996,47 @@ def _chebyshev_rows(xs, decay: bool = False) -> np.ndarray:
     return rows
 
 
-def _chebyshev_window(H2, v, rows, odd_factor, worker=None):
+def _chebyshev_window(H2, v, rows, odd_factor, out=None):
     """Every row of Chebyshev coefficients applied to v, from one recurrence.
 
-    H2 is twice the scaled block (see _reached_block).  Returns (out,
-    products): out[j] is the sum over even k of rows[j, k] T_k(H) v plus
-    odd_factor times the sum over odd k, taken up to row j's last nonzero
-    coefficient, and products counts the products with H2: one fewer than
-    the longest row's length for each recurrence.  A real H2 acts on the
-    real and imaginary parts of a complex v (with odd_factor -1j) apart, as
-    two real recurrences: two real products cost half of one complex
-    product, and a part that is all zero is not run.  Each part's even and
-    odd sums are contiguous real arrays that share their memory with two
-    complex arrays of out's shape; the second of these becomes out.  Given
-    an executor ``worker``, the imaginary part runs on it while the real
-    part runs here; each part's arithmetic is the same on either thread.
+    H2 is twice the scaled block (see _reached_block).  Adds to out[j] the
+    sum over even k of rows[j, k] T_k(H) v plus odd_factor times the sum
+    over odd k, taken up to row j's last nonzero coefficient, and returns
+    (out, products); without out, the sums go to zeros of the result type.
+    products counts the products with H2: one fewer than the longest row's
+    length for each recurrence.  A real H2 with a complex out acts on the
+    real and imaginary parts of v apart, as real recurrences that fold
+    their sums straight into out.real and out.imag: two real products cost
+    half of one complex product, v is never cast to complex (a real CSR
+    matrix times a complex vector is a complex product), and a part that
+    is all zero is not run.  The recurrences run one after the other and
+    share one ring of vectors and one fold scratch.
     """
     m, length = rows.shape[0], len(v)
     # each row's length, up to its last nonzero coefficient
     lengths = (rows.shape[1]
                - np.argmax(rows[:, ::-1] != 0.0, axis=1)).tolist()
-    split = not np.iscomplexobj(H2.data) and np.iscomplexobj(v)
-    if split:   # sums[p] = (even, odd) sums of part p (real, imaginary)
-        buf = np.zeros((2, m, length), dtype=complex)
-        sums = buf.view(float).reshape(2, 2, m, length)
-        parts = [(x, [(0, rows, s[0]), (1, rows, s[1])])
-                 for x, s in zip((v.real, v.imag), sums) if x.any()]
-    else:
-        dtype = np.result_type(H2.dtype, v.dtype, odd_factor)
-        out = np.zeros((m, length), dtype=dtype)
+    if out is None:
+        out = np.zeros((m, length),
+                       dtype=np.result_type(H2.dtype, v.dtype, odd_factor))
+    if np.iscomplexobj(H2.data) or not np.iscomplexobj(out):
+        dtype = out.dtype
         parts = [(v.astype(dtype, copy=False),
                   [(0, rows.astype(dtype, copy=False), out),
                    (1, (odd_factor * rows).astype(dtype), out)])]
-    jobs = [(H2, x, folds, lengths,
-             np.empty((_CHEBYSHEV_CHUNK, length), dtype=x.dtype),
-             np.empty((m, min(length, _FOLD_COLUMNS)), dtype=x.dtype))
-            for x, folds in parts]
-    if worker is not None and len(jobs) == 2:
-        future = worker.submit(_recurrence, *jobs.pop())
-        products = _recurrence(*jobs[0]) + future.result()
-    else:
-        products = sum(_recurrence(*job) for job in jobs)
-    if split:   # out = (E_re + O_im) + i (E_im - O_re)
-        (even_re, odd_re), (even_im, odd_im) = sums
-        even_re += odd_im
-        np.subtract(even_im, odd_re, out=odd_re)
-        out = buf[1]
-        out.real, out.imag = even_re, odd_re
+    else:   # part x of v adds unit (E x + odd_factor O x) to out, each
+        # factor one of +-1 and +-i, so each sum goes to one of out's parts
+        dtype = float
+        parts = [(x, [(parity, weight * rows, target)
+                      for parity, factor in ((0, unit), (1, unit * odd_factor))
+                      for target, weight in ((out.real, factor.real),
+                                             (out.imag, factor.imag))
+                      if weight])
+                 for x, unit in ((v.real, 1.0), (v.imag, 1j)) if x.any()]
+    ring = np.empty((_CHEBYSHEV_CHUNK, length), dtype=dtype)
+    scratch = np.empty((m, min(length, _FOLD_COLUMNS)), dtype=dtype)
+    products = sum(_recurrence(H2, x, folds, lengths, ring, scratch)
+                   for x, folds in parts)
     return out, products
 
 
@@ -1097,7 +1083,7 @@ def _fold(coef, vectors, target, scratch):
     """target += coef @ vectors, _FOLD_COLUMNS columns at a time.
 
     By einsum, not a matrix product: a BLAS call wakes BLAS's thread pool,
-    whose threads then spin on the core that the other recurrence needs.
+    whose threads then spin and burn CPU time beside the sparse products.
     """
     width = scratch.shape[1]
     for lo in range(0, target.shape[1], width):
@@ -1118,25 +1104,6 @@ def _norm2(x) -> float:
     if np.iscomplexobj(x):
         return _dot(x.real, x.real) + _dot(x.imag, x.imag)
     return _dot(x, x)
-
-
-def _worker_allowed(rows: int) -> bool:
-    """Whether evolve runs a worker thread beside the caller on a real
-    block of this many rows.
-
-    The block must have at least _WORKER_ROWS rows, and both the CPUs this
-    process may run on and the thread cap that --threads (or
-    KMSLAB_THREADS) pins into OMP_NUM_THREADS, when set, must allow two.
-    """
-    if rows < _WORKER_ROWS:
-        return False
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    try:
-        cpus = min(cpus, int(os.environ.get("OMP_NUM_THREADS", "")))
-    except ValueError:
-        pass    # unset, or not a plain count: no cap
-    return cpus >= 2
 
 
 def _reached_block(M, v):
@@ -1171,49 +1138,86 @@ def _reached_block(M, v):
     return block, H2, float(center), float(half)
 
 
+def _windows(tgrid, half):
+    """The windows of evolve: (start, times, on_grid) for each.
+
+    A window holds the grid times within _WINDOW_SPAN radians of the scaled
+    block from its start, at most _WINDOW_OUTPUTS of them, and starts at
+    the last time of the window before it (at 0 for the first).  A grid time
+    farther than that is reached in equal sub-steps of at most _WINDOW_SPAN,
+    each a window of one time that is not a grid time (on_grid False).
+    """
+    start, i = 0.0, 0
+    while i < len(tgrid):
+        reach = half * abs(tgrid[i] - start)
+        if reach > _WINDOW_SPAN:
+            n_sub = math.ceil(reach / _WINDOW_SPAN)
+            step = (tgrid[i] - start) / n_sub
+            for _ in range(n_sub - 1):
+                yield start, np.array([start + step]), False
+                start += step
+        j = i + 1
+        while (j < len(tgrid) and j - i < _WINDOW_OUTPUTS
+               and half * abs(tgrid[j] - start) <= _WINDOW_SPAN):
+            j += 1
+        yield start, tgrid[i:j], True
+        start, i = tgrid[j - 1], j
+
+
 def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
            observe: Callable | None = None) -> EvolutionResult:
     """Unitary propagation of a vector along an increasing time grid.
 
-    Only the block of L that psi0 reaches is propagated: the union of the
+    Only the block B of L that psi0 reaches is propagated: the union of the
     connected components of L's sparsity graph on which psi0 is nonzero.
-    This is exact for the stored matrix.  The grid is cut into windows: one
-    Chebyshev recurrence (Tal-Ezer & Kosloff 1984) of the block, shifted
-    and scaled into [-1, 1] by its Gershgorin bounds, runs from the state at
-    the window's start and yields the state at each grid time in the window.
-    A window holds the grid times within _WINDOW_SPAN = 90 radians of the
-    scaled block from its start, at most _WINDOW_OUTPUTS = 8 of them; a grid
-    time farther than that from the last one (from 0 for the first, which
-    may lie before it) is reached in equal sub-steps of at most 90 radians.
-    The recurrence runs to the longest of the window's coefficient rows, and
-    each output takes only the terms up to its own row's cut (see
+    This is exact for the stored matrix.  B = center + half H is shifted
+    and scaled into [-1, 1] by its Gershgorin bounds, and the grid is cut
+    into windows (see _windows): one Chebyshev series of
+    W(tau) = e^{-i half H tau} (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+    3967 (1984)) runs from the state at the window's start and yields the
+    state at each of its times.
+    Each window's recurrence runs to the longest of its coefficient rows,
+    and each output takes only the terms up to its own row's cut (see
     _chebyshev_rows); the rows of each distinct set of window offsets are
     built once per call.
 
-    A real block acts on the real and imaginary parts of the state as two
-    real recurrences; on a large block, when two CPUs are allowed (see
-    _worker_allowed), they run at once, the imaginary part's on a worker
-    thread that lives for this call.  The loop makes no BLAS call,
-    since one would wake BLAS's spinning thread pool.  Besides L, only the
-    scaled block is kept.  Beyond its input and a _WINDOW_OUTPUTS x
-    _FOLD_COLUMNS scratch for each recurrence, a window holds two rings of
-    _CHEBYSHEV_CHUNK real vectors of the block's length, the even and odd
-    sums of both parts (4 * _WINDOW_OUTPUTS real vectors, in the memory of
-    two complex arrays of the output's shape, the second of which becomes
-    the output) and a product in flight for each recurrence: 50 vectors.
-    The state carried to the next window is a copy, so one window's sums
-    are freed before the next window's are made.  The coefficients and the
-    bookkeeping do not grow with the block, and for a block of a few
-    thousand rows the whole stays below 2 * _CHEBYSHEV_CHUNK + 4 *
-    _WINDOW_OUTPUTS + 3 (51) vectors; that is less than building the block
-    takes.
+    On a real block, psi(t) = e^{-i center t} (chi_re(t) + i chi_im(t)),
+    where each chain chi(t) = W(t) r propagates a real part r of psi0 (a
+    part that is all zero has no chain).  A chain's first window starts at
+    chi(0) = r and takes one real recurrence.  Since H is real,
+    conj chi(t) = chi(-t), so W(tau) 2 Re chi(s) = chi(s + tau) +
+    conj chi(s - tau): a window from s takes
+
+        chi(s + tau_j) = W(tau_j) 2 Re chi(s) - conj chi(s - tau_j),
+
+    one real recurrence on Re chi(s), whenever each s - tau_j is the start
+    or an output time of the window before it, bitwise (the real wave
+    packet of Gray & Balint-Kurti, J. Chem. Phys. 108, 950 (1998)).  On a
+    uniform dyadic grid such as the default dt = 0.5, every window after
+    the first does; otherwise (a grid that starts before 0, sub-steps,
+    uneven or non-dyadic spacing) the window takes W(tau) chi(s) as two
+    real recurrences, on Re chi(s) and Im chi(s).  Offsets that agree only
+    to a tolerance are not taken, as each would add an error of about
+    |B| times their difference.  A complex block has one chain, psi0
+    itself, and one complex recurrence per window.  The loop makes no BLAS
+    call, since one would wake BLAS's spinning thread pool, and starts no
+    thread.
+
+    Besides L, only the scaled block is kept.  Each chain holds two output
+    buffers of _WINDOW_OUTPUTS complex vectors of the block's length,
+    swapped between windows, and a copy of its previous start; a window
+    adds a ring of _CHEBYSHEV_CHUNK real vectors, a product in flight and a
+    _WINDOW_OUTPUTS x _FOLD_COLUMNS fold scratch.  With one chain (every
+    initial state in INITIAL_STATES) that is 4 * _WINDOW_OUTPUTS + 2 +
+    _CHEBYSHEV_CHUNK + 1 (43) real vectors, with two 77; the coefficients
+    and the bookkeeping do not grow with the block.
 
     Each state, as a full-space vector, is stored in ``states``, or, when
     ``observe`` is given, only ``observe(state)`` is.  Norm and
     energy-expectation drift are checked at every grid time and must stay
     below 1e-10, otherwise (a non-finite state included) a numerical error
-    reports the failing step.  A psi0 that is not finite and normalized
-    raises ValidationError.
+    reports the failing step.  A psi0 that is not of shape (L.dim,), finite
+    and normalized raises ValidationError.
     ``matvecs`` counts every product with the block, the drift checks'
     included.
     """
@@ -1221,16 +1225,20 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     if len(tgrid) == 0 or np.any(np.diff(tgrid) <= 0):
         raise ValidationError("time grid must be nonempty and increasing")
     psi0 = np.asarray(psi0)
+    if psi0.shape != (L.dim,):
+        raise ValidationError("initial vector must have shape (%d,), got %s"
+                              % (L.dim, psi0.shape))
     if not abs(math.sqrt(_norm2(psi0)) - 1.0) <= 1e-10:
         raise ValidationError("initial vector must be finite and normalized")
     block, H2, center, half = _reached_block(L.matrix, psi0)
+    real = not np.iscomplexobj(H2.data)
     matvecs = 0
     rows = {}   # the coefficient rows of each distinct set of offsets
 
     def energy(psi):
         """<psi, B psi> = center |psi|^2 + half <psi, H2 psi> / 2."""
         nonlocal matvecs
-        if np.iscomplexobj(H2.data):
+        if not real:
             matvecs += 1
             h = H2 @ psi
             h_re, h_im = h.real, h.imag
@@ -1240,66 +1248,81 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
         return (center * _norm2(psi)
                 + 0.5 * half * (_dot(psi.real, h_re) + _dot(psi.imag, h_im)))
 
-    def advance(psi, dts):
-        """The states e^{-i B dt} psi, one row for each dt in dts."""
-        nonlocal matvecs
-        key = dts.tobytes()
-        if key not in rows:
-            rows[key] = _chebyshev_rows(half * dts)
-        out, products = _chebyshev_window(H2, psi, rows[key], -1j, worker)
-        matvecs += products
-        out *= np.exp(-1j * center * dts)[:, None]
-        return out
-
-    psi = psi0[block].astype(complex)
-    e0 = energy(psi)
+    v0 = psi0[block]
+    e0 = energy(v0.astype(complex))
+    # psi0 is the sum of unit * r over the chains, each chain's r real on a
+    # real block; anchors holds each chain at the window's start
+    if real:
+        units, anchors = [], []
+        for unit, r in ((1.0, v0.real), (1j, v0.imag)):
+            if r.any():
+                units.append(unit)
+                anchors.append(r.astype(float))
+    else:
+        units, anchors = [1.0], [v0.astype(complex)]
+    n_out = min(_WINDOW_OUTPUTS, len(tgrid))
+    buffers = [[np.empty((n_out, len(block)), dtype=complex)
+                for _ in range(2)] for _ in units]
+    behind = [None] * len(units)    # each at the previous start and outputs
+    past = np.empty(0)              # the times of behind
     norm_drift = 0.0
     energy_drift = 0.0
-    start, i = 0.0, 0
-    if not np.iscomplexobj(H2.data) and _worker_allowed(len(block)):
-        # imported here, not at the top: it adds 2% to importing kmslab
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=1)
-    else:
-        pool = nullcontext()
-    with pool as worker:
-        while i < len(tgrid):
-            reach = half * abs(tgrid[i] - start)
-            if reach > _WINDOW_SPAN:
-                n_sub = math.ceil(reach / _WINDOW_SPAN)
-                step = (tgrid[i] - start) / n_sub
-                for _ in range(n_sub - 1):
-                    psi = advance(psi, np.array([step]))[0]
-                    start += step
-            j = i + 1
-            while (j < len(tgrid) and j - i < _WINDOW_OUTPUTS
-                   and half * abs(tgrid[j] - start) <= _WINDOW_SPAN):
-                j += 1
-            for i, psi in enumerate(advance(psi, tgrid[i:j] - start),
-                                    start=i):
-                t = tgrid[i]
-                nd = abs(math.sqrt(_norm2(psi)) - 1.0)
-                ed = abs(energy(psi) - e0)
-                norm_drift = max(norm_drift, nd)
-                energy_drift = max(energy_drift, ed)
-                if not nd <= 1e-10:
-                    raise NumericalError(
-                        "propagation norm drift %s at step %d (t=%s)"
-                        % (fmt17(nd), i, fmt17(t)))
-                if not ed <= 1e-10 * max(abs(e0), 1.0):
-                    raise NumericalError(
-                        "generator expectation drift %s at step %d (t=%s)"
-                        % (fmt17(ed), i, fmt17(t)))
-                full = np.zeros(L.dim, dtype=complex)
-                full[block] = psi
-                record = full if observe is None else observe(full)
-                if i == 0:
-                    states = np.empty((len(tgrid),) + np.shape(record),
-                                      dtype=np.result_type(record))
-                states[i] = record
-            # a copy, which frees the window's sums before the next
-            # window allocates its own
-            start, i, psi = tgrid[i], i + 1, psi.copy()
+    i = 0
+    for w, (start, times, on_grid) in enumerate(_windows(tgrid, half)):
+        taus = times - start
+        m = len(taus)
+        key = taus.tobytes()
+        if key not in rows:
+            rows[key] = _chebyshev_rows(half * taus)
+        back = start - past[-2::-1]     # the offsets of behind, nearest first
+        leap = real and len(back) >= m and np.array_equal(back[:m], taus)
+        outs = []
+        for c, anchor in enumerate(anchors):
+            out = buffers[c][w % 2][:m]
+            if leap:    # out[j] = -conj chi(start - tau_j), then the series
+                older, previous = behind[c]
+                for j in range(m):
+                    out[j] = (previous[-2 - j] if j + 2 <= len(previous)
+                              else older)
+                out.real *= -1.0
+                out, products = _chebyshev_window(H2, anchor.real,
+                                                  2.0 * rows[key], -1j, out)
+            else:
+                out[...] = 0.0
+                out, products = _chebyshev_window(H2, anchor, rows[key],
+                                                  -1j, out)
+            matvecs += products
+            # a copy: the anchor's buffer takes the next window's outputs
+            behind[c] = (anchor.copy(), out)
+            anchors[c] = out[-1]
+            outs.append(out)
+        past = np.append(start, times)
+        if not on_grid:
+            continue
+        phases = np.exp(-1j * center * times)
+        for j, t in enumerate(times):
+            psi = phases[j] * sum(unit * out[j]
+                                  for unit, out in zip(units, outs))
+            nd = abs(math.sqrt(_norm2(psi)) - 1.0)
+            ed = abs(energy(psi) - e0)
+            norm_drift = max(norm_drift, nd)
+            energy_drift = max(energy_drift, ed)
+            if not nd <= 1e-10:
+                raise NumericalError(
+                    "propagation norm drift %s at step %d (t=%s)"
+                    % (fmt17(nd), i, fmt17(t)))
+            if not ed <= 1e-10 * max(abs(e0), 1.0):
+                raise NumericalError(
+                    "generator expectation drift %s at step %d (t=%s)"
+                    % (fmt17(ed), i, fmt17(t)))
+            full = np.zeros(L.dim, dtype=complex)
+            full[block] = psi
+            record = full if observe is None else observe(full)
+            if i == 0:
+                states = np.empty((len(tgrid),) + np.shape(record),
+                                  dtype=np.result_type(record))
+            states[i] = record
+            i += 1
     return EvolutionResult(times=tgrid, states=states, norm_drift=norm_drift,
                            energy_drift=energy_drift, matvecs=matvecs)
 

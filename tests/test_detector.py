@@ -306,3 +306,15 @@ def test_beta_eff_readout_refuses_rates_under_the_floor():
                                           [-4.0, -0.5, 0.5, 4.0]))
     assert readout.beta_eff[-1] == pytest.approx(6.2785, abs=1e-4)
     assert readout.up[-1] > readout.curve.floor
+
+
+def test_balance_ratio_refuses_rates_under_the_floor():
+    # R(6) ~ 1e-13 on the orbit, under the floor; R(+-0.5) are well above
+    orbit = Trajectory.accelerated(1.0)
+    curve = response_curve(QuasiFreeState(), orbit, [-6.0, -0.5, 0.5, 6.0])
+    assert curve.rate_at(6.0) <= curve.floor
+    for e in (6.0, -6.0):
+        with pytest.raises(ResolutionError, match=r"\|E\| = 6 .*floor"):
+            curve.balance_ratio(e)
+    assert (curve.balance_ratio(0.5)
+            == curve.rate_at(0.5) / curve.rate_at(-0.5))

@@ -6,7 +6,6 @@ import math
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -847,6 +846,30 @@ def test_evolve_rejects_a_nonfinite_initial_vector():
         lv.evolve(L, np.full(L.dim, math.nan), [1.0])
 
 
+def _shell_run():
+    """The criterion-10 operator on its n_tot_max = 2 truncation (the
+    650-row block of the excited start) and that start."""
+    disc = lv.resonant_shell_modes(1.0, 1.0, seed=0)
+    space = lv.TruncatedFock(disc, n_tot_max=2)
+    lam = lv.fgr_window(disc, 1.0, disc.recurrence_time())[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, lam)
+    return L, lv.INITIAL_STATES["excited"](L)
+
+
+def test_evolve_refuses_an_initial_vector_of_the_wrong_shape():
+    L, psi0 = _shell_run()
+    R = L.space.reservoir_dim
+    assert psi0[-1] == 0.0
+    # one trailing zero used to be dropped, a short vector to raise
+    # IndexError, and a (4, R) array to fail inside an einsum
+    for bad in (np.append(psi0, 0.0), psi0[:-1], psi0.reshape(4, R)):
+        with pytest.raises(ValidationError,
+                           match=r"shape \(%d,\), got \(" % L.dim):
+            lv.evolve(L, bad, [0.5])
+
+
 def test_evolve_rejects_a_nonfinite_block():
     L, psi0 = _excited_run()
     broken = L.matrix.copy()
@@ -902,6 +925,54 @@ def test_evolution_matches_dense_exponential(zeta):
             U = sla.expm(-1j * t * M)
             for psi0, states in runs:
                 assert np.max(np.abs(states[i] - U @ psi0)) < 1e-12
+
+
+def test_leapfrog_windows_match_the_dense_exponential(monkeypatch):
+    space, L = _dense_check_operator(math.pi)
+    shifted = dataclasses.replace(
+        L, matrix=(L.matrix + 10.0 * sp.identity(space.dim)).tocsr())
+    caller = threading.get_ident()
+    threads = []
+    recurrence = lv._recurrence
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return recurrence(*args)
+
+    monkeypatch.setattr(lv, "_recurrence", recording)
+    # four full windows of a dyadic uniform grid
+    tgrid = 0.5 * np.arange(1, 4 * lv._WINDOW_OUTPUTS + 1)
+    for op, shift in ((L, 0.0), (shifted, 10.0)):
+        M = op.matrix.toarray()
+        for psi0, chains in ((lv.product_initial(space, np.diag([1.0, 0.0])),
+                              1), (_spread_state(space), 2)):
+            _, _, center, half = lv._reached_block(op.matrix, psi0)
+            assert half * tgrid[lv._WINDOW_OUTPUTS - 1] <= lv._WINDOW_SPAN
+            assert abs(center - shift) < 1.0
+            threads.clear()
+            before = threading.active_count()
+            result = lv.evolve(op, psi0, tgrid)
+            assert threading.active_count() == before
+            assert set(threads) == {caller}
+            # one real recurrence per chain and window: taking W(tau) chi(s)
+            # directly would run two per chain in every window but the first
+            assert len(threads) == 4 * chains
+            terms = lv._chebyshev_rows(half * tgrid[:lv._WINDOW_OUTPUTS])
+            drift_checks = 2 * (len(tgrid) + 1)
+            assert result.matvecs == (drift_checks
+                                      + 4 * chains * (terms.shape[1] - 1))
+            for t, state in zip(tgrid, result.states):
+                exact = sla.expm(-1j * t * M) @ psi0
+                assert np.max(np.abs(state - exact)) < 1e-12
+
+
+def test_leapfrog_keeps_a_long_run_within_its_drift():
+    # t = 2000 is 500 windows, each one real recurrence off the last two
+    L, psi0 = _shell_run()
+    result = lv.evolve(L, psi0, 0.5 * np.arange(1, 4001),
+                       observe=lambda psi: 0.0)
+    assert result.norm_drift < 1e-12
+    assert result.energy_drift < 1e-12
 
 
 def test_evolution_windows_stay_within_span(monkeypatch):
@@ -1037,62 +1108,6 @@ def _spread_state(space):
     return psi / np.linalg.norm(psi)
 
 
-def test_evolution_worker_changes_no_bit(monkeypatch):
-    space, L = _dense_check_operator(math.pi)
-    psi0 = _spread_state(space)
-    tgrid = np.append(np.linspace(0.5, 20.0, 24), 60.0)
-    recurrence = lv._recurrence
-    runs = []
-    for allowed in (False, True):
-        threads = set()
-
-        def recording(*args):
-            threads.add(threading.get_ident())
-            return recurrence(*args)
-
-        monkeypatch.setattr(lv, "_worker_allowed", lambda rows: allowed)
-        monkeypatch.setattr(lv, "_recurrence", recording)
-        before = threading.active_count()
-        runs.append(lv.evolve(L, psi0, tgrid))
-        assert threading.active_count() == before
-        assert len(threads) == (2 if allowed else 1)
-    assert np.array_equal(runs[0].states, runs[1].states)
-    assert runs[0].matvecs == runs[1].matvecs
-
-
-def test_evolution_worker_error_reaches_the_caller(monkeypatch):
-    space, L = _dense_check_operator(math.pi)
-    recurrence = lv._recurrence
-
-    def failing(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("recurrence failed on the worker")
-        return recurrence(*args)
-
-    monkeypatch.setattr(lv, "_worker_allowed", lambda rows: True)
-    monkeypatch.setattr(lv, "_recurrence", failing)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="on the worker"):
-        lv.evolve(L, _spread_state(space), [0.5, 1.0])
-    assert threading.active_count() == before
-
-
-def test_worker_follows_block_size_affinity_and_thread_cap(monkeypatch):
-    monkeypatch.setattr(lv.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    large = lv._WORKER_ROWS
-    assert lv._worker_allowed(large)
-    assert not lv._worker_allowed(large - 1)
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert not lv._worker_allowed(large)
-    monkeypatch.setenv("OMP_NUM_THREADS", "4")
-    assert lv._worker_allowed(large)
-    monkeypatch.setattr(lv.os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    assert not lv._worker_allowed(large)
-
-
 def test_window_memory_stays_within_its_vector_count():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)
@@ -1103,17 +1118,18 @@ def test_window_memory_stays_within_its_vector_count():
     assert 2000 < len(v) < lv._FOLD_COLUMNS
     rows = lv._chebyshev_rows(np.linspace(0.1, 1.0, lv._WINDOW_OUTPUTS)
                               * lv._WINDOW_SPAN)
-    vectors = 2 * lv._CHEBYSHEV_CHUNK + 4 * lv._WINDOW_OUTPUTS + 3
-    scratch = 2 * lv._WINDOW_OUTPUTS * min(len(v), lv._FOLD_COLUMNS)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        worker.submit(int).result()     # start the thread before tracing
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            lv._chebyshev_window(H, v, rows, -1j, worker)
-            peak = tracemalloc.get_traced_memory()[1] - entry
-        finally:
-            tracemalloc.stop()
+    # both parts of a complex v run one after the other: one ring, the
+    # output's 2 * _WINDOW_OUTPUTS real vectors, a product in flight and
+    # under two more for the folds' temporaries (26.4 measured)
+    vectors = lv._CHEBYSHEV_CHUNK + 2 * lv._WINDOW_OUTPUTS + 3
+    scratch = lv._WINDOW_OUTPUTS * min(len(v), lv._FOLD_COLUMNS)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        lv._chebyshev_window(H, v, rows, -1j)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
     assert peak < 8 * (vectors * len(v) + scratch)
 
 
