@@ -250,7 +250,8 @@ _beta_option = click.option("--beta", type=float, default=None,
               help="key=value configuration file with [section] headers")
 @click.option("--out", type=click.Path(), default=".",
               help="output directory for CSV files and the manifest")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True,
               help="seed for randomized mode-grid jitter")
 @click.option("--threads", type=click.IntRange(min=1, clamp=True),
               default=None, envvar="%s_THREADS" % _ENV_PREFIX,
@@ -281,7 +282,8 @@ def cmd_formfactor(ctx, **_overrides):
                               default_qgrid, jf_conjugate, kms_glue,
                               save_glued)
     q, w = default_qgrid(beta, n=g_cfg["n_grid"])
-    u = MomentumFunction.from_radial(q, w, default_coupling(q))
+    u = MomentumFunction.from_radial(q, w, default_coupling(q),
+                                     g_cfg["mass"])
     g = kms_glue(u, beta, zeta=g_cfg["zeta"])
     target = np.exp(-beta * g.s / 2.0) * g.values
     resid = float(np.max(np.abs(jf_conjugate(g).values - target))
@@ -379,6 +381,9 @@ def cmd_response(ctx, **_overrides):
 def _liouville_space(cfg, seed, prefix):
     """Mode family and truncated Fock space from the [liouville] keys
     family, n_tot_max and amplitude, each read with the given prefix."""
+    if cfg["global"]["mass"] != 0.0:
+        raise ValidationError("[global] mass: the reservoir modes are "
+                              "massless; got %s" % cfg["global"]["mass"])
     from . import liouville as lv
     beta, lcfg = cfg["global"]["beta"], cfg["liouville"]
     builder, takes = _MODE_FAMILIES[lcfg[prefix + "family"]]
@@ -473,8 +478,9 @@ def cmd_disjoint(ctx):
     from .textio import fmt17
     family = adapted_family(d_cfg["n_max_modes"], s_lo=d_cfg["s_lo"],
                             s_hi=d_cfg["s_hi"])
-    state1 = QuasiFreeState(beta=cfg["global"]["beta"])
-    state2 = QuasiFreeState(beta=d_cfg["beta2"],
+    mass = cfg["global"]["mass"]
+    state1 = QuasiFreeState(beta=cfg["global"]["beta"], mass=mass)
+    state2 = QuasiFreeState(beta=d_cfg["beta2"], mass=mass,
                             frame=BoostSpec.from_velocity(d_cfg["v"]))
     curve = overlap_decay(state1, state2, family,
                           threshold=d_cfg["threshold"])

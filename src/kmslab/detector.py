@@ -94,12 +94,11 @@ class CouplingProfile:
     """Momentum weighting |u(q)|^2 inserted into the mode measure, with an
     explicit decay horizon so quadrature panels can be placed."""
 
-    def __init__(self, fn, q_max, name="coupling"):
+    def __init__(self, fn, q_max):
         if not q_max > 0:
             raise ValidationError("coupling horizon q_max must be positive")
         self.fn = fn
         self.q_max = float(q_max)
-        self.name = str(name)
 
     def __call__(self, q):
         return np.abs(np.asarray(self.fn(q), dtype=complex)) ** 2
@@ -342,13 +341,12 @@ class ResponseWindow:
 class ResponseCurve:
     """Windowed transition rates over an energy grid."""
 
-    def __init__(self, energies, rates, window, eps, floor, descriptor=None):
+    def __init__(self, energies, rates, window, eps, floor):
         self.energies = np.asarray(energies, dtype=float)
         self.rates = np.asarray(rates, dtype=float)
         self.window = window
         self.eps = float(eps)
         self.floor = float(floor)
-        self.descriptor = dict(descriptor or {})
 
     def rate_at(self, e):
         idx = np.nonzero(np.abs(self.energies - e) < 1e-12)[0]
@@ -379,15 +377,6 @@ class ResponseCurve:
         (up,), (down,) = self._resolved_pairs([e])
         return float(up / down)
 
-    def save(self, path):
-        from .textio import write_csv, write_keyvals
-        write_csv(path, "E,rate", [self.energies, self.rates])
-        pairs = [("floor", self.floor), ("eps", self.eps),
-                 ("sigma_tau", self.window.sigma_tau),
-                 ("tau_max", self.window.tau_max)]
-        pairs += sorted(self.descriptor.items())
-        write_keyvals(path + ".meta", pairs)
-
 
 def _rate_values(state, traj, energies, window, eps, coupling, boost):
     emax = max(abs(e) for e in energies)
@@ -405,7 +394,7 @@ def _rate_values(state, traj, energies, window, eps, coupling, boost):
 
 
 def response_curve(state, traj, energies, window=None, eps=None,
-                   coupling=None, boost=None, descriptor=None):
+                   coupling=None, boost=None):
     """Windowed rates R(E) over the energy grid, one shared window."""
     energies = [float(e) for e in energies]
     if not energies:
@@ -435,17 +424,7 @@ def response_curve(state, traj, energies, window=None, eps=None,
             WindowBiasWarning)
     rates, floor = _rate_values(state_r, traj_r, energies, window, eps,
                                 coupling, boost)
-    desc = {"beta": state.beta, "trajectory": traj.kind}
-    if traj.kind == "inertial":
-        desc["v"] = traj.v
-    if traj.kind == "accelerated":
-        desc["accel"] = traj.accel
-    if boost is not None:
-        desc["boost_rapidity"] = boost.rapidity
-    if coupling is not None:
-        desc["coupling"] = coupling.name
-    desc.update(descriptor or {})
-    return ResponseCurve(energies, rates, window, eps, floor, desc)
+    return ResponseCurve(energies, rates, window, eps, floor)
 
 
 def _signed_energies(energies):
@@ -492,8 +471,7 @@ def effective_temperature_curve(state, v, energies, window=None, eps=None,
     bath = QuasiFreeState(state.beta, state.mass, frame=BoostSpec(
         state.frame.rapidity + math.atanh(v)))
     curve = response_curve(bath, Trajectory.rest(), _signed_energies(energies),
-                           window=window, eps=eps, coupling=coupling,
-                           descriptor={"bath_velocity": bath.frame.v_rel})
+                           window=window, eps=eps, coupling=coupling)
     return BetaEffCurve(curve)
 
 

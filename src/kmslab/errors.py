@@ -34,11 +34,6 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to meet its accuracy contract."""
 
 
-class IRSensitivityWarning(UserWarning):
-    """Massless one-particle map applied to data with nonvanishing
-    second Cauchy component at the bottom of the momentum grid."""
-
-
 class ResonanceWarning(UserWarning):
     """Mode grid supports exact (or near-exact) energy collisions
     among occupation sums and the detector gap."""

@@ -31,7 +31,6 @@ from .errors import (
     NumericalError,
     ResonanceWarning,
     StructuralError,
-    TruncationWarning,
     ValidationError,
 )
 from .oneparticle import (default_coupling, gl_panels, glue_branches,
@@ -721,10 +720,6 @@ class SpectrumReport:
     method: str
     lu_nnz: int
     solves: int
-
-    def save(self, path):
-        idx = np.arange(len(self.eigenvalues))
-        write_csv(path, "index,eigenvalue", [idx, self.eigenvalues])
 
 
 def spectrum_scan(L: LiouvilleanOperator, theta: float | None = None,
@@ -1467,19 +1462,14 @@ def _pair_vector(space: TruncatedFock, pair_mode: int) -> np.ndarray:
 
 
 def tomita_residual(space: TruncatedFock, E: float, beta: float,
-                    observables: Sequence | None = None) -> TomitaReport:
+                    observables: Sequence) -> TomitaReport:
     """Residuals of J e^{-beta L0/2} X Omega = X^dagger Omega at lam = 0.
 
     Observables are descriptors: ("identity",), ("detector", M) with M a
-    2x2 matrix acting on the observable-side detector factor,
-    ("field_power", pair_mode, k) for the k-th power of the pair field
-    operator, and ("weyl", pair_mode, alpha) for the truncated exponential
-    exp(i*alpha*Phi) whose cutoff tail probes the truncation.  A field
-    power exceeding the available occupation budget triggers a truncation
-    warning.
+    2x2 matrix acting on the observable-side detector factor, and
+    ("weyl", pair_mode, alpha) for the truncated exponential
+    exp(i*alpha*Phi) whose cutoff tail probes the truncation.
     """
-    if observables is None:
-        observables = [("identity",), ("field_power", 0, 2), ("weyl", 0, 1.0)]
     J = ModularConjugation(space)
     omega0 = gns_vacuum(space, E, beta)
     R = space.reservoir_dim
@@ -1496,21 +1486,6 @@ def tomita_residual(space: TruncatedFock, E: float, beta: float,
             M = sp.csr_matrix(np.asarray(desc[1], dtype=complex))
             X = sp.kron(sp.kron(M, I2), IR).tocsr()
             label = "detector"
-        elif kind == "field_power":
-            j, kpow = int(desc[1]), int(desc[2])
-            h = _pair_vector(space, j)
-            budget = int(space.n_tot_max)
-            if kpow > budget:
-                warnings.warn(
-                    "field power %d exceeds the occupation budget %d; the "
-                    "image of Omega is truncated" % (kpow, budget),
-                    TruncationWarning, stacklevel=2)
-            Phi = space.field_matrix(h)
-            Xr = sp.identity(R, format="csr")
-            for _ in range(kpow):
-                Xr = (Xr @ Phi).tocsr()
-            X = sp.kron(sp.identity(4), Xr).tocsr()
-            label = "field_power_%d" % kpow
         elif kind == "weyl":
             j, alpha = int(desc[1]), float(desc[2])
             h = _pair_vector(space, j)

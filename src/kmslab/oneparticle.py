@@ -16,11 +16,10 @@ Conventions used throughout the package:
 
 import cmath
 import math
-import warnings
 
 import numpy as np
 
-from .errors import (IRSensitivityWarning, StructuralError, ValidationError)
+from .errors import StructuralError, ValidationError
 
 FOUR_PI = 4.0 * math.pi
 # relative tolerance at which two quadrature grids count as the same
@@ -210,8 +209,6 @@ class MomentumFunction:
         self.wtot = wtot
         self.values = values
         self.mass = float(mass)
-        self.ir_flagged = False
-        self.ir_fraction = 0.0
 
     @classmethod
     def from_radial(cls, q, w_dq, values, mass=0.0):
@@ -257,31 +254,6 @@ class MomentumFunction:
     def time_translate(self, t):
         """Multiply by e^{i omega t} (forward time evolution by t)."""
         return self.copy_with(self.values * np.exp(1j * self.omega * t))
-
-
-class CauchyData:
-    """Initial data (f1, f2) of a real scalar field in momentum space.
-
-    f1 is the field component, f2 the conjugate-momentum component; for
-    rotationally symmetric real data both Fourier profiles are real.
-    """
-
-    def __init__(self, q, w_dq, f1, f2, mass=0.0):
-        q = np.asarray(q, dtype=float)
-        w_dq = np.asarray(w_dq, dtype=float)
-        f1 = np.asarray(f1, dtype=complex)
-        f2 = np.asarray(f2, dtype=complex)
-        if not (q.shape == w_dq.shape == f1.shape == f2.shape):
-            raise ValidationError("CauchyData arrays must share one grid")
-        if np.any(np.diff(q) <= 0) or np.any(q <= 0):
-            raise ValidationError("grid must be strictly increasing and positive")
-        if mass < 0:
-            raise ValidationError("mass must be >= 0")
-        self.q = q
-        self.w_dq = w_dq
-        self.f1 = f1
-        self.f2 = f2
-        self.mass = float(mass)
 
 
 class GluedVector:
@@ -343,34 +315,6 @@ def default_coupling(q):
     """Default radial coupling profile q^{1/2} e^{-q^2}."""
     q = np.asarray(q, dtype=float)
     return np.sqrt(q) * np.exp(-q ** 2)
-
-
-def ground_map(data: CauchyData):
-    """Map Cauchy data to its ground one-particle vector
-    (omega^{1/2} f1 + i omega^{-1/2} f2) / sqrt(2).
-
-    In the massless case data whose second component does not vanish at
-    the bottom of the grid is infrared sensitive; the result is flagged
-    and a warning emitted, with the norm fraction carried by the lowest
-    decade of the grid recorded on the object.
-    """
-    om = dispersion(data.q, data.mass)
-    values = (np.sqrt(om) * data.f1 + 1j * data.f2 / np.sqrt(om)) / math.sqrt(2.0)
-    out = MomentumFunction.from_radial(data.q, data.w_dq, values, data.mass)
-    if data.mass == 0.0:
-        fmax = float(np.max(np.abs(data.f2))) if data.f2.size else 0.0
-        if fmax > 0 and abs(data.f2[0]) > 1e-12 * fmax:
-            low = data.q < 10.0 * data.q[0]
-            dens = out.wtot * out.q ** 2 * np.abs(out.values) ** 2
-            total = float(np.sum(dens))
-            frac = float(np.sum(dens[low])) / total if total > 0 else 0.0
-            out.ir_flagged = True
-            out.ir_fraction = frac
-            warnings.warn(
-                "massless ground map applied to data with nonvanishing "
-                "momentum component at the grid bottom; lowest-decade norm "
-                "fraction %.3e" % frac, IRSensitivityWarning)
-    return out
 
 
 def gluing_phase(zeta):

@@ -28,14 +28,13 @@ import math
 import numpy as np
 
 from .errors import ResolutionError, StructuralError, ValidationError
-from .oneparticle import (BoostSpec, CauchyData, MomentumFunction,
-                          bath_occupation, ground_map)
+from .oneparticle import BoostSpec, MomentumFunction, bath_occupation
 
 __all__ = [
     "QuasiFreeState", "CorrelatorSeries", "BalanceReport",
     "weyl_expectation", "two_point", "two_point_series", "weyl_correlator",
     "kms_balance_check", "balance_span_study", "mixing_decay",
-    "gaussian_packet", "shell_packet",
+    "gaussian_packet",
 ]
 
 # kms_balance_check's band: |W(nu)| above this fraction of the peak
@@ -67,7 +66,7 @@ class QuasiFreeState:
 
 
 class CorrelatorSeries:
-    """A complex time series with its provenance attached."""
+    """A complex time series with the metadata its consumers read."""
 
     def __init__(self, times, values, metadata=None):
         times = np.asarray(times, dtype=float)
@@ -80,28 +79,18 @@ class CorrelatorSeries:
         self.values = values
         self.metadata = dict(metadata or {})
 
-    def save(self, path):
-        from .textio import write_csv, write_keyvals
-        write_csv(path, "t,re,im",
-                  [self.times, self.values.real, self.values.imag])
-        write_keyvals(path + ".meta", sorted(self.metadata.items()))
-
 
 # ---------------------------------------------------------------------------
 # internal evaluation helpers
 
 def _as_kappa(state, f):
-    """Accept CauchyData (mapped through the ground map) or a ready
-    momentum-space vector."""
-    if isinstance(f, CauchyData):
-        if f.mass != state.mass:
-            raise ValidationError("test-function mass differs from state mass")
-        return ground_map(f)
-    if isinstance(f, MomentumFunction):
-        if f.mass != state.mass:
-            raise ValidationError("test-function mass differs from state mass")
-        return f
-    raise ValidationError("expected CauchyData or MomentumFunction")
+    """A momentum-space vector of the state's mass, else ValidationError."""
+    if not isinstance(f, MomentumFunction):
+        raise ValidationError("expected a MomentumFunction, got %s"
+                              % type(f).__name__)
+    if f.mass != state.mass:
+        raise ValidationError("test-function mass differs from state mass")
+    return f
 
 
 def _aligned_pair(state, f, g):
@@ -116,27 +105,22 @@ def _aligned_pair(state, f, g):
     return kf, kg, kf.wtot * kf.q ** 2
 
 
-def doubled_gram(state, f, g):
-    """<kappa_beta f, kappa_beta g> for the given state."""
-    kf, kg, wq2 = _aligned_pair(state, f, g)
-    mu = bath_occupation(kf.omega, state.beta, state.frame.rapidity)
-    term1 = np.sum(wq2 * (1.0 + mu) * np.conj(kf.values) * kg.values)
-    term2 = np.sum(wq2 * mu * kf.values * np.conj(kg.values))
-    return complex(term1 + term2)
-
-
 # ---------------------------------------------------------------------------
 # operations
 
 def weyl_expectation(state, f):
     """Expectation of the Weyl operator W(f): exp(-||kappa_beta f||^2 / 2)."""
-    val = doubled_gram(state, f, f).real
+    val = two_point(state, f, f).real
     return math.exp(-0.5 * val)
 
 
 def two_point(state, f, g):
     """Two-point function <kappa_beta f, kappa_beta g>."""
-    return doubled_gram(state, f, g)
+    kf, kg, wq2 = _aligned_pair(state, f, g)
+    mu = bath_occupation(kf.omega, state.beta, state.frame.rapidity)
+    term1 = np.sum(wq2 * (1.0 + mu) * np.conj(kf.values) * kg.values)
+    term2 = np.sum(wq2 * mu * kf.values * np.conj(kg.values))
+    return complex(term1 + term2)
 
 
 def _phase_tables(freq, tgrid):
@@ -195,9 +179,7 @@ def two_point_series(state, g, f, tgrid):
     b = wq2 * mu * kg.values * np.conj(kf.values)
     tgrid = np.asarray(tgrid, dtype=float)
     vals = _phase_sum(a, b, om, tgrid)
-    return CorrelatorSeries(tgrid, vals, {
-        "series": "two_point", "beta": state.beta, "mass": state.mass,
-        "frame_rapidity": state.frame.rapidity})
+    return CorrelatorSeries(tgrid, vals)
 
 
 def weyl_correlator(state, f, g, tgrid):
@@ -220,10 +202,7 @@ def weyl_correlator(state, f, g, tgrid):
     tgrid = np.asarray(tgrid, dtype=float)
     z = _phase_sum(b, a, om, tgrid)
     vals = wf * wg * np.exp(-z)
-    meta = {"series": "weyl_correlator", "beta": state.beta,
-            "mass": state.mass, "frame_rapidity": state.frame.rapidity,
-            "weyl_f": wf, "weyl_g": wg}
-    return CorrelatorSeries(tgrid, vals, meta)
+    return CorrelatorSeries(tgrid, vals, {"weyl_f": wf, "weyl_g": wg})
 
 
 class BalanceReport:
@@ -415,17 +394,3 @@ def gaussian_packet(q, w_dq, center=1.0, width=1.0, mass=0.0):
     q = np.asarray(q, dtype=float)
     vals = np.sqrt(q) * np.exp(-(((q - center) / width) ** 2))
     return MomentumFunction.from_radial(q, w_dq, vals, mass)
-
-
-def shell_packet(q, w_dq, radius=0.0, width=1.0):
-    """Massless Cauchy data of a spherical-shell Gaussian at the given
-    radius: f1(q) = j0(q * radius) exp(-q^2 width^2 / 4), f2 = 0.
-    """
-    q = np.asarray(q, dtype=float)
-    prof = np.exp(-0.25 * (q * width) ** 2)
-    if radius == 0.0:
-        j0 = np.ones_like(q)
-    else:
-        x = q * radius
-        j0 = np.sin(x) / x
-    return CauchyData(q, w_dq, j0 * prof, np.zeros_like(q))

@@ -228,6 +228,20 @@ def test_readme_accelerated_example(tmp_path, cli_env):
     assert "only the vacuum supports the accelerated worldline" in proc.stderr
 
 
+def test_readme_layered_config_example(tmp_path, cli_env):
+    (tmp_path / "lab.cfg").write_text(
+        "[global]\nbeta = 2.0\n[detector]\nenergies = 0.5,1.0,2.0\n")
+    proc = _run(["--config", "lab.cfg", "--out", "runs/r2", "response"],
+                tmp_path, cli_env,
+                env_extra={"KMSLAB_TRAJECTORY_KIND": "inertial"})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["E=0.5", "E=1", "E=2"]
+    manifest = (tmp_path / "runs" / "r2" / "manifest.txt").read_text()
+    for entry in ("beta=2.0", "energies=0.5,1.0,2.0", "kind=inertial"):
+        assert entry in manifest.splitlines()
+
+
 # printed (balance, beta_eff) of the default response at E = 0.5, 1, 1.5, 2
 # (the accelerated worldline in the vacuum)
 DEFAULT_RESPONSE = {
@@ -359,6 +373,26 @@ def test_response_rejects_a_massive_field(tmp_path, cli_env):
                 tmp_path, cli_env)
     assert proc.returncode == 2
     assert "mass=0.7" in proc.stderr
+
+
+# besides response, the subcommands whose field is massless (kms-check and
+# mixing take a massive one)
+@pytest.mark.parametrize("command", ["formfactor", "disjoint", "rte-spectrum",
+                                     "rte-evolve"])
+def test_massless_commands_reject_a_mass(tmp_path, monkeypatch, capsys,
+                                         command):
+    monkeypatch.setenv("KMSLAB_GLOBAL_MASS", "1")
+    assert cli.main(["--out", str(tmp_path / "run"), command]) == 2
+    assert "massless" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["rte-spectrum", "rte-evolve"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    assert cli.main(["--seed", "-1", "--out", str(tmp_path / "run"),
+                     command]) == 1
+    assert "Invalid value for '--seed'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_mixing_outputs(tmp_path, cli_env):

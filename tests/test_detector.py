@@ -245,17 +245,6 @@ def test_subnormal_energies_are_rejected_rather_than_meshed_forever():
         response_curve(state, Trajectory.rest(), [1e-310, -1e-310])
 
 
-def test_curve_serialization(tmp_path):
-    state = QuasiFreeState(beta=1.0)
-    curve = response_curve(state, Trajectory.rest(), [-1.0, 1.0])
-    path = tmp_path / "curve.csv"
-    curve.save(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "E,rate"
-    assert len(lines) == 3
-    assert (tmp_path / "curve.csv.meta").exists()
-
-
 # ---------------------------------------------------------------------------
 # effective temperature
 

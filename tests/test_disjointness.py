@@ -8,7 +8,7 @@ import pytest
 from kmslab import disjointness as dj
 from kmslab.errors import NumericalError, ValidationError
 from kmslab.oneparticle import BoostSpec, MomentumFunction, planck_occupation
-from kmslab.quasifree import QuasiFreeState, doubled_gram
+from kmslab.quasifree import QuasiFreeState, two_point
 from kmslab.textio import fmt17
 
 
@@ -276,7 +276,7 @@ def test_occupations_match_the_thermal_gram_route(beta, v):
     if state.is_vacuum:
         assert np.array_equal(occ, np.zeros(len(fam)))
         return
-    gram = np.array([doubled_gram(state, _point_mode(x), _point_mode(x))
+    gram = np.array([two_point(state, _point_mode(x), _point_mode(x))
                      for x in fam.nodes])
     np.testing.assert_allclose(occ, (gram.real - 1.0) / 2.0,
                                rtol=1e-10, atol=0.0)
@@ -317,7 +317,7 @@ def test_boosted_restriction_is_diagonal_occupation_gram():
     for x in fam.nodes:
         single = _restrict_state(state, dj.ModeFamily([x]))
         m = _point_mode(x)
-        direct = (doubled_gram(state, m, m).real - 1.0) / 2.0
+        direct = (two_point(state, m, m).real - 1.0) / 2.0
         assert abs(_number_expectation(single) - direct) < 1e-8
 
 

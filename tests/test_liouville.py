@@ -18,8 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from kmslab import liouville as lv
 from kmslab.errors import (AmbiguousThresholdWarning, NumericalError,
-                           ResonanceWarning, StructuralError,
-                           TruncationWarning, ValidationError)
+                           ResonanceWarning, StructuralError, ValidationError)
 from kmslab.oneparticle import default_coupling, kms_glue, MomentumFunction
 from kmslab.textio import fmt17
 
@@ -792,17 +791,6 @@ def test_splitting_well_above_theta_is_quiet():
     assert msgs == []
 
 
-def test_spectrum_report_serialization(tmp_path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResonanceWarning)
-        _, space = _small_paired(n_side=2, n_tot=1)
-        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.0)
-    report = lv.spectrum_scan(L)
-    path = tmp_path / "spectrum.csv"
-    report.save(str(path))
-    assert path.read_text().splitlines()[0] == "index,eigenvalue"
-
-
 # ---------------------------------------------------------------------------
 # time evolution and distance series
 
@@ -1276,13 +1264,6 @@ def test_tomita_identity_and_detector_observables():
                                              ("detector", OFFDIAG),
                                              ("detector", np.diag([1.0, 0.0]))])
     assert report.max_residual < 1e-8
-
-
-def test_tomita_field_power_beyond_budget_warns():
-    _, space = _small_paired(n_side=2, n_tot=2)
-    with pytest.warns(TruncationWarning):
-        lv.tomita_residual(space, 1.0, 1.0,
-                           observables=[("field_power", 0, 5)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Ground map, thermal gluing, frequency conjugation, boosts."""
+"""Quadrature panels, thermal gluing, frequency conjugation, boosts."""
 
 import math
 
@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmslab.errors import IRSensitivityWarning, StructuralError, ValidationError
-from kmslab.oneparticle import (BoostSpec, CauchyData, GluedVector,
-                                MomentumFunction,
+from kmslab.errors import StructuralError, ValidationError
+from kmslab.oneparticle import (BoostSpec, GluedVector, MomentumFunction,
                                 default_coupling, default_qgrid, gl_panels,
-                                ground_map, jf_conjugate, kms_glue,
-                                load_glued, planck_occupation, save_glued,
-                                time_translate)
+                                jf_conjugate, kms_glue, load_glued,
+                                planck_occupation, save_glued, time_translate)
 
 
 def _default_vector(beta=1.0, n=512):
@@ -60,43 +58,7 @@ def test_occupation_balance_identity(beta, x):
 
 
 # ---------------------------------------------------------------------------
-# ground one-particle map
-
-def test_ground_map_position_datum_only():
-    q, w = default_qgrid(1.0, n=256)
-    g = np.exp(-q * q)
-    out = ground_map(CauchyData(q, w, g, np.zeros_like(q), mass=1.0))
-    om = np.sqrt(q * q + 1.0)
-    assert np.allclose(out.values, np.sqrt(om) * g / math.sqrt(2.0), rtol=1e-14)
-
-
-def test_ground_map_zero_data():
-    q, w = default_qgrid(1.0, n=64)
-    z = np.zeros_like(q)
-    out = ground_map(CauchyData(q, w, z, z))
-    assert out.norm() == 0.0
-
-
-def test_ground_map_linearity():
-    q, w = default_qgrid(1.0, n=128)
-    f1 = np.exp(-q * q)
-    f2 = q * np.exp(-q * q)
-    a = ground_map(CauchyData(q, w, f1, np.zeros_like(q), mass=1.0))
-    b = ground_map(CauchyData(q, w, np.zeros_like(q), f2, mass=1.0))
-    both = ground_map(CauchyData(q, w, f1, f2, mass=1.0))
-    assert np.allclose(both.values, a.values + b.values, rtol=0, atol=1e-15)
-
-
-def test_ground_map_norm_vs_refined_quadrature():
-    # Gauss-Legendre panels at two resolutions as the refinement oracle
-    g = lambda q: np.exp(-q * q)
-    norms = []
-    for npp in (16, 64):
-        q, w = gl_panels((1e-4, 0.5, 2.0, 5.0, 12.0), npp)
-        out = ground_map(CauchyData(q, w, g(q), np.zeros_like(q), mass=1.0))
-        norms.append(out.norm2())
-    assert abs(norms[0] - norms[1]) < 1e-8 * norms[1]
-
+# quadrature panels
 
 @pytest.mark.parametrize("n", [0, -3, (2, 0), (1, -1)])
 def test_gl_panels_rejects_a_node_count_below_one(n):
@@ -104,15 +66,6 @@ def test_gl_panels_rejects_a_node_count_below_one(n):
         gl_panels((0.0, 1.0, 2.0), n)
     q, w = gl_panels((0.0, 1.0, 2.0), 1)      # the smallest rule: midpoints
     assert np.array_equal(q, [0.5, 1.5]) and np.array_equal(w, [1.0, 1.0])
-
-
-def test_ground_map_infrared_warning():
-    q, w = default_qgrid(1.0, n=256)
-    f2 = np.exp(-q * q)            # nonvanishing velocity datum at q -> 0
-    with pytest.warns(IRSensitivityWarning):
-        out = ground_map(CauchyData(q, w, np.zeros_like(q), f2, mass=0.0))
-    assert out.ir_flagged
-    assert 0.0 < out.ir_fraction <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ import pytest
 
 from kmslab import quasifree
 from kmslab.errors import ResolutionError, ValidationError
-from kmslab.oneparticle import BoostSpec, default_qgrid, planck_occupation
-from kmslab.quasifree import (CorrelatorSeries, QuasiFreeState, doubled_gram,
-                              gaussian_packet, kms_balance_check,
-                              mixing_decay, shell_packet, two_point,
+from kmslab.oneparticle import (BoostSpec, MomentumFunction, default_qgrid,
+                                planck_occupation)
+from kmslab.quasifree import (QuasiFreeState, gaussian_packet,
+                              kms_balance_check, mixing_decay, two_point,
                               two_point_series, weyl_correlator,
                               weyl_expectation)
 
@@ -93,8 +93,12 @@ def test_commutator_is_beta_independent():
 def test_equal_time_separated_shells_decorrelate():
     q, w = default_qgrid(1.0, n=512)
     state = QuasiFreeState(beta=1.0)
-    near = shell_packet(q, w, radius=0.0, width=1.0)
-    far = shell_packet(q, w, radius=20.0, width=1.0)
+    # spherical shells of width 1 at radius 0 and 20: the ground vectors
+    # sqrt(q) j0(q r) e^{-q^2/4} / sqrt(2) of Cauchy data (j0(q r) e^{-q^2/4}, 0)
+    shell = np.exp(-0.25 * q ** 2) * np.sqrt(q) / math.sqrt(2.0)
+    near = MomentumFunction.from_radial(q, w, shell)
+    far = MomentumFunction.from_radial(q, w,
+                                      np.sin(20.0 * q) / (20.0 * q) * shell)
     cross = abs(two_point(state, near, far))
     norms = math.sqrt(two_point(state, near, near).real
                       * two_point(state, far, far).real)
@@ -354,20 +358,19 @@ def test_mixing_envelope_decays():
     assert np.all(np.diff(blocks) <= 0.05 * blocks[:-1])
 
 
-def test_series_serialization(tmp_path):
-    times = np.linspace(0.0, 1.0, 5)
-    series = CorrelatorSeries(times, np.exp(1j * times))
-    path = tmp_path / "series.csv"
-    series.save(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,re,im"
-    assert len(lines) == 6
-
-
 # ---------------------------------------------------------------------------
-# doubled Gram consistency
+# input types
 
-def test_doubled_gram_matches_two_point():
-    f, g = _packets(256)
+@pytest.mark.parametrize("call", [
+    lambda state, f, bad: two_point(state, f, bad),
+    lambda state, f, bad: two_point(state, bad, f),
+    lambda state, f, bad: two_point_series(state, bad, f, [0.0, 1.0]),
+    lambda state, f, bad: kms_balance_check(state, bad),
+], ids=["two_point_right", "two_point_left", "two_point_series",
+        "kms_balance_check"])
+def test_correlators_refuse_a_vector_that_is_not_a_momentum_function(call):
+    f, _ = _packets(64)
     state = QuasiFreeState(beta=1.0)
-    assert doubled_gram(state, f, g) == pytest.approx(two_point(state, f, g), rel=1e-13)
+    with pytest.raises(ValidationError,
+                       match="expected a MomentumFunction, got ndarray"):
+        call(state, f, f.values)
