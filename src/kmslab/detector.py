@@ -16,12 +16,11 @@ balance diagnostic: e^{-beta E} exactly when the response is thermal.
 """
 
 import math
-import warnings
 
 import numpy as np
 
 from .errors import (ResolutionError, UnsupportedConfigurationError,
-                     ValidationError, WindowBiasWarning)
+                     ValidationError)
 from .oneparticle import BoostSpec, bath_occupation, gl_panels
 from .quasifree import QuasiFreeState
 
@@ -246,7 +245,6 @@ def _thermal_correlation(beta, dt, dx, eps):
 def _accelerated_separation(traj, tau, boost=None):
     """Midpoint-symmetric pair separation on the hyperbolic orbit,
     optionally after a literal coordinate boost of both points."""
-    a = traj.accel
     t1, x1 = traj.position(0.5 * tau)
     t2, x2 = traj.position(-0.5 * tau)
     if boost is not None and boost.rapidity != 0.0:
@@ -289,16 +287,15 @@ def _wightman_values(state, traj, tau, eps, coupling=None, boost=None):
     return _thermal_correlation(state.beta, t_lab, r_lab, eps)
 
 
-def pullback_wightman(state, traj, tau, eps=None, coupling=None, boost=None):
+def pullback_wightman(state, traj, tau, eps=None):
     """Massless field correlation W(tau - i eps) along the worldline in
-    the given state.
+    the given state, in closed form.
 
     Stationarity is required: a thermal bath combined with the hyperbolic
     orbit is rejected, and so is a state of nonzero mass. A bath moving
     relative to the lab is folded into an equivalent worldline velocity
-    first. Without a coupling profile W is a closed form; with one it is
-    a quadrature over momenta. The regulator defaults to 1e-3 times the
-    shortest timescale of the configuration.
+    first. The regulator defaults to 1e-3 times the shortest timescale of
+    the configuration.
     """
     state, traj = _resolve_configuration(state, traj)
     if eps is None:
@@ -307,7 +304,7 @@ def pullback_wightman(state, traj, tau, eps=None, coupling=None, boost=None):
         raise ValidationError("regulator eps must be positive")
     scalar = np.isscalar(tau) or np.ndim(tau) == 0
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    vals = _wightman_values(state, traj, tau_arr, eps, coupling, boost)
+    vals = _wightman_values(state, traj, tau_arr, eps)
     return complex(vals[0]) if scalar else vals
 
 
@@ -393,17 +390,15 @@ def _rate_values(state, traj, energies, window, eps, coupling, boost):
     return rates, floor
 
 
-def response_curve(state, traj, energies, window=None, eps=None,
-                   coupling=None, boost=None):
-    """Windowed rates R(E) over the energy grid, one shared window."""
+def response_curve(state, traj, energies, coupling=None, boost=None):
+    """Windowed rates R(E) over the energy grid, one shared window of
+    width 20/min|E|."""
     energies = [float(e) for e in energies]
     if not energies:
         raise ValidationError("no energies requested")
     state_r, traj_r = _resolve_configuration(state, traj)
-    if window is None:
-        window = ResponseWindow.for_energies(energies)
-    if eps is None:
-        eps = 1e-3 * _min_timescale(state_r, traj_r, energies)
+    window = ResponseWindow.for_energies(energies)
+    eps = 1e-3 * _min_timescale(state_r, traj_r, energies)
     emin = min(abs(e) for e in energies)
     emax = max(abs(e) for e in energies)
     panels = window.tau_max * (emax + 1.0) / _PANEL_PHASE
@@ -414,14 +409,6 @@ def response_curve(state, traj, energies, window=None, eps=None,
             "narrow the energy range"
             % (window.sigma_tau, window.tau_max, panels, emin, emax,
                _MAX_TAU_PANELS))
-    if window.sigma_tau * emin < 8.0:
-        warnings.warn(
-            "window of width %.3g barely resolves the gap %.3g; "
-            "relative bias estimate %.2e"
-            % (window.sigma_tau, emin,
-               math.exp(-2.0 * (window.sigma_tau * emin) ** 2)
-               + (1.0 / (window.sigma_tau * emin)) ** 2),
-            WindowBiasWarning)
     rates, floor = _rate_values(state_r, traj_r, energies, window, eps,
                                 coupling, boost)
     return ResponseCurve(energies, rates, window, eps, floor)
@@ -460,8 +447,7 @@ class BetaEffCurve:
         return float(np.max(self.beta_eff) - np.min(self.beta_eff))
 
 
-def effective_temperature_curve(state, v, energies, window=None, eps=None,
-                                coupling=None):
+def effective_temperature_curve(state, v, energies):
     """beta_eff(E) for a lab-rest detector reading a bath that is KMS in a
     frame moving at velocity v relative to the frame of `state`."""
     if state.is_vacuum:
@@ -470,16 +456,14 @@ def effective_temperature_curve(state, v, energies, window=None, eps=None,
         raise ValidationError("|v| must be < 1")
     bath = QuasiFreeState(state.beta, state.mass, frame=BoostSpec(
         state.frame.rapidity + math.atanh(v)))
-    curve = response_curve(bath, Trajectory.rest(), _signed_energies(energies),
-                           window=window, eps=eps, coupling=coupling)
+    curve = response_curve(bath, Trajectory.rest(), _signed_energies(energies))
     return BetaEffCurve(curve)
 
 
 class BoostInvarianceReport:
     """Balance ratios along the hyperbolic orbit, per boost rapidity."""
 
-    def __init__(self, accel, energies, etas, ratios, target):
-        self.accel = accel
+    def __init__(self, energies, etas, ratios, target):
         self.energies = np.asarray(energies, dtype=float)
         self.etas = list(etas)
         self.ratios = ratios          # {eta: array over energies}
@@ -497,8 +481,7 @@ class BoostInvarianceReport:
         return worst
 
 
-def boost_invariance_check(accel, energies, etas=(0.0, 1.0), window=None,
-                           eps=None):
+def boost_invariance_check(accel, energies, etas=(0.0, 1.0)):
     """Vacuum balance ratios on the hyperbolic orbit, recomputed after
     boosting the orbit coordinates by each rapidity; the ratio must stay
     at exp(-2 pi E / a) throughout."""
@@ -509,7 +492,6 @@ def boost_invariance_check(accel, energies, etas=(0.0, 1.0), window=None,
     ratios = {}
     for eta in etas:
         ratios[eta] = BetaEffCurve(response_curve(
-            vac, traj, grid, window=window, eps=eps,
-            boost=BoostSpec(eta))).balance
+            vac, traj, grid, boost=BoostSpec(eta))).balance
     target = np.exp(-2.0 * math.pi * energies / accel)
-    return BoostInvarianceReport(accel, energies, list(etas), ratios, target)
+    return BoostInvarianceReport(energies, list(etas), ratios, target)

@@ -39,10 +39,6 @@ class ResonanceWarning(UserWarning):
     among occupation sums and the detector gap."""
 
 
-class WindowBiasWarning(UserWarning):
-    """Smearing window too narrow; reported rates carry estimated bias."""
-
-
 class AmbiguousThresholdWarning(UserWarning):
     """Numerical-kernel threshold falls inside an eigenvalue cluster."""
 

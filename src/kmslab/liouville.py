@@ -714,8 +714,6 @@ class SpectrumReport:
     kernel_dim: int
     theta: float
     norm_estimate: float
-    gap_below: float
-    gap_above: float
     residual_max: float
     method: str
     lu_nnz: int
@@ -808,8 +806,7 @@ def spectrum_scan(L: LiouvilleanOperator, theta: float | None = None,
             AmbiguousThresholdWarning, stacklevel=2)
     return SpectrumReport(eigenvalues=eigs, eigenvectors=vecs,
                           kernel_dim=kernel_dim, theta=theta,
-                          norm_estimate=norm, gap_below=gap_below,
-                          gap_above=gap_above, residual_max=residual_max,
+                          norm_estimate=norm, residual_max=residual_max,
                           method=method, lu_nnz=lu_nnz, solves=solves)
 
 
@@ -819,7 +816,6 @@ class SweepReport:
     gaps: np.ndarray
     kernel_dims: np.ndarray
     fit_exponent: float
-    fit_prefactor: float
     predicted_prefactor: float
     theta: float
     lu_nnz: int
@@ -831,8 +827,7 @@ class SweepReport:
 
 
 def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
-                           lambdas: Sequence[float],
-                           theta: float | None = None) -> SweepReport:
+                           lambdas: Sequence[float]) -> SweepReport:
     """Track the splitting of the free kernel pair over a coupling sweep.
 
     L0 is diagonal, so its kernel K is spanned by the unit vectors where
@@ -841,7 +836,9 @@ def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
     largest weight on K is the partner of the split pair, and its
     eigenvalue magnitude is the gap column.  The exponent is a
     least-squares fit of log(gap) against log(lambda) over the positive
-    couplings.  The second-order prediction of the splitting is lambda^2
+    couplings, so fewer than two positive couplings raise a
+    ValidationError before any scan; a zero gap among them gives a NaN
+    exponent.  The second-order prediction of the splitting is lambda^2
     times the largest |eigenvalue| of the level-shift matrix
     M = -K^T V L0^+ V K (predicted_prefactor); an AmbiguousThresholdWarning
     names each positive coupling whose predicted splitting falls below
@@ -851,9 +848,13 @@ def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
     total solve count.
     """
     lambdas = np.asarray(list(lambdas), dtype=float)
+    posmask = lambdas > 0
+    if np.sum(posmask) < 2:
+        raise ValidationError(
+            "the splitting exponent is fitted over the positive couplings: "
+            "need at least two, got %d" % np.sum(posmask))
     base = assemble_liouvillean(space, E, G, 0.0)
-    reports = [spectrum_scan(base.with_lambda(lam), theta=theta)
-               for lam in lambdas]
+    reports = [spectrum_scan(base.with_lambda(lam)) for lam in lambdas]
     theta_used = float(reports[-1].theta)
     d0 = space.free_energies(E)
     kernel = np.abs(d0) < theta_used
@@ -876,16 +877,14 @@ def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
                 "partner" % (fmt17(split), fmt17(lam), fmt17(rep.theta)),
                 AmbiguousThresholdWarning, stacklevel=2)
     gaps = np.asarray(gaps)
-    posmask = lambdas > 0
-    if np.sum(posmask) >= 2 and np.all(gaps[posmask] > 0):
-        co = np.polyfit(np.log(lambdas[posmask]), np.log(gaps[posmask]), 1)
-        fit_p, fit_c = float(co[0]), float(math.exp(co[1]))
-    else:
-        fit_p, fit_c = math.nan, math.nan
+    fit_p = math.nan
+    if np.all(gaps[posmask] > 0):
+        fit_p = float(np.polyfit(np.log(lambdas[posmask]),
+                                 np.log(gaps[posmask]), 1)[0])
     return SweepReport(lambdas=lambdas, gaps=gaps,
                        kernel_dims=np.asarray([r.kernel_dim for r in reports],
                                               dtype=int),
-                       fit_exponent=fit_p, fit_prefactor=fit_c,
+                       fit_exponent=fit_p,
                        predicted_prefactor=predicted, theta=theta_used,
                        lu_nnz=max(r.lu_nnz for r in reports),
                        solves=sum(r.solves for r in reports))
@@ -1352,7 +1351,6 @@ def fgr_window(disc: ReservoirDiscretization, E: float,
 class RTEReport:
     times: np.ndarray
     distances: np.ndarray
-    threshold: float
     crossing_time: float | None
     pre_recurrence_min: float
     recurrence_time: float
@@ -1375,18 +1373,17 @@ def _dressed_reference(L: LiouvilleanOperator) -> np.ndarray:
 
 
 def rte_distance_series(L: LiouvilleanOperator, initial: np.ndarray,
-                        tgrid: Sequence[float], threshold: float = 0.05,
+                        tgrid: Sequence[float],
                         reference: np.ndarray | None = None) -> RTEReport:
     """Reduced-detector trace distance to the dressed equilibrium state.
 
     The reference defaults to the reduced perturbed KMS vector at the
     operator's own coupling, i.e. the detector Gibbs state plus its O(lam)
     dressing; a reference passed in must be a 2x2 density matrix.  The
-    threshold must lie in (0, 1).  Failure to reach the threshold before
-    the recurrence time is reported in the summary, not raised.
+    crossing time is the first grid time before the recurrence time at
+    which the distance falls below 0.05; failure to reach it is reported
+    in the summary, not raised.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError("threshold must be in (0, 1), got %r" % threshold)
     space = L.space
     t_rec = space.disc.recurrence_time()
     if reference is None:
@@ -1397,7 +1394,7 @@ def rte_distance_series(L: LiouvilleanOperator, initial: np.ndarray,
                   observe=lambda psi: reduce_detector(psi, space))
     dists = np.array([trace_distance(rho, reference) for rho in traj.states])
     pre = traj.times < t_rec
-    below = pre & (dists < threshold)
+    below = pre & (dists < 0.05)
     if np.any(below):
         crossing = float(traj.times[np.argmax(below)])
         reached = True
@@ -1405,7 +1402,7 @@ def rte_distance_series(L: LiouvilleanOperator, initial: np.ndarray,
         crossing = None
         reached = False
     pre_min = float(np.min(dists[pre])) if np.any(pre) else float(np.min(dists))
-    return RTEReport(times=traj.times, distances=dists, threshold=threshold,
+    return RTEReport(times=traj.times, distances=dists,
                      crossing_time=crossing, pre_recurrence_min=pre_min,
                      recurrence_time=t_rec, reached=reached,
                      norm_drift=traj.norm_drift,
@@ -1442,7 +1439,6 @@ INITIAL_STATES = {
 
 @dataclass
 class TomitaReport:
-    labels: list
     residuals: np.ndarray
 
     @property
@@ -1476,30 +1472,26 @@ def tomita_residual(space: TruncatedFock, E: float, beta: float,
     half_mod = np.exp(-beta * space.free_energies(E) / 2.0)
     I2 = sp.identity(2, format="csr")
     IR = sp.identity(R, format="csr")
-    labels, residuals = [], []
+    residuals = []
     for desc in observables:
         kind = desc[0]
         if kind == "identity":
             X = sp.identity(space.dim, format="csr")
-            label = "identity"
         elif kind == "detector":
             M = sp.csr_matrix(np.asarray(desc[1], dtype=complex))
             X = sp.kron(sp.kron(M, I2), IR).tocsr()
-            label = "detector"
         elif kind == "weyl":
             j, alpha = int(desc[1]), float(desc[2])
             h = _pair_vector(space, j)
             Phi = space.field_matrix(h).toarray()
             W = sla.expm(1j * alpha * np.asarray(Phi, dtype=complex))
             X = sp.kron(sp.identity(4), sp.csr_matrix(W)).tocsr()
-            label = "weyl_%g" % alpha
         else:
             raise ValidationError("unknown observable descriptor %r" % (desc,))
         lhs = J.apply(half_mod * (X @ omega0))
         rhs = X.conj().T @ omega0
-        labels.append(label)
         residuals.append(float(np.linalg.norm(lhs - rhs)))
-    return TomitaReport(labels=labels, residuals=np.asarray(residuals))
+    return TomitaReport(residuals=np.asarray(residuals))
 
 
 def resonance_floor(space: TruncatedFock, E: float) -> float:

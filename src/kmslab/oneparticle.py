@@ -222,12 +222,6 @@ class MomentumFunction:
     def copy_with(self, values):
         return MomentumFunction(self.q, self.wtot, values, self.mass)
 
-    def norm2(self):
-        return float(np.sum(self.wtot * self.q ** 2 * np.abs(self.values) ** 2))
-
-    def norm(self):
-        return math.sqrt(self.norm2())
-
     def same_points(self, other):
         if other is self:
             return True
@@ -235,13 +229,6 @@ class MomentumFunction:
                 and np.allclose(self.q, other.q, rtol=_GRID_RTOL, atol=0.0)
                 and np.allclose(self.wtot, other.wtot, rtol=_GRID_RTOL,
                                 atol=0.0))
-
-    def inner(self, other):
-        """<self, other> with the convention conj on the left slot."""
-        if not self.same_points(other):
-            raise StructuralError("inner product needs matching point sets")
-        return complex(np.sum(self.wtot * self.q ** 2
-                              * np.conj(self.values) * other.values))
 
     def weighted_inner(self, other, weight):
         """<self, weight(q) * other> for a real scalar function of q."""

@@ -209,13 +209,12 @@ class BalanceReport:
     """Result of a Fourier detailed-balance check."""
 
     def __init__(self, max_err, max_band_err, nu, spectrum_pos, spectrum_neg,
-                 residual, t_span, sigma_t, n_t, negative_leakage, beta):
+                 t_span, sigma_t, n_t, negative_leakage, beta):
         self.max_err = max_err
         self.max_band_err = max_band_err
         self.nu = nu
         self.spectrum_pos = spectrum_pos
         self.spectrum_neg = spectrum_neg
-        self.residual = residual
         self.t_span = t_span
         self.sigma_t = sigma_t
         self.n_t = n_t
@@ -242,68 +241,39 @@ def _check_positive(name, value):
                               % (name, value))
 
 
-def default_window_width(t_span):
-    """Gaussian window width paired with a time span: sqrt(8 * span).
-
-    Scales so the windowing bias falls like 1/span, halving on doubling.
-    """
-    return math.sqrt(8.0 * t_span)
-
-
-def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
-                      dt=0.1, nu_grid=None):
-    """Windowed Fourier transform of t -> two_point(g, f o T_{-t}) and the
+def kms_balance_check(state, f, t_span=200.0):
+    """Windowed Fourier transform of t -> two_point(f, f o T_{-t}) and the
     detailed-balance residual of its two frequency branches.
 
-    Reports max_err = max |W(-nu) - e^{-beta nu} W(nu)| / max |W| over the
-    positive frequency grid, and max_band_err, the pointwise relative
+    Reports max_err = max |W(-nu) - e^{-beta nu} W(nu)| / max |W| over 171
+    frequencies nu in [0.1, 3.5], and max_band_err, the pointwise relative
     version restricted to the band where |W(nu)| exceeds 1e-4 times the
     peak. For the vacuum the negative-frequency leakage is reported
     instead of a balance ratio.
 
-    The correlator is sampled on the uniform grid of step dt over
-    [-t_span/2, t_span/2] (over [0, t_span/2] when g is None, folding
-    C(-t) = conj C(t) in). The transform sum_n e^{-+i nu t_n} C_n is
-    evaluated at any positive nu_grid from the factor tables of
-    _phase_tables: with C reshaped to P x B rows it is sum_p U[p] (C W)[p],
-    in O(sqrt(N) (F + len(nu_grid))) memory for N samples and F momentum
-    nodes. t_span, dt and sigma_t must be positive and finite, dt < t_span.
+    The correlator is sampled on the uniform grid of step dt = 0.1 over
+    [0, t_span/2], folding C(-t) = conj C(t) in, under a Gaussian window
+    of width sqrt(8 t_span), so the windowing bias falls like 1/t_span.
+    A span below 200 cannot hold five window widths and raises
+    ResolutionError. The transform sum_n e^{-+i nu t_n} C_n is evaluated
+    from the factor tables of _phase_tables: with C reshaped to P x B rows
+    it is sum_p U[p] (C W)[p], in O(sqrt(N) F) memory for N samples and F
+    momentum nodes.
     """
     _check_positive("t_span", t_span)
-    _check_positive("dt", dt)
-    if sigma_t is None:
-        sigma_t = default_window_width(t_span)
-    _check_positive("sigma_t", sigma_t)
+    dt = 0.1
+    sigma_t = math.sqrt(8.0 * t_span)
     if t_span < 5.0 * sigma_t:
         raise ResolutionError(
             "time span %.6g cannot hold a window of width %.6g; "
             "need span >= %.6g" % (t_span, sigma_t, 5.0 * sigma_t),
             required_span=5.0 * sigma_t)
-    if nu_grid is None:
-        nu_grid = np.linspace(0.1, 3.5, 171)
-    else:
-        nu_grid = np.asarray(nu_grid, dtype=float)
-        if (nu_grid.ndim != 1 or nu_grid.size == 0
-                or not np.all((nu_grid > 0) & (nu_grid < math.inf))):
-            raise ValidationError(
-                "nu_grid must be a nonempty 1d array of positive finite "
-                "frequencies (both signs are formed internally)")
-    half = np.arange(0.0, 0.5 * t_span + 0.5 * dt, dt)
-    if half.size < 2:
-        raise ValidationError("dt=%r leaves a single sample on the half "
-                              "span; need dt < t_span=%r" % (dt, t_span))
-    if g is None:
-        # C(-t) = conj(C(t)) for equal packets: fold the negative half in,
-        # weighting t > 0 twice
-        tgrid = half
-        series = two_point_series(state, f, f, tgrid)
-        fold = np.where(half > 0.0, 2.0, 1.0)
-        n_t = 2 * half.size - 1
-    else:
-        tgrid = np.concatenate([-half[:0:-1], half])
-        series = two_point_series(state, g, f, tgrid)
-        fold = 1.0
-        n_t = tgrid.size
+    nu_grid = np.linspace(0.1, 3.5, 171)
+    # C(-t) = conj(C(t)): fold the negative half in, weighting t > 0 twice
+    tgrid = np.arange(0.0, 0.5 * t_span + 0.5 * dt, dt)
+    series = two_point_series(state, f, f, tgrid)
+    fold = np.where(tgrid > 0.0, 2.0, 1.0)
+    n_t = 2 * tgrid.size - 1
     cg = fold * series.values * np.exp(-tgrid ** 2 / (2.0 * sigma_t ** 2))
     # w_neg, w_pos = dt Re sum_n e^{-+i nu t_n} cg_n. With cg zero-padded to
     # a P x B matrix C (n = pB + r), sum_n e^{-i nu t_n} cg_n is
@@ -319,20 +289,19 @@ def kms_balance_check(state, f, g=None, t_span=200.0, sigma_t=None,
         raise ValidationError("spectrum vanishes on the requested nu grid")
     leakage = float(np.max(np.abs(w_neg))) / peak
     if state.is_vacuum:
-        residual = np.abs(w_neg) / peak
+        max_err = leakage
         max_band = leakage
     else:
         expfac = np.exp(-state.beta * nu_grid)
-        residual = np.abs(w_neg - expfac * w_pos) / peak
+        max_err = float(np.max(np.abs(w_neg - expfac * w_pos))) / peak
         band = np.abs(w_pos) > _BAND_FLOOR * peak
         max_band = math.nan
         if np.any(band):
             rel = (np.abs(w_neg[band] / w_pos[band] - expfac[band])
                    / expfac[band])
             max_band = float(np.max(rel))
-    return BalanceReport(float(np.max(residual)), max_band, nu_grid,
-                         w_pos, w_neg, residual, t_span, sigma_t, n_t,
-                         leakage, state.beta)
+    return BalanceReport(max_err, max_band, nu_grid, w_pos, w_neg, t_span,
+                         sigma_t, n_t, leakage, state.beta)
 
 
 def balance_span_study(state, f, spans=(200.0, 400.0, 800.0)):
@@ -366,14 +335,13 @@ class MixingReport:
         return f1, f2
 
 
-def mixing_decay(state, f, g=None, t_max=80.0, n_t=801):
+def mixing_decay(state, f, g=None, t_max=80.0):
     """|two_point(g, f o T_{-t})| together with the Weyl-correlator
-    factorization residual |omega(W(g) alpha_t W(f)) - omega(W(f)) omega(W(g))|.
+    factorization residual |omega(W(g) alpha_t W(f)) - omega(W(f)) omega(W(g))|,
+    at 801 times evenly spaced over [0, t_max].
     """
     _check_positive("t_max", t_max)
-    if not (isinstance(n_t, (int, np.integer)) and n_t >= 2):
-        raise ValidationError("n_t must be an integer >= 2, got %r" % (n_t,))
-    tgrid = np.linspace(0.0, t_max, n_t)
+    tgrid = np.linspace(0.0, t_max, 801)
     gg = f if g is None else g
     tp = two_point_series(state, gg, f, tgrid)
     wc = weyl_correlator(state, f, gg, tgrid)

@@ -387,6 +387,32 @@ def test_massless_commands_reject_a_mass(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "run" / "manifest.txt").exists()
 
 
+def test_kms_check_and_mixing_take_a_massive_field(tmp_path, cli_env):
+    # the only commands that reach the massive dispersion sqrt(q^2 + m^2)
+    mass = {"KMSLAB_GLOBAL_MASS": "1"}
+    proc = _run(["--out", "kms", "kms-check"], tmp_path, cli_env, mass)
+    assert proc.returncode == 0, proc.stderr
+    for line in proc.stdout.splitlines():
+        assert math.isfinite(float(line.split("=", 1)[1])), line
+    assert float(_stdout_value(proc, "max_err")) < 1e-3
+    proc = _run(["--out", "mix", "mixing"], tmp_path, cli_env, mass)
+    assert proc.returncode == 0, proc.stderr
+    for key in ("two_point_tail_fraction", "weyl_tail_fraction"):
+        assert 0.0 <= float(_stdout_value(proc, key)) < 0.05
+    for run in ("kms", "mix"):
+        manifest = (tmp_path / run / "manifest.txt").read_text()
+        assert "mass=1" in manifest.splitlines()
+
+
+def test_rte_spectrum_needs_two_positive_couplings(tmp_path, monkeypatch,
+                                                  capsys):
+    # the splitting exponent is fitted over at least two positive couplings
+    monkeypatch.setenv("KMSLAB_LIOUVILLE_LAMBDAS", "0")
+    assert cli.main(["--out", str(tmp_path / "run"), "rte-spectrum"]) == 2
+    assert "need at least two, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifest.txt").exists()
+
+
 @pytest.mark.parametrize("command", ["rte-spectrum", "rte-evolve"])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     assert cli.main(["--seed", "-1", "--out", str(tmp_path / "run"),

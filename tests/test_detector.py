@@ -8,7 +8,7 @@ import pytest
 
 from kmslab import detector
 from kmslab.errors import (ResolutionError, UnsupportedConfigurationError,
-                           ValidationError, WindowBiasWarning)
+                           ValidationError)
 from kmslab.detector import (BetaEffCurve, ResponseWindow, Trajectory,
                              effective_temperature_curve, pullback_wightman,
                              response_curve)
@@ -82,6 +82,33 @@ def test_massive_states_rejected():
         pullback_wightman(massive, Trajectory.rest(), np.array([1.0]))
     with pytest.raises(ValidationError, match="mass=0.7"):
         response_curve(massive, Trajectory.inertial(0.5), [-1.0, 1.0])
+
+
+_SIGNED = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("traj", [Trajectory.rest(), Trajectory.inertial(0.3),
+                                  Trajectory.accelerated(1.0)], ids=repr)
+def test_boosted_vacuum_gives_the_vacuum_rates(traj):
+    # the vacuum is boost invariant, so its frame is dropped
+    vacuum = response_curve(QuasiFreeState(), traj, _SIGNED)
+    boosted = response_curve(QuasiFreeState(frame=BoostSpec(0.7)), traj,
+                             _SIGNED)
+    assert np.array_equal(boosted.rates, vacuum.rates)
+    assert boosted.floor == vacuum.floor
+
+
+@pytest.mark.parametrize("v, tol", [(-0.6, 0.0), (0.9, 0.0), (0.5, 1e-13)])
+def test_detector_comoving_with_the_bath_sees_its_rest_rates(v, tol):
+    # the premise of the paper: at rest in the bath's frame, the bath's KMS
+    # rates. The bath stores its velocity as a rapidity, and
+    # tanh(atanh(0.5)) = 0.49999999999999994 leaves a relative speed of
+    # 6e-17 at v = 0.5, so that match holds to 9e-14 only
+    bath = QuasiFreeState(beta=1.0, frame=BoostSpec.from_velocity(v))
+    moving = response_curve(bath, Trajectory.inertial(v), _SIGNED)
+    rest = response_curve(QuasiFreeState(beta=1.0), Trajectory.rest(),
+                          _SIGNED)
+    assert np.all(np.abs(moving.rates - rest.rates) <= tol * rest.rates)
 
 
 # the default response: energies 0.5 .. 2, beta = 1, window tau_max = 160
@@ -222,13 +249,6 @@ def test_response_rates_nonnegative_up_to_floor():
     state = QuasiFreeState(beta=1.0)
     curve = response_curve(state, Trajectory.rest(), [-2.0, -1.0, 1.0, 2.0])
     assert np.all(curve.rates >= -curve.floor)
-
-
-def test_narrow_window_warns():
-    state = QuasiFreeState(beta=1.0)
-    with pytest.warns(WindowBiasWarning):
-        response_curve(state, Trajectory.rest(), [-1.0, 1.0],
-                       window=ResponseWindow(2.0))
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e308])

@@ -405,7 +405,8 @@ def test_nonfinite_coupling_is_rejected():
             with pytest.raises(ValidationError, match="lam must be finite"):
                 lv.perturbed_kms_vector(L, L.I, lam, 1.0)
         with pytest.raises(ValidationError, match="lam must be finite"):
-            lv.kernel_splitting_sweep(space, 1.0, OFFDIAG, [0.1, math.nan])
+            lv.kernel_splitting_sweep(space, 1.0, OFFDIAG,
+                                      [0.1, math.nan, 0.2])
 
 
 def test_liouvillean_parts_and_lambda_rescale():
@@ -784,9 +785,24 @@ def test_splitting_below_theta_warns():
     assert named == [0.005, 0.02], msgs
 
 
+def test_sweep_needs_two_positive_couplings(monkeypatch):
+    # the exponent is fitted over the positive couplings; NaN is not one
+    _, space = _small_paired()
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the coupling check")
+
+    monkeypatch.setattr(lv, "spectrum_scan", no_scan)
+    for lambdas, count in (([0.0], 0), ([0.0, 0.1], 1),
+                           ([math.nan, -0.1, 0.2], 1)):
+        with pytest.raises(ValidationError,
+                           match="need at least two, got %d" % count):
+            lv.kernel_splitting_sweep(space, 1.0, OFFDIAG, lambdas)
+
+
 def test_splitting_well_above_theta_is_quiet():
     # criterion-8 grid, seed 0: lambda^2 * prefactor is about 300 theta
-    rep, msgs = _splitting_warnings(_criterion_8_space(0), [0.0, 0.02])
+    rep, msgs = _splitting_warnings(_criterion_8_space(0), [0.0, 0.02, 0.04])
     assert rep.predicted_prefactor * 0.02 ** 2 > 100 * rep.theta
     assert msgs == []
 
@@ -1192,14 +1208,6 @@ def test_distance_series_rejects_a_bad_reference(reference, match):
     L, psi = _excited_run()
     with pytest.raises(ValidationError, match="reference must.*" + match):
         lv.rte_distance_series(L, psi, [1.0, 2.0], reference=reference)
-
-
-@pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, 5.0])
-def test_distance_series_rejects_a_threshold_outside_the_unit_interval(
-        threshold):
-    L, psi = _excited_run()
-    with pytest.raises(ValidationError, match=r"threshold must be in \(0, 1\)"):
-        lv.rte_distance_series(L, psi, [1.0, 2.0], threshold=threshold)
 
 
 def test_product_initial_and_distance_series_share_the_state_checks():

@@ -208,22 +208,17 @@ def test_balance_transform_matches_mpmath():
 # ---------------------------------------------------------------------------
 # detailed balance
 
-@pytest.mark.parametrize("same", [True, False])
-def test_balance_spectra_match_direct_complex_exponentials(same):
-    f, g = _packets(256)
+def test_balance_spectra_match_direct_complex_exponentials():
+    f, _ = _packets(256)
     state = QuasiFreeState(beta=1.0)
-    dt, sigma_t = 0.5, 10.0
-    report = kms_balance_check(state, f, g=None if same else g, t_span=60.0,
-                               sigma_t=sigma_t, dt=dt)
-    half = np.arange(0.0, 30.25, dt)
+    report = kms_balance_check(state, f, t_span=200.0)
+    dt, half = 0.1, np.arange(0.0, 100.05, 0.1)
+    assert report.sigma_t == 40.0
     t = np.concatenate([-half[:0:-1], half])
-    if same:
-        # the check folds C(-t) = conj(C(t)) in from the half grid
-        c = two_point_series(state, f, f, half).values
-        c = np.concatenate([np.conj(c[:0:-1]), c])
-    else:
-        c = two_point_series(state, g, f, t).values
-    cg = c * np.exp(-t ** 2 / (2.0 * sigma_t ** 2))
+    # the check folds C(-t) = conj(C(t)) in from the half grid
+    c = two_point_series(state, f, f, half).values
+    c = np.concatenate([np.conj(c[:0:-1]), c])
+    cg = c * np.exp(-t ** 2 / (2.0 * report.sigma_t ** 2))
     scale = dt * np.sum(np.abs(cg))
     for sign, got in ((1, report.spectrum_pos), (-1, report.spectrum_neg)):
         direct = dt * np.real(np.exp(sign * 1j * np.outer(report.nu, t)) @ cg)
@@ -265,26 +260,6 @@ def test_balance_and_mixing_need_finite_positive_spans(span):
         kms_balance_check(state, f, t_span=span)
     with pytest.raises(ValidationError, match="t_max"):
         mixing_decay(state, f, t_max=span)
-
-
-@pytest.mark.parametrize("kw", [
-    {"dt": 0.0}, {"dt": -0.1}, {"dt": math.nan}, {"dt": math.inf},
-    {"dt": 200.0},  # = t_span: the half grid holds t = 0 alone
-    {"sigma_t": math.nan}, {"sigma_t": 0.0}, {"sigma_t": -40.0},
-    {"nu_grid": [0.5, math.nan]}, {"nu_grid": []},
-], ids=lambda kw: "%s=%s" % next(iter(kw.items())))
-def test_balance_check_rejects_bad_parameters(kw):
-    f, _ = _packets(64)
-    name = next(iter(kw))
-    with pytest.raises(ValidationError, match=name):
-        kms_balance_check(QuasiFreeState(beta=1.0), f, t_span=200.0, **kw)
-
-
-@pytest.mark.parametrize("n_t", [0, 1])
-def test_mixing_needs_two_times(n_t):
-    f, _ = _packets(64)
-    with pytest.raises(ValidationError, match="n_t"):
-        mixing_decay(QuasiFreeState(beta=1.0), f, n_t=n_t)
 
 
 @pytest.mark.parametrize("series", [two_point_series, weyl_correlator])
@@ -332,7 +307,7 @@ def test_phase_sums_peak_below_4_mb(run):
 def test_mixing_t0_matches_two_point():
     f, g = _packets(256)
     state = QuasiFreeState(beta=1.0)
-    mix = mixing_decay(state, f, g, t_max=5.0, n_t=51)
+    mix = mixing_decay(state, f, g, t_max=5.0)
     assert mix.t0_two_point == pytest.approx(abs(two_point(state, g, f)), rel=1e-12)
 
 
