@@ -380,7 +380,13 @@ def cmd_response(ctx, **_overrides):
 
 def _liouville_space(cfg, seed, prefix):
     """Mode family and truncated Fock space from the [liouville] keys
-    family, n_tot_max and amplitude, each read with the given prefix."""
+    family, n_tot_max and amplitude, each read with the given prefix.
+
+    The evolve_ space keeps only the reservoir occupations within two
+    top-band quanta of zero energy, |n . s| <= 2 max |s_j|: every state of
+    at most two quanta, and none of the far off-shell rows that would set
+    the propagation's spectral range.  The unprefixed space of rte-spectrum
+    keeps the full budget, whose norm sets its kernel threshold."""
     if cfg["global"]["mass"] != 0.0:
         raise ValidationError("[global] mass: the reservoir modes are "
                               "massless; got %s" % cfg["global"]["mass"])
@@ -397,7 +403,9 @@ def _liouville_space(cfg, seed, prefix):
             raise
         # the parser takes inf (the vacuum), which has no thermal modes
         raise ValidationError("[global] beta: %s" % exc) from None
-    space = lv.TruncatedFock(disc, n_tot_max=lcfg[prefix + "n_tot_max"])
+    window = 2.0 * float(abs(disc.s).max()) if prefix == "evolve_" else None
+    space = lv.TruncatedFock(disc, n_tot_max=lcfg[prefix + "n_tot_max"],
+                             energy_max=window)
     return lv, disc, space, lcfg["gap"]
 
 
@@ -455,6 +463,8 @@ def cmd_rte_evolve(ctx):
                                 ("fgr_window_hi", fmt17(hi)),
                                 ("norm_drift", fmt17(report.norm_drift)),
                                 ("energy_drift", fmt17(report.energy_drift)),
+                                ("energy_max", fmt17(space.energy_max)),
+                                ("dim", str(L.dim)),
                                 ("matvecs_total", str(report.matvecs))])
     click.echo("lambda=%s fgr_window=[%s, %s]"
                % (fmt17(lam), fmt17(lo), fmt17(hi)))

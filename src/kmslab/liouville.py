@@ -289,24 +289,43 @@ class TruncatedFock:
     The reservoir occupation basis is enumerated in lexicographic order,
     either with a total-occupation budget (n_tot_max) or per-mode caps
     (n_max).  Full-space indices are detector-major: index = d*R + r with
-    d in {0:++, 1:+-, 2:-+, 3:--}, a (4, R) array flattened.  ``rank`` is
-    the exact index of an occupation n: sum_j C[j+1, left_j + 1] -
-    C[j+1, left_j - n_j + 1], where left_j is the budget less the quanta
-    before mode j.  C[j, b + 1] is the sum over b' <= b of the number of
-    allowed occupations of modes j, j+1, ... with at most b' quanta, so each
-    term counts basis rows and stays below the dimension.  Memory: the basis
-    (reservoir_dim x modes, in the smallest unsigned dtype that holds
-    n_tot_max: uint8 up to 255), occupation_energy (reservoir_dim floats)
-    and C ((modes + 1) x (n_tot_max + 2) int64).
+    d in {0:++, 1:+-, 2:-+, 3:--}, a (4, R) array flattened.  The full
+    rank of an occupation n is its exact index in that enumeration:
+    sum_j C[j+1, left_j + 1] - C[j+1, left_j - n_j + 1], where left_j is
+    the budget less the quanta before mode j.  C[j, b + 1] is the sum over
+    b' <= b of the number of allowed occupations of modes j, j+1, ... with
+    at most b' quanta, so each term counts basis rows and stays below the
+    dimension.
+
+    energy_max, if given, is an energy window inside the truncation: only
+    occupations n with |n . s| <= energy_max are kept (the truncated
+    conformal space cutoff of Yurov & Zamolodchikov, Int. J. Mod. Phys. A
+    5 (1990) 3221).  The window is decided once, on the energies summed
+    here, and ``rank`` is then the index among the kept rows, found by
+    binary search over their sorted full ranks; an occupation outside the
+    window raises ValidationError.  A window that keeps every row is
+    dropped, so the space is then the same as without one.
+
+    Memory: the basis (reservoir_dim x modes, in the smallest unsigned
+    dtype that holds n_tot_max: uint8 up to 255), occupation_energy
+    (reservoir_dim floats), C ((modes + 1) x (n_tot_max + 2) int64) and,
+    with a window that drops rows, the kept full ranks (reservoir_dim
+    int64).  The constructor enumerates the whole budget first, so its
+    peak holds the unwindowed basis and energies as well.
     Ladder operators come from one raising table, one entry per (row with
     room, mode): a row n below its cap in the mode and below n_tot_max in
-    total goes to rank(n + e_mode) with weight sqrt(n_mode + 1).  It is
-    built per call of creation_matrix or field_matrix and not kept.
+    total goes to rank(n + e_mode) with weight sqrt(n_mode + 1), if that
+    target lies in the window.  It is built per call of creation_matrix or
+    field_matrix and not kept.
     """
 
-    def __init__(self, disc: ReservoirDiscretization, n_tot_max=None, n_max=None):
+    def __init__(self, disc: ReservoirDiscretization, n_tot_max=None, n_max=None,
+                 energy_max=None):
         if (n_tot_max is None) == (n_max is None):
             raise ValidationError("give exactly one of n_tot_max or n_max")
+        if energy_max is not None and not energy_max >= 0.0:
+            raise ValidationError("energy_max must be >= 0, got %r"
+                                  % (energy_max,))
         self.disc = disc
         N = disc.n_modes
         name, cap = (("n_tot_max", n_tot_max) if n_max is None
@@ -330,23 +349,51 @@ class TruncatedFock:
                 tot = np.concatenate([tot[k] + m for m, k in keep])
             self._counts[j, 1:] = np.cumsum(np.cumsum(
                 np.bincount(tot, minlength=budget + 1)))
-        self.basis = rows
-        self.reservoir_dim = len(rows)
-        self.dim = 4 * self.reservoir_dim
-        self.vacuum = 0
-        self.occupation_energy = np.empty(len(rows))
+        energy = np.empty(len(rows))
         for start in range(0, len(rows), _FOCK_BLOCK):
             block = rows[start:start + _FOCK_BLOCK]
             stop = start + len(block)
-            if not np.array_equal(self.rank(block), np.arange(start, stop)):
+            if not np.array_equal(self._full_rank(block),
+                                  np.arange(start, stop)):
                 raise StructuralError("occupation basis is not rank-ordered")
-            self.occupation_energy[start:stop] = block @ self.disc.s
+            energy[start:stop] = block @ self.disc.s
+        self.energy_max = None if energy_max is None else float(energy_max)
+        self._kept = None    # the full ranks of the kept rows, if not all
+        if energy_max is not None:
+            inside = np.abs(energy) <= energy_max
+            if not inside.all():
+                self._kept = np.nonzero(inside)[0]
+                rows, energy = rows[self._kept], energy[self._kept]
+        self.basis = rows
+        self.occupation_energy = energy
+        self.reservoir_dim = len(rows)
+        self.dim = 4 * self.reservoir_dim
+        self.vacuum = 0
+
+    def _full_rank(self, occ) -> np.ndarray:
+        """Index of each occupation tuple in the unwindowed enumeration,
+        unchecked."""
+        occ = np.asarray(occ, dtype=np.int64)
+        out = np.zeros(occ.shape[:-1], dtype=np.int64)
+        left = np.full(occ.shape[:-1], self.n_tot_max, dtype=np.int64)
+        for j, C in enumerate(self._counts[1:]):
+            out += C[left + 1] - C[left - occ[..., j] + 1]
+            left -= occ[..., j]
+        return out
+
+    def _compress(self, full):
+        """(index among the kept rows, inside the window) of full ranks, on
+        a space whose window drops rows."""
+        index = np.searchsorted(self._kept, full)
+        inside = self._kept[np.minimum(index, len(self._kept) - 1)] == full
+        return index, inside
 
     def rank(self, occupations) -> np.ndarray:
         """Basis index of each occupation tuple (the last axis).
 
-        A wrong length, a negative entry, an entry above its cap or a total
-        above n_tot_max raises ValidationError.
+        A wrong length, a negative entry, an entry above its cap, a total
+        above n_tot_max or an occupation outside the energy window raises
+        ValidationError.
         """
         occ = np.asarray(occupations, dtype=np.int64)
         if occ.shape[-1:] != self.caps.shape:
@@ -355,12 +402,13 @@ class TruncatedFock:
         if (np.any(occ < 0) or np.any(occ > self.caps)
                 or np.any(occ.sum(axis=-1) > self.n_tot_max)):
             raise ValidationError("occupation tuple outside the truncation")
-        out = np.zeros(occ.shape[:-1], dtype=np.int64)
-        left = np.full(occ.shape[:-1], self.n_tot_max, dtype=np.int64)
-        for j, C in enumerate(self._counts[1:]):
-            out += C[left + 1] - C[left - occ[..., j] + 1]
-            left -= occ[..., j]
-        return out
+        index = self._full_rank(occ)
+        if self._kept is not None:
+            index, inside = self._compress(index)
+            if not inside.all():
+                raise ValidationError(
+                    "occupation tuple outside the energy window")
+        return index
 
     def free_energies(self, E: float) -> np.ndarray:
         """Diagonal of L0, detector-major: (0, E, -E, 0)[d] + occupation energy."""
@@ -379,8 +427,14 @@ class TruncatedFock:
         start = 0
         for j, count in zip(modes, room.sum(axis=0)):
             seg = slice(start, start + count)
-            rows[seg] = self.rank(B[cols[seg]] + (np.arange(B.shape[1]) == j))
+            rows[seg] = self._full_rank(B[cols[seg]]
+                                        + (np.arange(B.shape[1]) == j))
             start += count
+        # a target outside the window is found by its full rank, not by its
+        # energy, so that the kept set is exactly the constructor's
+        if self._kept is not None:
+            rows, inside = self._compress(rows)
+            rows, cols, mode = rows[inside], cols[inside], mode[inside]
         return rows, cols, mode, np.sqrt(B[cols, mode] + 1.0)
 
     def creation_matrix(self, mode: int) -> sp.csr_matrix:

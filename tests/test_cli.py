@@ -503,6 +503,9 @@ def test_rte_evolve_small_run(tmp_path, cli_env, initial):
     assert "initial=%s" % initial in manifest
     for key in ("norm_drift", "energy_drift"):
         assert 0 <= float(_line_value(manifest, key)) < 1e-10
+    # the energy window, two top-band quanta, keeps every row at this budget
+    assert _line_value(manifest, "dim") == "1300"
+    assert _line_value(manifest, "energy_max") == "10.075060504584201"
 
 
 # every config key that holds a number, with a subcommand that consumes it

@@ -213,6 +213,95 @@ def test_rank_matches_brute_force_enumeration(n_modes, cap, per_mode):
     assert np.array_equal(space.rank(rows), np.arange(len(rows)))
 
 
+# ---------------------------------------------------------------------------
+# energy window
+
+def _top_band_window(disc, extra=0.0):
+    """rte-evolve's window, two top-band quanta (2 max |s_j|), plus extra."""
+    return 2.0 * float(np.max(np.abs(disc.s))) + extra
+
+
+def _shell_spaces(n_tot):
+    """The shell grid at n_tot, without and with rte-evolve's window."""
+    disc = lv.resonant_shell_modes(1.0, 1.0, seed=0)
+    return (lv.TruncatedFock(disc, n_tot_max=n_tot),
+            lv.TruncatedFock(disc, n_tot_max=n_tot,
+                             energy_max=_top_band_window(disc)))
+
+
+def _same_entries(A, B):
+    return A.shape == B.shape and (A != B).nnz == 0
+
+
+@pytest.mark.parametrize("n_tot", [3, 4])
+def test_window_operators_are_principal_submatrices(n_tot):
+    full, win = _shell_spaces(n_tot)
+    kept = full.rank(win.basis)
+    assert 0 < win.reservoir_dim < full.reservoir_dim
+    assert np.all(np.diff(kept) > 0)
+    assert np.array_equal(win.rank(win.basis), np.arange(win.reservoir_dim))
+    energy = np.abs(full.occupation_energy)
+    inside = np.zeros(full.reservoir_dim, dtype=bool)
+    inside[kept] = True
+    assert np.all(energy[inside] <= win.energy_max)
+    assert np.all(energy[~inside] > win.energy_max)
+    assert np.array_equal(win.occupation_energy, full.occupation_energy[kept])
+    f = full.disc.f
+    assert _same_entries(full.field_matrix(f)[kept][:, kept],
+                         win.field_matrix(f))
+    doubled = (np.arange(4)[:, None] * full.reservoir_dim + kept).ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        L_full = lv.assemble_liouvillean(full, 1.0, OFFDIAG, 0.1375)
+        L_win = lv.assemble_liouvillean(win, 1.0, OFFDIAG, 0.1375)
+    assert _same_entries(L_full.matrix[doubled][:, doubled], L_win.matrix)
+
+
+def test_rank_refuses_an_occupation_outside_the_window():
+    full, win = _shell_spaces(3)
+    top = np.zeros(full.disc.n_modes, dtype=np.int64)
+    top[np.argmax(np.abs(full.disc.s))] = 3
+    assert abs(full.occupation_energy[full.rank(top)]) > win.energy_max
+    for occ in (top, np.stack([np.zeros_like(top), top])):
+        with pytest.raises(ValidationError, match="energy window"):
+            win.rank(occ)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValidationError, match="energy_max"):
+            lv.TruncatedFock(full.disc, n_tot_max=3, energy_max=bad)
+
+
+@pytest.mark.parametrize("grid", ["shell", "jittered"])
+def test_window_keeps_every_row_of_two_quanta(grid):
+    disc = (lv.resonant_shell_modes(1.0, 1.0, seed=0) if grid == "shell"
+            else lv.jittered_modes(1.0, seed=0))
+    full = lv.TruncatedFock(disc, n_tot_max=2)
+    win = lv.TruncatedFock(disc, n_tot_max=2,
+                           energy_max=_top_band_window(disc))
+    assert np.array_equal(win.basis, full.basis)
+    assert np.array_equal(win.occupation_energy, full.occupation_energy)
+    assert _same_entries(win.field_matrix(disc.f), full.field_matrix(disc.f))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10))
+@settings(max_examples=40, deadline=None)
+def test_window_matches_brute_force_enumeration(n_modes, cap, energy_max):
+    # integer frequencies of both signs: every occupation energy is exact
+    s = np.arange(1.0, n_modes + 1) * (-1.0) ** np.arange(n_modes)
+    disc = lv.ReservoirDiscretization(s, np.ones(n_modes), np.ones(n_modes),
+                                      beta=1.0)
+    full = lv.TruncatedFock(disc, n_tot_max=cap)
+    space = lv.TruncatedFock(disc, n_tot_max=cap, energy_max=energy_max)
+    rows = [r for r in itertools.product(range(cap + 1), repeat=n_modes)
+            if sum(r) <= cap and abs(np.dot(r, s)) <= energy_max]
+    rows = np.array(sorted(rows))
+    assert np.array_equal(space.basis, rows)
+    assert np.array_equal(space.rank(rows), np.arange(len(rows)))
+    kept = full.rank(rows)
+    for j in range(n_modes):
+        assert _same_entries(full.creation_matrix(j)[kept][:, kept],
+                             space.creation_matrix(j))
+
+
 def test_free_energies_are_detector_major():
     disc = lv.jittered_modes(1.0, seed=1, n_side=4)
     space = lv.TruncatedFock(disc, n_tot_max=2)
@@ -1260,6 +1349,67 @@ def test_one_boson_initial_normalized():
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValidationError):
         lv.one_boson_initial(space, np.array([1.0, 0.0]), profile)
+
+
+def _default_rte_distances(energy_max):
+    """Trace distances of the default rte-evolve set-up (shell grid, seed 0,
+    n_tot_max 4, the lower FGR edge, excited start, dt 0.5) up to t = 30."""
+    disc = lv.resonant_shell_modes(1.0, 1.0, seed=0)
+    space = lv.TruncatedFock(disc, n_tot_max=4, energy_max=energy_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG,
+                                    lv.fgr_window(disc, 1.0)[0])
+    return lv.rte_distance_series(L, lv.INITIAL_STATES["excited"](L),
+                                  np.arange(0.5, 30.25, 0.5)).distances
+
+
+def test_energy_window_ladder_on_the_default_rte_evolve():
+    # the window one step wider, and no window, move the series by 1.7e-15
+    # and 1.3e-15
+    window = _top_band_window(lv.resonant_shell_modes(1.0, 1.0, seed=0))
+    at = _default_rte_distances(window)
+    for other in (window + 2.0, None):
+        assert np.max(np.abs(_default_rte_distances(other) - at)) < 1e-12
+
+
+def _dephasing_run(n_tot, energy_max=None):
+    """The 2x2 detector states under G = diag(1, -1) from |+><+|, on the
+    criterion-10 shell grid and coupling, dt 0.5 up to t = 30, and the
+    closed-form 0.5 exp(-Gamma(t)) of |rho_+-(t)|."""
+    disc = lv.resonant_shell_modes(1.0, 1.0, seed=0)
+    lam = lv.fgr_window(disc, 1.0)[0]
+    space = lv.TruncatedFock(disc, n_tot_max=n_tot, energy_max=energy_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        L = lv.assemble_liouvillean(space, 1.0, np.diag([1.0, -1.0]), lam)
+    tgrid = np.arange(0.5, 30.25, 0.5)
+    rho = lv.evolve(L, lv.product_initial(space, np.full((2, 2), 0.5)), tgrid,
+                    observe=lambda psi: lv.reduce_detector(psi, space)).states
+    s, weight = disc.s[:, None], np.abs(disc.f[:, None]) ** 2
+    gamma = 4.0 * lam ** 2 * np.sum(weight * (1.0 - np.cos(s * tgrid))
+                                    / s ** 2, axis=0)
+    return rho, 0.5 * np.exp(-gamma)
+
+
+# measured max errors: 3.57e-2, 1.12e-2 and 3.01e-3
+@pytest.mark.parametrize("n_tot, bound", [(2, 3.6e-2), (3, 1.13e-2),
+                                          (4, 3.02e-3)])
+def test_diagonal_coupling_dephases_in_closed_form(n_tot, bound):
+    # Under G = diag(1, -1) the detector populations are conserved and the
+    # coherence decays as |rho_+-(t)| = 0.5 exp(-Gamma(t)), Gamma(t) =
+    # 4 lam^2 sum_j |f_j|^2 (1 - cos s_j t) / s_j^2 (Breuer & Petruccione,
+    # The Theory of Open Quantum Systems, OUP 2002, sec. 4.2); the error is
+    # the truncation's.  rte-evolve's window moves |rho_+-| by 8.3e-16 at
+    # n_tot_max 4.
+    rho, exact = _dephasing_run(n_tot)
+    assert np.max(np.abs(np.abs(rho[:, 0, 1]) - exact)) < bound
+    assert np.max(np.abs(rho[:, 0, 0] - 0.5)) < 1e-12
+    assert np.max(np.abs(rho[:, 1, 1] - 0.5)) < 1e-12
+    windowed, _ = _dephasing_run(
+        n_tot, _top_band_window(lv.resonant_shell_modes(1.0, 1.0, seed=0)))
+    assert np.max(np.abs(np.abs(windowed[:, 0, 1])
+                         - np.abs(rho[:, 0, 1]))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

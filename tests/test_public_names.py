@@ -69,9 +69,12 @@ def test_fock_and_initial_state_names_exist():
     assert "INITIAL_STATES" in lv.__all__
 
 
-# The functions bench/tracing.py wraps, with the parameters they keep.
+# The functions bench/tracing.py wraps, with the parameters they keep.  The
+# tracer passes every argument through, so a new trailing keyword keeps it
+# working.
 TRACED = {
-    "TruncatedFock.__init__": ["self", "disc", "n_tot_max", "n_max"],
+    "TruncatedFock.__init__": ["self", "disc", "n_tot_max", "n_max",
+                               "energy_max"],
     "assemble_liouvillean": ["space", "E", "G", "lam"],
     "perturbed_kms_vector": ["L0", "I_mat", "lam", "beta",
                              "consistency_tol"],
