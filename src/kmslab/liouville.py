@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -715,8 +716,9 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
     normalization removes.  It is applied in equal sub-steps of at most
     _DECAY_SPAN.  Each sub-step is one recurrence, which stops after the
     last coefficient 2 (-1)^k I_k of e^{-x t} above 1e-16 e^x (see
-    _chebyshev_rows: 18 terms at x = 2), and peaks at about
-    _CHEBYSHEV_CHUNK + 4 real vectors of the block's length.  A full step
+    _chebyshev_rows: 18 terms at x = 2), folds on the one worker of a pool
+    opened for the call, and peaks at about 2 * _CHEBYSHEV_CHUNK + 4 real
+    vectors of the block's length.  A full step
     against two-half-step consistency check guards the expansion: the two
     half steps take twice as many sub-steps of half the length.
     Disagreement raises a numerical error carrying the residual; beta must
@@ -743,11 +745,12 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
         rows = _chebyshev_rows([x / n], decay=True)
         v = omega0[block]
         for _ in range(n):
-            (v,), _ = _chebyshev_window(H2, v, rows, 1.0)
+            (v,), _ = _chebyshev_window(H2, v, rows, 1.0, pool)
         return v
 
-    full = decay(n_sub)
-    twice = decay(2 * n_sub)
+    with ThreadPoolExecutor(max_workers=1) as pool:    # for the folds
+        full = decay(n_sub)
+        twice = decay(2 * n_sub)
     scale = math.sqrt(_norm2(full))
     if scale == 0.0 or not np.all(np.isfinite(full)):
         raise NumericalError("exponential action diverged")
@@ -1044,7 +1047,7 @@ def _chebyshev_rows(xs, decay: bool = False) -> np.ndarray:
     return rows
 
 
-def _chebyshev_window(H2, v, rows, odd_factor, out=None):
+def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None):
     """Every row of Chebyshev coefficients applied to v, from one recurrence.
 
     H2 is twice the scaled block (see _reached_block).  Adds to out[j] the
@@ -1058,7 +1061,8 @@ def _chebyshev_window(H2, v, rows, odd_factor, out=None):
     half of one complex product, v is never cast to complex (a real CSR
     matrix times a complex vector is a complex product), and a part that
     is all zero is not run.  The recurrences run one after the other and
-    share one ring of vectors and one fold scratch.
+    share one ring of vectors and one fold scratch; the folds run on the
+    one worker of pool (see _recurrence), and out is complete on return.
     """
     m, length = rows.shape[0], len(v)
     # each row's length, up to its last nonzero coefficient
@@ -1081,50 +1085,67 @@ def _chebyshev_window(H2, v, rows, odd_factor, out=None):
                                              (out.imag, factor.imag))
                       if weight])
                  for x, unit in ((v.real, 1.0), (v.imag, 1j)) if x.any()]
-    ring = np.empty((_CHEBYSHEV_CHUNK, length), dtype=dtype)
+    ring = np.empty((2 * _CHEBYSHEV_CHUNK, length), dtype=dtype)
     scratch = np.empty((m, min(length, _FOLD_COLUMNS)), dtype=dtype)
-    products = sum(_recurrence(H2, x, folds, lengths, ring, scratch)
+    products = sum(_recurrence(H2, x, folds, lengths, ring, scratch, pool)
                    for x, folds in parts)
     return out, products
 
 
-def _recurrence(H2, x, folds, lengths, ring, scratch):
+def _recurrence(H2, x, folds, lengths, ring, scratch, pool):
     """T_k(H) x for every k below the longest of lengths, folded.
 
     Each fold (parity, coef, target) adds coef[j, k] T_k(H) x to target[j]
     for every k of that parity below lengths[j].  T_k = H2 T_{k-1} -
-    T_{k-2}, with T_1 = 0.5 H2 T_0; the vectors are kept in ring,
-    _CHEBYSHEV_CHUNK at a time, and folded chunk by chunk through scratch.
-    Returns the number of products with H2.
+    T_{k-2}, with T_1 = 0.5 H2 T_0.  The products run on the calling
+    thread and the folds on pool's one worker: ring holds two halves of
+    _CHEBYSHEV_CHUNK vectors, and while the recurrence fills one half the
+    worker folds the chunk in the other through scratch (see _fold_chunk).
+    A half is overwritten only once its fold is done, and every fold is
+    done on return; the worker takes the folds in submission order, so
+    each target receives them in the order of k.  Returns the number of
+    products with H2.
     """
     n = max(lengths)
+    folding = [None, None]  # the fold job reading each half
     for k in range(n):
-        c = k % _CHEBYSHEV_CHUNK    # ring[c - 1] is T_{k-1}
+        c = k % len(ring)    # ring[c - 1] is T_{k-1}
+        h, local = divmod(c, _CHEBYSHEV_CHUNK)
+        if local == 0 and folding[h] is not None:
+            folding[h].result()
         if k == 0:
             ring[0] = x
         elif k == 1:
             np.multiply(H2 @ ring[0], 0.5, out=ring[1])
         else:
             np.subtract(H2 @ ring[c - 1], ring[c - 2], out=ring[c])
-        if c == _CHEBYSHEV_CHUNK - 1 or k == n - 1:
-            k0 = k - c    # even, since _CHEBYSHEV_CHUNK is
-            for parity, coef, target in folds:
-                # row j takes the chunk's first need[j] terms of this
-                # parity; a run of rows with equal need is folded at once
-                first, terms = k0 + parity, (c - parity) // 2 + 1
-                need = [min(max((n_j - first + 1) // 2, 0), terms)
-                        for n_j in lengths]
-                lo = 0
-                for hi in range(1, len(need) + 1):
-                    if hi < len(need) and need[hi] == need[lo]:
-                        continue
-                    q = need[lo]
-                    if q:
-                        _fold(coef[lo:hi, first:first + 2 * q:2],
-                              ring[parity:parity + 2 * q:2], target[lo:hi],
-                              scratch)
-                    lo = hi
+        if local == _CHEBYSHEV_CHUNK - 1 or k == n - 1:
+            folding[h] = pool.submit(_fold_chunk, folds, lengths, k - local,
+                                     ring[c - local:c + 1], scratch)
+    for job in folding:
+        if job is not None:
+            job.result()
     return n - 1
+
+
+def _fold_chunk(folds, lengths, k0, chunk, scratch):
+    """Fold chunk, the vectors T_k0 ... T_{k0 + len(chunk) - 1}, into every
+    fold's target (see _recurrence); k0 is even."""
+    for parity, coef, target in folds:
+        # row j takes the chunk's first need[j] terms of this parity; a
+        # run of rows with equal need is folded at once
+        first, terms = k0 + parity, (len(chunk) - 1 - parity) // 2 + 1
+        need = [min(max((n_j - first + 1) // 2, 0), terms)
+                for n_j in lengths]
+        lo = 0
+        for hi in range(1, len(need) + 1):
+            if hi < len(need) and need[hi] == need[lo]:
+                continue
+            q = need[lo]
+            if q:
+                _fold(coef[lo:hi, first:first + 2 * q:2],
+                      chunk[parity:parity + 2 * q:2], target[lo:hi], scratch)
+            lo = hi
 
 
 def _fold(coef, vectors, target, scratch):
@@ -1248,26 +1269,42 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     to a tolerance are not taken, as each would add an error of about
     |B| times their difference.  A complex block has one chain, psi0
     itself, and one complex recurrence per window.  The loop makes no BLAS
-    call, since one would wake BLAS's spinning thread pool, and starts no
-    thread.
+    call, since one would wake BLAS's spinning thread pool.
+
+    The work is split over two threads.  The sparse products of the
+    recurrences run on the calling thread.  The folds of the series (see
+    _recurrence), and each window's drift checks and ``observe`` calls, run
+    on the one worker of a pool that the call opens and joins; no thread
+    outlives it, whether it returns or raises.  The worker takes its jobs
+    in submission order, so every output is the same bits as on one
+    thread.  A window's checks overlap the next window's products, and a
+    window waits for the checks of the window two before it, whose output
+    buffers it overwrites; a failed check stops the run there.
 
     Besides L, only the scaled block is kept.  Each chain holds two output
     buffers of _WINDOW_OUTPUTS complex vectors of the block's length,
     swapped between windows, and a copy of its previous start; a window
-    adds a ring of _CHEBYSHEV_CHUNK real vectors, a product in flight and a
-    _WINDOW_OUTPUTS x _FOLD_COLUMNS fold scratch.  With one chain (every
-    initial state in INITIAL_STATES) that is 4 * _WINDOW_OUTPUTS + 2 +
-    _CHEBYSHEV_CHUNK + 1 (43) real vectors, with two 77; the coefficients
-    and the bookkeeping do not grow with the block.
+    adds a ring of 2 * _CHEBYSHEV_CHUNK (16) real vectors, a product in
+    flight and a _WINDOW_OUTPUTS x _FOLD_COLUMNS fold scratch.  The checks
+    hold the combined state, one chain's term of it and the full-space
+    vector given to ``observe``, allocated once per call, and the
+    products of the energy in flight.  With one chain (every initial state
+    in INITIAL_STATES) that is 4 * _WINDOW_OUTPUTS + 2 + 2 *
+    _CHEBYSHEV_CHUNK + 1 (51) real vectors and 6 for the checks (the
+    full-space one counted at the block's length), with two chains 85 and
+    6; the coefficients and the bookkeeping do not grow with the block.
 
     Each state, as a full-space vector, is stored in ``states``, or, when
-    ``observe`` is given, only ``observe(state)`` is.  Norm and
-    energy-expectation drift are checked at every grid time and must stay
-    below 1e-10, otherwise (a non-finite state included) a numerical error
-    reports the failing step.  A psi0 that is not of shape (L.dim,), finite
-    and normalized raises ValidationError.
-    ``matvecs`` counts every product with the block, the drift checks'
-    included.
+    ``observe`` is given, only ``observe(state)`` is.  ``observe`` runs on
+    the worker, once per grid time in grid order, and its argument is a
+    buffer that the next grid time overwrites: it must not modify the
+    argument, nor keep it.  Norm and energy-expectation drift are checked
+    at every grid time and must stay below 1e-10, otherwise (a non-finite
+    state included) a numerical error reports the first failing step.  An
+    exception raised by ``observe`` comes out of the call unchanged.  A
+    psi0 that is not of shape (L.dim,), finite and normalized raises
+    ValidationError.  ``matvecs`` counts every product with the block, the
+    drift checks' included.
     """
     tgrid = np.asarray(tgrid, dtype=float)
     if len(tgrid) == 0 or np.any(np.diff(tgrid) <= 0):
@@ -1280,18 +1317,16 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
         raise ValidationError("initial vector must be finite and normalized")
     block, H2, center, half = _reached_block(L.matrix, psi0)
     real = not np.iscomplexobj(H2.data)
-    matvecs = 0
+    # the products of one energy(): two real ones for a real symmetric H2
+    energy_products = 2 if real else 1
     rows = {}   # the coefficient rows of each distinct set of offsets
 
     def energy(psi):
         """<psi, B psi> = center |psi|^2 + half <psi, H2 psi> / 2."""
-        nonlocal matvecs
         if not real:
-            matvecs += 1
             h = H2 @ psi
             h_re, h_im = h.real, h.imag
-        else:   # for a real symmetric H2, in two real products
-            matvecs += 2
+        else:
             h_re, h_im = H2 @ psi.real, H2 @ psi.imag
         return (center * _norm2(psi)
                 + 0.5 * half * (_dot(psi.real, h_re) + _dot(psi.imag, h_im)))
@@ -1313,66 +1348,95 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
                 for _ in range(2)] for _ in units]
     behind = [None] * len(units)    # each at the previous start and outputs
     past = np.empty(0)              # the times of behind
+
+    # what the checks write, on the worker alone
+    psi = np.empty(len(block), dtype=complex)
+    term = np.empty_like(psi)
+    full = np.zeros(L.dim, dtype=complex)
+    states = None
     norm_drift = 0.0
     energy_drift = 0.0
-    i = 0
-    for w, (start, times, on_grid) in enumerate(_windows(tgrid, half)):
-        taus = times - start
-        m = len(taus)
-        key = taus.tobytes()
-        if key not in rows:
-            rows[key] = _chebyshev_rows(half * taus)
-        back = start - past[-2::-1]     # the offsets of behind, nearest first
-        leap = real and len(back) >= m and np.array_equal(back[:m], taus)
-        outs = []
-        for c, anchor in enumerate(anchors):
-            out = buffers[c][w % 2][:m]
-            if leap:    # out[j] = -conj chi(start - tau_j), then the series
-                older, previous = behind[c]
-                for j in range(m):
-                    out[j] = (previous[-2 - j] if j + 2 <= len(previous)
-                              else older)
-                out.real *= -1.0
-                out, products = _chebyshev_window(H2, anchor.real,
-                                                  2.0 * rows[key], -1j, out)
-            else:
-                out[...] = 0.0
-                out, products = _chebyshev_window(H2, anchor, rows[key],
-                                                  -1j, out)
-            matvecs += products
-            # a copy: the anchor's buffer takes the next window's outputs
-            behind[c] = (anchor.copy(), out)
-            anchors[c] = out[-1]
-            outs.append(out)
-        past = np.append(start, times)
-        if not on_grid:
-            continue
+    checked = energy_products   # the products of the checks, e0's included
+
+    def check(i, times, outs):
+        """The drift checks and records of one window's grid times; the
+        first is step i."""
+        nonlocal states, norm_drift, energy_drift, checked
         phases = np.exp(-1j * center * times)
         for j, t in enumerate(times):
-            psi = phases[j] * sum(unit * out[j]
-                                  for unit, out in zip(units, outs))
+            # psi = phases[j] * sum(unit * out[j]), in these operand orders
+            psi[...] = 0.0
+            for unit, out in zip(units, outs):
+                np.multiply(unit, out[j], out=term)
+                np.add(psi, term, out=psi)
+            np.multiply(phases[j], psi, out=psi)
             nd = abs(math.sqrt(_norm2(psi)) - 1.0)
             ed = abs(energy(psi) - e0)
+            checked += energy_products
             norm_drift = max(norm_drift, nd)
             energy_drift = max(energy_drift, ed)
             if not nd <= 1e-10:
                 raise NumericalError(
                     "propagation norm drift %s at step %d (t=%s)"
-                    % (fmt17(nd), i, fmt17(t)))
+                    % (fmt17(nd), i + j, fmt17(t)))
             if not ed <= 1e-10 * max(abs(e0), 1.0):
                 raise NumericalError(
                     "generator expectation drift %s at step %d (t=%s)"
-                    % (fmt17(ed), i, fmt17(t)))
-            full = np.zeros(L.dim, dtype=complex)
+                    % (fmt17(ed), i + j, fmt17(t)))
             full[block] = psi
             record = full if observe is None else observe(full)
-            if i == 0:
+            if states is None:
                 states = np.empty((len(tgrid),) + np.shape(record),
                                   dtype=np.result_type(record))
-            states[i] = record
-            i += 1
+            states[i + j] = record
+
+    matvecs = 0     # the recurrences' products
+    checks = {}     # the check job of each window on the grid, by window
+    i = 0
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for w, (start, times, on_grid) in enumerate(_windows(tgrid, half)):
+            # the checks of window w - 2 read the buffers this window fills;
+            # they are done, queued before the last window's folds, and a
+            # failed one stops the run here
+            if w - 2 in checks:
+                checks.pop(w - 2).result()
+            taus = times - start
+            m = len(taus)
+            key = taus.tobytes()
+            if key not in rows:
+                rows[key] = _chebyshev_rows(half * taus)
+            # the offsets of behind, nearest first
+            back = start - past[-2::-1]
+            leap = real and len(back) >= m and np.array_equal(back[:m], taus)
+            outs = []
+            for c, anchor in enumerate(anchors):
+                out = buffers[c][w % 2][:m]
+                if leap:    # out[j] = -conj chi(start - tau_j), then series
+                    older, previous = behind[c]
+                    for j in range(m):
+                        out[j] = (previous[-2 - j] if j + 2 <= len(previous)
+                                  else older)
+                    out.real *= -1.0
+                    out, products = _chebyshev_window(
+                        H2, anchor.real, 2.0 * rows[key], -1j, pool, out)
+                else:
+                    out[...] = 0.0
+                    out, products = _chebyshev_window(H2, anchor, rows[key],
+                                                      -1j, pool, out)
+                matvecs += products
+                # a copy: the anchor's buffer takes the next window's outputs
+                behind[c] = (anchor.copy(), out)
+                anchors[c] = out[-1]
+                outs.append(out)
+            past = np.append(start, times)
+            if on_grid:
+                checks[w] = pool.submit(check, i, times, outs)
+                i += m
+        for job in checks.values():     # in grid order
+            job.result()
     return EvolutionResult(times=tgrid, states=states, norm_drift=norm_drift,
-                           energy_drift=energy_drift, matvecs=matvecs)
+                           energy_drift=energy_drift,
+                           matvecs=matvecs + checked)
 
 
 def reduce_detector(psi: np.ndarray, space: TruncatedFock) -> np.ndarray:

@@ -157,8 +157,9 @@ def test_cli_import_leaves_the_numeric_libraries_unloaded(tmp_path, cli_env):
     assert proc.stdout.strip() == "[]"
 
 
-# a block of 650 rows, propagated on one thread, and one of 40 950 rows, on
-# two where two CPUs are allowed
+# a block of 650 rows and one of 40 950 rows; --threads pins only the BLAS
+# and OpenMP pools, so both runs propagate on two threads (the products on
+# the caller, the folds and drift checks on one worker)
 @pytest.mark.parametrize("n_tot", [2, 4])
 def test_rte_evolve_threads_one_changes_no_byte(tmp_path, cli_env, n_tot):
     cfg = tmp_path / "evolve.cfg"

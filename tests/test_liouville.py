@@ -3,9 +3,11 @@
 import dataclasses
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1025,14 +1027,19 @@ def test_leapfrog_windows_match_the_dense_exponential(monkeypatch):
     shifted = dataclasses.replace(
         L, matrix=(L.matrix + 10.0 * sp.identity(space.dim)).tocsr())
     caller = threading.get_ident()
-    threads = []
-    recurrence = lv._recurrence
+    threads, folders = [], set()
+    recurrence, fold = lv._recurrence, lv._fold
 
     def recording(*args):
         threads.append(threading.get_ident())
         return recurrence(*args)
 
+    def folding(*args):
+        folders.add(threading.get_ident())
+        return fold(*args)
+
     monkeypatch.setattr(lv, "_recurrence", recording)
+    monkeypatch.setattr(lv, "_fold", folding)
     # four full windows of a dyadic uniform grid
     tgrid = 0.5 * np.arange(1, 4 * lv._WINDOW_OUTPUTS + 1)
     for op, shift in ((L, 0.0), (shifted, 10.0)):
@@ -1043,10 +1050,13 @@ def test_leapfrog_windows_match_the_dense_exponential(monkeypatch):
             assert half * tgrid[lv._WINDOW_OUTPUTS - 1] <= lv._WINDOW_SPAN
             assert abs(center - shift) < 1.0
             threads.clear()
+            folders.clear()
             before = threading.active_count()
             result = lv.evolve(op, psi0, tgrid)
             assert threading.active_count() == before
+            # the products on the caller, the folds on one worker
             assert set(threads) == {caller}
+            assert len(folders) == 1 and caller not in folders
             # one real recurrence per chain and window: taking W(tau) chi(s)
             # directly would run two per chain in every window but the first
             assert len(threads) == 4 * chains
@@ -1057,6 +1067,90 @@ def test_leapfrog_windows_match_the_dense_exponential(monkeypatch):
             for t, state in zip(tgrid, result.states):
                 exact = sla.expm(-1j * t * M) @ psi0
                 assert np.max(np.abs(state - exact)) < 1e-12
+
+
+def _shell_windows(count):
+    """The 650-row shell run, its start in two chains, and a grid of count
+    full windows."""
+    L, psi0 = _shell_run()
+    tgrid = 0.5 * np.arange(1, count * lv._WINDOW_OUTPUTS + 1)
+    return L, (1.0 + 1.0j) / math.sqrt(2.0) * psi0, tgrid
+
+
+def test_evolve_gives_the_same_bits_under_any_thread_interleaving():
+    L, psi0, tgrid = _shell_windows(5)
+    _, _, _, half = lv._reached_block(L.matrix, psi0)
+    # each window's series is several chunks long
+    terms = lv._chebyshev_rows(half * tgrid[:lv._WINDOW_OUTPUTS]).shape[1]
+    assert terms > 4 * lv._CHEBYSHEV_CHUNK
+    runs = [lv.evolve(L, psi0, tgrid)]
+
+    def run():
+        runs.append(lv.evolve(L, psi0, tgrid))
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as possible
+    try:
+        run()
+        # three calls at once: six threads on the host's cores
+        callers = [threading.Thread(target=run) for _ in range(3)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert len(runs) == 5
+    first = runs[0]
+    assert first.norm_drift > 0.0 and first.energy_drift > 0.0
+    for other in runs[1:]:
+        assert np.array_equal(first.states, other.states)
+        for name in ("norm_drift", "energy_drift", "matvecs"):
+            assert getattr(first, name) == getattr(other, name)
+
+
+def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
+        monkeypatch):
+    L, psi0, tgrid = _shell_windows(6)
+    window = lv._chebyshev_window
+    calls = []
+
+    def poisoned(*args):
+        out, products = window(*args)
+        calls.append(None)
+        if len(calls) == 5:     # the third window's, two chains a window
+            out = np.full_like(out, math.nan)
+        return out, products
+
+    before = threading.active_count()
+    monkeypatch.setattr(lv, "_chebyshev_window", poisoned)
+    with pytest.raises(NumericalError,
+                       match=r"norm drift nan at step %d \(t=8.5\)$"
+                       % (2 * lv._WINDOW_OUTPUTS)):
+        lv.evolve(L, psi0, tgrid)
+    # the failure stops the run two windows on, not at the grid's end
+    assert len(calls) == 2 * 4
+    assert threading.active_count() == before
+    monkeypatch.undo()
+
+    class Refused(Exception):
+        pass
+
+    def observe(psi):
+        if observe.calls == 11:
+            raise Refused("no record at step 11")
+        observe.calls += 1
+        return lv.reduce_detector(psi, L.space)
+
+    observe.calls = 0
+    with pytest.raises(Refused) as caught:
+        lv.evolve(L, psi0, tgrid, observe=observe)
+    assert caught.type is Refused
+    assert str(caught.value) == "no record at step 11"
+    assert threading.active_count() == before
 
 
 def test_leapfrog_keeps_a_long_run_within_its_drift():
@@ -1150,7 +1244,8 @@ def test_window_folds_each_row_to_its_own_cut(monkeypatch):
     B = L.matrix.toarray()[np.ix_(block, block)] - center * np.eye(len(v))
     for x, parts in ((v.real.astype(complex), 1), (v, 2)):
         folded.clear()
-        out, products = lv._chebyshev_window(H2, x, rows, -1j)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            out, products = lv._chebyshev_window(H2, x, rows, -1j, pool)
         # one product fewer than the longest row for each nonzero part
         assert products == parts * (max(lengths) - 1)
         # every row-term once, and none with a zero coefficient
@@ -1211,18 +1306,19 @@ def test_window_memory_stays_within_its_vector_count():
     assert 2000 < len(v) < lv._FOLD_COLUMNS
     rows = lv._chebyshev_rows(np.linspace(0.1, 1.0, lv._WINDOW_OUTPUTS)
                               * lv._WINDOW_SPAN)
-    # both parts of a complex v run one after the other: one ring, the
-    # output's 2 * _WINDOW_OUTPUTS real vectors, a product in flight and
-    # under two more for the folds' temporaries (26.4 measured)
-    vectors = lv._CHEBYSHEV_CHUNK + 2 * lv._WINDOW_OUTPUTS + 3
+    # both parts of a complex v run one after the other: one ring of two
+    # chunks, the output's 2 * _WINDOW_OUTPUTS real vectors, a product in
+    # flight and under two more for the folds' temporaries (34.5 measured)
+    vectors = 2 * lv._CHEBYSHEV_CHUNK + 2 * lv._WINDOW_OUTPUTS + 3
     scratch = lv._WINDOW_OUTPUTS * min(len(v), lv._FOLD_COLUMNS)
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        lv._chebyshev_window(H, v, rows, -1j)
-        peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            lv._chebyshev_window(H, v, rows, -1j, pool)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
     assert peak < 8 * (vectors * len(v) + scratch)
 
 
