@@ -390,19 +390,18 @@ def _liouville_space(cfg, seed, prefix):
     if cfg["global"]["mass"] != 0.0:
         raise ValidationError("[global] mass: the reservoir modes are "
                               "massless; got %s" % cfg["global"]["mass"])
-    from . import liouville as lv
     beta, lcfg = cfg["global"]["beta"], cfg["liouville"]
+    if not math.isfinite(beta):
+        # the parser takes inf (the vacuum), which has no thermal modes
+        raise ValidationError("[global] beta: beta must be positive and "
+                              "finite: the modes sample a thermal form "
+                              "factor, got %s" % beta)
+    from . import liouville as lv
     builder, takes = _MODE_FAMILIES[lcfg[prefix + "family"]]
     args = {"seed": seed, "n_side": lcfg["n_side"], "gap": lcfg["gap"]}
-    try:
-        disc = getattr(lv, builder)(
-            beta, amplitude=lcfg[prefix + "amplitude"],
-            zeta=cfg["global"]["zeta"], **{name: args[name] for name in takes})
-    except ValidationError as exc:
-        if math.isfinite(beta):
-            raise
-        # the parser takes inf (the vacuum), which has no thermal modes
-        raise ValidationError("[global] beta: %s" % exc) from None
+    disc = getattr(lv, builder)(
+        beta, amplitude=lcfg[prefix + "amplitude"],
+        zeta=cfg["global"]["zeta"], **{name: args[name] for name in takes})
     window = 2.0 * float(abs(disc.s).max()) if prefix == "evolve_" else None
     space = lv.TruncatedFock(disc, n_tot_max=lcfg[prefix + "n_tot_max"],
                              energy_max=window)

@@ -271,10 +271,16 @@ def resonant_shell_modes(beta, gap, seed, zeta=math.pi, amplitude=1.0):
     sides and Gauss-Legendre nodes are symmetric in a panel, so pairs of
     nodes sum to +-2*gap to rounding, and four-boson occupation sums hit
     {0, +-gap} from n_tot_max = 4 on (36 collisions there; assemble_L0
-    warns).
+    warns).  The middle panel fits between _S_MIN and _S_MAX at every half
+    width only for gap in [0.52, 5.5]; any other gap raises
+    ValidationError.
     """
-    rng = np.random.default_rng(seed)
     lo, hi = _SHELL_HALF_WIDTH
+    if not _S_MIN + hi <= gap <= _S_MAX - hi:
+        raise ValidationError(
+            "gap must lie in [%s, %s] for the shell grid's panels to "
+            "bracket it, got %s" % (_S_MIN + hi, _S_MAX - hi, gap))
+    rng = np.random.default_rng(seed)
 
     def one_side():
         hw = lo + (hi - lo) * rng.random()
@@ -1250,12 +1256,11 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     _chebyshev_rows); the rows of each distinct set of window offsets are
     built once per call.
 
-    On a real block, psi(t) = e^{-i center t} (chi_re(t) + i chi_im(t)),
-    where each chain chi(t) = W(t) r propagates a real part r of psi0 (a
-    part that is all zero has no chain).  A chain's first window starts at
-    chi(0) = r and takes one real recurrence.  Since H is real,
-    conj chi(t) = chi(-t), so W(tau) 2 Re chi(s) = chi(s + tau) +
-    conj chi(s - tau): a window from s takes
+    psi(t) = e^{-i center t} chi(t), where chi(t) = W(t) v0 propagates
+    psi0's part v0 on the block.  On a real block with a real v0, the
+    first window starts at chi(0) = v0 and takes one real recurrence.
+    Since H is real, conj chi(t) = chi(-t), so W(tau) 2 Re chi(s) =
+    chi(s + tau) + conj chi(s - tau): a window from s takes
 
         chi(s + tau_j) = W(tau_j) 2 Re chi(s) - conj chi(s - tau_j),
 
@@ -1267,9 +1272,14 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     uneven or non-dyadic spacing) the window takes W(tau) chi(s) as two
     real recurrences, on Re chi(s) and Im chi(s).  Offsets that agree only
     to a tolerance are not taken, as each would add an error of about
-    |B| times their difference.  A complex block has one chain, psi0
-    itself, and one complex recurrence per window.  The loop makes no BLAS
-    call, since one would wake BLAS's spinning thread pool.
+    |B| times their difference.  Any other v0 takes W(tau) chi(s) in
+    every window: two real recurrences on a real block (one in the first
+    window where v0's real or imaginary part is all zero), one complex
+    recurrence on a complex block.  A v0 = i r that is purely imaginary
+    on a real block thus runs two recurrences per window where r would
+    run one; W(t) v0 = i W(t) r, so a caller may propagate r instead.
+    The loop makes no BLAS call, since one would wake BLAS's spinning
+    thread pool.
 
     The work is split over two threads.  The sparse products of the
     recurrences run on the calling thread.  The folds of the series (see
@@ -1281,18 +1291,17 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     window waits for the checks of the window two before it, whose output
     buffers it overwrites; a failed check stops the run there.
 
-    Besides L, only the scaled block is kept.  Each chain holds two output
-    buffers of _WINDOW_OUTPUTS complex vectors of the block's length,
-    swapped between windows, and a copy of its previous start; a window
-    adds a ring of 2 * _CHEBYSHEV_CHUNK (16) real vectors, a product in
-    flight and a _WINDOW_OUTPUTS x _FOLD_COLUMNS fold scratch.  The checks
-    hold the combined state, one chain's term of it and the full-space
-    vector given to ``observe``, allocated once per call, and the
-    products of the energy in flight.  With one chain (every initial state
-    in INITIAL_STATES) that is 4 * _WINDOW_OUTPUTS + 2 + 2 *
-    _CHEBYSHEV_CHUNK + 1 (51) real vectors and 6 for the checks (the
-    full-space one counted at the block's length), with two chains 85 and
-    6; the coefficients and the bookkeeping do not grow with the block.
+    Besides L, only the scaled block is kept.  The call holds v0, two
+    output buffers of _WINDOW_OUTPUTS complex vectors of the block's
+    length, swapped between windows, and a copy of the previous start; a
+    window adds a ring of 2 * _CHEBYSHEV_CHUNK (16) real vectors, a
+    product in flight and a _WINDOW_OUTPUTS x _FOLD_COLUMNS fold scratch.
+    That is 2 + 4 * _WINDOW_OUTPUTS + 2 + 2 * _CHEBYSHEV_CHUNK + 1 (53)
+    real vectors of the block's length.  The checks hold the state and the
+    energy's products in flight, at most 5 real vectors of the block's
+    length, and the full-space vector given to ``observe``, 2 real vectors
+    of length L.dim; the state and that vector are allocated once per
+    call.  The coefficients and the bookkeeping do not grow with the block.
 
     Each state, as a full-space vector, is stored in ``states``, or, when
     ``observe`` is given, only ``observe(state)`` is.  ``observe`` runs on
@@ -1302,13 +1311,16 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     at every grid time and must stay below 1e-10, otherwise (a non-finite
     state included) a numerical error reports the first failing step.  An
     exception raised by ``observe`` comes out of the call unchanged.  A
-    psi0 that is not of shape (L.dim,), finite and normalized raises
+    psi0 that is not of shape (L.dim,), finite and normalized, and a time
+    grid that is not nonempty, finite and increasing, raise
     ValidationError.  ``matvecs`` counts every product with the block, the
     drift checks' included.
     """
     tgrid = np.asarray(tgrid, dtype=float)
-    if len(tgrid) == 0 or np.any(np.diff(tgrid) <= 0):
-        raise ValidationError("time grid must be nonempty and increasing")
+    if (len(tgrid) == 0 or not np.all(np.isfinite(tgrid))
+            or np.any(np.diff(tgrid) <= 0)):
+        raise ValidationError(
+            "time grid must be nonempty, finite and increasing")
     psi0 = np.asarray(psi0)
     if psi0.shape != (L.dim,):
         raise ValidationError("initial vector must have shape (%d,), got %s"
@@ -1333,43 +1345,30 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
 
     v0 = psi0[block]
     e0 = energy(v0.astype(complex))
-    # psi0 is the sum of unit * r over the chains, each chain's r real on a
-    # real block; anchors holds each chain at the window's start
-    if real:
-        units, anchors = [], []
-        for unit, r in ((1.0, v0.real), (1j, v0.imag)):
-            if r.any():
-                units.append(unit)
-                anchors.append(r.astype(float))
-    else:
-        units, anchors = [1.0], [v0.astype(complex)]
+    # anchor is chi at the window's start, a real v0 on a real block leapfrogs
+    leapfrog = real and not v0.imag.any()
+    anchor = v0.real if leapfrog else v0
     n_out = min(_WINDOW_OUTPUTS, len(tgrid))
-    buffers = [[np.empty((n_out, len(block)), dtype=complex)
-                for _ in range(2)] for _ in units]
-    behind = [None] * len(units)    # each at the previous start and outputs
-    past = np.empty(0)              # the times of behind
+    buffers = [np.empty((n_out, len(block)), dtype=complex) for _ in range(2)]
+    older = np.empty(len(block), dtype=complex)     # chi at the last start
+    previous = None         # chi at the last window's times
+    past = np.empty(0)      # the last start and times
 
     # what the checks write, on the worker alone
     psi = np.empty(len(block), dtype=complex)
-    term = np.empty_like(psi)
     full = np.zeros(L.dim, dtype=complex)
     states = None
     norm_drift = 0.0
     energy_drift = 0.0
     checked = energy_products   # the products of the checks, e0's included
 
-    def check(i, times, outs):
+    def check(i, times, out):
         """The drift checks and records of one window's grid times; the
         first is step i."""
         nonlocal states, norm_drift, energy_drift, checked
         phases = np.exp(-1j * center * times)
         for j, t in enumerate(times):
-            # psi = phases[j] * sum(unit * out[j]), in these operand orders
-            psi[...] = 0.0
-            for unit, out in zip(units, outs):
-                np.multiply(unit, out[j], out=term)
-                np.add(psi, term, out=psi)
-            np.multiply(phases[j], psi, out=psi)
+            np.multiply(phases[j], out[j], out=psi)
             nd = abs(math.sqrt(_norm2(psi)) - 1.0)
             ed = abs(energy(psi) - e0)
             checked += energy_products
@@ -1395,7 +1394,7 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     i = 0
     with ThreadPoolExecutor(max_workers=1) as pool:
         for w, (start, times, on_grid) in enumerate(_windows(tgrid, half)):
-            # the checks of window w - 2 read the buffers this window fills;
+            # the checks of window w - 2 read the buffer this window fills;
             # they are done, queued before the last window's folds, and a
             # failed one stops the run here
             if w - 2 in checks:
@@ -1405,32 +1404,29 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
             key = taus.tobytes()
             if key not in rows:
                 rows[key] = _chebyshev_rows(half * taus)
-            # the offsets of behind, nearest first
+            # the offsets of older and previous, nearest first
             back = start - past[-2::-1]
-            leap = real and len(back) >= m and np.array_equal(back[:m], taus)
-            outs = []
-            for c, anchor in enumerate(anchors):
-                out = buffers[c][w % 2][:m]
-                if leap:    # out[j] = -conj chi(start - tau_j), then series
-                    older, previous = behind[c]
-                    for j in range(m):
-                        out[j] = (previous[-2 - j] if j + 2 <= len(previous)
-                                  else older)
-                    out.real *= -1.0
-                    out, products = _chebyshev_window(
-                        H2, anchor.real, 2.0 * rows[key], -1j, pool, out)
-                else:
-                    out[...] = 0.0
-                    out, products = _chebyshev_window(H2, anchor, rows[key],
-                                                      -1j, pool, out)
-                matvecs += products
-                # a copy: the anchor's buffer takes the next window's outputs
-                behind[c] = (anchor.copy(), out)
-                anchors[c] = out[-1]
-                outs.append(out)
+            out = buffers[w % 2][:m]
+            if (leapfrog and len(back) >= m
+                    and np.array_equal(back[:m], taus)):
+                # out[j] = -conj chi(start - tau_j), then the series
+                for j in range(m):
+                    out[j] = (previous[-2 - j] if j + 2 <= len(previous)
+                              else older)
+                out.real *= -1.0
+                out, products = _chebyshev_window(
+                    H2, anchor.real, 2.0 * rows[key], -1j, pool, out)
+            else:
+                out[...] = 0.0
+                out, products = _chebyshev_window(H2, anchor, rows[key],
+                                                  -1j, pool, out)
+            matvecs += products
+            # a copy: the anchor's buffer takes the next window's outputs
+            older[...] = anchor
+            previous, anchor = out, out[-1]
             past = np.append(start, times)
             if on_grid:
-                checks[w] = pool.submit(check, i, times, outs)
+                checks[w] = pool.submit(check, i, times, out)
                 i += m
         for job in checks.values():     # in grid order
             job.result()

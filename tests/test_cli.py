@@ -414,6 +414,25 @@ def test_rte_spectrum_needs_two_positive_couplings(tmp_path, monkeypatch,
     assert not (tmp_path / "run" / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("gap", ["0.45", "5.6"])
+def test_rte_evolve_refuses_a_gap_the_shell_grid_cannot_bracket(
+        tmp_path, monkeypatch, capsys, gap):
+    # rte-evolve's default shell grid, whose half width follows the seed
+    monkeypatch.setenv("KMSLAB_LIOUVILLE_GAP", gap)
+    for seed in ("0", "1", "2"):
+        assert cli.main(["--seed", seed, "--out", str(tmp_path / "run"),
+                         "rte-evolve"]) == 2
+        err = capsys.readouterr().err
+        assert "gap must lie in [0.52, 5.5]" in err and "got %s" % gap in err
+    # the vacuum is refused first, under its own key
+    monkeypatch.setenv("KMSLAB_GLOBAL_BETA", "inf")
+    assert cli.main(["--out", str(tmp_path / "run"), "rte-evolve"]) == 2
+    err = capsys.readouterr().err
+    assert "[global] beta: beta must be positive and finite" in err
+    assert "gap" not in err
+    assert not (tmp_path / "run" / "manifest.txt").exists()
+
+
 @pytest.mark.parametrize("command", ["rte-spectrum", "rte-evolve"])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     assert cli.main(["--seed", "-1", "--out", str(tmp_path / "run"),

@@ -83,6 +83,22 @@ def test_jittered_grids_differ_by_seed():
     assert np.max(np.abs(a.s - b.s)) > 1e-3
 
 
+def test_shell_grid_refuses_a_gap_its_panels_cannot_bracket():
+    # the half width is drawn from [0.35, 0.5), so the panel edges
+    # [0.02, gap - hw, gap + hw, 6] increase at every draw only for gap in
+    # [0.52, 5.5]; outside it, the gap is refused before any draw
+    for seed in range(6):
+        for gap in (0.45, 5.6):
+            with pytest.raises(ValidationError,
+                               match=r"gap must lie in \[0.52, 5.5\] .* "
+                                     r"got %s$" % gap):
+                lv.resonant_shell_modes(1.0, gap, seed=seed)
+        for gap in (0.52, 5.5):
+            disc = lv.resonant_shell_modes(1.0, gap, seed=seed)
+            assert np.all(np.abs(disc.s) > lv._S_MIN)
+            assert np.all(np.abs(disc.s) < lv._S_MAX)
+
+
 @pytest.mark.parametrize("n_side", [1, 0, -3])
 def test_mode_grids_reject_fewer_than_two_modes_a_side(n_side):
     with pytest.raises(ValidationError, match="n_side must be >= 2, got %d"
@@ -953,6 +969,18 @@ def _shell_run():
     return L, lv.INITIAL_STATES["excited"](L)
 
 
+@pytest.mark.parametrize("tgrid", [
+    [], [1.0, 1.0], [2.0, 1.0], [0.5, math.nan], [math.nan], [math.inf],
+    [0.5, math.inf], [-math.inf, 0.5]])
+def test_evolve_refuses_a_time_grid_that_is_not_finite_and_increasing(tgrid):
+    L, psi0 = _excited_run()
+    message = "time grid must be nonempty, finite and increasing"
+    with pytest.raises(ValidationError, match=message):
+        lv.evolve(L, psi0, tgrid)
+    with pytest.raises(ValidationError, match=message):
+        lv.rte_distance_series(L, psi0, tgrid)
+
+
 def test_evolve_refuses_an_initial_vector_of_the_wrong_shape():
     L, psi0 = _shell_run()
     R = L.space.reservoir_dim
@@ -1044,7 +1072,7 @@ def test_leapfrog_windows_match_the_dense_exponential(monkeypatch):
     tgrid = 0.5 * np.arange(1, 4 * lv._WINDOW_OUTPUTS + 1)
     for op, shift in ((L, 0.0), (shifted, 10.0)):
         M = op.matrix.toarray()
-        for psi0, chains in ((lv.product_initial(space, np.diag([1.0, 0.0])),
+        for psi0, series in ((lv.product_initial(space, np.diag([1.0, 0.0])),
                               1), (_spread_state(space), 2)):
             _, _, center, half = lv._reached_block(op.matrix, psi0)
             assert half * tgrid[lv._WINDOW_OUTPUTS - 1] <= lv._WINDOW_SPAN
@@ -1057,21 +1085,22 @@ def test_leapfrog_windows_match_the_dense_exponential(monkeypatch):
             # the products on the caller, the folds on one worker
             assert set(threads) == {caller}
             assert len(folders) == 1 and caller not in folders
-            # one real recurrence per chain and window: taking W(tau) chi(s)
-            # directly would run two per chain in every window but the first
-            assert len(threads) == 4 * chains
+            # a real start leapfrogs, one real recurrence a window (taking
+            # W(tau) chi(s) directly would run two in every window but the
+            # first); a complex one runs two, on its real and imaginary parts
+            assert len(threads) == 4 * series
             terms = lv._chebyshev_rows(half * tgrid[:lv._WINDOW_OUTPUTS])
             drift_checks = 2 * (len(tgrid) + 1)
             assert result.matvecs == (drift_checks
-                                      + 4 * chains * (terms.shape[1] - 1))
+                                      + 4 * series * (terms.shape[1] - 1))
             for t, state in zip(tgrid, result.states):
                 exact = sla.expm(-1j * t * M) @ psi0
                 assert np.max(np.abs(state - exact)) < 1e-12
 
 
 def _shell_windows(count):
-    """The 650-row shell run, its start in two chains, and a grid of count
-    full windows."""
+    """The 650-row shell run, its start with equal real and imaginary
+    parts, and a grid of count full windows."""
     L, psi0 = _shell_run()
     tgrid = 0.5 * np.arange(1, count * lv._WINDOW_OUTPUTS + 1)
     return L, (1.0 + 1.0j) / math.sqrt(2.0) * psi0, tgrid
@@ -1083,33 +1112,37 @@ def test_evolve_gives_the_same_bits_under_any_thread_interleaving():
     # each window's series is several chunks long
     terms = lv._chebyshev_rows(half * tgrid[:lv._WINDOW_OUTPUTS]).shape[1]
     assert terms > 4 * lv._CHEBYSHEV_CHUNK
-    runs = [lv.evolve(L, psi0, tgrid)]
+    checks = 2 * (len(tgrid) + 1)
+    # a complex start runs two real series a window, a real one leapfrogs
+    for start, series in ((psi0, 2 * 5), (_shell_run()[1], 5)):
+        runs = [lv.evolve(L, start, tgrid)]
+        assert runs[0].matvecs == checks + series * (terms - 1)
 
-    def run():
-        runs.append(lv.evolve(L, psi0, tgrid))
+        def run():
+            runs.append(lv.evolve(L, start, tgrid))
 
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)     # switch threads as often as possible
-    try:
-        run()
-        # three calls at once: six threads on the host's cores
-        callers = [threading.Thread(target=run) for _ in range(3)]
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=60)
-            assert not caller.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
-    assert len(runs) == 5
-    first = runs[0]
-    assert first.norm_drift > 0.0 and first.energy_drift > 0.0
-    for other in runs[1:]:
-        assert np.array_equal(first.states, other.states)
-        for name in ("norm_drift", "energy_drift", "matvecs"):
-            assert getattr(first, name) == getattr(other, name)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads as often as possible
+        try:
+            run()
+            # three calls at once: six threads on the host's cores
+            callers = [threading.Thread(target=run) for _ in range(3)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert len(runs) == 5
+        first = runs[0]
+        assert first.norm_drift > 0.0 and first.energy_drift > 0.0
+        for other in runs[1:]:
+            assert np.array_equal(first.states, other.states)
+            for name in ("norm_drift", "energy_drift", "matvecs"):
+                assert getattr(first, name) == getattr(other, name)
 
 
 def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
@@ -1121,7 +1154,7 @@ def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
     def poisoned(*args):
         out, products = window(*args)
         calls.append(None)
-        if len(calls) == 5:     # the third window's, two chains a window
+        if len(calls) == 3:     # the third window's
             out = np.full_like(out, math.nan)
         return out, products
 
@@ -1132,7 +1165,7 @@ def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
                        % (2 * lv._WINDOW_OUTPUTS)):
         lv.evolve(L, psi0, tgrid)
     # the failure stops the run two windows on, not at the grid's end
-    assert len(calls) == 2 * 4
+    assert len(calls) == 4
     assert threading.active_count() == before
     monkeypatch.undo()
 
@@ -1320,6 +1353,42 @@ def test_window_memory_stays_within_its_vector_count():
         finally:
             tracemalloc.stop()
     assert peak < 8 * (vectors * len(v) + scratch)
+
+
+def test_evolve_memory_stays_within_its_vector_count():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        _, space = _small_paired(n_side=8, n_tot=3)
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
+    spread = _spread_state(space)
+    real = spread.real / np.linalg.norm(spread.real)
+    tgrid = 0.5 * np.arange(1, 5 * lv._WINDOW_OUTPUTS + 1)
+    lv.evolve(L, real, tgrid[:1])   # imports what the first call imports
+    tracemalloc.start()
+    try:    # the block's index and scaled matrix, with their spare capacity
+        entry = tracemalloc.get_traced_memory()[0]
+        block, H2, _, _ = lv._reached_block(L.matrix, spread)
+        held = tracemalloc.get_traced_memory()[0] - entry
+    finally:
+        tracemalloc.stop()
+    n = len(block)
+    assert n == L.dim and n < lv._FOLD_COLUMNS
+    # what evolve's docstring counts, in real vectors of the block's length:
+    # the propagation's 53 and the checks' 5, the full-space vector of
+    # L.dim and the fold scratch; 5 more for the coefficients (about 1.6)
+    # and the jitter of thread timing: 70.0 measured against 73
+    vectors = 53 + 5 + 2 * L.dim / n + lv._WINDOW_OUTPUTS + 5
+    for psi0 in (spread, real):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            result = lv.evolve(L, psi0, tgrid, observe=lambda psi: 0.0)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(lv._reached_block(L.matrix, psi0)[0], block)
+        assert result.norm_drift < 1e-10
+        assert peak < held + 8 * vectors * n
 
 
 def test_evolution_stays_in_its_component():
