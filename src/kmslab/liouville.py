@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -1053,7 +1055,7 @@ def _chebyshev_rows(xs, decay: bool = False) -> np.ndarray:
     return rows
 
 
-def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None):
+def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None, pending=()):
     """Every row of Chebyshev coefficients applied to v, from one recurrence.
 
     H2 is twice the scaled block (see _reached_block).  Adds to out[j] the
@@ -1068,7 +1070,8 @@ def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None):
     matrix times a complex vector is a complex product), and a part that
     is all zero is not run.  The recurrences run one after the other and
     share one ring of vectors and one fold scratch; the folds run on the
-    one worker of pool (see _recurrence), and out is complete on return.
+    one worker of pool, each followed by at most one job from pending (see
+    _recurrence), and out is complete on return.
     """
     m, length = rows.shape[0], len(v)
     # each row's length, up to its last nonzero coefficient
@@ -1093,12 +1096,13 @@ def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None):
                  for x, unit in ((v.real, 1.0), (v.imag, 1j)) if x.any()]
     ring = np.empty((2 * _CHEBYSHEV_CHUNK, length), dtype=dtype)
     scratch = np.empty((m, min(length, _FOLD_COLUMNS)), dtype=dtype)
-    products = sum(_recurrence(H2, x, folds, lengths, ring, scratch, pool)
+    products = sum(_recurrence(H2, x, folds, lengths, ring, scratch, pool,
+                               pending)
                    for x, folds in parts)
     return out, products
 
 
-def _recurrence(H2, x, folds, lengths, ring, scratch, pool):
+def _recurrence(H2, x, folds, lengths, ring, scratch, pool, pending):
     """T_k(H) x for every k below the longest of lengths, folded.
 
     Each fold (parity, coef, target) adds coef[j, k] T_k(H) x to target[j]
@@ -1109,8 +1113,13 @@ def _recurrence(H2, x, folds, lengths, ring, scratch, pool):
     worker folds the chunk in the other through scratch (see _fold_chunk).
     A half is overwritten only once its fold is done, and every fold is
     done on return; the worker takes the folds in submission order, so
-    each target receives them in the order of k.  Returns the number of
-    products with H2.
+    each target receives them in the order of k.
+
+    pending is a deque of (job, futures) pairs, or empty: after each fold
+    it submits, the recurrence hands at most one job over to the worker
+    (see _hand_over).  A fold thus waits behind one job at most (one grid
+    time's drift checks in evolve).  Returns the number of products with
+    H2.
     """
     n = max(lengths)
     folding = [None, None]  # the fold job reading each half
@@ -1128,10 +1137,19 @@ def _recurrence(H2, x, folds, lengths, ring, scratch, pool):
         if local == _CHEBYSHEV_CHUNK - 1 or k == n - 1:
             folding[h] = pool.submit(_fold_chunk, folds, lengths, k - local,
                                      ring[c - local:c + 1], scratch)
+            if pending:
+                _hand_over(pending, pool)
     for job in folding:
         if job is not None:
             job.result()
     return n - 1
+
+
+def _hand_over(pending, pool):
+    """Submit the first job of pending, a deque of (job, futures) pairs, to
+    pool, and append its future to futures."""
+    job, futures = pending.popleft()
+    futures.append(pool.submit(job))
 
 
 def _fold_chunk(folds, lengths, k0, chunk, scratch):
@@ -1207,7 +1225,9 @@ def _reached_block(M, v):
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     if half == 0.0:   # B is a multiple of the identity
         half = 1.0
-    H2 = (B - center * sp.identity(B.shape[0], format="csr")).tocsr()
+    # a copy, whose arrays hold exactly nnz entries: the difference's keep
+    # one spare slot per row
+    H2 = (B - center * sp.identity(B.shape[0], format="csr")).tocsr(copy=True)
     H2.data /= half
     H2.data *= 2.0
     return block, H2, float(center), float(half)
@@ -1282,14 +1302,19 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     thread pool.
 
     The work is split over two threads.  The sparse products of the
-    recurrences run on the calling thread.  The folds of the series (see
-    _recurrence), and each window's drift checks and ``observe`` calls, run
-    on the one worker of a pool that the call opens and joins; no thread
-    outlives it, whether it returns or raises.  The worker takes its jobs
-    in submission order, so every output is the same bits as on one
-    thread.  A window's checks overlap the next window's products, and a
-    window waits for the checks of the window two before it, whose output
-    buffers it overwrites; a failed check stops the run there.
+    recurrences run on the calling thread.  The folds of the series, and
+    one step per grid time (its drift checks, ``observe`` call and record),
+    run on the one worker of a pool that the call opens and joins; no
+    thread outlives it, whether it returns or raises.  A window queues its
+    steps after its recurrences, and the later recurrences hand them to
+    the worker one at a time, each right after a fold (see _recurrence), so
+    that no fold waits behind more than one step.  A window first hands
+    over the rest of the steps of the window two before it, whose output
+    buffer it overwrites, and waits for each of them in grid order; a
+    failed step stops the run there, and the steps queued after it return
+    at once, with no drift update and no ``observe`` call.  The worker
+    takes its jobs in submission order, so every output is the same bits
+    as on one thread.
 
     Besides L, only the scaled block is kept.  The call holds v0, two
     output buffers of _WINDOW_OUTPUTS complex vectors of the block's
@@ -1297,11 +1322,13 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     window adds a ring of 2 * _CHEBYSHEV_CHUNK (16) real vectors, a
     product in flight and a _WINDOW_OUTPUTS x _FOLD_COLUMNS fold scratch.
     That is 2 + 4 * _WINDOW_OUTPUTS + 2 + 2 * _CHEBYSHEV_CHUNK + 1 (53)
-    real vectors of the block's length.  The checks hold the state and the
-    energy's products in flight, at most 5 real vectors of the block's
-    length, and the full-space vector given to ``observe``, 2 real vectors
-    of length L.dim; the state and that vector are allocated once per
-    call.  The coefficients and the bookkeeping do not grow with the block.
+    real vectors of the block's length.  The steps share one state and
+    hold the energy's products in flight, at most 5 real vectors of the
+    block's length, and one full-space vector given to ``observe``, 2 real
+    vectors of length L.dim; the state and that vector are allocated once
+    per call.  A queued step holds a view of its window's output buffer,
+    no vector of its own.  The coefficients and the bookkeeping do not
+    grow with the block.
 
     Each state, as a full-space vector, is stored in ``states``, or, when
     ``observe`` is given, only ``observe(state)`` is.  ``observe`` runs on
@@ -1354,51 +1381,58 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     previous = None         # chi at the last window's times
     past = np.empty(0)      # the last start and times
 
-    # what the checks write, on the worker alone
+    # what the steps write, on the worker alone
     psi = np.empty(len(block), dtype=complex)
     full = np.zeros(L.dim, dtype=complex)
     states = None
     norm_drift = 0.0
     energy_drift = 0.0
     checked = energy_products   # the products of the checks, e0's included
+    failed = False      # a step raised, so the later ones do nothing
 
-    def check(i, times, out):
-        """The drift checks and records of one window's grid times; the
-        first is step i."""
-        nonlocal states, norm_drift, energy_drift, checked
-        phases = np.exp(-1j * center * times)
-        for j, t in enumerate(times):
-            np.multiply(phases[j], out[j], out=psi)
-            nd = abs(math.sqrt(_norm2(psi)) - 1.0)
-            ed = abs(energy(psi) - e0)
-            checked += energy_products
-            norm_drift = max(norm_drift, nd)
-            energy_drift = max(energy_drift, ed)
-            if not nd <= 1e-10:
-                raise NumericalError(
-                    "propagation norm drift %s at step %d (t=%s)"
-                    % (fmt17(nd), i + j, fmt17(t)))
-            if not ed <= 1e-10 * max(abs(e0), 1.0):
-                raise NumericalError(
-                    "generator expectation drift %s at step %d (t=%s)"
-                    % (fmt17(ed), i + j, fmt17(t)))
-            full[block] = psi
-            record = full if observe is None else observe(full)
-            if states is None:
-                states = np.empty((len(tgrid),) + np.shape(record),
-                                  dtype=np.result_type(record))
-            states[i + j] = record
+    def step(i, t, phase, vec):
+        """The drift checks and record of grid time i, t, where the state
+        is phase * vec."""
+        nonlocal states, norm_drift, energy_drift, checked, failed
+        if failed:
+            return
+        failed = True   # until this step is through
+        np.multiply(phase, vec, out=psi)
+        nd = abs(math.sqrt(_norm2(psi)) - 1.0)
+        ed = abs(energy(psi) - e0)
+        checked += energy_products
+        norm_drift = max(norm_drift, nd)
+        energy_drift = max(energy_drift, ed)
+        if not nd <= 1e-10:
+            raise NumericalError("propagation norm drift %s at step %d (t=%s)"
+                                 % (fmt17(nd), i, fmt17(t)))
+        if not ed <= 1e-10 * max(abs(e0), 1.0):
+            raise NumericalError(
+                "generator expectation drift %s at step %d (t=%s)"
+                % (fmt17(ed), i, fmt17(t)))
+        full[block] = psi
+        record = full if observe is None else observe(full)
+        if states is None:
+            states = np.empty((len(tgrid),) + np.shape(record),
+                              dtype=np.result_type(record))
+        states[i] = record
+        failed = False
 
     matvecs = 0     # the recurrences' products
-    checks = {}     # the check job of each window on the grid, by window
+    pending = deque()   # (step, futures) not yet handed over, in grid order
+    handed = {}     # the futures of each grid window's steps, by window
     i = 0
     with ThreadPoolExecutor(max_workers=1) as pool:
         for w, (start, times, on_grid) in enumerate(_windows(tgrid, half)):
-            # the checks of window w - 2 read the buffer this window fills;
-            # they are done, queued before the last window's folds, and a
-            # failed one stops the run here
-            if w - 2 in checks:
-                checks.pop(w - 2).result()
+            # the steps of window w - 2 read the buffer this window fills:
+            # the rest of them are handed over, and each is waited for in
+            # grid order, so that the first failing one stops the run here
+            if w - 2 in handed:
+                futures = handed.pop(w - 2)
+                while pending and pending[0][1] is futures:
+                    _hand_over(pending, pool)
+                for future in futures:
+                    future.result()
             taus = times - start
             m = len(taus)
             key = taus.tobytes()
@@ -1415,21 +1449,28 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
                               else older)
                 out.real *= -1.0
                 out, products = _chebyshev_window(
-                    H2, anchor.real, 2.0 * rows[key], -1j, pool, out)
+                    H2, anchor.real, 2.0 * rows[key], -1j, pool, out,
+                    pending)
             else:
                 out[...] = 0.0
                 out, products = _chebyshev_window(H2, anchor, rows[key],
-                                                  -1j, pool, out)
+                                                  -1j, pool, out, pending)
             matvecs += products
             # a copy: the anchor's buffer takes the next window's outputs
             older[...] = anchor
             previous, anchor = out, out[-1]
             past = np.append(start, times)
             if on_grid:
-                checks[w] = pool.submit(check, i, times, out)
+                handed[w] = []
+                phases = np.exp(-1j * center * times)
+                pending.extend((partial(step, i + j, t, phases[j], out[j]),
+                                handed[w]) for j, t in enumerate(times))
                 i += m
-        for job in checks.values():     # in grid order
-            job.result()
+        while pending:
+            _hand_over(pending, pool)
+        for futures in handed.values():     # in grid order
+            for future in futures:
+                future.result()
     return EvolutionResult(times=tgrid, states=states, norm_drift=norm_drift,
                            energy_drift=energy_drift,
                            matvecs=matvecs + checked)

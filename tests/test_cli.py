@@ -157,7 +157,7 @@ def test_cli_import_leaves_the_numeric_libraries_unloaded(tmp_path, cli_env):
     assert proc.stdout.strip() == "[]"
 
 
-# a block of 650 rows and one of 40 950 rows; --threads pins only the BLAS
+# a block of 650 rows and one of 40 256 rows; --threads pins only the BLAS
 # and OpenMP pools, so both runs propagate on two threads (the products on
 # the caller, the folds and drift checks on one worker)
 @pytest.mark.parametrize("n_tot", [2, 4])
@@ -503,6 +503,30 @@ def test_small_liouville_stdout_is_pinned(tmp_path, cli_env, command):
                 cli_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == SMALL_LIOUVILLE_STDOUT[command]
+
+
+# exact stdout and propagation record of the default rte-evolve (dim 80 512,
+# the 40 256-row block of the excited start, 197 steps); a change to the bits
+# of liouville.evolve must update this pin on purpose
+DEFAULT_RTE_EVOLVE_STDOUT = (
+    'lambda=0.13746748338643031 '
+    'fgr_window=[0.13746748338643031, 0.27264937432754133]\n'
+    'recurrence_time=98.344268707849693\n'
+    'crossing_time=11\n'
+    'pre_recurrence_min=8.0913764774148689e-05\n'
+    'reached=yes\n')
+DEFAULT_RTE_EVOLVE_MANIFEST = ("norm_drift=1.5987211554602254e-14",
+                               "energy_drift=2.8232624571522535e-16",
+                               "dim=80512", "matvecs_total=2622")
+
+
+def test_default_rte_evolve_is_pinned(tmp_path, cli_env):
+    proc = _run(["--out", "run", "rte-evolve"], tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == DEFAULT_RTE_EVOLVE_STDOUT
+    manifest = (tmp_path / "run" / "manifest.txt").read_text().splitlines()
+    for line in DEFAULT_RTE_EVOLVE_MANIFEST:
+        assert line in manifest
 
 
 @pytest.mark.parametrize("initial",

@@ -1158,24 +1158,33 @@ def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
             out = np.full_like(out, math.nan)
         return out, products
 
+    def counting(psi):
+        counting.calls += 1
+        return 0.0
+
     before = threading.active_count()
     monkeypatch.setattr(lv, "_chebyshev_window", poisoned)
-    with pytest.raises(NumericalError,
-                       match=r"norm drift nan at step %d \(t=8.5\)$"
-                       % (2 * lv._WINDOW_OUTPUTS)):
-        lv.evolve(L, psi0, tgrid)
-    # the failure stops the run two windows on, not at the grid's end
-    assert len(calls) == 4
-    assert threading.active_count() == before
+    for observe in (None, counting):
+        calls.clear()
+        counting.calls = 0
+        with pytest.raises(NumericalError,
+                           match=r"norm drift nan at step %d \(t=8.5\)$"
+                           % (2 * lv._WINDOW_OUTPUTS)):
+            lv.evolve(L, psi0, tgrid, observe=observe)
+        # the failure stops the run two windows on, not at the grid's end
+        assert len(calls) == 4
+        assert threading.active_count() == before
+    # steps 0 to 15 were recorded, and none at or after the failing one
+    assert counting.calls == 2 * lv._WINDOW_OUTPUTS
     monkeypatch.undo()
 
     class Refused(Exception):
         pass
 
     def observe(psi):
-        if observe.calls == 11:
-            raise Refused("no record at step 11")
         observe.calls += 1
+        if observe.calls == 12:
+            raise Refused("no record at step 11")
         return lv.reduce_detector(psi, L.space)
 
     observe.calls = 0
@@ -1183,7 +1192,69 @@ def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
         lv.evolve(L, psi0, tgrid, observe=observe)
     assert caught.type is Refused
     assert str(caught.value) == "no record at step 11"
+    # the steps queued after the failing one return at once
+    assert observe.calls == 12
     assert threading.active_count() == before
+
+
+def test_evolve_hands_each_step_to_the_worker_between_two_folds(
+        monkeypatch):
+    space, L = _dense_check_operator(math.pi)
+    real = lv.product_initial(space, np.diag([1.0, 0.0]))
+    _, _, _, half = lv._reached_block(L.matrix, real)
+    # three full windows, a gap of over two spans reached in sub-steps,
+    # then two more windows
+    gap = 0.5 * math.ceil(2.5 * lv._WINDOW_SPAN / (0.5 * half))
+    tgrid = np.append(0.5 * np.arange(1, 3 * lv._WINDOW_OUTPUTS + 1),
+                      12.0 + gap + 0.5 * np.arange(2 * lv._WINDOW_OUTPUTS))
+    assert sum(not on_grid for _, _, on_grid in lv._windows(tgrid, half)) >= 2
+    M = L.matrix.toarray()
+    for psi0 in (real, _spread_state(space)):
+        plain = lv.evolve(L, psi0, tgrid)
+        for t, state in zip(tgrid, plain.states):
+            assert np.max(np.abs(state - sla.expm(-1j * t * M) @ psi0)) < 1e-12
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads as often as possible
+        try:
+            switched = lv.evolve(L, psi0, tgrid)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(switched.states, plain.states)
+
+        # the worker's jobs, in the order it runs them: each fold with its
+        # first term k0 (0 starts a recurrence), each step with its state
+        jobs, workers = [], set()
+        fold_chunk = lv._fold_chunk
+
+        def folding(folds, lengths, k0, chunk, scratch):
+            workers.add(threading.get_ident())
+            jobs.append(("fold", k0))
+            return fold_chunk(folds, lengths, k0, chunk, scratch)
+
+        def observe(psi):
+            workers.add(threading.get_ident())
+            jobs.append(("step", psi.copy()))
+            return 0.0
+
+        monkeypatch.setattr(lv, "_fold_chunk", folding)
+        lv.evolve(L, psi0, tgrid, observe=observe)
+        monkeypatch.undo()
+        assert len(workers) == 1 and threading.get_ident() not in workers
+        # each grid step once, in grid order
+        steps = [state for kind, state in jobs if kind == "step"]
+        assert np.array_equal(np.array(steps), plain.states)
+        # at most one step between two folds of one recurrence, and steps
+        # do run there
+        between, inside = 0, 0
+        for kind, k0 in jobs:
+            if kind == "step":
+                between += 1
+                continue
+            if k0 > 0:
+                assert between <= 1
+                inside += between
+            between = 0
+        assert inside > len(tgrid) // 2
 
 
 def test_leapfrog_keeps_a_long_run_within_its_drift():
@@ -1365,7 +1436,7 @@ def test_evolve_memory_stays_within_its_vector_count():
     tgrid = 0.5 * np.arange(1, 5 * lv._WINDOW_OUTPUTS + 1)
     lv.evolve(L, real, tgrid[:1])   # imports what the first call imports
     tracemalloc.start()
-    try:    # the block's index and scaled matrix, with their spare capacity
+    try:    # the block's index and scaled matrix
         entry = tracemalloc.get_traced_memory()[0]
         block, H2, _, _ = lv._reached_block(L.matrix, spread)
         held = tracemalloc.get_traced_memory()[0] - entry
@@ -1389,6 +1460,40 @@ def test_evolve_memory_stays_within_its_vector_count():
         assert np.array_equal(lv._reached_block(L.matrix, psi0)[0], block)
         assert result.norm_drift < 1e-10
         assert peak < held + 8 * vectors * n
+
+
+def test_reached_block_holds_no_spare_capacity(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        _, space = _small_paired(n_side=8, n_tot=3)
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
+    spread = _spread_state(space)
+    reached = lv._reached_block
+
+    def spare(M, v):
+        """_reached_block with H2 built as a plain difference, whose arrays
+        keep one spare slot per row."""
+        block, H2, center, half = reached(M, v)
+        B = M[block][:, block]
+        padded = (B - center * sp.identity(len(block), format="csr")).tocsr()
+        padded.data /= half
+        padded.data *= 2.0
+        assert padded.data.base.size == padded.nnz + len(block)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(padded, name), getattr(H2, name))
+        return block, padded, center, half
+
+    block, H2, _, _ = reached(L.matrix, spread)
+    assert len(block) == 3876
+    for array in (H2.data, H2.indices):
+        held = array if array.base is None else array.base
+        assert held.size == H2.nnz
+    tgrid = 0.5 * np.arange(1, 2 * lv._WINDOW_OUTPUTS + 1)
+    exact = lv.evolve(L, spread, tgrid)
+    monkeypatch.setattr(lv, "_reached_block", spare)
+    padded = lv.evolve(L, spread, tgrid)
+    assert np.array_equal(exact.states, padded.states)
+    assert exact.matvecs == padded.matvecs
 
 
 def test_evolution_stays_in_its_component():
