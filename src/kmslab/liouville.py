@@ -967,12 +967,15 @@ class EvolutionResult:
 # One Chebyshev recurrence serves every output time within _WINDOW_SPAN
 # radians (of the scaled block) of the window's start, at most
 # _WINDOW_OUTPUTS of them.  A phase of x radians needs about x + O(x^{1/3})
-# terms: 36 at 10 radians, 129 at 80.5, so a window of eight 10-radian
-# steps pays half the products per radian of a single step.  The output
-# count bounds the window's memory, the span its coefficient rows (141
-# terms); a farther grid point is reached in equal sub-steps.
+# terms, so each recurrence pays a tail of terms past its farthest time.
+# On the default rte-evolve block (6.13 radians a grid step) the rows of a
+# window of fourteen steps end at terms 29, 40, 49, ..., 128 and 136: 9.7
+# terms a step, against 11.4 for eight steps and 29 for one.  The output
+# count bounds evolve's memory (one slot per output and one more), the
+# span the coefficient rows (141 terms); a farther grid point is reached
+# in equal sub-steps.
 _WINDOW_SPAN = 90.0
-_WINDOW_OUTPUTS = 8
+_WINDOW_OUTPUTS = 14
 _CHEBYSHEV_CHUNK = 8
 # A chunk of T_k vectors is folded into a window's sums through a scratch of
 # this many columns, in place of a temporary of the block's length.
@@ -1055,7 +1058,7 @@ def _chebyshev_rows(xs, decay: bool = False) -> np.ndarray:
     return rows
 
 
-def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None, pending=()):
+def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None, steps=()):
     """Every row of Chebyshev coefficients applied to v, from one recurrence.
 
     H2 is twice the scaled block (see _reached_block).  Adds to out[j] the
@@ -1070,8 +1073,12 @@ def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None, pending=()):
     matrix times a complex vector is a complex product), and a part that
     is all zero is not run.  The recurrences run one after the other and
     share one ring of vectors and one fold scratch; the folds run on the
-    one worker of pool, each followed by at most one job from pending (see
-    _recurrence), and out is complete on return.
+    one worker of pool, and out is complete on return.
+
+    steps is empty or holds one (job, futures) pair for each row.  The
+    last recurrence hands each job over to the worker (see _hand_over), in
+    row order, after the fold that completes its row (see _recurrence);
+    the jobs left when it ends are handed over before return.
     """
     m, length = rows.shape[0], len(v)
     # each row's length, up to its last nonzero coefficient
@@ -1096,13 +1103,17 @@ def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None, pending=()):
                  for x, unit in ((v.real, 1.0), (v.imag, 1j)) if x.any()]
     ring = np.empty((2 * _CHEBYSHEV_CHUNK, length), dtype=dtype)
     scratch = np.empty((m, min(length, _FOLD_COLUMNS)), dtype=dtype)
+    ready = deque((n, job, futures)
+                  for n, (job, futures) in zip(lengths, steps))
     products = sum(_recurrence(H2, x, folds, lengths, ring, scratch, pool,
-                               pending)
-                   for x, folds in parts)
+                               ready if p == len(parts) - 1 else ())
+                   for p, (x, folds) in enumerate(parts))
+    while ready:
+        _hand_over(ready, pool)
     return out, products
 
 
-def _recurrence(H2, x, folds, lengths, ring, scratch, pool, pending):
+def _recurrence(H2, x, folds, lengths, ring, scratch, pool, steps):
     """T_k(H) x for every k below the longest of lengths, folded.
 
     Each fold (parity, coef, target) adds coef[j, k] T_k(H) x to target[j]
@@ -1115,11 +1126,12 @@ def _recurrence(H2, x, folds, lengths, ring, scratch, pool, pending):
     done on return; the worker takes the folds in submission order, so
     each target receives them in the order of k.
 
-    pending is a deque of (job, futures) pairs, or empty: after each fold
-    it submits, the recurrence hands at most one job over to the worker
-    (see _hand_over).  A fold thus waits behind one job at most (one grid
-    time's drift checks in evolve).  Returns the number of products with
-    H2.
+    steps is a deque of (length, job, futures) triples, or empty: after
+    each fold it submits, the recurrence hands the first job over to the
+    worker (see _hand_over) if that fold has reached its length, so the
+    job runs after every term below it is folded.  A fold thus waits
+    behind one job at most (one grid time's drift checks in evolve).
+    Returns the number of products with H2.
     """
     n = max(lengths)
     folding = [None, None]  # the fold job reading each half
@@ -1137,18 +1149,18 @@ def _recurrence(H2, x, folds, lengths, ring, scratch, pool, pending):
         if local == _CHEBYSHEV_CHUNK - 1 or k == n - 1:
             folding[h] = pool.submit(_fold_chunk, folds, lengths, k - local,
                                      ring[c - local:c + 1], scratch)
-            if pending:
-                _hand_over(pending, pool)
+            if steps and steps[0][0] <= k + 1:
+                _hand_over(steps, pool)
     for job in folding:
         if job is not None:
             job.result()
     return n - 1
 
 
-def _hand_over(pending, pool):
-    """Submit the first job of pending, a deque of (job, futures) pairs, to
-    pool, and append its future to futures."""
-    job, futures = pending.popleft()
+def _hand_over(steps, pool):
+    """Submit the first job of steps, a deque of (length, job, futures)
+    triples, to pool, and append its future to futures."""
+    _, job, futures = steps.popleft()
     futures.append(pool.submit(job))
 
 
@@ -1259,6 +1271,22 @@ def _windows(tgrid, half):
         start, i = tgrid[j - 1], j
 
 
+def _prepare(out, negate, to=None, source=None):
+    """A window's writes to evolve's slots ahead of its folds, one job.
+
+    With to, chi at the window's start is first copied from the slot
+    source into the slot to.  Then each slot of out, which holds
+    chi(s - tau_j), becomes -conj chi(s - tau_j) with negate, and zero
+    without.
+    """
+    if to is not None:
+        to[...] = source
+    if negate:
+        out.real *= -1.0
+    else:
+        out[...] = 0.0
+
+
 def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
            observe: Callable | None = None) -> EvolutionResult:
     """Unitary propagation of a vector along an increasing time grid.
@@ -1305,30 +1333,36 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     recurrences run on the calling thread.  The folds of the series, and
     one step per grid time (its drift checks, ``observe`` call and record),
     run on the one worker of a pool that the call opens and joins; no
-    thread outlives it, whether it returns or raises.  A window queues its
-    steps after its recurrences, and the later recurrences hand them to
-    the worker one at a time, each right after a fold (see _recurrence), so
-    that no fold waits behind more than one step.  A window first hands
-    over the rest of the steps of the window two before it, whose output
-    buffer it overwrites, and waits for each of them in grid order; a
-    failed step stops the run there, and the steps queued after it return
-    at once, with no drift update and no ``observe`` call.  The worker
-    takes its jobs in submission order, so every output is the same bits
-    as on one thread.
+    thread outlives it, whether it returns or raises.  The worker takes
+    its jobs in submission order, so every output is the same bits as on
+    one thread.  The states live in one pool of slots, which holds chi at
+    the last window's start and times.  A window writes its outputs in
+    place into slots it no longer needs: in a leapfrog window, the slot of
+    chi(s - tau_j) becomes -conj chi(s - tau_j) and then takes output j,
+    and chi(s) stays where it is; any other window zeroes its slots.
+    These writes are one job, queued after every step that reads those
+    slots and before the window's first fold (a window whose slots would
+    not fit beside chi(s) first moves chi(s), and waits for that job).
+    Each step is queued once the fold that completes its output is, at
+    most one after each fold (see _recurrence), so no fold waits behind
+    more than one step; the steps left when a window's series ends are
+    queued right after it.  Once the next window's recurrences are done,
+    these steps are too, and are read in grid order: a failed step stops
+    the run there, and the steps queued after it return at once, with no
+    drift update and no ``observe`` call.
 
-    Besides L, only the scaled block is kept.  The call holds v0, two
-    output buffers of _WINDOW_OUTPUTS complex vectors of the block's
-    length, swapped between windows, and a copy of the previous start; a
-    window adds a ring of 2 * _CHEBYSHEV_CHUNK (16) real vectors, a
-    product in flight and a _WINDOW_OUTPUTS x _FOLD_COLUMNS fold scratch.
-    That is 2 + 4 * _WINDOW_OUTPUTS + 2 + 2 * _CHEBYSHEV_CHUNK + 1 (53)
-    real vectors of the block's length.  The steps share one state and
-    hold the energy's products in flight, at most 5 real vectors of the
-    block's length, and one full-space vector given to ``observe``, 2 real
-    vectors of length L.dim; the state and that vector are allocated once
-    per call.  A queued step holds a view of its window's output buffer,
-    no vector of its own.  The coefficients and the bookkeeping do not
-    grow with the block.
+    Besides L, only the scaled block is kept.  The call holds the pool,
+    _WINDOW_OUTPUTS + 1 complex vectors of the block's length, which v0
+    seeds; a window adds a ring of 2 * _CHEBYSHEV_CHUNK (16) real vectors,
+    a product in flight and a _WINDOW_OUTPUTS x _FOLD_COLUMNS fold
+    scratch.  That is 2 * _WINDOW_OUTPUTS + 2 + 2 * _CHEBYSHEV_CHUNK + 1
+    (47) real vectors of the block's length.  The steps share one state
+    and hold the energy's products in flight, at most 5 real vectors of
+    the block's length, and one full-space vector given to ``observe``, 2
+    real vectors of length L.dim; the state and that vector are allocated
+    once per call.  A queued step holds a view of its slot, no vector of
+    its own.  The coefficients and the bookkeeping do not grow with the
+    block.
 
     Each state, as a full-space vector, is stored in ``states``, or, when
     ``observe`` is given, only ``observe(state)`` is.  ``observe`` runs on
@@ -1370,16 +1404,17 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
         return (center * _norm2(psi)
                 + 0.5 * half * (_dot(psi.real, h_re) + _dot(psi.imag, h_im)))
 
-    v0 = psi0[block]
-    e0 = energy(v0.astype(complex))
-    # anchor is chi at the window's start, a real v0 on a real block leapfrogs
-    leapfrog = real and not v0.imag.any()
-    anchor = v0.real if leapfrog else v0
-    n_out = min(_WINDOW_OUTPUTS, len(tgrid))
-    buffers = [np.empty((n_out, len(block)), dtype=complex) for _ in range(2)]
-    older = np.empty(len(block), dtype=complex)     # chi at the last start
-    previous = None         # chi at the last window's times
+    # chi at the last window's start and times: slots[anchor] holds chi at
+    # its last time, the next window's start, and slots[anchor - d * q]
+    # chi at the q-th time before that, the start included
+    slots = np.empty((min(_WINDOW_OUTPUTS, len(tgrid)) + 1, len(block)),
+                     dtype=complex)
+    slots[0] = psi0[block]
+    anchor, d = 0, 1
     past = np.empty(0)      # the last start and times
+    e0 = energy(slots[0])
+    # a real v0 on a real block leapfrogs
+    leapfrog = real and not slots[0].imag.any()
 
     # what the steps write, on the worker alone
     psi = np.empty(len(block), dtype=complex)
@@ -1419,58 +1454,52 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
         failed = False
 
     matvecs = 0     # the recurrences' products
-    pending = deque()   # (step, futures) not yet handed over, in grid order
-    handed = {}     # the futures of each grid window's steps, by window
+    futures = deque()   # the worker's jobs other than folds, not yet read
     i = 0
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for w, (start, times, on_grid) in enumerate(_windows(tgrid, half)):
-            # the steps of window w - 2 read the buffer this window fills:
-            # the rest of them are handed over, and each is waited for in
-            # grid order, so that the first failing one stops the run here
-            if w - 2 in handed:
-                futures = handed.pop(w - 2)
-                while pending and pending[0][1] is futures:
-                    _hand_over(pending, pool)
-                for future in futures:
-                    future.result()
+        for start, times, on_grid in _windows(tgrid, half):
             taus = times - start
             m = len(taus)
             key = taus.tobytes()
             if key not in rows:
                 rows[key] = _chebyshev_rows(half * taus)
-            # the offsets of older and previous, nearest first
+            # the offsets of the last window's times and start, nearest first
             back = start - past[-2::-1]
-            out = buffers[w % 2][:m]
-            if (leapfrog and len(back) >= m
-                    and np.array_equal(back[:m], taus)):
-                # out[j] = -conj chi(start - tau_j), then the series
-                for j in range(m):
-                    out[j] = (previous[-2 - j] if j + 2 <= len(previous)
-                              else older)
-                out.real *= -1.0
-                out, products = _chebyshev_window(
-                    H2, anchor.real, 2.0 * rows[key], -1j, pool, out,
-                    pending)
-            else:
-                out[...] = 0.0
-                out, products = _chebyshev_window(H2, anchor, rows[key],
-                                                  -1j, pool, out, pending)
-            matvecs += products
-            # a copy: the anchor's buffer takes the next window's outputs
-            older[...] = anchor
-            previous, anchor = out, out[-1]
-            past = np.append(start, times)
+            reuse = (leapfrog and len(back) >= m
+                     and np.array_equal(back[:m], taus))
+            moved = ()
+            if reuse:       # out[j] is the slot of chi(start - tau_j)
+                d = -d
+            elif anchor + m < len(slots):
+                d = 1
+            elif anchor >= m:
+                d = -1
+            else:   # no m slots in a row beside the anchor: it moves first
+                moved, anchor, d = (slots[0], slots[anchor]), 0, 1
+            out = slots[anchor + d::d][:m]
+            # after every step that reads these slots, before any fold
+            futures.append(pool.submit(_prepare, out, reuse, *moved))
+            ahead = len(futures)
+            if moved:
+                futures[-1].result()    # the recurrence reads slots[0]
+            steps = ()
             if on_grid:
-                handed[w] = []
                 phases = np.exp(-1j * center * times)
-                pending.extend((partial(step, i + j, t, phases[j], out[j]),
-                                handed[w]) for j, t in enumerate(times))
+                steps = [(partial(step, i + j, t, phases[j], out[j]), futures)
+                         for j, t in enumerate(times)]
                 i += m
-        while pending:
-            _hand_over(pending, pool)
-        for futures in handed.values():     # in grid order
-            for future in futures:
-                future.result()
+            x, coef = ((slots[anchor].real, 2.0 * rows[key]) if reuse
+                       else (slots[anchor], rows[key]))
+            matvecs += _chebyshev_window(H2, x, coef, -1j, pool, out,
+                                         steps)[1]
+            anchor += d * m
+            past = np.append(start, times)
+            # the jobs queued ahead of this window's folds are done: the
+            # first step among them that failed raises here
+            for _ in range(ahead):
+                futures.popleft().result()
+        while futures:
+            futures.popleft().result()
     return EvolutionResult(times=tgrid, states=states, norm_drift=norm_drift,
                            energy_drift=energy_drift,
                            matvecs=matvecs + checked)

@@ -474,7 +474,8 @@ def test_rte_spectrum_small_run(tmp_path, cli_env):
 # exact stdout of both Liouville subcommands at SMALL_LIOUVILLE; a change to
 # how the generator is stored or built must leave every byte as it is.  The
 # leapfrog windows of liouville.evolve sum the same series in another order:
-# pre_recurrence_min moved from 0.00019266519264266035 (9.7e-12 relative)
+# pre_recurrence_min moved from 0.00019266519264266035 (9.7e-12 relative),
+# and with windows of 14 outputs from 0.00019266519264080073 (1.6e-11)
 SMALL_LIOUVILLE_STDOUT = {
     "rte-spectrum": (
         'lambda=0 kernel_dim=2 gap=6.3527471044072525e-22\n'
@@ -490,7 +491,7 @@ SMALL_LIOUVILLE_STDOUT = {
         'fgr_window=[0.13746748338643031, 0.27264937432754133]\n'
         'recurrence_time=98.344268707849693\n'
         'crossing_time=14\n'
-        'pre_recurrence_min=0.00019266519264080073\n'
+        'pre_recurrence_min=0.00019266519264379833\n'
         'reached=yes\n'),
 }
 
@@ -513,11 +514,11 @@ DEFAULT_RTE_EVOLVE_STDOUT = (
     'fgr_window=[0.13746748338643031, 0.27264937432754133]\n'
     'recurrence_time=98.344268707849693\n'
     'crossing_time=11\n'
-    'pre_recurrence_min=8.0913764774148689e-05\n'
+    'pre_recurrence_min=8.0913764773676844e-05\n'
     'reached=yes\n')
-DEFAULT_RTE_EVOLVE_MANIFEST = ("norm_drift=1.5987211554602254e-14",
-                               "energy_drift=2.8232624571522535e-16",
-                               "dim=80512", "matvecs_total=2622")
+DEFAULT_RTE_EVOLVE_MANIFEST = ("norm_drift=5.773159728050814e-15",
+                               "energy_drift=2.0339632755828063e-16",
+                               "dim=80512", "matvecs_total=2314")
 
 
 def test_default_rte_evolve_is_pinned(tmp_path, cli_env):

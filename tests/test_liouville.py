@@ -1005,9 +1005,10 @@ def test_evolve_drift_gates_fail_on_a_nonfinite_state(monkeypatch):
     L, psi0 = _excited_run()
     window = lv._chebyshev_window
 
-    def poisoned(*args):
-        out, products = window(*args)
-        return np.full_like(out, math.nan), products
+    def poisoned(H2, v, *rest):
+        # the steps read the window's outputs as they complete, so the
+        # series itself must go non-finite
+        return window(H2, np.full_like(v, math.nan), *rest)
 
     monkeypatch.setattr(lv, "_chebyshev_window", poisoned)
     with pytest.raises(NumericalError, match="norm drift nan"):
@@ -1148,15 +1149,15 @@ def test_evolve_gives_the_same_bits_under_any_thread_interleaving():
 def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
         monkeypatch):
     L, psi0, tgrid = _shell_windows(6)
+    assert lv._WINDOW_OUTPUTS == 14
     window = lv._chebyshev_window
     calls = []
 
-    def poisoned(*args):
-        out, products = window(*args)
+    def poisoned(H2, v, *rest):
         calls.append(None)
-        if len(calls) == 3:     # the third window's
-            out = np.full_like(out, math.nan)
-        return out, products
+        if len(calls) == 3:     # the third window's series
+            v = np.full_like(v, math.nan)
+        return window(H2, v, *rest)
 
     def counting(psi):
         counting.calls += 1
@@ -1168,14 +1169,13 @@ def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
         calls.clear()
         counting.calls = 0
         with pytest.raises(NumericalError,
-                           match=r"norm drift nan at step %d \(t=8.5\)$"
-                           % (2 * lv._WINDOW_OUTPUTS)):
+                           match=r"norm drift nan at step 28 \(t=14.5\)$"):
             lv.evolve(L, psi0, tgrid, observe=observe)
-        # the failure stops the run two windows on, not at the grid's end
+        # the failure stops the run one window on, not at the grid's end
         assert len(calls) == 4
         assert threading.active_count() == before
-    # steps 0 to 15 were recorded, and none at or after the failing one
-    assert counting.calls == 2 * lv._WINDOW_OUTPUTS
+    # steps 0 to 27 were recorded, and none at or after the failing one
+    assert counting.calls == 28
     monkeypatch.undo()
 
     class Refused(Exception):
@@ -1203,13 +1203,15 @@ def test_evolve_hands_each_step_to_the_worker_between_two_folds(
     real = lv.product_initial(space, np.diag([1.0, 0.0]))
     _, _, _, half = lv._reached_block(L.matrix, real)
     # three full windows, a gap of over two spans reached in sub-steps,
-    # then two more windows
+    # then 28 more grid times
+    assert lv._WINDOW_OUTPUTS == 14
     gap = 0.5 * math.ceil(2.5 * lv._WINDOW_SPAN / (0.5 * half))
-    tgrid = np.append(0.5 * np.arange(1, 3 * lv._WINDOW_OUTPUTS + 1),
-                      12.0 + gap + 0.5 * np.arange(2 * lv._WINDOW_OUTPUTS))
-    assert sum(not on_grid for _, _, on_grid in lv._windows(tgrid, half)) >= 2
+    tgrid = np.append(0.5 * np.arange(1, 43),
+                      21.0 + gap + 0.5 * np.arange(28))
+    assert [len(times) for _, times, _ in lv._windows(tgrid, half)] == [
+        14, 14, 14, 1, 1, 3, 14, 11]
     M = L.matrix.toarray()
-    for psi0 in (real, _spread_state(space)):
+    for psi0, handed in ((real, 54), (_spread_state(space), 60)):
         plain = lv.evolve(L, psi0, tgrid)
         for t, state in zip(tgrid, plain.states):
             assert np.max(np.abs(state - sla.expm(-1j * t * M) @ psi0)) < 1e-12
@@ -1244,7 +1246,7 @@ def test_evolve_hands_each_step_to_the_worker_between_two_folds(
         steps = [state for kind, state in jobs if kind == "step"]
         assert np.array_equal(np.array(steps), plain.states)
         # at most one step between two folds of one recurrence, and steps
-        # do run there
+        # do run there: all but those left when a window's series ends
         between, inside = 0, 0
         for kind, k0 in jobs:
             if kind == "step":
@@ -1254,7 +1256,103 @@ def test_evolve_hands_each_step_to_the_worker_between_two_folds(
                 assert between <= 1
                 inside += between
             between = 0
-        assert inside > len(tgrid) // 2
+        assert inside == handed
+
+
+def test_evolve_reuses_its_slots_on_uneven_windows(monkeypatch):
+    # two windows of the dyadic step 0.5, a gap reached in sub-steps, a
+    # non-dyadic stretch of step 1.1 in shorter windows, a second gap, then
+    # the dyadic step again, ending in a short window
+    tgrid = np.concatenate([0.5 * np.arange(1, 29),
+                            34.0 + 1.1 * np.arange(17),
+                            64.0 + 0.5 * np.arange(31)])
+    prepare, fold_chunk = lv._prepare, lv._fold_chunk
+    window = lv._chebyshev_window
+    kinds = set()   # the slot writes of every run
+
+    def address(row):
+        return row.__array_interface__["data"][0]
+
+    for zeta in (math.pi, math.pi / 2):
+        space, L = _dense_check_operator(zeta)
+        M = L.matrix.toarray()
+        exact = [sla.expm(-1j * t * M) for t in tgrid]
+        for psi0 in (lv.product_initial(space, np.diag([1.0, 0.0])),
+                     _spread_state(space)):
+            _, _, _, half = lv._reached_block(L.matrix, psi0)
+            shape = [(len(times), on_grid)
+                     for _, times, on_grid in lv._windows(tgrid, half)]
+            assert sum(not on_grid for _, on_grid in shape) >= 3
+            assert len({m for m, _ in shape}) >= 4
+            assert shape[-1][0] < lv._WINDOW_OUTPUTS
+            plain = lv.evolve(L, psi0, tgrid)
+            for U, state in zip(exact, plain.states):
+                assert np.max(np.abs(state - U @ psi0)) < 1e-12
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)     # switch threads often
+            try:
+                switched = lv.evolve(L, psi0, tgrid)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(switched.states, plain.states)
+
+            # the worker's jobs in the order it runs them, each with the
+            # slots it writes or, for a step, the grid time it reads
+            log, slot_of = [], []
+            run = set()
+
+            def preparing(out, negate, to=None, source=None):
+                run.add("leapfrog" if negate else "zero")
+                written = {address(row) for row in out}
+                if to is not None:
+                    run.add("move")
+                    written.add(address(to))
+                log.append(("write", written))
+                return prepare(out, negate, to, source)
+
+            def folding(folds, lengths, k0, chunk, scratch):
+                # row j takes terms below lengths[j] only
+                log.append(("fold", {address(row) for _, _, target in folds
+                                     for row, n in zip(target, lengths)
+                                     if n > k0}))
+                return fold_chunk(folds, lengths, k0, chunk, scratch)
+
+            def windowing(H2, v, rows, odd_factor, pool, out, steps):
+                if steps:   # grid time i reads the slot slot_of[i]
+                    slot_of.extend(address(row) for row in out)
+                return window(H2, v, rows, odd_factor, pool, out, steps)
+
+            def observe(psi):
+                log.append(("step", sum(kind == "step" for kind, _ in log)))
+                return psi.copy()
+
+            monkeypatch.setattr(lv, "_prepare", preparing)
+            monkeypatch.setattr(lv, "_fold_chunk", folding)
+            monkeypatch.setattr(lv, "_chebyshev_window", windowing)
+            logged = lv.evolve(L, psi0, tgrid, observe=observe)
+            monkeypatch.undo()
+            assert np.array_equal(logged.states, plain.states)
+            # a real start on the real block leapfrogs where it can
+            assert ("leapfrog" in run) == (zeta == math.pi
+                                           and not psi0.imag.any())
+            kinds |= run
+            slots = set(slot_of)
+            # a fold into the imaginary parts writes 8 bytes into a slot
+            events = [(kind, {slot_of[arg]} if kind == "step" else
+                       {a if a in slots else a - 8 for a in arg})
+                      for kind, arg in log]
+            assert [arg for kind, arg in log if kind == "step"] == list(
+                range(len(tgrid)))
+            for slot in slots:
+                touched = [kind for kind, written in events
+                           if slot in written]
+                for j, kind in enumerate(touched):
+                    if kind == "step":
+                        # after the fold that completes its output, and
+                        # before any later write to its slot
+                        assert j > 0 and touched[j - 1] == "fold"
+                        assert touched[j + 1:j + 2] in ([], ["write"])
+    assert kinds == {"leapfrog", "zero", "move"}
 
 
 def test_leapfrog_keeps_a_long_run_within_its_drift():
@@ -1412,9 +1510,12 @@ def test_window_memory_stays_within_its_vector_count():
                               * lv._WINDOW_SPAN)
     # both parts of a complex v run one after the other: one ring of two
     # chunks, the output's 2 * _WINDOW_OUTPUTS real vectors, a product in
-    # flight and under two more for the folds' temporaries (34.5 measured)
+    # flight and under two more for the folds' temporaries (45.5 measured)
     vectors = 2 * lv._CHEBYSHEV_CHUNK + 2 * lv._WINDOW_OUTPUTS + 3
     scratch = lv._WINDOW_OUTPUTS * min(len(v), lv._FOLD_COLUMNS)
+    # each part folds its even and its odd terms with coefficients of rows'
+    # shape, which grow as outputs times terms, not with the block
+    coefficients = 4 * rows.nbytes
     with ThreadPoolExecutor(max_workers=1) as pool:
         tracemalloc.start()
         try:
@@ -1423,7 +1524,7 @@ def test_window_memory_stays_within_its_vector_count():
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-    assert peak < 8 * (vectors * len(v) + scratch)
+    assert peak < 8 * (vectors * len(v) + scratch) + coefficients
 
 
 def test_evolve_memory_stays_within_its_vector_count():
@@ -1445,10 +1546,10 @@ def test_evolve_memory_stays_within_its_vector_count():
     n = len(block)
     assert n == L.dim and n < lv._FOLD_COLUMNS
     # what evolve's docstring counts, in real vectors of the block's length:
-    # the propagation's 53 and the checks' 5, the full-space vector of
-    # L.dim and the fold scratch; 5 more for the coefficients (about 1.6)
-    # and the jitter of thread timing: 70.0 measured against 73
-    vectors = 53 + 5 + 2 * L.dim / n + lv._WINDOW_OUTPUTS + 5
+    # the propagation's 47 and the checks' 5, the full-space vector of
+    # L.dim and the fold scratch; 5 more for the coefficients and the
+    # jitter of thread timing: 66.5 measured against 73
+    vectors = 47 + 5 + 2 * L.dim / n + lv._WINDOW_OUTPUTS + 5
     for psi0 in (spread, real):
         tracemalloc.start()
         try:
