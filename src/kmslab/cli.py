@@ -10,13 +10,18 @@ is reproducible from its output directory alone.  All numeric file
 output uses 17 significant digits and fixed reduction order; identical
 configuration and seed give byte-identical files.
 
-Thread control must happen before the numeric libraries load, so this
-module imports them lazily inside the subcommands; --threads (or
-KMSLAB_THREADS) pins the usual BLAS/OpenMP pool sizes.
+Each subcommand runs BLAS on --threads (or KMSLAB_THREADS) threads, one
+by default.  The OpenBLAS builds that numpy and scipy have already
+loaded are capped at run time for the length of the subcommand and get
+their thread counts back afterwards; libraries not loaded yet are pinned
+through the usual BLAS/OpenMP environment variables, which they read
+when they load.  This module imports the numeric libraries lazily inside
+the subcommands, so a fresh process takes the environment's pin.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -241,6 +246,62 @@ def _write_manifest(ctx, extra=()):
     write_keyvals(os.path.join(ctx.obj["out"], "manifest.txt"), pairs)
 
 
+# The OpenBLAS builds that numpy and scipy bundle: the extension module that
+# links each one, and the getter and setter of its thread count.
+_OPENBLAS = (
+    ("numpy._core._multiarray_umath", "scipy_openblas_get_num_threads64_",
+     "scipy_openblas_set_num_threads64_"),
+    ("scipy.linalg._fblas", "scipy_openblas_get_num_threads",
+     "scipy_openblas_set_num_threads"),
+)
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+
+
+def _openblas_pools():
+    """(get, set) of the thread count of each OpenBLAS in _OPENBLAS whose
+    extension module is loaded; a library or symbol that is missing has
+    no pool to cap.  No numeric library is imported here."""
+    pools = []
+    for module, get_name, set_name in _OPENBLAS:
+        path = getattr(sys.modules.get(module), "__file__", None)
+        if path is None:
+            continue
+        import ctypes
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        pools.append((get, set_))
+    return pools
+
+
+@contextlib.contextmanager
+def _blas_threads(threads):
+    """Run the body with BLAS on ``threads`` threads.
+
+    The loaded OpenBLAS pools are capped at run time and get their counts
+    back on exit, whether the body returns or raises.  A BLAS call wakes
+    the whole pool, whose idle threads then spin beside the caller: on
+    rte-spectrum's shift-invert eigensolve that doubled the CPU time and
+    saved no wall time.  Libraries that load later read the environment
+    variables set here, which stay set."""
+    for var in _THREAD_VARS:
+        os.environ[var] = str(threads)
+    pools = _openblas_pools()
+    saved = [get() for get, _ in pools]
+    try:
+        for _, set_ in pools:
+            set_(threads)
+        yield
+    finally:
+        for (_, set_), count in zip(pools, saved):
+            set_(count)
+
+
 _beta_option = click.option("--beta", type=float, default=None,
                             help="override [global] beta")
 
@@ -254,18 +315,15 @@ _beta_option = click.option("--beta", type=float, default=None,
               show_default=True,
               help="seed for randomized mode-grid jitter")
 @click.option("--threads", type=click.IntRange(min=1, clamp=True),
-              default=None, envvar="%s_THREADS" % _ENV_PREFIX,
-              help="pin BLAS/OpenMP thread pools (must precede heavy work)")
+              default=1, show_default=True, envvar="%s_THREADS" % _ENV_PREFIX,
+              help="BLAS/OpenMP threads of the subcommand")
 @click.version_option(version=__version__, prog_name="kmslab")
 @click.pass_context
 def cli(ctx, config, out, seed, threads):
     """Numerical laboratory for thermal field states, detector response,
     coupled-generator spectra, and state-overlap decay."""
-    # runs before any subcommand imports numpy
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(threads)
+    # closed when the subcommand ends, whether it returns or raises
+    ctx.with_resource(_blas_threads(threads))
     ctx.obj = {"config": config, "out": out, "seed": seed}
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -724,11 +724,13 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
     normalization removes.  It is applied in equal sub-steps of at most
     _DECAY_SPAN.  Each sub-step is one recurrence, which stops after the
     last coefficient 2 (-1)^k I_k of e^{-x t} above 1e-16 e^x (see
-    _chebyshev_rows: 18 terms at x = 2), folds on the one worker of a pool
-    opened for the call, and peaks at about 2 * _CHEBYSHEV_CHUNK + 4 real
-    vectors of the block's length.  A full step
-    against two-half-step consistency check guards the expansion: the two
-    half steps take twice as many sub-steps of half the length.
+    _chebyshev_rows: 18 terms at x = 2), folds as evolve does (on one
+    worker thread opened for the call from _WORKER_MIN_ROWS rows on, on
+    the calling thread below, the same bits either way), and peaks at
+    about 2 * _CHEBYSHEV_CHUNK + 4 real vectors of the block's length.  A
+    full step against two-half-step consistency check guards the
+    expansion: the two half steps take twice as many sub-steps of half
+    the length.
     Disagreement raises a numerical error carrying the residual; beta must
     be positive and finite, and lam finite.  Of its first argument only
     ``space`` and ``gap`` are read: L0 is their diagonal free_energies, so
@@ -756,7 +758,7 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
             (v,), _ = _chebyshev_window(H2, v, rows, 1.0, pool)
         return v
 
-    with ThreadPoolExecutor(max_workers=1) as pool:    # for the folds
+    with _job_runner(len(block)) as pool:    # for the folds
         full = decay(n_sub)
         twice = decay(2 * n_sub)
     scale = math.sqrt(_norm2(full))
@@ -918,16 +920,23 @@ def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
         raise ValidationError(
             "the splitting exponent is fitted over the positive couplings: "
             "need at least two, got %d" % np.sum(posmask))
-    base = assemble_liouvillean(space, E, G, 0.0)
-    reports = [spectrum_scan(base.with_lambda(lam)) for lam in lambdas]
-    theta_used = float(reports[-1].theta)
+    for lam in lambdas:
+        if not math.isfinite(lam):
+            raise ValidationError("coupling lam must be finite, got %s" % lam)
+    L0 = assemble_L0(space, E)
+    V = assemble_coupling(space, G)[1]     # built once, held for the sweep
     d0 = space.free_energies(E)
+    reports = [spectrum_scan(replace(
+        L0, matrix=(sp.diags(d0) + lam * V).tocsr(), lam=float(lam)))
+        for lam in lambdas]
+    theta_used = float(reports[-1].theta)
     kernel = np.abs(d0) < theta_used
     gaps = []
     for rep in reports:
         weight = np.linalg.norm(rep.eigenvectors[kernel, 1:], axis=0)
         gaps.append(float(abs(rep.eigenvalues[1 + np.argmax(weight)])))
-    VK = base.V[:, np.nonzero(kernel)[0]]
+    VK = V[:, np.nonzero(kernel)[0]]
+    del V
     pinv = np.zeros_like(d0)
     pinv[~kernel] = 1.0 / d0[~kernel]
     M = -(VK.conj().T @ (sp.diags(pinv) @ VK)).toarray()
@@ -980,6 +989,14 @@ _CHEBYSHEV_CHUNK = 8
 # A chunk of T_k vectors is folded into a window's sums through a scratch of
 # this many columns, in place of a temporary of the block's length.
 _FOLD_COLUMNS = 8192
+# The folds and steps of a block of fewer rows run on the calling thread,
+# where handing them to a worker and back costs more than it overlaps.
+# rte-evolve at t_max = 98.5, called in process with BLAS on one thread
+# (2-core host, medians of 8 to 16 alternating runs, inline against
+# worker): 650 rows 0.060 against 0.102 s, 1 878 rows 0.141 against
+# 0.165 s, 2 574 rows 0.135 s each, 3 452 rows 0.216 against 0.206 s,
+# 5 802 rows 0.404 against 0.304 s.
+_WORKER_MIN_ROWS = 2500
 
 # The coefficients 2 (-1)^k I_k(x) of e^{-x t} add up to about e^x in
 # magnitude, while e^{-x H} v stays of the order of v where H is near 0:
@@ -1072,8 +1089,8 @@ def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None, steps=()):
     half of one complex product, v is never cast to complex (a real CSR
     matrix times a complex vector is a complex product), and a part that
     is all zero is not run.  The recurrences run one after the other and
-    share one ring of vectors and one fold scratch; the folds run on the
-    one worker of pool, and out is complete on return.
+    share one ring of vectors and one fold scratch; the folds run on pool
+    (see _job_runner), and out is complete on return.
 
     steps is empty or holds one (job, futures) pair for each row.  The
     last recurrence hands each job over to the worker (see _hand_over), in
@@ -1121,7 +1138,8 @@ def _recurrence(H2, x, folds, lengths, ring, scratch, pool, steps):
     T_{k-2}, with T_1 = 0.5 H2 T_0.  The products run on the calling
     thread and the folds on pool's one worker: ring holds two halves of
     _CHEBYSHEV_CHUNK vectors, and while the recurrence fills one half the
-    worker folds the chunk in the other through scratch (see _fold_chunk).
+    worker folds the chunk in the other through scratch (see _fold_chunk);
+    an inline pool folds each chunk as it is submitted.
     A half is overwritten only once its fold is done, and every fold is
     done on return; the worker takes the folds in submission order, so
     each target receives them in the order of k.
@@ -1155,6 +1173,35 @@ def _recurrence(H2, x, folds, lengths, ring, scratch, pool, steps):
         if job is not None:
             job.result()
     return n - 1
+
+
+class _Inline:
+    """An executor whose jobs run on the calling thread as they are
+    submitted, in the order one worker would take them; a job's exception
+    is kept in its future, as a worker's would be."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _job_runner(rows):
+    """The executor of the folds and steps of a block of this many rows:
+    one worker thread from _WORKER_MIN_ROWS rows on, the calling thread
+    below (see _Inline)."""
+    if rows >= _WORKER_MIN_ROWS:
+        return ThreadPoolExecutor(max_workers=1)
+    return _Inline()
 
 
 def _hand_over(steps, pool):
@@ -1329,15 +1376,18 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     The loop makes no BLAS call, since one would wake BLAS's spinning
     thread pool.
 
-    The work is split over two threads.  The sparse products of the
-    recurrences run on the calling thread.  The folds of the series, and
-    one step per grid time (its drift checks, ``observe`` call and record),
-    run on the one worker of a pool that the call opens and joins; no
-    thread outlives it, whether it returns or raises.  The worker takes
-    its jobs in submission order, so every output is the same bits as on
-    one thread.  The states live in one pool of slots, which holds chi at
-    the last window's start and times.  A window writes its outputs in
-    place into slots it no longer needs: in a leapfrog window, the slot of
+    On a block of at least _WORKER_MIN_ROWS rows the work is split over
+    two threads.  The sparse products of the recurrences run on the
+    calling thread.  The folds of the series, and one step per grid time
+    (its drift checks, ``observe`` call and record), run on the one worker
+    of a pool that the call opens and joins; no thread outlives it,
+    whether it returns or raises.  On a smaller block, where handing a
+    job over costs more than it overlaps, the same jobs run on the calling
+    thread as they are submitted, and no thread is started.  The worker
+    takes its jobs in submission order, so every output is the same bits
+    on either schedule.  The states live in one pool of slots, which holds
+    chi at the last window's start and times.  A window writes its outputs
+    in place into slots it no longer needs: in a leapfrog window, the slot of
     chi(s - tau_j) becomes -conj chi(s - tau_j) and then takes output j,
     and chi(s) stays where it is; any other window zeroes its slots.
     These writes are one job, queued after every step that reads those
@@ -1456,7 +1506,7 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     matvecs = 0     # the recurrences' products
     futures = deque()   # the worker's jobs other than folds, not yet read
     i = 0
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with _job_runner(len(block)) as pool:
         for start, times, on_grid in _windows(tgrid, half):
             taus = times - start
             m = len(taus)

@@ -7,6 +7,19 @@ import sys
 import pytest
 
 
+@pytest.fixture(scope="session", autouse=True)
+def blas_on_one_thread():
+    """Run the session's BLAS on one thread, as every kmslab subcommand
+    does.  An idle OpenBLAS thread spins beside the caller: the dense
+    scipy.linalg.expm references of test_liouville.py took 2.7 times as
+    long on two threads as on one, and no test gained from the second."""
+    import numpy  # noqa: F401  the libraries whose pools are capped
+    import scipy.linalg  # noqa: F401
+    from kmslab import cli
+    with cli._blas_threads(1):
+        yield
+
+
 @pytest.fixture(scope="session")
 def cli_env(tmp_path_factory):
     """Environment for child processes that run ``python -m kmslab.cli``.

@@ -146,8 +146,8 @@ def test_threads_below_one_pin_one(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_the_numeric_libraries_unloaded(tmp_path, cli_env):
-    # the group callback pins the thread pools, which holds only while
-    # numpy and scipy are not yet loaded
+    # a fresh process's numeric libraries load inside the subcommand, after
+    # the group callback has pinned their thread pools in the environment
     code = ("import sys, kmslab.cli; "
             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
@@ -157,25 +157,156 @@ def test_cli_import_leaves_the_numeric_libraries_unloaded(tmp_path, cli_env):
     assert proc.stdout.strip() == "[]"
 
 
-# a block of 650 rows and one of 40 256 rows; --threads pins only the BLAS
-# and OpenMP pools, so both runs propagate on two threads (the products on
-# the caller, the folds and drift checks on one worker)
-@pytest.mark.parametrize("n_tot", [2, 4])
-def test_rte_evolve_threads_one_changes_no_byte(tmp_path, cli_env, n_tot):
-    cfg = tmp_path / "evolve.cfg"
-    cfg.write_text("[liouville]\nevolve_n_tot_max = %d\nt_max = 20\n"
-                   % n_tot)
-    # no pinned pools, so that the default run's numeric libraries may use
-    # every core
+class _FakePool:
+    """A BLAS pool's thread count behind fake get and set functions."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+
+
+def _counts_during_subcommands(monkeypatch, pools):
+    """Substitute pools for the loaded OpenBLAS builds; the returned list
+    receives their counts as each subcommand writes its manifest.  The
+    environment's pins are put back after the test."""
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "7")
+    monkeypatch.setattr(cli, "_openblas_pools",
+                        lambda: [(pool.get, pool.set) for pool in pools])
+    seen = []
+    write = cli._write_manifest
+
+    def recording(ctx, extra=()):
+        seen.append([pool.count for pool in pools])
+        return write(ctx, extra)
+
+    monkeypatch.setattr(cli, "_write_manifest", recording)
+    return seen
+
+
+def test_blas_runs_on_one_thread_unless_threads_says_otherwise(
+        tmp_path, monkeypatch):
+    pools = [_FakePool(2), _FakePool(5)]
+    seen = _counts_during_subcommands(monkeypatch, pools)
+    out = ["--out", str(tmp_path / "run")]
+    assert cli.main(out + ["formfactor"]) == 0
+    assert cli.main(["--threads", "3"] + out + ["formfactor"]) == 0
+    monkeypatch.setenv("KMSLAB_THREADS", "4")
+    assert cli.main(out + ["formfactor"]) == 0
+    assert seen == [[1, 1], [3, 3], [4, 4]]
+    # each count is back after each subcommand; libraries that load later
+    # read the environment
+    assert [pool.count for pool in pools] == [2, 5]
+    assert [os.environ[var] for var in cli._THREAD_VARS] == ["4"] * 4
+
+
+def test_blas_counts_are_restored_when_a_subcommand_fails(
+        tmp_path, monkeypatch, capsys):
+    pools = [_FakePool(2), _FakePool(5)]
+    seen = _counts_during_subcommands(monkeypatch, pools)
+    out = ["--out", str(tmp_path / "run")]
+    # a refusal, reported with its exit code
+    assert cli.main(out + ["formfactor", "--beta", "-1"]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert [pool.count for pool in pools] == [2, 5]
+
+    def failing(ctx, extra=()):
+        seen.append([pool.count for pool in pools])
+        raise RuntimeError("disk gone")
+
+    # and an error that comes out of main unchanged
+    monkeypatch.setattr(cli, "_write_manifest", failing)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        cli.main(out + ["formfactor"])
+    assert seen == [[1, 1]]
+    assert [pool.count for pool in pools] == [2, 5]
+
+
+def test_a_missing_openblas_is_nothing_to_cap(tmp_path, monkeypatch):
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "7")
+    monkeypatch.setattr(cli, "_OPENBLAS", (
+        # not loaded, loaded without a file, not a shared library, and a
+        # shared library without the symbols
+        ("kmslab_no_such_module", "get", "set"),
+        ("sys", "get", "set"),
+        ("kmslab.cli", "get", "set"),
+        ("math", "no_such_get_num_threads", "no_such_set_num_threads"),
+    ))
+    assert cli._openblas_pools() == []
+    assert cli.main(["--out", str(tmp_path / "run"), "formfactor"]) == 0
+    assert [os.environ[var] for var in cli._THREAD_VARS] == ["1"] * 4
+
+
+def test_formfactor_leaves_scipy_unloaded(tmp_path, cli_env):
+    # the cap finds the loaded libraries without importing any
+    code = ("import sys; from kmslab import cli; "
+            "code = cli.main(['--out', 'run', 'formfactor']); "
+            "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
+                          env=cli_env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True False"
+
+
+def test_blas_cap_reaches_the_loaded_openblas(tmp_path, monkeypatch):
+    import numpy  # noqa: F401  the libraries whose pools are capped
+    import scipy.linalg  # noqa: F401
+    pools = cli._openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS thread-count setter found")
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "7")
+    seen = []
+    write = cli._write_manifest
+
+    def recording(ctx, extra=()):
+        seen.append([get() for get, _ in pools])
+        return write(ctx, extra)
+
+    monkeypatch.setattr(cli, "_write_manifest", recording)
+    saved = [get() for get, _ in pools]
+    try:
+        for _, set_ in pools:
+            set_(2)
+        assert cli.main(["--out", str(tmp_path / "run"), "formfactor"]) == 0
+        assert [get() for get, _ in pools] == [2] * len(pools)
+    finally:
+        for (_, set_), count in zip(pools, saved):
+            set_(count)
+    assert seen == [[1] * len(pools)]
+
+
+# --threads sets only the BLAS and OpenMP pools: rte-evolve propagates
+# on the calling thread (its 650-row block) or on two threads (the
+# 40 256-row block: the products on the caller, the folds and drift checks
+# on one worker) at any count, and rte-spectrum's shift-invert eigensolve
+# calls BLAS
+@pytest.mark.parametrize("command, config", [
+    ("rte-evolve", "evolve_n_tot_max = 2\nt_max = 20\n"),
+    ("rte-evolve", "evolve_n_tot_max = 4\nt_max = 20\n"),
+    ("rte-spectrum", ""),
+], ids=["rte-evolve-2", "rte-evolve-4", "rte-spectrum"])
+def test_thread_count_changes_no_byte(tmp_path, cli_env, command, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[liouville]\n" + config)
+    # no pinned pools in the environment: --threads alone sets them
     env = {k: v for k, v in cli_env.items() if not k.endswith("_NUM_THREADS")}
     outputs = []
-    for name, threads in (("default", []), ("one", ["--threads", "1"])):
-        proc = _run(threads + ["--config", str(cfg), "--out", name,
-                               "rte-evolve"], tmp_path, env)
+    for threads in ("1", "2"):
+        proc = _run(["--threads", threads, "--config", str(cfg),
+                     "--out", threads, command], tmp_path, env)
         assert proc.returncode == 0, proc.stderr
-        out = tmp_path / name
-        outputs.append((proc.stdout, (out / "rte_evolve.csv").read_bytes(),
-                        (out / "manifest.txt").read_bytes()))
+        out = tmp_path / threads
+        outputs.append((proc.stdout, {path.name: path.read_bytes()
+                                      for path in sorted(out.iterdir())}))
+    assert len(outputs[0][1]) == 2
     assert outputs[0] == outputs[1]
 
 

@@ -1,6 +1,8 @@
 """Doubled detector-reservoir generator: assembly, symmetry, evolution."""
 
 import dataclasses
+import functools
+import hashlib
 import itertools
 import math
 import sys
@@ -892,6 +894,34 @@ def test_splitting_below_theta_warns():
     assert named == [0.005, 0.02], msgs
 
 
+def test_sweep_builds_its_coupling_once(monkeypatch):
+    space = lv.TruncatedFock(lv.jittered_modes(1.0, seed=5, amplitude=0.03),
+                             n_tot_max=2)
+    lambdas = [0.0, 0.005, 0.02]
+    base = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.0)
+    expected = [base.with_lambda(lam).matrix for lam in lambdas]
+    built, scanned = [], []
+    difference, scan = lv._difference, lv.spectrum_scan
+
+    def building(*args):
+        built.append(None)
+        return difference(*args)
+
+    def scanning(L, *args, **kwargs):
+        scanned.append(L.matrix)
+        return scan(L, *args, **kwargs)
+
+    monkeypatch.setattr(lv, "_difference", building)
+    monkeypatch.setattr(lv, "spectrum_scan", scanning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmbiguousThresholdWarning)
+        lv.kernel_splitting_sweep(space, 1.0, OFFDIAG, lambdas)
+    # V once, and each scan of the generator with_lambda gives
+    assert len(built) == 1
+    assert len(scanned) == len(expected)
+    assert all(_same_csr(a, b) for a, b in zip(scanned, expected))
+
+
 def test_sweep_needs_two_positive_couplings(monkeypatch):
     # the exponent is fitted over the positive couplings; NaN is not one
     _, space = _small_paired()
@@ -1015,6 +1045,34 @@ def test_evolve_drift_gates_fail_on_a_nonfinite_state(monkeypatch):
         lv.evolve(L, psi0, [1.0])
 
 
+class _Dense:
+    """A dense matrix that hashes and compares by its bytes."""
+
+    def __init__(self, M):
+        self.M = M
+        self.key = (M.shape, M.dtype.str,
+                    hashlib.sha256(np.ascontiguousarray(M).tobytes()).digest())
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@functools.lru_cache(maxsize=128)
+def _propagator(op, t):
+    return sla.expm(-1j * t * op.M)
+
+
+def _dense_propagator(M, t):
+    """The dense reference sla.expm(-1j t M), the same bits as a call in
+    place, computed once per (operator, t) across the tests: they share
+    operators and grid times.  A reference of the 180-row check operator
+    takes 0.5 MB, and the 128 used last are kept."""
+    return _propagator(_Dense(M), t)
+
+
 def _dense_check_operator(zeta):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)
@@ -1046,7 +1104,7 @@ def test_evolution_matches_dense_exponential(zeta):
                 for psi0 in (spread / np.linalg.norm(spread),
                              lv.product_initial(space, np.diag([1.0, 0.0])))]
         for i, t in enumerate(tgrid):
-            U = sla.expm(-1j * t * M)
+            U = _dense_propagator(M, t)
             for psi0, states in runs:
                 assert np.max(np.abs(states[i] - U @ psi0)) < 1e-12
 
@@ -1069,6 +1127,8 @@ def test_leapfrog_windows_match_the_dense_exponential(monkeypatch):
 
     monkeypatch.setattr(lv, "_recurrence", recording)
     monkeypatch.setattr(lv, "_fold", folding)
+    # the two-thread schedule, which a block this small would not take
+    monkeypatch.setattr(lv, "_WORKER_MIN_ROWS", 0)
     # four full windows of a dyadic uniform grid
     tgrid = 0.5 * np.arange(1, 4 * lv._WINDOW_OUTPUTS + 1)
     for op, shift in ((L, 0.0), (shifted, 10.0)):
@@ -1095,7 +1155,7 @@ def test_leapfrog_windows_match_the_dense_exponential(monkeypatch):
             assert result.matvecs == (drift_checks
                                       + 4 * series * (terms.shape[1] - 1))
             for t, state in zip(tgrid, result.states):
-                exact = sla.expm(-1j * t * M) @ psi0
+                exact = _dense_propagator(M, t) @ psi0
                 assert np.max(np.abs(state - exact)) < 1e-12
 
 
@@ -1107,7 +1167,9 @@ def _shell_windows(count):
     return L, (1.0 + 1.0j) / math.sqrt(2.0) * psi0, tgrid
 
 
-def test_evolve_gives_the_same_bits_under_any_thread_interleaving():
+def test_evolve_gives_the_same_bits_under_any_thread_interleaving(
+        monkeypatch):
+    monkeypatch.setattr(lv, "_WORKER_MIN_ROWS", 0)     # two threads a call
     L, psi0, tgrid = _shell_windows(5)
     _, _, _, half = lv._reached_block(L.matrix, psi0)
     # each window's series is several chunks long
@@ -1164,19 +1226,21 @@ def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
         return 0.0
 
     before = threading.active_count()
-    monkeypatch.setattr(lv, "_chebyshev_window", poisoned)
-    for observe in (None, counting):
-        calls.clear()
-        counting.calls = 0
-        with pytest.raises(NumericalError,
-                           match=r"norm drift nan at step 28 \(t=14.5\)$"):
-            lv.evolve(L, psi0, tgrid, observe=observe)
-        # the failure stops the run one window on, not at the grid's end
-        assert len(calls) == 4
-        assert threading.active_count() == before
+    monkeypatch.setattr(lv, "_WORKER_MIN_ROWS", 0)     # two threads a call
+    with monkeypatch.context() as m:
+        m.setattr(lv, "_chebyshev_window", poisoned)
+        for observe in (None, counting):
+            calls.clear()
+            counting.calls = 0
+            with pytest.raises(
+                    NumericalError,
+                    match=r"norm drift nan at step 28 \(t=14.5\)$"):
+                lv.evolve(L, psi0, tgrid, observe=observe)
+            # the failure stops the run one window on, not at the grid's end
+            assert len(calls) == 4
+            assert threading.active_count() == before
     # steps 0 to 27 were recorded, and none at or after the failing one
     assert counting.calls == 28
-    monkeypatch.undo()
 
     class Refused(Exception):
         pass
@@ -1197,8 +1261,54 @@ def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
     assert threading.active_count() == before
 
 
+def test_small_blocks_run_inline_with_the_same_bits(monkeypatch):
+    # the 650-row shell block lies below the worker threshold; the
+    # reference is the worker schedule, taken with the threshold at 0
+    L, psi0, tgrid = _shell_windows(2)
+    block, _, _, _ = lv._reached_block(L.matrix, psi0)
+    assert len(block) < lv._WORKER_MIN_ROWS
+    starts = (psi0, _shell_run()[1])    # a complex start, and a real one
+
+    class Refused(Exception):
+        pass
+
+    def refusing(psi):
+        refusing.calls += 1
+        if refusing.calls == 12:
+            raise Refused("no record at step 11")
+        return 0.0
+
+    def outputs():
+        runs = [lv.evolve(L, start, tgrid) for start in starts]
+        kms = lv.perturbed_kms_vector(L, L.I, L.lam, L.beta)
+        refusing.calls = 0
+        with pytest.raises(Refused):
+            lv.evolve(L, psi0, tgrid, observe=refusing)
+        return runs, kms, refusing.calls
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a worker thread was started")
+
+    before = threading.active_count()
+    with monkeypatch.context() as m:
+        m.setattr(lv, "ThreadPoolExecutor", no_thread)
+        inline = outputs()
+    assert threading.active_count() == before
+    monkeypatch.setattr(lv, "_WORKER_MIN_ROWS", 0)
+    worker = outputs()
+    for a, b in zip(inline[0], worker[0]):
+        assert np.array_equal(a.states, b.states)
+        for name in ("norm_drift", "energy_drift", "matvecs"):
+            assert getattr(a, name) == getattr(b, name)
+    assert np.array_equal(inline[1], worker[1])
+    # a failing step stops both schedules at the same step
+    assert inline[2] == worker[2] == 12
+
+
 def test_evolve_hands_each_step_to_the_worker_between_two_folds(
         monkeypatch):
+    # the two-thread schedule, which a block this small would not take
+    monkeypatch.setattr(lv, "_WORKER_MIN_ROWS", 0)
     space, L = _dense_check_operator(math.pi)
     real = lv.product_initial(space, np.diag([1.0, 0.0]))
     _, _, _, half = lv._reached_block(L.matrix, real)
@@ -1214,7 +1324,7 @@ def test_evolve_hands_each_step_to_the_worker_between_two_folds(
     for psi0, handed in ((real, 54), (_spread_state(space), 60)):
         plain = lv.evolve(L, psi0, tgrid)
         for t, state in zip(tgrid, plain.states):
-            assert np.max(np.abs(state - sla.expm(-1j * t * M) @ psi0)) < 1e-12
+            assert np.max(np.abs(state - _dense_propagator(M, t) @ psi0)) < 1e-12
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # switch threads as often as possible
         try:
@@ -1238,9 +1348,9 @@ def test_evolve_hands_each_step_to_the_worker_between_two_folds(
             jobs.append(("step", psi.copy()))
             return 0.0
 
-        monkeypatch.setattr(lv, "_fold_chunk", folding)
-        lv.evolve(L, psi0, tgrid, observe=observe)
-        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            m.setattr(lv, "_fold_chunk", folding)
+            lv.evolve(L, psi0, tgrid, observe=observe)
         assert len(workers) == 1 and threading.get_ident() not in workers
         # each grid step once, in grid order
         steps = [state for kind, state in jobs if kind == "step"]
@@ -1260,6 +1370,8 @@ def test_evolve_hands_each_step_to_the_worker_between_two_folds(
 
 
 def test_evolve_reuses_its_slots_on_uneven_windows(monkeypatch):
+    # the two-thread schedule, which a block this small would not take
+    monkeypatch.setattr(lv, "_WORKER_MIN_ROWS", 0)
     # two windows of the dyadic step 0.5, a gap reached in sub-steps, a
     # non-dyadic stretch of step 1.1 in shorter windows, a second gap, then
     # the dyadic step again, ending in a short window
@@ -1276,7 +1388,7 @@ def test_evolve_reuses_its_slots_on_uneven_windows(monkeypatch):
     for zeta in (math.pi, math.pi / 2):
         space, L = _dense_check_operator(zeta)
         M = L.matrix.toarray()
-        exact = [sla.expm(-1j * t * M) for t in tgrid]
+        exact = [_dense_propagator(M, t) for t in tgrid]
         for psi0 in (lv.product_initial(space, np.diag([1.0, 0.0])),
                      _spread_state(space)):
             _, _, _, half = lv._reached_block(L.matrix, psi0)
@@ -1326,11 +1438,11 @@ def test_evolve_reuses_its_slots_on_uneven_windows(monkeypatch):
                 log.append(("step", sum(kind == "step" for kind, _ in log)))
                 return psi.copy()
 
-            monkeypatch.setattr(lv, "_prepare", preparing)
-            monkeypatch.setattr(lv, "_fold_chunk", folding)
-            monkeypatch.setattr(lv, "_chebyshev_window", windowing)
-            logged = lv.evolve(L, psi0, tgrid, observe=observe)
-            monkeypatch.undo()
+            with monkeypatch.context() as m:
+                m.setattr(lv, "_prepare", preparing)
+                m.setattr(lv, "_fold_chunk", folding)
+                m.setattr(lv, "_chebyshev_window", windowing)
+                logged = lv.evolve(L, psi0, tgrid, observe=observe)
             assert np.array_equal(logged.states, plain.states)
             # a real start on the real block leapfrogs where it can
             assert ("leapfrog" in run) == (zeta == math.pi
@@ -1383,7 +1495,7 @@ def test_evolution_windows_stay_within_span(monkeypatch):
     assert max(spans) <= lv._WINDOW_SPAN
     M = L.matrix.toarray()
     for t, state in zip(tgrid, states):
-        assert np.max(np.abs(state - sla.expm(-1j * t * M) @ psi0)) < 1e-12
+        assert np.max(np.abs(state - _dense_propagator(M, t) @ psi0)) < 1e-12
 
 
 def _exact_row(x, count, decay):
@@ -1454,7 +1566,7 @@ def test_window_folds_each_row_to_its_own_cut(monkeypatch):
         assert sum(c.size for c in folded) == parts * sum(lengths)
         assert all(np.all(c != 0.0) for c in folded)
         for dt, state in zip(offsets / half, out):
-            exact = sla.expm(-1j * dt * B) @ x
+            exact = _dense_propagator(B, dt) @ x
             assert np.max(np.abs(state - exact)) < 1e-12
 
 
