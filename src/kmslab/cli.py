@@ -475,12 +475,12 @@ def cmd_rte_spectrum(ctx):
     g_off = cfg["liouville"]["coupling_offdiagonal"]
     import numpy as np
     from .textio import fmt17
+    t_rec = disc.recurrence_time()
+    lo, hi = lv.fgr_window(disc, gap, t_rec)
     G = np.array([[0.0, g_off], [g_off, 0.0]])
     sweep = lv.kernel_splitting_sweep(space, gap, G,
                                       cfg["liouville"]["lambdas"])
     sweep.save(os.path.join(out_dir, "rte_spectrum.csv"))
-    t_rec = disc.recurrence_time()
-    lo, hi = lv.fgr_window(disc, gap, t_rec)
     _write_manifest(ctx, extra=[("theta", fmt17(sweep.theta)),
                                 ("recurrence_time", fmt17(t_rec)),
                                 ("lu_nnz_max", str(sweep.lu_nnz)),

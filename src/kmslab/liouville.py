@@ -36,8 +36,9 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .oneparticle import (default_coupling, gl_panels, glue_branches,
-                          gluing_phase, planck_occupation)
+from .oneparticle import (MomentumFunction, default_coupling, gl_panels,
+                          glue_branches, gluing_phase)
+from .quasifree import QuasiFreeState, _phase_sum, two_point, two_point_series
 from .textio import fmt17, write_csv
 
 __all__ = [
@@ -167,19 +168,20 @@ class ReservoirDiscretization:
             mirror[j] = order[-sv]
         return mirror
 
-    def norm_defect(self) -> float:
-        """Relative defect of sum |f_j|^2 against the continuum glued norm,
-        the latter by the trapezoid rule on 4000 points."""
+    def correlation_defect(self, taus) -> float:
+        """max over evenly spaced taus of |C(tau) - C_cont(tau)| / C_cont(0),
+        C(tau) = sum_j |f_j|^2 e^{-i s_j tau}, C_cont quasifree.two_point_series
+        of amplitude * coupling on (0, max |s_j|]; at taus = [0] the norm defect."""
         if self.coupling is None:
-            raise ValidationError("norm defect needs the continuum coupling")
-        smax = float(np.max(np.abs(self.s)))
-        q = np.linspace(1e-6, smax, 4000)
-        u2 = np.abs(self.amplitude * np.asarray(self.coupling(q), dtype=complex)) ** 2
-        mu = planck_occupation(q, self.beta)
-        dens = 4.0 * math.pi * q * q * (1.0 + 2.0 * mu) * u2
-        cont = float(np.trapezoid(dens, q))
-        disc = float(np.sum(np.abs(self.f) ** 2))
-        return abs(disc - cont) / cont
+            raise ValidationError("correlation defect needs the continuum coupling")
+        edges = np.linspace(0.0, np.max(np.abs(self.s)), _CONT_PANELS + 1)
+        q, w = gl_panels(edges, _CONT_NODES)
+        u = MomentumFunction.from_radial(
+            q, w, self.amplitude * np.asarray(self.coupling(q), dtype=complex))
+        state = QuasiFreeState(beta=self.beta)
+        cont = two_point_series(state, u, u, taus).values
+        disc = _phase_sum(np.abs(self.f) ** 2, 0.0, self.s, taus)
+        return float(np.max(np.abs(disc - cont))) / two_point(state, u, u).real
 
     def spectral_density(self, energy: float) -> float:
         """Continuum coupling density 4*pi*|f_beta(E)|^2 at a positive energy."""
@@ -200,6 +202,7 @@ class ReservoirDiscretization:
         return 2.0 * math.pi / spacing
 
 
+_CONT_PANELS, _CONT_NODES = 64, 16   # correlation_defect's gl_panels
 # panels of the reservoir grids, in |s| on each side
 _S_MIN, _S_MAX = 0.02, 6.0
 _PAIRED_SPLIT = 1.5
@@ -1571,14 +1574,18 @@ def fgr_window(disc: ReservoirDiscretization, E: float,
                t_rec: float | None = None):
     """Suggested coupling window: decay before recurrence, still perturbative.
 
-    Returns (lam_lo, lam_hi) with lam^2 * rho(E) between 5/T_rec and 0.2*E.
+    Returns (lam_lo, lam_hi) with lam^2 * rho(E) between 5/T_rec and 0.2*E,
+    or raises ValidationError where rho(E) underflows (E >= 19 by default).
     """
     if t_rec is None:
         t_rec = disc.recurrence_time()
     rho = disc.spectral_density(E)
-    lam_lo = math.sqrt(5.0 / (t_rec * rho))
-    lam_hi = math.sqrt(0.2 * E / rho)
-    return lam_lo, lam_hi
+    with np.errstate(divide="ignore", over="ignore"):
+        window = math.sqrt(5.0 / (t_rec * rho)), math.sqrt(0.2 * E / rho)
+    if not all(map(math.isfinite, window)):
+        raise ValidationError("gap %s: the spectral density there, %.3g, is "
+                              "too small for a finite coupling window" % (E, rho))
+    return window
 
 
 @dataclass

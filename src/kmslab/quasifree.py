@@ -93,16 +93,18 @@ def _as_kappa(state, f):
     return f
 
 
-def _aligned_pair(state, f, g):
-    """Bring two kappa-vectors onto one radial point set, returning
-    (F, G, wq2) with wq2 the measure weights wtot * q^2."""
+def _branch_weights(state, f, g):
+    """Two kappa-vectors on one radial point set and their branch weights
+    (F, G, w_pos, w_neg): w_pos = wtot q^2 (1 + mu), w_neg = wtot q^2 mu."""
     kf = _as_kappa(state, f)
-    kg = _as_kappa(state, g) if g is not None else kf
+    kg = _as_kappa(state, g)
     if state.frame.rapidity != 0.0 and state.mass != 0.0:
         raise ValidationError("boosted frames are supported for the massless field")
     if not kf.same_points(kg):
         raise StructuralError("test vectors must share one momentum point set")
-    return kf, kg, kf.wtot * kf.q ** 2
+    wq2 = kf.wtot * kf.q ** 2
+    mu = bath_occupation(kf.omega, state.beta, state.frame.rapidity)
+    return kf, kg, wq2 * (1.0 + mu), wq2 * mu
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +117,11 @@ def weyl_expectation(state, f):
 
 
 def two_point(state, f, g):
-    """Two-point function <kappa_beta f, kappa_beta g>."""
-    kf, kg, wq2 = _aligned_pair(state, f, g)
-    mu = bath_occupation(kf.omega, state.beta, state.frame.rapidity)
-    term1 = np.sum(wq2 * (1.0 + mu) * np.conj(kf.values) * kg.values)
-    term2 = np.sum(wq2 * mu * kf.values * np.conj(kg.values))
-    return complex(term1 + term2)
+    """<kappa_beta f, kappa_beta g> = sum w_pos conj(f) g + w_neg f conj(g),
+    with the weights of _branch_weights."""
+    kf, kg, w_pos, w_neg = _branch_weights(state, f, g)
+    return complex(np.sum(w_pos * np.conj(kf.values) * kg.values)
+                   + np.sum(w_neg * kf.values * np.conj(kg.values)))
 
 
 def _phase_tables(freq, tgrid):
@@ -167,19 +168,15 @@ def two_point_series(state, g, f, tgrid):
     """C(t) = two_point(g, f translated backwards in lab time by t).
 
     The lab time translation multiplies the momentum amplitude by
-    e^{-i omega t}; thermal weights stay at the bath-frame frequency.
-    tgrid must be finite, nonempty and evenly spaced; the sum over F
-    momentum nodes costs 2 sqrt(N) F exponentials and O(sqrt(N) F) memory
-    for N times (see _phase_tables).
+    e^{-i omega t}; the weights of _branch_weights stay at the bath-frame
+    frequency. tgrid must be finite, nonempty and evenly spaced; the sum
+    over F momentum nodes costs 2 sqrt(N) F exponentials and O(sqrt(N) F)
+    memory for N times (see _phase_tables).
     """
-    kg, kf, wq2 = _aligned_pair(state, g, f)
-    om = kg.omega
-    mu = bath_occupation(om, state.beta, state.frame.rapidity)
-    a = wq2 * (1.0 + mu) * np.conj(kg.values) * kf.values
-    b = wq2 * mu * kg.values * np.conj(kf.values)
-    tgrid = np.asarray(tgrid, dtype=float)
-    vals = _phase_sum(a, b, om, tgrid)
-    return CorrelatorSeries(tgrid, vals)
+    kg, kf, w_pos, w_neg = _branch_weights(state, g, f)
+    a = w_pos * np.conj(kg.values) * kf.values
+    b = w_neg * kg.values * np.conj(kf.values)
+    return CorrelatorSeries(tgrid, _phase_sum(a, b, kg.omega, tgrid))
 
 
 def weyl_correlator(state, f, g, tgrid):
@@ -188,20 +185,16 @@ def weyl_correlator(state, f, g, tgrid):
     Equals omega(W(f)) omega(W(g)) exp(-z(t)) with
     z(t) = <kappa_beta g, kappa_beta T_t f>; bounded by 1 in modulus,
     and exactly omega(W(f)) when g = 0. z is summed as in
-    two_point_series, on the same kind of evenly spaced tgrid.
+    two_point_series, on the same kind of evenly spaced tgrid; the norms
+    in omega(W(f)) and omega(W(g)) weigh each node by w_pos + w_neg.
     """
-    kg, kf, wq2 = _aligned_pair(state, g, f)
-    om = kg.omega
-    mu = bath_occupation(om, state.beta, state.frame.rapidity)
-    a = wq2 * (1.0 + mu) * np.conj(kg.values) * kf.values
-    b = wq2 * mu * kg.values * np.conj(kf.values)
-    nf = np.sum(wq2 * (1.0 + 2.0 * mu) * np.abs(kf.values) ** 2).real
-    ng = np.sum(wq2 * (1.0 + 2.0 * mu) * np.abs(kg.values) ** 2).real
-    wf = math.exp(-0.5 * nf)
-    wg = math.exp(-0.5 * ng)
-    tgrid = np.asarray(tgrid, dtype=float)
-    z = _phase_sum(b, a, om, tgrid)
-    vals = wf * wg * np.exp(-z)
+    kg, kf, w_pos, w_neg = _branch_weights(state, g, f)
+    a = w_pos * np.conj(kg.values) * kf.values
+    b = w_neg * kg.values * np.conj(kf.values)
+    w_sum = w_pos + w_neg
+    wf = math.exp(-0.5 * np.sum(w_sum * np.abs(kf.values) ** 2).real)
+    wg = math.exp(-0.5 * np.sum(w_sum * np.abs(kg.values) ** 2).real)
+    vals = wf * wg * np.exp(-_phase_sum(b, a, kg.omega, tgrid))
     return CorrelatorSeries(tgrid, vals, {"weyl_f": wf, "weyl_g": wg})
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -561,6 +562,30 @@ def test_rte_evolve_refuses_a_gap_the_shell_grid_cannot_bracket(
     err = capsys.readouterr().err
     assert "[global] beta: beta must be positive and finite" in err
     assert "gap" not in err
+    assert not (tmp_path / "run" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("gap", ["19", "20"])
+@pytest.mark.parametrize("command", ["rte-spectrum", "rte-evolve"])
+def test_rte_commands_refuse_a_gap_without_a_finite_window(
+        tmp_path, monkeypatch, capsys, command, gap):
+    # the spectral density at the gap underflows, so the golden-rule window
+    # would be [inf, inf]; both commands refuse before any solve
+    from kmslab import liouville as lv
+    solves = []
+    for name in ("kernel_splitting_sweep", "assemble_liouvillean"):
+        monkeypatch.setattr(lv, name, lambda *args: solves.append(args))
+    for key, value in (("GAP", gap), ("N_TOT_MAX", "1"),
+                       ("EVOLVE_N_TOT_MAX", "1"),
+                       ("EVOLVE_FAMILY", "jittered")):
+        monkeypatch.setenv("KMSLAB_LIOUVILLE_" + key, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["--out", str(tmp_path / "run"), command]) == 2
+    captured = capsys.readouterr()
+    assert "gap %s.0: " % gap in captured.err
+    assert "too small for a finite coupling window" in captured.err
+    assert captured.out == "" and solves == []
     assert not (tmp_path / "run" / "manifest.txt").exists()
 
 

@@ -24,6 +24,7 @@ from kmslab import liouville as lv
 from kmslab.errors import (AmbiguousThresholdWarning, NumericalError,
                            ResonanceWarning, StructuralError, ValidationError)
 from kmslab.oneparticle import default_coupling, kms_glue, MomentumFunction
+from kmslab.quasifree import _phase_sum
 from kmslab.textio import fmt17
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -112,9 +113,56 @@ def test_mode_grids_reject_fewer_than_two_modes_a_side(n_side):
 
 
 def test_discretization_norm_defect():
-    assert lv.paired_modes(1.0).norm_defect() < 5e-3
-    assert lv.jittered_modes(1.0, seed=0).norm_defect() < 5e-3
-    assert lv.resonant_shell_modes(1.0, 1.0, seed=0).norm_defect() < 0.1
+    # the norm defect is the tau = 0 point of the correlation defect
+    assert lv.paired_modes(1.0).correlation_defect([0.0]) < 5e-3
+    assert lv.jittered_modes(1.0, seed=0).correlation_defect([0.0]) < 5e-3
+    assert lv.resonant_shell_modes(1.0, 1.0, seed=0).correlation_defect(
+        [0.0]) < 0.1
+
+
+_TAU_20 = np.linspace(0.0, 20.0, 401)
+
+
+def test_correlation_defect_contracts_from_24_to_48_paired_modes():
+    # measured: 1.0683e-2 at n_side 24 and 2.8926e-5 at n_side 48
+    assert 1e-2 < lv.paired_modes(1.0, n_side=24).correlation_defect(
+        _TAU_20) < 1.1e-2
+    assert lv.paired_modes(1.0, n_side=48).correlation_defect(_TAU_20) < 3e-5
+
+
+def test_correlation_defect_pins_the_conjugation_convention():
+    # C(tau) = sum_j |f_j|^2 e^{-i s_j tau} is two_point_series(u, u, tau):
+    # the modes at s > 0 carry (1 + mu) and the continuum's e^{-i q tau}
+    # branch does too, within 2.9e-5 at n_side 48 (the test above).
+    # Mirroring the modes (e^{+i s tau}) misses by 0.65.
+    disc = lv.paired_modes(1.0, n_side=48)
+    mirrored = dataclasses.replace(disc, s=-disc.s)
+    assert mirrored.correlation_defect(_TAU_20) > 0.6
+
+
+def test_correlation_defect_is_converged_in_the_continuum_panels(monkeypatch):
+    # doubling the continuum's panels moves the tau <= 20 defect by at most
+    # 1.1e-12 relative on the default grids and on paired n_side 48
+    for disc in (lv.paired_modes(1.0, n_side=48),
+                 lv.jittered_modes(1.0, seed=0),
+                 lv.resonant_shell_modes(1.0, 1.0, seed=0)):
+        ref = disc.correlation_defect(_TAU_20)
+        with monkeypatch.context() as m:
+            m.setattr(lv, "_CONT_PANELS", 2 * lv._CONT_PANELS)
+            doubled = disc.correlation_defect(_TAU_20)
+        assert abs(doubled - ref) < 1e-4 * ref
+
+
+def test_correlation_defect_needs_the_continuum_coupling():
+    disc = lv.ReservoirDiscretization(np.array([-1.0, 1.0]), np.full(2, 0.1),
+                                      np.full(2, 0.3), beta=1.0)
+    with pytest.raises(ValidationError, match="needs the continuum coupling"):
+        disc.correlation_defect([0.0])
+
+
+def test_correlation_defect_refuses_an_uneven_tau_grid():
+    with pytest.raises(ValidationError, match="must be evenly spaced"):
+        lv.paired_modes(1.0).correlation_defect([0.0, 1.0, 3.0])
 
 
 def test_recurrence_time_minimal_spacing():
@@ -1869,9 +1917,9 @@ def _dephasing_run(n_tot, energy_max=None):
     tgrid = np.arange(0.5, 30.25, 0.5)
     rho = lv.evolve(L, lv.product_initial(space, np.full((2, 2), 0.5)), tgrid,
                     observe=lambda psi: lv.reduce_detector(psi, space)).states
-    s, weight = disc.s[:, None], np.abs(disc.f[:, None]) ** 2
-    gamma = 4.0 * lam ** 2 * np.sum(weight * (1.0 - np.cos(s * tgrid))
-                                    / s ** 2, axis=0)
+    w = np.abs(disc.f) ** 2 / disc.s ** 2
+    gamma = 4.0 * lam ** 2 * (np.sum(w)
+                              - _phase_sum(w, 0.0, disc.s, tgrid).real)
     return rho, 0.5 * np.exp(-gamma)
 
 
@@ -1914,6 +1962,18 @@ def test_fgr_window_ordering():
     disc = lv.resonant_shell_modes(1.0, 1.0, seed=0)
     lo, hi = lv.fgr_window(disc, 1.0)
     assert 0 < lo < hi
+
+
+@pytest.mark.parametrize("gap", [19.0, 20.0])
+def test_fgr_window_refuses_a_gap_where_the_density_underflows(gap):
+    # rho(E) is subnormal at 19 and 0 at 20: a bound would be inf
+    disc = lv.jittered_modes(1.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=r"^gap %s: .* too small for a finite "
+                                 r"coupling window$" % gap):
+            lv.fgr_window(disc, gap)
 
 
 @given(st.integers(0, 10 ** 6))
