@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -727,13 +725,13 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
     normalization removes.  It is applied in equal sub-steps of at most
     _DECAY_SPAN.  Each sub-step is one recurrence, which stops after the
     last coefficient 2 (-1)^k I_k of e^{-x t} above 1e-16 e^x (see
-    _chebyshev_rows: 18 terms at x = 2), folds as evolve does (on one
-    worker thread opened for the call from _WORKER_MIN_ROWS rows on, on
-    the calling thread below, the same bits either way), and peaks at
-    about 2 * _CHEBYSHEV_CHUNK + 4 real vectors of the block's length.  A
-    full step against two-half-step consistency check guards the
-    expansion: the two half steps take twice as many sub-steps of half
-    the length.
+    _chebyshev_rows: 18 terms at x = 2), runs only its folds on the
+    executor of _job_runner (one worker thread opened for the call from
+    _WORKER_MIN_ROWS rows on, the calling thread below, the same bits
+    either way), and peaks at about 2 * _CHEBYSHEV_CHUNK + 4 real vectors
+    of the block's length.  A full step against two-half-step consistency
+    check guards the expansion: the two half steps take twice as many
+    sub-steps of half the length.
     Disagreement raises a numerical error carrying the residual; beta must
     be positive and finite, and lam finite.  Of its first argument only
     ``space`` and ``gap`` are read: L0 is their diagonal free_energies, so
@@ -1078,7 +1076,7 @@ def _chebyshev_rows(xs, decay: bool = False) -> np.ndarray:
     return rows
 
 
-def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None, steps=()):
+def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None, done=None):
     """Every row of Chebyshev coefficients applied to v, from one recurrence.
 
     H2 is twice the scaled block (see _reached_block).  Adds to out[j] the
@@ -1095,10 +1093,9 @@ def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None, steps=()):
     share one ring of vectors and one fold scratch; the folds run on pool
     (see _job_runner), and out is complete on return.
 
-    steps is empty or holds one (job, futures) pair for each row.  The
-    last recurrence hands each job over to the worker (see _hand_over), in
-    row order, after the fold that completes its row (see _recurrence);
-    the jobs left when it ends are handed over before return.
+    done, if given, is submitted to pool as done(j) for each row j, in row
+    order, by the last recurrence right after the fold that completes
+    row j (see _recurrence); the call does not wait for these jobs.
     """
     m, length = rows.shape[0], len(v)
     # each row's length, up to its last nonzero coefficient
@@ -1123,17 +1120,16 @@ def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None, steps=()):
                  for x, unit in ((v.real, 1.0), (v.imag, 1j)) if x.any()]
     ring = np.empty((2 * _CHEBYSHEV_CHUNK, length), dtype=dtype)
     scratch = np.empty((m, min(length, _FOLD_COLUMNS)), dtype=dtype)
-    ready = deque((n, job, futures)
-                  for n, (job, futures) in zip(lengths, steps))
     products = sum(_recurrence(H2, x, folds, lengths, ring, scratch, pool,
-                               ready if p == len(parts) - 1 else ())
+                               done if p == len(parts) - 1 else None)
                    for p, (x, folds) in enumerate(parts))
-    while ready:
-        _hand_over(ready, pool)
+    if done is not None and not parts:  # v is zero, and out complete as is
+        for j in range(m):
+            pool.submit(done, j)
     return out, products
 
 
-def _recurrence(H2, x, folds, lengths, ring, scratch, pool, steps):
+def _recurrence(H2, x, folds, lengths, ring, scratch, pool, done):
     """T_k(H) x for every k below the longest of lengths, folded.
 
     Each fold (parity, coef, target) adds coef[j, k] T_k(H) x to target[j]
@@ -1147,15 +1143,16 @@ def _recurrence(H2, x, folds, lengths, ring, scratch, pool, steps):
     done on return; the worker takes the folds in submission order, so
     each target receives them in the order of k.
 
-    steps is a deque of (length, job, futures) triples, or empty: after
-    each fold it submits, the recurrence hands the first job over to the
-    worker (see _hand_over) if that fold has reached its length, so the
-    job runs after every term below it is folded.  A fold thus waits
-    behind one job at most (one grid time's drift checks in evolve).
-    Returns the number of products with H2.
+    done is None or a job of one row index: right after each fold it
+    submits, the recurrence submits done(j) for every row j that the fold
+    completes, in row order, and does not wait for it.  Row j counts as
+    complete at max(lengths[:j + 1]) terms, so done(j) runs after every
+    term of rows 0 to j is folded.  Returns the number of products with H2.
     """
     n = max(lengths)
     folding = [None, None]  # the fold job reading each half
+    complete = np.maximum.accumulate(lengths) if done is not None else []
+    j = 0   # the next row to hand over
     for k in range(n):
         c = k % len(ring)    # ring[c - 1] is T_{k-1}
         h, local = divmod(c, _CHEBYSHEV_CHUNK)
@@ -1170,8 +1167,9 @@ def _recurrence(H2, x, folds, lengths, ring, scratch, pool, steps):
         if local == _CHEBYSHEV_CHUNK - 1 or k == n - 1:
             folding[h] = pool.submit(_fold_chunk, folds, lengths, k - local,
                                      ring[c - local:c + 1], scratch)
-            if steps and steps[0][0] <= k + 1:
-                _hand_over(steps, pool)
+            while j < len(complete) and complete[j] <= k + 1:
+                pool.submit(done, j)
+                j += 1
     for job in folding:
         if job is not None:
             job.result()
@@ -1180,8 +1178,9 @@ def _recurrence(H2, x, folds, lengths, ring, scratch, pool, steps):
 
 class _Inline:
     """An executor whose jobs run on the calling thread as they are
-    submitted, in the order one worker would take them; a job's exception
-    is kept in its future, as a worker's would be."""
+    submitted, in the order one worker would take them.  A fold or a slot
+    write raises nothing of its own, and a step keeps its exception (see
+    evolve), so submit catches nothing."""
 
     def __enter__(self):
         return self
@@ -1191,10 +1190,7 @@ class _Inline:
 
     def submit(self, fn, *args):
         future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
+        future.set_result(fn(*args))
         return future
 
 
@@ -1205,13 +1201,6 @@ def _job_runner(rows):
     if rows >= _WORKER_MIN_ROWS:
         return ThreadPoolExecutor(max_workers=1)
     return _Inline()
-
-
-def _hand_over(steps, pool):
-    """Submit the first job of steps, a deque of (length, job, futures)
-    triples, to pool, and append its future to futures."""
-    _, job, futures = steps.popleft()
-    futures.append(pool.submit(job))
 
 
 def _fold_chunk(folds, lengths, k0, chunk, scratch):
@@ -1396,13 +1385,11 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     These writes are one job, queued after every step that reads those
     slots and before the window's first fold (a window whose slots would
     not fit beside chi(s) first moves chi(s), and waits for that job).
-    Each step is queued once the fold that completes its output is, at
-    most one after each fold (see _recurrence), so no fold waits behind
-    more than one step; the steps left when a window's series ends are
-    queued right after it.  Once the next window's recurrences are done,
-    these steps are too, and are read in grid order: a failed step stops
-    the run there, and the steps queued after it return at once, with no
-    drift update and no ``observe`` call.
+    Each step is queued, in grid order, right after the fold that
+    completes its output (see _recurrence).  A step that fails keeps its
+    exception, and the steps after it return at once, with no drift update
+    and no ``observe`` call; the call raises that exception after the
+    window in which it sees it, at the latest once the pool is joined.
 
     Besides L, only the scaled block is kept.  The call holds the pool,
     _WINDOW_OUTPUTS + 1 complex vectors of the block's length, which v0
@@ -1413,9 +1400,9 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     and hold the energy's products in flight, at most 5 real vectors of
     the block's length, and one full-space vector given to ``observe``, 2
     real vectors of length L.dim; the state and that vector are allocated
-    once per call.  A queued step holds a view of its slot, no vector of
-    its own.  The coefficients and the bookkeeping do not grow with the
-    block.
+    once per call.  A window's steps hold a view of its slots, no vector
+    of their own.  The coefficients and the bookkeeping do not grow with
+    the block.
 
     Each state, as a full-space vector, is stored in ``states``, or, when
     ``observe`` is given, only ``observe(state)`` is.  ``observe`` runs on
@@ -1476,38 +1463,44 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     norm_drift = 0.0
     energy_drift = 0.0
     checked = energy_products   # the products of the checks, e0's included
-    failed = False      # a step raised, so the later ones do nothing
+    failure = None      # the first exception of a step, raised by the caller
 
-    def step(i, t, phase, vec):
-        """The drift checks and record of grid time i, t, where the state
-        is phase * vec."""
-        nonlocal states, norm_drift, energy_drift, checked, failed
-        if failed:
-            return
-        failed = True   # until this step is through
-        np.multiply(phase, vec, out=psi)
-        nd = abs(math.sqrt(_norm2(psi)) - 1.0)
-        ed = abs(energy(psi) - e0)
-        checked += energy_products
-        norm_drift = max(norm_drift, nd)
-        energy_drift = max(energy_drift, ed)
-        if not nd <= 1e-10:
-            raise NumericalError("propagation norm drift %s at step %d (t=%s)"
-                                 % (fmt17(nd), i, fmt17(t)))
-        if not ed <= 1e-10 * max(abs(e0), 1.0):
-            raise NumericalError(
-                "generator expectation drift %s at step %d (t=%s)"
-                % (fmt17(ed), i, fmt17(t)))
-        full[block] = psi
-        record = full if observe is None else observe(full)
-        if states is None:
-            states = np.empty((len(tgrid),) + np.shape(record),
-                              dtype=np.result_type(record))
-        states[i] = record
-        failed = False
+    def steps(i0, times, out):
+        """The steps of a window whose outputs out are grid times i0 on:
+        step(j) checks output j's drift and records it.  It keeps its
+        exception in failure, and once a step has, returns at once."""
+        phases = np.exp(-1j * center * times)
+
+        def step(j):
+            nonlocal states, norm_drift, energy_drift, checked, failure
+            if failure is not None:
+                return
+            try:
+                np.multiply(phases[j], out[j], out=psi)
+                nd = abs(math.sqrt(_norm2(psi)) - 1.0)
+                ed = abs(energy(psi) - e0)
+                checked += energy_products
+                norm_drift = max(norm_drift, nd)
+                energy_drift = max(energy_drift, ed)
+                if not nd <= 1e-10:
+                    raise NumericalError(
+                        "propagation norm drift %s at step %d (t=%s)"
+                        % (fmt17(nd), i0 + j, fmt17(times[j])))
+                if not ed <= 1e-10 * max(abs(e0), 1.0):
+                    raise NumericalError(
+                        "generator expectation drift %s at step %d (t=%s)"
+                        % (fmt17(ed), i0 + j, fmt17(times[j])))
+                full[block] = psi
+                record = full if observe is None else observe(full)
+                if states is None:
+                    states = np.empty((len(tgrid),) + np.shape(record),
+                                      dtype=np.result_type(record))
+                states[i0 + j] = record
+            except BaseException as exc:    # raised again on the caller
+                failure = exc
+        return step
 
     matvecs = 0     # the recurrences' products
-    futures = deque()   # the worker's jobs other than folds, not yet read
     i = 0
     with _job_runner(len(block)) as pool:
         for start, times, on_grid in _windows(tgrid, half):
@@ -1531,28 +1524,23 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
                 moved, anchor, d = (slots[0], slots[anchor]), 0, 1
             out = slots[anchor + d::d][:m]
             # after every step that reads these slots, before any fold
-            futures.append(pool.submit(_prepare, out, reuse, *moved))
-            ahead = len(futures)
+            prepared = pool.submit(_prepare, out, reuse, *moved)
             if moved:
-                futures[-1].result()    # the recurrence reads slots[0]
-            steps = ()
+                prepared.result()   # the recurrence reads slots[0]
+            done = None
             if on_grid:
-                phases = np.exp(-1j * center * times)
-                steps = [(partial(step, i + j, t, phases[j], out[j]), futures)
-                         for j, t in enumerate(times)]
+                done = steps(i, times, out)
                 i += m
             x, coef = ((slots[anchor].real, 2.0 * rows[key]) if reuse
                        else (slots[anchor], rows[key]))
             matvecs += _chebyshev_window(H2, x, coef, -1j, pool, out,
-                                         steps)[1]
+                                         done)[1]
             anchor += d * m
             past = np.append(start, times)
-            # the jobs queued ahead of this window's folds are done: the
-            # first step among them that failed raises here
-            for _ in range(ahead):
-                futures.popleft().result()
-        while futures:
-            futures.popleft().result()
+            if failure is not None:
+                raise failure
+    if failure is not None:     # a step queued after the last window's folds
+        raise failure
     return EvolutionResult(times=tgrid, states=states, norm_drift=norm_drift,
                            energy_drift=energy_drift,
                            matvecs=matvecs + checked)
@@ -1574,11 +1562,17 @@ def fgr_window(disc: ReservoirDiscretization, E: float,
                t_rec: float | None = None):
     """Suggested coupling window: decay before recurrence, still perturbative.
 
-    Returns (lam_lo, lam_hi) with lam^2 * rho(E) between 5/T_rec and 0.2*E,
-    or raises ValidationError where rho(E) underflows (E >= 19 by default).
+    Returns (lam_lo, lam_hi) with lam^2 * rho(E) between 5/T_rec and 0.2*E.
+    Raises ValidationError where the window is empty, T_rec * E < 25, and
+    where rho(E) underflows (E >= 19 by default).
     """
     if t_rec is None:
         t_rec = disc.recurrence_time()
+    if not t_rec * E >= 25.0:
+        raise ValidationError("gap %s: T_rec * E = %.3g is below 25, so no "
+                              "coupling decays before the recurrence time "
+                              "%.3g and stays perturbative" % (E, t_rec * E,
+                                                               t_rec))
     rho = disc.spectral_density(E)
     with np.errstate(divide="ignore", over="ignore"):
         window = math.sqrt(5.0 / (t_rec * rho)), math.sqrt(0.2 * E / rho)

@@ -565,12 +565,13 @@ def test_rte_evolve_refuses_a_gap_the_shell_grid_cannot_bracket(
     assert not (tmp_path / "run" / "manifest.txt").exists()
 
 
-@pytest.mark.parametrize("gap", ["19", "20"])
+@pytest.mark.parametrize("gap", ["19", "20", "0.5"])
 @pytest.mark.parametrize("command", ["rte-spectrum", "rte-evolve"])
 def test_rte_commands_refuse_a_gap_without_a_finite_window(
         tmp_path, monkeypatch, capsys, command, gap):
-    # the spectral density at the gap underflows, so the golden-rule window
-    # would be [inf, inf]; both commands refuse before any solve
+    # at 19 and 20 the spectral density at the gap underflows, so the
+    # golden-rule window would be [inf, inf]; at 0.5, T_rec * E < 25, so it
+    # would be inverted; both commands refuse before any solve
     from kmslab import liouville as lv
     solves = []
     for name in ("kernel_splitting_sweep", "assemble_liouvillean"):
@@ -583,8 +584,9 @@ def test_rte_commands_refuse_a_gap_without_a_finite_window(
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(["--out", str(tmp_path / "run"), command]) == 2
     captured = capsys.readouterr()
-    assert "gap %s.0: " % gap in captured.err
-    assert "too small for a finite coupling window" in captured.err
+    assert "gap %s: " % float(gap) in captured.err
+    assert ("is below 25" if gap == "0.5"
+            else "too small for a finite coupling window") in captured.err
     assert captured.out == "" and solves == []
     assert not (tmp_path / "run" / "manifest.txt").exists()
 

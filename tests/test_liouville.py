@@ -1284,8 +1284,8 @@ def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
                     NumericalError,
                     match=r"norm drift nan at step 28 \(t=14.5\)$"):
                 lv.evolve(L, psi0, tgrid, observe=observe)
-            # the failure stops the run one window on, not at the grid's end
-            assert len(calls) == 4
+            # the failure stops the run in the failing window
+            assert len(calls) == 3
             assert threading.active_count() == before
     # steps 0 to 27 were recorded, and none at or after the failing one
     assert counting.calls == 28
@@ -1307,6 +1307,32 @@ def test_evolve_reports_the_first_failing_step_and_joins_its_thread(
     # the steps queued after the failing one return at once
     assert observe.calls == 12
     assert threading.active_count() == before
+
+
+def test_evolve_raises_from_the_last_step_after_its_last_fold(monkeypatch):
+    # the last grid time's step is queued after the last window's last
+    # fold: its exception comes out of evolve all the same
+    L, psi0, tgrid = _shell_windows(2)
+
+    class Refused(Exception):
+        pass
+
+    def observe(psi):
+        observe.calls += 1
+        if observe.calls == len(tgrid):
+            raise Refused("no record at the last step")
+        return 0.0
+
+    before = threading.active_count()
+    for threshold in (lv._WORKER_MIN_ROWS, 0):  # inline, then two threads
+        monkeypatch.setattr(lv, "_WORKER_MIN_ROWS", threshold)
+        observe.calls = 0
+        with pytest.raises(Refused) as caught:
+            lv.evolve(L, psi0, tgrid, observe=observe)
+        assert caught.type is Refused
+        assert str(caught.value) == "no record at the last step"
+        assert observe.calls == len(tgrid)
+        assert threading.active_count() == before
 
 
 def test_small_blocks_run_inline_with_the_same_bits(monkeypatch):
@@ -1369,7 +1395,7 @@ def test_evolve_hands_each_step_to_the_worker_between_two_folds(
     assert [len(times) for _, times, _ in lv._windows(tgrid, half)] == [
         14, 14, 14, 1, 1, 3, 14, 11]
     M = L.matrix.toarray()
-    for psi0, handed in ((real, 54), (_spread_state(space), 60)):
+    for psi0 in (real, _spread_state(space)):
         plain = lv.evolve(L, psi0, tgrid)
         for t, state in zip(tgrid, plain.states):
             assert np.max(np.abs(state - _dense_propagator(M, t) @ psi0)) < 1e-12
@@ -1381,14 +1407,19 @@ def test_evolve_hands_each_step_to_the_worker_between_two_folds(
             sys.setswitchinterval(interval)
         assert np.array_equal(switched.states, plain.states)
 
-        # the worker's jobs, in the order it runs them: each fold with its
-        # first term k0 (0 starts a recurrence), each step with its state
+        # the worker's jobs, in the order it runs them: each window's slot
+        # writes, each fold with its terms k0 to k1 (k0 = 0 starts a series)
+        # and each step with its state
         jobs, workers = [], set()
-        fold_chunk = lv._fold_chunk
+        prepare, fold_chunk = lv._prepare, lv._fold_chunk
+
+        def preparing(*args):
+            jobs.append(("write",))
+            return prepare(*args)
 
         def folding(folds, lengths, k0, chunk, scratch):
             workers.add(threading.get_ident())
-            jobs.append(("fold", k0))
+            jobs.append(("fold", k0, k0 + len(chunk)))
             return fold_chunk(folds, lengths, k0, chunk, scratch)
 
         def observe(psi):
@@ -1397,24 +1428,42 @@ def test_evolve_hands_each_step_to_the_worker_between_two_folds(
             return 0.0
 
         with monkeypatch.context() as m:
+            m.setattr(lv, "_prepare", preparing)
             m.setattr(lv, "_fold_chunk", folding)
             lv.evolve(L, psi0, tgrid, observe=observe)
         assert len(workers) == 1 and threading.get_ident() not in workers
         # each grid step once, in grid order
-        steps = [state for kind, state in jobs if kind == "step"]
+        steps = [job[1] for job in jobs if job[0] == "step"]
         assert np.array_equal(np.array(steps), plain.states)
-        # at most one step between two folds of one recurrence, and steps
-        # do run there: all but those left when a window's series ends
-        between, inside = 0, 0
-        for kind, k0 in jobs:
-            if kind == "step":
-                between += 1
-                continue
-            if k0 > 0:
-                assert between <= 1
-                inside += between
-            between = 0
-        assert inside == handed
+        # the window and the term count at which each grid time's row is
+        # complete: row j at the longest of the window's rows 0 to j
+        _, _, _, half = lv._reached_block(L.matrix, psi0)
+        complete = []
+        for w, (start, times, on_grid) in enumerate(lv._windows(tgrid, half)):
+            if on_grid:
+                rows = lv._chebyshev_rows(half * (times - start))
+                lengths = [np.nonzero(row)[0][-1] + 1 for row in rows]
+                complete += [(w, n) for n in np.maximum.accumulate(lengths)]
+        # the fold each step follows, with only steps between them, as
+        # (window, series, k0, k1); a window's slot writes come before it
+        last = {}   # the last series of each window
+        w, fold, after = -1, None, []
+        for job in jobs:
+            if job[0] == "write":
+                w, series, fold = w + 1, 0, None
+            elif job[0] == "fold":
+                series += job[1] == 0
+                fold = last[w] = w, series, job[1], job[2]
+            else:
+                after.append(fold)
+        assert len(after) == len(complete)
+        # each step right after the fold of its window's last series that
+        # completes its row
+        for (w, n), fold in zip(complete, after):
+            assert fold is not None and fold[:2] == (w, last[w][1])
+            assert fold[2] < n <= fold[3]
+        # and some fold completes more than one row
+        assert len(set(after)) < len(after)
 
 
 def test_evolve_reuses_its_slots_on_uneven_windows(monkeypatch):
@@ -1477,10 +1526,10 @@ def test_evolve_reuses_its_slots_on_uneven_windows(monkeypatch):
                                      if n > k0}))
                 return fold_chunk(folds, lengths, k0, chunk, scratch)
 
-            def windowing(H2, v, rows, odd_factor, pool, out, steps):
-                if steps:   # grid time i reads the slot slot_of[i]
+            def windowing(H2, v, rows, odd_factor, pool, out, done):
+                if done is not None:  # grid time i reads slot slot_of[i]
                     slot_of.extend(address(row) for row in out)
-                return window(H2, v, rows, odd_factor, pool, out, steps)
+                return window(H2, v, rows, odd_factor, pool, out, done)
 
             def observe(psi):
                 log.append(("step", sum(kind == "step" for kind, _ in log)))
@@ -1962,6 +2011,18 @@ def test_fgr_window_ordering():
     disc = lv.resonant_shell_modes(1.0, 1.0, seed=0)
     lo, hi = lv.fgr_window(disc, 1.0)
     assert 0 < lo < hi
+
+
+def test_fgr_window_refuses_an_empty_window():
+    # lam_lo <= lam_hi holds exactly where T_rec * E >= 25
+    disc = lv.jittered_modes(1.0, seed=0)
+    t_rec = disc.recurrence_time()
+    lo, hi = lv.fgr_window(disc, 26.0 / t_rec, t_rec)
+    assert 0 < lo < hi
+    with pytest.raises(ValidationError,
+                       match=r"^gap %s: T_rec \* E = 24 is below 25"
+                             % (24.0 / t_rec)):
+        lv.fgr_window(disc, 24.0 / t_rec, t_rec)
 
 
 @pytest.mark.parametrize("gap", [19.0, 20.0])

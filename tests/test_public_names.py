@@ -1,5 +1,6 @@
-"""Every name a module lists in __all__ exists, so `import *` works, and
-every module-level import is used."""
+"""Every name a module lists in __all__ exists, so `import *` works,
+every module-level import is used, and every private function and class
+is named somewhere else in the package."""
 
 import ast
 import importlib
@@ -42,6 +43,19 @@ def test_module_imports_are_used_or_exported(path):
     assert unused == []
 
 
+def _named(tree):
+    """Every name that tree imports, reads or takes as an attribute."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    return named
+
+
 def test_every_error_class_is_named_by_another_module():
     # TruncationWarning is exempt: the acceptance gate imports it, and
     # whether the truncation ladder raises it is still open
@@ -50,16 +64,24 @@ def test_every_error_class_is_named_by_another_module():
                if isinstance(node, ast.ClassDef)}
     named = set()
     for path in SRC.glob("*.py"):
-        if path.name == "errors.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                named |= {alias.name for alias in node.names}
-            elif isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+        if path.name != "errors.py":
+            named |= _named(ast.parse(path.read_text()))
     assert sorted(classes - named - {"TruncationWarning"}) == []
+
+
+def test_every_private_function_and_class_is_used():
+    # a private top-level function or class is named somewhere in the
+    # package other than in its own definition, or it is dead code
+    nodes = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+             for node in ast.parse(path.read_text()).body]
+    named = [_named(node) for _, node in nodes]
+    unused = ["%s: %s" % (module, node.name) for k, (module, node)
+              in enumerate(nodes)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_")
+              and not any(node.name in names for other, names
+                          in enumerate(named) if other != k)]
+    assert unused == []
 
 
 def test_fock_and_initial_state_names_exist():
