@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -325,8 +326,9 @@ class TruncatedFock:
     Ladder operators come from one raising table, one entry per (row with
     room, mode): a row n below its cap in the mode and below n_tot_max in
     total goes to rank(n + e_mode) with weight sqrt(n_mode + 1), if that
-    target lies in the window.  It is built per call of creation_matrix or
-    field_matrix and not kept.
+    target lies in the window.  It is built per call of creation_matrix,
+    field_matrix or _field_matrices (once for all the fields asked for
+    together) and not kept.
     """
 
     def __init__(self, disc: ReservoirDiscretization, n_tot_max=None, n_max=None,
@@ -465,17 +467,26 @@ class TruncatedFock:
         the entries of zero amplitudes.  Amplitudes of any other shape than
         (n_modes,) raise ValidationError.
         """
-        amplitudes = np.asarray(amplitudes)
-        if amplitudes.shape != (self.disc.n_modes,):
-            raise ValidationError("field_matrix needs %d amplitudes, got shape "
-                                  "%s" % (self.disc.n_modes, amplitudes.shape))
+        return self._field_matrices(amplitudes)[0]
+
+    def _field_matrices(self, *amplitudes) -> list:
+        """[Phi(f) for each f given], as field_matrix builds them, from one
+        raising table."""
+        amplitudes = [np.asarray(f) for f in amplitudes]
+        for f in amplitudes:
+            if f.shape != (self.disc.n_modes,):
+                raise ValidationError("field_matrix needs %d amplitudes, got "
+                                      "shape %s" % (self.disc.n_modes, f.shape))
         rows, cols, mode, vals = self._raising_table(range(self.disc.n_modes))
-        A = sp.csr_matrix((amplitudes[mode] * vals, (rows, cols)),
-                          shape=(self.reservoir_dim, self.reservoir_dim))
-        out = A + A.conj().T
-        if np.isrealobj(amplitudes):
-            out = out.real
-        return out.tocsr()
+        fields = []
+        for f in amplitudes:
+            A = sp.csr_matrix((f[mode] * vals, (rows, cols)),
+                              shape=(self.reservoir_dim, self.reservoir_dim))
+            phi = A + A.conj().T
+            if np.isrealobj(f):
+                phi = phi.real
+            fields.append(phi.tocsr())
+        return fields
 
 
 def _check_hermitian(M, label: str):
@@ -623,9 +634,9 @@ def _coupling_factors(space: TruncatedFock, G: np.ndarray):
     if np.max(np.abs(G.imag)) == 0.0:
         G = G.real
     disc = space.disc
-    phi = space.field_matrix(disc.f)
+    phi, phi_conj = space._field_matrices(
+        disc.f, np.exp(-disc.beta * disc.s / 2.0) * disc.f)
     _check_hermitian(phi, "I")
-    phi_conj = space.field_matrix(np.exp(-disc.beta * disc.s / 2.0) * disc.f)
     _check_hermitian(phi_conj, "JIJ")
     return G, phi, phi_conj
 
@@ -788,19 +799,56 @@ class SpectrumReport:
     solves: int
 
 
+# The column orders of kernel_splitting_sweep's factorizations, one per
+# sparsity pattern, as (indptr, indices, order); None outside a sweep.
+_column_orders: ContextVar[list | None] = ContextVar("_column_orders",
+                                                     default=None)
+
+
+def _shifted_lu(M, sigma):
+    """Sparse LU of A = M - sigma and the column order its solves undo.
+
+    The generator's pattern is symmetric, and a minimum-degree ordering of
+    A^T + A keeps the LU fill some 30 times below the default column
+    ordering on the criterion-8 operator.  Outside a sweep every call
+    computes that ordering, and the order returned is None.  Inside
+    kernel_splitting_sweep the first A of each CSC pattern (indptr and
+    indices exactly equal) keeps order = argsort(perm_c), and a later A of
+    that pattern is factorized as A[:, order] under the NATURAL ordering:
+    SuperLU's reuse of a column order for a matrix of the same pattern
+    (X. S. Li, ACM TOMS 31 (2005) 302).  The solution of A x = b is then
+    x[order] = y for the y these factors give, bit for bit the solution
+    under the ordering computed afresh.  The unpermuted A is released
+    before the factorization; the sweep keeps only its pattern.
+    """
+    A = (M - sigma * sp.identity(M.shape[0])).tocsc()
+    known = _column_orders.get()
+    for indptr, indices, order in known or ():
+        if (np.array_equal(indptr, A.indptr)
+                and np.array_equal(indices, A.indices)):
+            A = A[:, order]
+            return spla.splu(A, permc_spec="NATURAL"), order
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+    if known is not None:
+        known.append((A.indptr, A.indices, np.argsort(lu.perm_c)))
+    return lu, None
+
+
 def spectrum_scan(L: LiouvilleanOperator, theta: float | None = None,
                   k: int = 12, method: str = "shift-invert") -> SpectrumReport:
     """Eigenpairs nearest zero and the numerical kernel dimension.
 
     One path: L - sigma (sigma = 1e-7 * max(||L||, 1)) is factorized once by
     sparse LU under a minimum-degree ordering of the symmetric pattern
-    A^T + A, and shift-invert Lanczos returns the k eigenpairs closest to
-    sigma, ordered by |eigenvalue|.  Their residuals must stay below
-    1e-9 * max(||L||, 1) or a NumericalError is raised.  The solve starts
-    from a seeded random vector, so reruns agree bit for bit; the report
-    records the L+U fill and the number of solves.  When all k eigenvalues
-    lie below theta the kernel may be larger than k, and a NumericalError
-    is raised rather than a kernel dimension that is only a lower bound.
+    A^T + A (inside kernel_splitting_sweep, the order an earlier scan of
+    the same pattern computed; see _shifted_lu), and shift-invert Lanczos
+    returns the k eigenpairs closest to sigma, ordered by |eigenvalue|.
+    Their residuals must stay below 1e-9 * max(||L||, 1) or a
+    NumericalError is raised.  The solve starts from a seeded random
+    vector, so reruns agree bit for bit; the report records the L+U fill
+    and the number of solves.  When all k eigenvalues lie below theta the
+    kernel may be larger than k, and a NumericalError is raised rather
+    than a kernel dimension that is only a lower bound.
     At most dim - 2 eigenpairs are returned, so an operator below
     dimension 3 raises a ValidationError.  method="dense" instead returns
     the full dense eigendecomposition.  Only tests pass it, and it stays:
@@ -824,17 +872,18 @@ def spectrum_scan(L: LiouvilleanOperator, theta: float | None = None,
                 "shift-invert needs 1 <= k < dim - 1; got k=%d at dim %d"
                 % (k, L.dim))
         sigma = 1e-7 * max(norm, 1.0)
-        # The generator's pattern is symmetric, and a minimum-degree ordering
-        # of A^T + A keeps the LU fill some 30 times below the default
-        # column ordering on the criterion-8 operator.
-        lu = spla.splu((L.matrix - sigma * sp.identity(L.dim)).tocsc(),
-                       permc_spec="MMD_AT_PLUS_A")
+        lu, perm = _shifted_lu(L.matrix, sigma)
         lu_nnz = int(lu.L.nnz + lu.U.nnz)
 
-        def solve(x):
+        def solve(b):
             nonlocal solves
             solves += 1
-            return lu.solve(x)
+            y = lu.solve(b)
+            if perm is None:
+                return y
+            x = np.empty_like(y)
+            x[perm] = y
+            return x
 
         # A seeded random start makes reruns bit-identical.  A constant
         # start would not do: single-vector Lanczos from it sees only one
@@ -913,7 +962,11 @@ def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
     3 theta, where the kernel count cannot tell the split pair apart (an
     empty kernel gives a NaN prediction, which never warns).
     lu_nnz is the largest LU fill of the sweep's scans and solves their
-    total solve count.
+    total solve count.  The scans whose shifted generators share a sparsity
+    pattern (every positive coupling, on an operator whose entries do not
+    cancel) share one minimum-degree column order, computed by the first
+    of them and dropped when the sweep returns or raises (_shifted_lu); the
+    reports are bit for bit those of separate spectrum_scan calls.
     """
     lambdas = np.asarray(list(lambdas), dtype=float)
     posmask = lambdas > 0
@@ -927,9 +980,13 @@ def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
     L0 = assemble_L0(space, E)
     V = assemble_coupling(space, G)[1]     # built once, held for the sweep
     d0 = space.free_energies(E)
-    reports = [spectrum_scan(replace(
-        L0, matrix=(sp.diags(d0) + lam * V).tocsr(), lam=float(lam)))
-        for lam in lambdas]
+    token = _column_orders.set([])    # one column order per pattern
+    try:
+        reports = [spectrum_scan(replace(
+            L0, matrix=(sp.diags(d0) + lam * V).tocsr(), lam=float(lam)))
+            for lam in lambdas]
+    finally:
+        _column_orders.reset(token)
     theta_used = float(reports[-1].theta)
     kernel = np.abs(d0) < theta_used
     gaps = []
@@ -1254,19 +1311,28 @@ def _reached_block(M, v):
     """The block of M that v reaches, scaled into [-1, 1] and doubled.
 
     The block is the union of the connected components of M's sparsity
-    graph on which v is nonzero; M stays exact on it.  Returns (block, H2,
-    center, half) with H2 = 2 H and H = (M[block, block] - center) / half,
-    shifted and scaled by the block's Gershgorin bounds.  The factor 2 of
-    the Chebyshev recurrence is taken here once; it is exact in binary
-    floating point, so H2 @ x is exactly 2 (H @ x).  A non-finite entry
-    in the block raises NumericalError.
+    graph on which v is nonzero; M stays exact on it.  It is found by a
+    breadth-first search along the rows of M from each nonzero of v not
+    reached yet.  That search follows edges one way only, and it finds the
+    components because every generator the library builds is exactly
+    Hermitian (see assemble_coupling), so its pattern is symmetric; unlike
+    an undirected search it copies no part of the pattern.  Returns
+    (block, H2, center, half) with H2 = 2 H and H = (M[block, block] -
+    center) / half, shifted and scaled by the block's Gershgorin bounds.
+    The factor 2 of the Chebyshev recurrence is taken here once; it is
+    exact in binary floating point, so H2 @ x is exactly 2 (H @ x).  A
+    non-finite entry in the block raises NumericalError.
     """
     # imported here, not at the top: it adds about 5% to importing kmslab
-    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.csgraph import breadth_first_order
     pattern = sp.csr_matrix((np.broadcast_to(1.0, M.data.shape), M.indices,
                              M.indptr), shape=M.shape, copy=False)
-    _, labels = connected_components(pattern, directed=False)
-    block = np.nonzero(np.isin(labels, labels[np.nonzero(v)[0]]))[0]
+    reached = np.zeros(M.shape[0], dtype=bool)
+    for start in np.flatnonzero(v):
+        if not reached[start]:
+            reached[breadth_first_order(pattern, start, directed=True,
+                                        return_predecessors=False)] = True
+    block = np.flatnonzero(reached)
     B = M[block][:, block]
     diag = B.diagonal().real
     radius = np.asarray(abs(B).sum(axis=1)).ravel() - np.abs(diag)

@@ -546,6 +546,24 @@ def test_rte_spectrum_needs_two_positive_couplings(tmp_path, monkeypatch,
     assert not (tmp_path / "run" / "manifest.txt").exists()
 
 
+def test_rte_spectrum_twice_in_one_process_is_byte_identical(
+        tmp_path, monkeypatch, capsys):
+    # the second sweep orders its own columns, as the first did
+    runs = []
+    for k in range(2):
+        cwd = tmp_path / str(k)
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(["--out", "run", "rte-spectrum"]) == 0
+        runs.append((capsys.readouterr().out,
+                     (cwd / "run" / "rte_spectrum.csv").read_bytes(),
+                     (cwd / "run" / "manifest.txt").read_bytes()))
+    assert "fit_exponent=" in runs[0][0]
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("gap", ["0.45", "5.6"])
 def test_rte_evolve_refuses_a_gap_the_shell_grid_cannot_bracket(
         tmp_path, monkeypatch, capsys, gap):

@@ -1,5 +1,6 @@
 """Doubled detector-reservoir generator: assembly, symmetry, evolution."""
 
+import contextvars
 import dataclasses
 import functools
 import hashlib
@@ -409,6 +410,31 @@ def test_field_matrix_rejects_amplitudes_of_the_wrong_length():
             space.field_matrix(amplitudes)
 
 
+@pytest.mark.parametrize("zeta", [math.pi, math.pi / 2])
+def test_field_matrices_share_one_raising_table(monkeypatch, zeta):
+    disc = lv.paired_modes(1.0, n_side=4, amplitude=0.5, zeta=zeta)
+    space = lv.TruncatedFock(disc, n_tot_max=3)
+    amplitudes = (disc.f, np.exp(-disc.beta * disc.s / 2.0) * disc.f)
+    separate = [space.field_matrix(f) for f in amplitudes]
+    tables = []
+    table = lv.TruncatedFock._raising_table
+
+    def counting(self, modes):
+        tables.append(None)
+        return table(self, modes)
+
+    monkeypatch.setattr(lv.TruncatedFock, "_raising_table", counting)
+    together = space._field_matrices(*amplitudes)
+    assert len(tables) == 1
+    for a, b in zip(together, separate):
+        assert a.dtype == b.dtype == (float if zeta == math.pi else complex)
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert a.data.tobytes() == b.data.tobytes()
+    lv.assemble_coupling(space, OFFDIAG)
+    assert len(tables) == 2
+
+
 def test_single_mode_field_block():
     f = 0.37
     disc = lv.ReservoirDiscretization(np.array([0.8]), np.array([1.0]),
@@ -501,16 +527,14 @@ def test_coupling_hermitian_and_vanishing_at_equilibrium():
 def test_coupling_checks_each_field_where_it_enters(monkeypatch, call, label,
                                                     defect):
     _, space = _small_paired()
-    built = []
 
-    def perturbed(amplitudes):
-        phi = lv.TruncatedFock.field_matrix(space, amplitudes)
-        if len(built) == call:
-            phi.data[np.argmax(np.abs(phi.data))] *= defect
-        built.append(phi)
-        return phi
+    def perturbed(*amplitudes):
+        fields = lv.TruncatedFock._field_matrices(space, *amplitudes)
+        phi = fields[call]
+        phi.data[np.argmax(np.abs(phi.data))] *= defect
+        return fields
 
-    monkeypatch.setattr(space, "field_matrix", perturbed)
+    monkeypatch.setattr(space, "_field_matrices", perturbed)
     with pytest.raises(StructuralError, match="^%s is not Hermitian" % label):
         lv.assemble_coupling(space, OFFDIAG)
 
@@ -528,9 +552,10 @@ def test_nearly_hermitian_monopole_gives_an_exactly_hermitian_generator():
 
 def test_coupling_rejects_a_field_without_its_adjoint(monkeypatch):
     _, space = _small_paired()
-    raising = lambda amplitudes: sum(
-        a * space.creation_matrix(j) for j, a in enumerate(amplitudes))
-    monkeypatch.setattr(space, "field_matrix", raising)
+    raising = lambda *amplitudes: [
+        sum(a * space.creation_matrix(j) for j, a in enumerate(f))
+        for f in amplitudes]
+    monkeypatch.setattr(space, "_field_matrices", raising)
     with pytest.raises(StructuralError, match="^I is not Hermitian"):
         lv.assemble_coupling(space, OFFDIAG)
 
@@ -968,6 +993,95 @@ def test_sweep_builds_its_coupling_once(monkeypatch):
     assert len(built) == 1
     assert len(scanned) == len(expected)
     assert all(_same_csr(a, b) for a, b in zip(scanned, expected))
+
+
+def _sweep_and_its_scans(monkeypatch, space, lambdas, independent=False):
+    """The sweep's report, its scans' reports and the permc_spec of each
+    splu call.  With independent=True every scan runs in an empty context,
+    where no column order of the sweep is known: the separate
+    spectrum_scan calls of the same operators."""
+    scan, splu = lv.spectrum_scan, spla.splu
+    reports, specs = [], []
+
+    def scanning(L, *args, **kwargs):
+        if independent:
+            rep = contextvars.Context().run(scan, L, *args, **kwargs)
+        else:
+            rep = scan(L, *args, **kwargs)
+        reports.append(rep)
+        return rep
+
+    def factorizing(A, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(A, **kwargs)
+
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmbiguousThresholdWarning)
+        warnings.simplefilter("ignore", ResonanceWarning)
+        patch.setattr(lv, "spectrum_scan", scanning)
+        patch.setattr(spla, "splu", factorizing)
+        sweep = lv.kernel_splitting_sweep(space, 1.0, OFFDIAG, lambdas)
+    assert lv._column_orders.get() is None
+    return sweep, reports, specs
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("space", ["criterion 8", "paired"])
+@pytest.mark.parametrize("lambdas, mmd", [([0.0, 0.02, 0.04, 0.08], 2),
+                                          ([0.02, 0.0, 0.04], 2)])
+def test_sweep_scans_of_one_pattern_share_a_column_order(monkeypatch, space,
+                                                         lambdas, mmd):
+    space = (_criterion_8_space(0) if space == "criterion 8"
+             else _small_paired(n_side=4, n_tot=3)[1])
+    shared, reports, specs = _sweep_and_its_scans(monkeypatch, space, lambdas)
+    alone, separate, alone_specs = _sweep_and_its_scans(
+        monkeypatch, space, lambdas, independent=True)
+    # the diagonal lambda = 0 and the first positive coupling are ordered
+    assert specs.count("MMD_AT_PLUS_A") == mmd
+    assert specs.count("NATURAL") == len(lambdas) - mmd
+    assert alone_specs == ["MMD_AT_PLUS_A"] * len(lambdas)
+    for a, b in zip(reports, separate):
+        assert _same_bits(a.eigenvalues, b.eigenvalues)
+        assert _same_bits(a.eigenvectors, b.eigenvectors)
+        assert (a.kernel_dim, a.lu_nnz, a.solves) == (b.kernel_dim, b.lu_nnz,
+                                                      b.solves)
+    for name in ("lambdas", "gaps", "kernel_dims", "fit_exponent",
+                 "predicted_prefactor", "theta", "lu_nnz", "solves"):
+        assert _same_bits(getattr(shared, name), getattr(alone, name)), name
+
+
+def test_each_sweep_orders_its_own_columns(monkeypatch):
+    space = _small_paired(n_side=4, n_tot=3)[1]
+    lambdas = [0.0, 0.02, 0.04, 0.08]
+    first, _, specs = _sweep_and_its_scans(monkeypatch, space, lambdas)
+    second, _, again = _sweep_and_its_scans(monkeypatch, space, lambdas)
+    assert specs == again == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 2
+    assert _same_bits(first.gaps, second.gaps)
+
+
+def test_a_failed_sweep_drops_its_column_orders(monkeypatch):
+    space = _small_paired(n_side=4, n_tot=3)[1]
+    scan, scanned = lv.spectrum_scan, []
+
+    def failing(L, *args, **kwargs):
+        scanned.append(lv._column_orders.get())
+        if len(scanned) == 3:
+            raise NumericalError("scan failed")
+        return scan(L, *args, **kwargs)
+
+    monkeypatch.setattr(lv, "spectrum_scan", failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        with pytest.raises(NumericalError, match="scan failed"):
+            lv.kernel_splitting_sweep(space, 1.0, OFFDIAG,
+                                      [0.0, 0.02, 0.04, 0.08])
+    # one list for the sweep, holding the two patterns ordered so far
+    assert scanned[0] is scanned[1] is scanned[2] and len(scanned[2]) == 2
+    assert lv._column_orders.get() is None
 
 
 def test_sweep_needs_two_positive_couplings(monkeypatch):
@@ -1804,6 +1918,38 @@ def test_reached_block_holds_no_spare_capacity(monkeypatch):
     padded = lv.evolve(L, spread, tgrid)
     assert np.array_equal(exact.states, padded.states)
     assert exact.matvecs == padded.matvecs
+
+
+def _component_block(M, v):
+    """The reached block by undirected connected components: the oracle."""
+    pattern = sp.csr_matrix((np.ones(M.nnz), M.indices, M.indptr),
+                            shape=M.shape)
+    _, labels = connected_components(pattern, directed=False)
+    return np.nonzero(np.isin(labels, labels[np.nonzero(v)[0]]))[0]
+
+
+@pytest.mark.parametrize("zeta", [math.pi, math.pi / 2])
+@pytest.mark.parametrize("G", [OFFDIAG, np.diag([1.0, -1.0])],
+                         ids=["offdiag", "diagonal"])
+def test_reached_block_is_the_components_of_the_start(zeta, G):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        disc = lv.jittered_modes(1.0, seed=0, n_side=4, zeta=zeta)
+        space = lv.TruncatedFock(disc, n_tot_max=3)
+        L = lv.assemble_liouvillean(space, 1.0, G, 0.3)
+    sizes = set()
+    for name, build in lv.INITIAL_STATES.items():
+        psi0 = build(L)
+        block = lv._reached_block(L.matrix, psi0)[0]
+        assert np.array_equal(block, _component_block(L.matrix, psi0)), name
+        sizes.add(len(block))
+    # the perturbed KMS vector's operator L0 + lam I, from Omega_0
+    A = (sp.diags(space.free_energies(1.0)) + 0.3 * L.I).tocsr()
+    omega0 = lv.gns_vacuum(space, 1.0, 1.0)
+    block = lv._reached_block(A, omega0)[0]
+    assert np.array_equal(block, _component_block(A, omega0))
+    sizes.add(len(block))
+    assert min(sizes) < space.dim    # a proper block is among them
 
 
 def test_evolution_stays_in_its_component():
