@@ -4,19 +4,19 @@ Configuration is plain key=value text with one level of [section]
 headers.  Resolution order, lowest to highest: built-in defaults, the
 --config file, environment variables KMSLAB_<SECTION>_<KEY>, command
 line flags.  An unknown key is an error in the file and in the
-environment alike (KMSLAB_THREADS aside).  Every run writes a manifest
-echoing the resolved values it consumed plus the tool version, so a run
-is reproducible from its output directory alone.  All numeric file
-output uses 17 significant digits and fixed reduction order; identical
-configuration and seed give byte-identical files.
+environment alike.  Every run writes a manifest echoing the resolved
+values it consumed plus the tool version, so a run is reproducible from
+its output directory alone.  All numeric file output uses 17 significant
+digits and fixed reduction order; identical configuration and seed give
+byte-identical files.
 
-Each subcommand runs BLAS on --threads (or KMSLAB_THREADS) threads, one
-by default.  The OpenBLAS builds that numpy and scipy have already
+Each subcommand runs BLAS on one thread, and no flag or variable
+changes that.  The OpenBLAS builds that numpy and scipy have already
 loaded are capped at run time for the length of the subcommand and get
 their thread counts back afterwards; libraries not loaded yet are pinned
 through the usual BLAS/OpenMP environment variables, which they read
 when they load.  This module imports the numeric libraries lazily inside
-the subcommands, so a fresh process takes the environment's pin.
+the subcommands, so a fresh process takes that pin.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def _resolve_config(config_path):
                 raise ValidationError(
                     "unknown config key %r in section [%s]" % (name, sec))
             resolved[sec][name] = val
-    known = {"%s_THREADS" % _ENV_PREFIX}
+    known = set()
     for sec, kv in resolved.items():
         for name in kv:
             env_key = "%s_%s_%s" % (_ENV_PREFIX, sec.upper(), name.upper())
@@ -280,8 +280,8 @@ def _openblas_pools():
 
 
 @contextlib.contextmanager
-def _blas_threads(threads):
-    """Run the body with BLAS on ``threads`` threads.
+def _blas_threads():
+    """Run the body with BLAS on one thread.
 
     The loaded OpenBLAS pools are capped at run time and get their counts
     back on exit, whether the body returns or raises.  A BLAS call wakes
@@ -289,13 +289,12 @@ def _blas_threads(threads):
     rte-spectrum's shift-invert eigensolve that doubled the CPU time and
     saved no wall time.  Libraries that load later read the environment
     variables set here, which stay set."""
-    for var in _THREAD_VARS:
-        os.environ[var] = str(threads)
+    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
     pools = _openblas_pools()
     saved = [get() for get, _ in pools]
     try:
         for _, set_ in pools:
-            set_(threads)
+            set_(1)
         yield
     finally:
         for (_, set_), count in zip(pools, saved):
@@ -314,16 +313,13 @@ _beta_option = click.option("--beta", type=float, default=None,
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               show_default=True,
               help="seed for randomized mode-grid jitter")
-@click.option("--threads", type=click.IntRange(min=1, clamp=True),
-              default=1, show_default=True, envvar="%s_THREADS" % _ENV_PREFIX,
-              help="BLAS/OpenMP threads of the subcommand")
 @click.version_option(version=__version__, prog_name="kmslab")
 @click.pass_context
-def cli(ctx, config, out, seed, threads):
+def cli(ctx, config, out, seed):
     """Numerical laboratory for thermal field states, detector response,
     coupled-generator spectra, and state-overlap decay."""
     # closed when the subcommand ends, whether it returns or raises
-    ctx.with_resource(_blas_threads(threads))
+    ctx.with_resource(_blas_threads())
     ctx.obj = {"config": config, "out": out, "seed": seed}
 
 
@@ -437,8 +433,10 @@ def cmd_response(ctx, **_overrides):
 
 
 def _liouville_space(cfg, seed, prefix):
-    """Mode family and truncated Fock space from the [liouville] keys
-    family, n_tot_max and amplitude, each read with the given prefix.
+    """(liouville, space, gap, G, t_rec, (lo, hi)) of an rte-* subcommand:
+    the Fock space over the mode family of the [liouville] keys family,
+    n_tot_max and amplitude (each read with the given prefix), the monopole
+    G, the recurrence time and the golden-rule window.
 
     The evolve_ space keeps only the reservoir occupations within two
     top-band quanta of zero energy, |n . s| <= 2 max |s_j|: every state of
@@ -454,6 +452,7 @@ def _liouville_space(cfg, seed, prefix):
         raise ValidationError("[global] beta: beta must be positive and "
                               "finite: the modes sample a thermal form "
                               "factor, got %s" % beta)
+    import numpy as np
     from . import liouville as lv
     builder, takes = _MODE_FAMILIES[lcfg[prefix + "family"]]
     args = {"seed": seed, "n_side": lcfg["n_side"], "gap": lcfg["gap"]}
@@ -463,7 +462,11 @@ def _liouville_space(cfg, seed, prefix):
     window = 2.0 * float(abs(disc.s).max()) if prefix == "evolve_" else None
     space = lv.TruncatedFock(disc, n_tot_max=lcfg[prefix + "n_tot_max"],
                              energy_max=window)
-    return lv, disc, space, lcfg["gap"]
+    t_rec = disc.recurrence_time()
+    g_off = lcfg["coupling_offdiagonal"]
+    G = np.array([[0.0, g_off], [g_off, 0.0]])
+    return (lv, space, lcfg["gap"], G, t_rec,
+            lv.fgr_window(disc, lcfg["gap"], t_rec))
 
 
 @cli.command("rte-spectrum")
@@ -471,13 +474,9 @@ def _liouville_space(cfg, seed, prefix):
 def cmd_rte_spectrum(ctx):
     """Near-zero spectrum of the coupled generator over a coupling sweep."""
     cfg, out_dir = _prepare(ctx)
-    lv, disc, space, gap = _liouville_space(cfg, ctx.obj["seed"], "")
-    g_off = cfg["liouville"]["coupling_offdiagonal"]
-    import numpy as np
+    lv, space, gap, G, t_rec, (lo, hi) = _liouville_space(
+        cfg, ctx.obj["seed"], "")
     from .textio import fmt17
-    t_rec = disc.recurrence_time()
-    lo, hi = lv.fgr_window(disc, gap, t_rec)
-    G = np.array([[0.0, g_off], [g_off, 0.0]])
     sweep = lv.kernel_splitting_sweep(space, gap, G,
                                       cfg["liouville"]["lambdas"])
     sweep.save(os.path.join(out_dir, "rte_spectrum.csv"))
@@ -499,16 +498,13 @@ def cmd_rte_spectrum(ctx):
 def cmd_rte_evolve(ctx):
     """Reduced-detector trace distance to equilibrium along the evolution."""
     cfg, out_dir = _prepare(ctx)
-    lv, disc, space, gap = _liouville_space(cfg, ctx.obj["seed"], "evolve_")
-    lcfg = cfg["liouville"]
-    g_off, dt = lcfg["coupling_offdiagonal"], lcfg["dt"]
+    lv, space, gap, G, t_rec, (lo, hi) = _liouville_space(
+        cfg, ctx.obj["seed"], "evolve_")
+    lcfg, dt = cfg["liouville"], cfg["liouville"]["dt"]
     import numpy as np
     from .textio import fmt17
-    t_rec = disc.recurrence_time()
-    lo, hi = lv.fgr_window(disc, gap, t_rec)
     lam = lo if lcfg["evolve_lambda"] is None else lcfg["evolve_lambda"]
     t_max = t_rec if lcfg["t_max"] is None else lcfg["t_max"]
-    G = np.array([[0.0, g_off], [g_off, 0.0]])
     L = lv.assemble_liouvillean(space, gap, G, lam)
     psi = lv.INITIAL_STATES[lcfg["initial"]](L)
     tgrid = np.arange(dt, t_max + dt / 2.0, dt)

@@ -76,14 +76,19 @@ __all__ = [
 _HERMITICITY_TOL = 1e-13
 
 
-def _hermitian_2x2(matrix, name):
-    """The 2x2 matrix as a complex array; ValidationError naming it unless
-    its entries are finite and it is Hermitian to 1e-12."""
+def _finite_2x2(matrix, name):
+    """The matrix as a complex array; ValidationError unless 2x2 and finite."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (2, 2):
         raise ValidationError("%s must be 2x2" % name)
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("%s must have finite entries" % name)
+    return matrix
+
+
+def _hermitian_2x2(matrix, name):
+    """_finite_2x2's matrix; ValidationError unless Hermitian to 1e-12."""
+    matrix = _finite_2x2(matrix, name)
     if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
         raise ValidationError("%s must be Hermitian" % name)
     return matrix
@@ -592,8 +597,9 @@ def one_boson_initial(space: TruncatedFock, detector_vec: np.ndarray,
     if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(prof))):
         raise ValidationError("detector vector and mode profile must be finite")
     nrm = np.linalg.norm(prof)
-    if nrm == 0:
-        raise ValidationError("mode profile must be nonzero")
+    if nrm == 0 or not np.any(dv):
+        raise ValidationError(
+            "detector vector and mode profile must be nonzero")
     prof = prof / nrm
     psi = np.zeros((4, space.reservoir_dim), dtype=complex)
     modes = np.nonzero(prof)[0]
@@ -873,7 +879,6 @@ def spectrum_scan(L: LiouvilleanOperator, theta: float | None = None,
                 % (k, L.dim))
         sigma = 1e-7 * max(norm, 1.0)
         lu, perm = _shifted_lu(L.matrix, sigma)
-        lu_nnz = int(lu.L.nnz + lu.U.nnz)
 
         def solve(b):
             nonlocal solves
@@ -893,6 +898,9 @@ def spectrum_scan(L: LiouvilleanOperator, theta: float | None = None,
             L.matrix, k=n_eig, sigma=sigma, which="LM", v0=v0,
             OPinv=spla.LinearOperator(L.matrix.shape, matvec=solve,
                                       dtype=L.matrix.dtype))
+        # SuperLU caches the L and U it builds: free them with the factors
+        lu_nnz = int(lu.L.nnz + lu.U.nnz)
+        del lu, solve
         res = L.matrix @ vecs - vecs * vals
         residual_max = float(np.max(np.linalg.norm(res, axis=0)))
         if residual_max > 1e-9 * max(norm, 1.0):
@@ -1747,44 +1755,41 @@ class TomitaReport:
         return float(np.max(self.residuals)) if len(self.residuals) else 0.0
 
 
-def _pair_vector(space: TruncatedFock, pair_mode: int) -> np.ndarray:
-    """Normalized glued amplitude vector supported on a mode and its mirror."""
-    disc = space.disc
-    mirror = disc.mirror_index()
-    j = int(pair_mode)
-    h = np.zeros(disc.n_modes, dtype=complex)
-    h[j] = disc.f[j]
-    h[mirror[j]] = disc.f[mirror[j]]
-    return h / np.linalg.norm(h)
-
-
 def tomita_residual(space: TruncatedFock, E: float, beta: float,
                     observables: Sequence) -> TomitaReport:
     """Residuals of J e^{-beta L0/2} X Omega = X^dagger Omega at lam = 0.
 
     Observables are descriptors: ("identity",), ("detector", M) with M a
-    2x2 matrix acting on the observable-side detector factor, and
-    ("weyl", pair_mode, alpha) for the truncated exponential
-    exp(i*alpha*Phi) whose cutoff tail probes the truncation.
+    finite 2x2 matrix (Hermitian or not) acting on the observable-side
+    detector factor, and ("weyl", pair_mode, alpha) for exp(i*alpha*Phi),
+    Phi the field of the normalized glued amplitudes on the mode and its
+    mirror, whose cutoff tail probes the truncation.  A detector matrix
+    that is not finite and 2x2, a pair mode out of range or a non-finite
+    alpha raises ValidationError naming the descriptor's place in the list.
     """
     J = ModularConjugation(space)
     omega0 = gns_vacuum(space, E, beta)
-    R = space.reservoir_dim
     half_mod = np.exp(-beta * space.free_energies(E) / 2.0)
-    I2 = sp.identity(2, format="csr")
-    IR = sp.identity(R, format="csr")
     residuals = []
-    for desc in observables:
+    for i, desc in enumerate(observables):
         kind = desc[0]
+        name = "observable %d (%s)" % (i, kind)
         if kind == "identity":
             X = sp.identity(space.dim, format="csr")
         elif kind == "detector":
-            M = sp.csr_matrix(np.asarray(desc[1], dtype=complex))
-            X = sp.kron(sp.kron(M, I2), IR).tocsr()
+            M = sp.csr_matrix(_finite_2x2(desc[1], name))
+            X = sp.kron(M, sp.identity(2 * space.reservoir_dim)).tocsr()
         elif kind == "weyl":
-            j, alpha = int(desc[1]), float(desc[2])
-            h = _pair_vector(space, j)
-            Phi = space.field_matrix(h).toarray()
+            j, alpha = desc[1], float(desc[2])
+            if not (isinstance(j, (int, np.integer)) and math.isfinite(alpha)
+                    and 0 <= j < space.disc.n_modes):
+                raise ValidationError(
+                    "%s needs an integer pair mode in [0, %d) and a finite "
+                    "alpha, got %r" % (name, space.disc.n_modes, desc[1:]))
+            pair = [j, space.disc.mirror_index()[j]]
+            h = np.zeros(space.disc.n_modes, dtype=complex)
+            h[pair] = space.disc.f[pair]
+            Phi = space.field_matrix(h / np.linalg.norm(h)).toarray()
             W = sla.expm(1j * alpha * np.asarray(Phi, dtype=complex))
             X = sp.kron(sp.identity(4), sp.csr_matrix(W)).tocsr()
         else:

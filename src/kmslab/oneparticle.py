@@ -90,6 +90,13 @@ def default_qgrid(beta=1.0, n=2048):
     return geometric_grid(1e-4 / beta, 40.0 / beta, n)
 
 
+def _close(*pairs):
+    """Whether the arrays of each pair have one shape and agree to _GRID_RTOL."""
+    return all(a.shape == b.shape
+               and np.allclose(a, b, rtol=_GRID_RTOL, atol=0.0)
+               for a, b in pairs)
+
+
 def mirror_sgrid(q, wq):
     """Build the +- symmetric frequency grid from a positive grid."""
     return np.concatenate([-q[::-1], q]), np.concatenate([wq[::-1], wq])
@@ -223,12 +230,8 @@ class MomentumFunction:
         return MomentumFunction(self.q, self.wtot, values, self.mass)
 
     def same_points(self, other):
-        if other is self:
-            return True
-        return (self.q.shape == other.q.shape
-                and np.allclose(self.q, other.q, rtol=_GRID_RTOL, atol=0.0)
-                and np.allclose(self.wtot, other.wtot, rtol=_GRID_RTOL,
-                                atol=0.0))
+        return other is self or _close((self.q, other.q),
+                                       (self.wtot, other.wtot))
 
     def weighted_inner(self, other, weight):
         """<self, weight(q) * other> for a real scalar function of q."""
@@ -278,9 +281,7 @@ class GluedVector:
         return math.sqrt(self.norm2())
 
     def same_grid(self, other):
-        return (self.s.shape == other.s.shape
-                and np.allclose(self.s, other.s, rtol=_GRID_RTOL, atol=0.0)
-                and np.allclose(self.w, other.w, rtol=_GRID_RTOL, atol=0.0))
+        return _close((self.s, other.s), (self.w, other.w))
 
     def inner(self, other):
         if not self.same_grid(other):
@@ -288,11 +289,8 @@ class GluedVector:
         return FOUR_PI * complex(np.sum(self.w * np.conj(self.values) * other.values))
 
     def is_mirror_symmetric(self):
-        n = self.s.size
-        if n % 2 != 0:
-            return False
-        return (np.allclose(self.s, -self.s[::-1], rtol=_GRID_RTOL, atol=0.0)
-                and np.allclose(self.w, self.w[::-1], rtol=_GRID_RTOL, atol=0.0))
+        return self.s.size % 2 == 0 and _close((self.s, -self.s[::-1]),
+                                               (self.w, self.w[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +318,7 @@ def glue_branches(q, beta, u, zeta=math.pi, amplitude=1.0):
     f(-q) = -e^{i zeta} q sqrt(mu_beta(q)) conj(a u(q)), a the amplitude,
     so that |f(-q)|^2 / |f(q)|^2 = e^{-beta q}.
     """
-    mu = planck_occupation(q, beta)
+    mu = bath_occupation(q, beta)
     pos = q * np.sqrt(1.0 + mu) * amplitude * u
     neg = gluing_phase(zeta) * q * np.sqrt(mu) * np.conj(amplitude * u)
     return pos, neg

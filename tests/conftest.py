@@ -16,7 +16,7 @@ def blas_on_one_thread():
     import numpy  # noqa: F401  the libraries whose pools are capped
     import scipy.linalg  # noqa: F401
     from kmslab import cli
-    with cli._blas_threads(1):
+    with cli._blas_threads():
         yield
 
 

@@ -110,7 +110,9 @@ def test_config_rejects_unknown_key(tmp_path, cli_env):
 
 
 def test_env_rejects_unknown_key(tmp_path, monkeypatch, capsys):
-    for name in ("KMSLAB_GLOBAL_BTEA", "KMSLAB_DETECTOR_GAP"):
+    # KMSLAB_THREADS too: no variable sets a thread count
+    for name in ("KMSLAB_GLOBAL_BTEA", "KMSLAB_DETECTOR_GAP",
+                 "KMSLAB_THREADS"):
         with monkeypatch.context() as m:
             m.setenv(name, "7")
             assert cli.main(["--out", str(tmp_path / "run"),
@@ -119,31 +121,18 @@ def test_env_rejects_unknown_key(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_threads_option_accepted(tmp_path, cli_env):
-    proc = _run(["--threads", "1", "--out", "run", "formfactor"], tmp_path,
-                cli_env)
-    assert proc.returncode == 0, proc.stderr
-    proc = _run(["--out", "run", "formfactor"], tmp_path, cli_env,
-                env_extra={"KMSLAB_THREADS": "1"})
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_threads_env_that_is_not_an_integer_is_a_usage_error(
-        tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KMSLAB_THREADS", "abc")
-    assert cli.main(["--out", str(tmp_path / "run"), "formfactor"]) == 1
-    assert "Invalid value for '--threads'" in capsys.readouterr().err
+def test_group_options_are_config_out_seed_and_version(tmp_path, capsys):
+    # the code sets every thread count itself; no option sets one
+    assert [p.name for p in cli.cli.params] == [
+        "config", "out", "seed", "version"]
+    assert cli.main(["--help"]) == 0
+    options = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  --")]
+    assert options == ["--config", "--out", "--seed", "--version", "--help"]
+    assert cli.main(["--threads", "2", "--out", str(tmp_path / "run"),
+                     "formfactor"]) == 1
+    assert "No such option '--threads'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
-
-
-def test_threads_below_one_pin_one(tmp_path, monkeypatch):
-    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS")
-    for var in pools:
-        monkeypatch.setenv(var, "7")
-    assert cli.main(["--threads", "0", "--out", str(tmp_path / "run"),
-                     "formfactor"]) == 0
-    assert [os.environ[var] for var in pools] == ["1"] * 4
 
 
 def test_cli_import_leaves_the_numeric_libraries_unloaded(tmp_path, cli_env):
@@ -190,20 +179,15 @@ def _counts_during_subcommands(monkeypatch, pools):
     return seen
 
 
-def test_blas_runs_on_one_thread_unless_threads_says_otherwise(
-        tmp_path, monkeypatch):
+def test_blas_runs_on_one_thread_during_a_subcommand(tmp_path, monkeypatch):
     pools = [_FakePool(2), _FakePool(5)]
     seen = _counts_during_subcommands(monkeypatch, pools)
-    out = ["--out", str(tmp_path / "run")]
-    assert cli.main(out + ["formfactor"]) == 0
-    assert cli.main(["--threads", "3"] + out + ["formfactor"]) == 0
-    monkeypatch.setenv("KMSLAB_THREADS", "4")
-    assert cli.main(out + ["formfactor"]) == 0
-    assert seen == [[1, 1], [3, 3], [4, 4]]
-    # each count is back after each subcommand; libraries that load later
+    assert cli.main(["--out", str(tmp_path / "run"), "formfactor"]) == 0
+    assert seen == [[1, 1]]
+    # each count is back after the subcommand; libraries that load later
     # read the environment
     assert [pool.count for pool in pools] == [2, 5]
-    assert [os.environ[var] for var in cli._THREAD_VARS] == ["4"] * 4
+    assert [os.environ[var] for var in cli._THREAD_VARS] == ["1"] * 4
 
 
 def test_blas_counts_are_restored_when_a_subcommand_fails(
@@ -284,11 +268,12 @@ def test_blas_cap_reaches_the_loaded_openblas(tmp_path, monkeypatch):
     assert seen == [[1] * len(pools)]
 
 
-# --threads sets only the BLAS and OpenMP pools: rte-evolve propagates
-# on the calling thread (its 650-row block) or on two threads (the
-# 40 256-row block: the products on the caller, the folds and drift checks
-# on one worker) at any count, and rte-spectrum's shift-invert eigensolve
-# calls BLAS
+# A child whose environment asks for one or for two BLAS and OpenMP
+# threads writes the same bytes: each subcommand runs BLAS on one thread,
+# rte-evolve propagates on the calling thread (its 650-row block) or on
+# two threads (the 40 256-row block: the products on the caller, the folds
+# and drift checks on one worker) whatever the environment says, and
+# rte-spectrum's shift-invert eigensolve calls BLAS
 @pytest.mark.parametrize("command, config", [
     ("rte-evolve", "evolve_n_tot_max = 2\nt_max = 20\n"),
     ("rte-evolve", "evolve_n_tot_max = 4\nt_max = 20\n"),
@@ -297,12 +282,12 @@ def test_blas_cap_reaches_the_loaded_openblas(tmp_path, monkeypatch):
 def test_thread_count_changes_no_byte(tmp_path, cli_env, command, config):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[liouville]\n" + config)
-    # no pinned pools in the environment: --threads alone sets them
     env = {k: v for k, v in cli_env.items() if not k.endswith("_NUM_THREADS")}
     outputs = []
     for threads in ("1", "2"):
-        proc = _run(["--threads", threads, "--config", str(cfg),
-                     "--out", threads, command], tmp_path, env)
+        proc = _run(["--config", str(cfg), "--out", threads, command],
+                    tmp_path, env, env_extra={"OPENBLAS_NUM_THREADS": threads,
+                                              "OMP_NUM_THREADS": threads})
         assert proc.returncode == 0, proc.stderr
         out = tmp_path / threads
         outputs.append((proc.stdout, {path.name: path.read_bytes()

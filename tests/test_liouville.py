@@ -921,6 +921,50 @@ def test_shift_invert_fill_guard():
     assert (again.lu_nnz, again.solves) == (report.lu_nnz, report.solves)
 
 
+def test_shift_invert_reads_its_fill_after_the_eigensolve(monkeypatch):
+    # SuperLU caches the L and U it builds on first access (8.1 MB at dim
+    # 11 700): read before eigsh they stay alive beside the factors through
+    # the whole eigensolve.  The factors go before the residual norms.
+    space = lv.TruncatedFock(lv.jittered_modes(1.0, seed=0, n_side=4),
+                             n_tot_max=2)
+    L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.1)
+    events = []
+    splu, eigsh, norm = spla.splu, spla.eigsh, np.linalg.norm
+
+    class Recording:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            if name in ("L", "U"):
+                events.append(name)
+            return getattr(self.lu, name)
+
+        def solve(self, b):
+            return self.lu.solve(b)
+
+        def __del__(self):
+            events.append("freed")
+
+    def solving(*args, **kwargs):
+        out = eigsh(*args, **kwargs)
+        events.append("eigsh")
+        return out
+
+    def norming(*args, **kwargs):
+        events.append("norm")
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: Recording(splu(A, **kw)))
+    monkeypatch.setattr(spla, "eigsh", solving)
+    monkeypatch.setattr(np.linalg, "norm", norming)
+    report = lv.spectrum_scan(L)
+    monkeypatch.undo()
+    assert events[events.index("eigsh"):] == ["eigsh", "L", "U", "freed",
+                                              "norm"]
+    assert report.lu_nnz == lv.spectrum_scan(L).lu_nnz > 0
+
+
 @pytest.fixture(scope="module")
 def criterion_8_sweeps():
     return {seed: lv.kernel_splitting_sweep(_criterion_8_space(seed), 1.0,
@@ -2068,6 +2112,16 @@ def test_one_boson_initial_rejects_nonfinite_input():
         lv.one_boson_initial(space, ground * math.nan, np.ones(disc.n_modes))
 
 
+def test_one_boson_initial_rejects_a_zero_vector():
+    # a zero detector vector gave NaN entries from the 0/0 normalisation
+    disc, space = _small_paired()
+    for dv, profile in ((np.zeros(4), np.ones(disc.n_modes)),
+                        (np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(disc.n_modes))):
+        with pytest.raises(ValidationError, match="detector vector and mode "
+                                                  "profile must be nonzero"):
+            lv.one_boson_initial(space, dv, profile)
+
+
 def test_one_boson_initial_normalized():
     disc, space = _small_paired()
     profile = np.exp(-((disc.s - 1.0) ** 2)) * (disc.s > 0)
@@ -2143,11 +2197,31 @@ def test_diagonal_coupling_dephases_in_closed_form(n_tot, bound):
 
 def test_tomita_identity_and_detector_observables():
     _, space = _small_paired()
+    # the raising matrix is not Hermitian, and need not be
     report = lv.tomita_residual(space, 1.0, 1.0,
                                 observables=[("identity",),
                                              ("detector", OFFDIAG),
-                                             ("detector", np.diag([1.0, 0.0]))])
+                                             ("detector", np.diag([1.0, 0.0])),
+                                             ("detector", [[0.0, 1.0],
+                                                           [0.0, 0.0]])])
     assert report.max_residual < 1e-8
+
+
+@pytest.mark.parametrize("desc, message", [
+    (("detector", np.eye(3)), r"observable 1 \(detector\) must be 2x2"),
+    (("detector", [[1.0, math.nan], [0.0, 1.0]]),
+     r"observable 1 \(detector\) must have finite entries"),
+    (("weyl", 99, 0.5), r"observable 1 \(weyl\) needs an integer pair mode "
+                        r"in \[0, 8\) and a finite alpha, got \(99, 0.5\)"),
+    (("weyl", -1, 0.5), r"observable 1 \(weyl\) needs"),
+    (("weyl", 1.5, 0.5), r"observable 1 \(weyl\) needs"),
+    (("weyl", 0, math.nan), r"observable 1 \(weyl\) needs"),
+], ids=["detector-3x3", "detector-nan", "weyl-99", "weyl-negative",
+        "weyl-fractional", "weyl-nan"])
+def test_tomita_residual_names_a_malformed_descriptor(desc, message):
+    _, space = _small_paired()
+    with pytest.raises(ValidationError, match=message):
+        lv.tomita_residual(space, 1.0, 1.0, [("identity",), desc])
 
 
 # ---------------------------------------------------------------------------
