@@ -17,6 +17,8 @@ phase -e^{i zeta}, and the two are exchanged by the modular conjugation.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextvars import ContextVar
@@ -213,10 +215,9 @@ _PAIRED_SPLIT = 1.5
 _JITTER_SPLIT = (1.2, 1.8)       # range of the jittered split point
 _SHELL_ORDERS = (2, 8, 2)
 _SHELL_HALF_WIDTH = (0.35, 0.5)  # range of the shell's jittered half width
-# TruncatedFock checks its rank order and sums its occupation energies over
-# blocks of this many basis rows, so that no int64 or float64 copy of the
-# whole uint8 basis is made.  The benchmarked grids (up to 20 475 rows) fit
-# in one block.
+# TruncatedFock sums its occupation energies over blocks of this many basis
+# rows, so that no float64 copy of the whole uint8 basis is made.  The
+# benchmarked grids (up to 20 475 rows) fit in one block.
 _FOCK_BLOCK = 1 << 15
 
 
@@ -304,30 +305,27 @@ class TruncatedFock:
 
     The reservoir occupation basis is enumerated in lexicographic order,
     either with a total-occupation budget (n_tot_max) or per-mode caps
-    (n_max).  Full-space indices are detector-major: index = d*R + r with
-    d in {0:++, 1:+-, 2:-+, 3:--}, a (4, R) array flattened.  The full
-    rank of an occupation n is its exact index in that enumeration:
-    sum_j C[j+1, left_j + 1] - C[j+1, left_j - n_j + 1], where left_j is
-    the budget less the quanta before mode j.  C[j, b + 1] is the sum over
-    b' <= b of the number of allowed occupations of modes j, j+1, ... with
-    at most b' quanta, so each term counts basis rows and stays below the
-    dimension.
+    (n_max), an integer >= 1 (ValidationError otherwise).  Full-space
+    indices are detector-major: index = d*R + r with d in {0:++, 1:+-,
+    2:-+, 3:--}, a (4, R) array flattened.  The rank of an occupation n is
+    its row in the basis, found by binary search: each row read as one
+    big-endian byte string orders as the rows do, and the constructor
+    checks once that these keys strictly increase.
 
     energy_max, if given, is an energy window inside the truncation: only
     occupations n with |n . s| <= energy_max are kept (the truncated
     conformal space cutoff of Yurov & Zamolodchikov, Int. J. Mod. Phys. A
     5 (1990) 3221).  The window is decided once, on the energies summed
-    here, and ``rank`` is then the index among the kept rows, found by
-    binary search over their sorted full ranks; an occupation outside the
-    window raises ValidationError.  A window that keeps every row is
-    dropped, so the space is then the same as without one.
+    here, and the basis holds only the kept rows, so an occupation of the
+    truncation that is not a row lies outside the window: ``rank`` raises
+    ValidationError for it.
 
     Memory: the basis (reservoir_dim x modes, in the smallest unsigned
-    dtype that holds n_tot_max: uint8 up to 255), occupation_energy
-    (reservoir_dim floats), C ((modes + 1) x (n_tot_max + 2) int64) and,
-    with a window that drops rows, the kept full ranks (reservoir_dim
-    int64).  The constructor enumerates the whole budget first, so its
-    peak holds the unwindowed basis and energies as well.
+    dtype that holds n_tot_max: uint8 up to 255) and occupation_energy
+    (reservoir_dim floats).  The keys of a uint8 basis are a view of it;
+    those of a wider one, a big-endian copy made per lookup.  The
+    constructor enumerates the whole budget first, so its peak holds the
+    unwindowed basis and energies as well.
     Ladder operators come from one raising table, one entry per (row with
     room, mode): a row n below its cap in the mode and below n_tot_max in
     total goes to rank(n + e_mode) with weight sqrt(n_mode + 1), if that
@@ -347,84 +345,79 @@ class TruncatedFock:
         N = disc.n_modes
         name, cap = (("n_tot_max", n_tot_max) if n_max is None
                      else ("n_max", n_max))
-        if int(cap) < 1:
+        try:
+            cap = operator.index(cap)
+        except TypeError:
+            raise ValidationError("%s must be an integer, got %r"
+                                  % (name, cap)) from None
+        if cap < 1:
             raise ValidationError("%s must be >= 1" % name)
-        self.caps = np.full(N, int(cap), dtype=np.int64)
-        self.n_tot_max = int(cap) if n_max is None else int(np.sum(self.caps))
+        self.caps = np.full(N, cap, dtype=np.int64)
+        self.n_tot_max = cap if n_max is None else cap * N
         # From the last mode up: each value m of mode j goes in front of the
         # rows of modes j+1, ... that hold at most n_tot_max - m quanta.
         budget = self.n_tot_max
-        self._counts = np.zeros((N + 1, budget + 2), dtype=np.int64)
         rows = np.zeros((1, 0), dtype=np.min_scalar_type(budget))
         tot = np.zeros(1, np.int64)
-        for j in range(N, -1, -1):
-            if j < N:
-                keep = [(m, tot <= budget - m)
-                        for m in range(min(int(self.caps[j]), budget) + 1)]
-                rows = np.concatenate([np.insert(rows[k], 0, m, axis=1)
-                                       for m, k in keep])
-                tot = np.concatenate([tot[k] + m for m, k in keep])
-            self._counts[j, 1:] = np.cumsum(np.cumsum(
-                np.bincount(tot, minlength=budget + 1)))
+        for j in range(N - 1, -1, -1):
+            keep = [(m, tot <= budget - m)
+                    for m in range(min(cap, budget) + 1)]
+            rows = np.concatenate([np.insert(rows[k], 0, m, axis=1)
+                                   for m, k in keep])
+            tot = np.concatenate([tot[k] + m for m, k in keep])
         energy = np.empty(len(rows))
         for start in range(0, len(rows), _FOCK_BLOCK):
             block = rows[start:start + _FOCK_BLOCK]
-            stop = start + len(block)
-            if not np.array_equal(self._full_rank(block),
-                                  np.arange(start, stop)):
-                raise StructuralError("occupation basis is not rank-ordered")
-            energy[start:stop] = block @ self.disc.s
+            energy[start:start + len(block)] = block @ self.disc.s
         self.energy_max = None if energy_max is None else float(energy_max)
-        self._kept = None    # the full ranks of the kept rows, if not all
         if energy_max is not None:
             inside = np.abs(energy) <= energy_max
-            if not inside.all():
-                self._kept = np.nonzero(inside)[0]
-                rows, energy = rows[self._kept], energy[self._kept]
+            rows, energy = rows[inside], energy[inside]
         self.basis = rows
+        keys = self._keys(rows)
+        if not np.all(keys[1:] > keys[:-1]):
+            raise StructuralError("occupation basis is not rank-ordered")
         self.occupation_energy = energy
         self.reservoir_dim = len(rows)
         self.dim = 4 * self.reservoir_dim
         self.vacuum = 0
 
-    def _full_rank(self, occ) -> np.ndarray:
-        """Index of each occupation tuple in the unwindowed enumeration,
-        unchecked."""
-        occ = np.asarray(occ, dtype=np.int64)
-        out = np.zeros(occ.shape[:-1], dtype=np.int64)
-        left = np.full(occ.shape[:-1], self.n_tot_max, dtype=np.int64)
-        for j, C in enumerate(self._counts[1:]):
-            out += C[left + 1] - C[left - occ[..., j] + 1]
-            left -= occ[..., j]
-        return out
+    def _keys(self, occ) -> np.ndarray:
+        """Each occupation tuple (the last axis, in range) as one big-endian
+        byte string in the basis dtype; the vacuum of no modes is one byte."""
+        occ = np.ascontiguousarray(occ,
+                                   dtype=self.basis.dtype.newbyteorder(">"))
+        if not occ.shape[-1]:
+            occ = np.zeros(occ.shape[:-1] + (1,), dtype=np.uint8)
+        return occ.view("S%d" % (occ.shape[-1] * occ.itemsize))[..., 0]
 
-    def _compress(self, full):
-        """(index among the kept rows, inside the window) of full ranks, on
-        a space whose window drops rows."""
-        index = np.searchsorted(self._kept, full)
-        inside = self._kept[np.minimum(index, len(self._kept) - 1)] == full
-        return index, inside
+    def _lookup(self, occ):
+        """(basis row, whether it is one) of each occupation tuple of the
+        truncation; a tuple that is no row lies outside the energy window."""
+        basis, keys = self._keys(self.basis), self._keys(occ)
+        index = np.minimum(np.searchsorted(basis, keys), len(basis) - 1)
+        return index, basis[index] == keys
 
     def rank(self, occupations) -> np.ndarray:
         """Basis index of each occupation tuple (the last axis).
 
-        A wrong length, a negative entry, an entry above its cap, a total
-        above n_tot_max or an occupation outside the energy window raises
-        ValidationError.
+        A wrong length, an entry that is not a finite integer, a negative
+        entry, an entry above its cap, a total above n_tot_max or an
+        occupation outside the energy window raises ValidationError.
         """
-        occ = np.asarray(occupations, dtype=np.int64)
+        occ = np.asarray(occupations)
         if occ.shape[-1:] != self.caps.shape:
             raise ValidationError("occupation tuples need %d entries, got "
                                   "shape %s" % (len(self.caps), occ.shape))
+        if occ.dtype.kind not in "biuf" or not np.all(
+                np.isfinite(occ) & (occ == np.round(occ))):
+            raise ValidationError("occupation entries must be finite integers")
         if (np.any(occ < 0) or np.any(occ > self.caps)
                 or np.any(occ.sum(axis=-1) > self.n_tot_max)):
             raise ValidationError("occupation tuple outside the truncation")
-        index = self._full_rank(occ)
-        if self._kept is not None:
-            index, inside = self._compress(index)
-            if not inside.all():
-                raise ValidationError(
-                    "occupation tuple outside the energy window")
+        index, found = self._lookup(occ)
+        if not found.all():
+            raise ValidationError("occupation tuple outside the energy window")
         return index
 
     def free_energies(self, E: float) -> np.ndarray:
@@ -441,17 +434,14 @@ class TruncatedFock:
         k, cols = np.nonzero(room.T)
         mode = modes[k]
         rows = np.empty_like(cols)
+        found = np.empty(len(cols), dtype=bool)
         start = 0
         for j, count in zip(modes, room.sum(axis=0)):
             seg = slice(start, start + count)
-            rows[seg] = self._full_rank(B[cols[seg]]
-                                        + (np.arange(B.shape[1]) == j))
+            rows[seg], found[seg] = self._lookup(
+                B[cols[seg]] + (np.arange(B.shape[1]) == j))
             start += count
-        # a target outside the window is found by its full rank, not by its
-        # energy, so that the kept set is exactly the constructor's
-        if self._kept is not None:
-            rows, inside = self._compress(rows)
-            rows, cols, mode = rows[inside], cols[inside], mode[inside]
+        rows, cols, mode = rows[found], cols[found], mode[found]
         return rows, cols, mode, np.sqrt(B[cols, mode] + 1.0)
 
     def creation_matrix(self, mode: int) -> sp.csr_matrix:
@@ -1765,13 +1755,21 @@ def tomita_residual(space: TruncatedFock, E: float, beta: float,
     Phi the field of the normalized glued amplitudes on the mode and its
     mirror, whose cutoff tail probes the truncation.  A detector matrix
     that is not finite and 2x2, a pair mode out of range or a non-finite
-    alpha raises ValidationError naming the descriptor's place in the list.
+    alpha raises ValidationError naming the descriptor's place in the list,
+    as does a descriptor of another kind or length.
     """
     J = ModularConjugation(space)
     omega0 = gns_vacuum(space, E, beta)
     half_mod = np.exp(-beta * space.free_energies(E) / 2.0)
     residuals = []
     for i, desc in enumerate(observables):
+        if not (isinstance(desc, (tuple, list)) and desc
+                and isinstance(desc[0], str)
+                and len(desc) == {"identity": 1, "detector": 2,
+                                  "weyl": 3}.get(desc[0])):
+            raise ValidationError(
+                "observable %d must be ('identity',), ('detector', M) or "
+                "('weyl', pair_mode, alpha), got %r" % (i, desc))
         kind = desc[0]
         name = "observable %d (%s)" % (i, kind)
         if kind == "identity":
@@ -1779,10 +1777,11 @@ def tomita_residual(space: TruncatedFock, E: float, beta: float,
         elif kind == "detector":
             M = sp.csr_matrix(_finite_2x2(desc[1], name))
             X = sp.kron(M, sp.identity(2 * space.reservoir_dim)).tocsr()
-        elif kind == "weyl":
-            j, alpha = desc[1], float(desc[2])
-            if not (isinstance(j, (int, np.integer)) and math.isfinite(alpha)
-                    and 0 <= j < space.disc.n_modes):
+        else:
+            j, alpha = desc[1:]
+            if not (isinstance(j, (int, np.integer))
+                    and isinstance(alpha, numbers.Real)
+                    and math.isfinite(alpha) and 0 <= j < space.disc.n_modes):
                 raise ValidationError(
                     "%s needs an integer pair mode in [0, %d) and a finite "
                     "alpha, got %r" % (name, space.disc.n_modes, desc[1:]))
@@ -1792,8 +1791,6 @@ def tomita_residual(space: TruncatedFock, E: float, beta: float,
             Phi = space.field_matrix(h / np.linalg.norm(h)).toarray()
             W = sla.expm(1j * alpha * np.asarray(Phi, dtype=complex))
             X = sp.kron(sp.identity(4), sp.csr_matrix(W)).tocsr()
-        else:
-            raise ValidationError("unknown observable descriptor %r" % (desc,))
         lhs = J.apply(half_mod * (X @ omega0))
         rhs = X.conj().T @ omega0
         residuals.append(float(np.linalg.norm(lhs - rhs)))

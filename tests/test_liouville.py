@@ -236,6 +236,17 @@ def test_space_requires_exactly_one_truncation():
         lv.TruncatedFock(disc, n_tot_max=2, n_max=2)
 
 
+def test_space_takes_integer_truncations_only():
+    disc, space = _small_paired()
+    for name, value in [("n_tot_max", 2.5), ("n_tot_max", "3"),
+                        ("n_tot_max", 2.0), ("n_max", 1.5)]:
+        with pytest.raises(ValidationError, match="%s must be an integer"
+                           % name):
+            lv.TruncatedFock(disc, **{name: value})
+    assert np.array_equal(lv.TruncatedFock(disc, n_tot_max=np.int64(2)).basis,
+                          space.basis)
+
+
 def test_index_occupation_roundtrip():
     _, space = _small_paired(n_side=4, n_tot=3)
     for idx in range(0, space.reservoir_dim, 7):
@@ -249,9 +260,31 @@ def test_rank_rejects_occupations_outside_the_truncation():
     for sp_, occ in [(space, [0, 3, 0, 0, 0, 0, 0]),          # wrong length
                      (space, [1, -2, 0, 0, 0, 0, 0, 0]),      # negative
                      (capped, [2, 0, 0, 0, 0, 0, 0, 0]),      # above its cap
-                     (space, [2, 2, 0, 0, 0, 0, 0, 0])]:      # above budget
+                     (space, [2, 2, 0, 0, 0, 0, 0, 0]),       # above budget
+                     # checked before the uint8 cast, where they would wrap
+                     (space, [256, 0, 0, 0, 0, 0, 0, 0]),
+                     (space, [2.0**64, 0, 0, 0, 0, 0, 0, 0])]:
         with pytest.raises(ValidationError):
             sp_.rank(occ)
+
+
+def test_rank_refuses_entries_that_are_not_finite_integers():
+    _, space = _small_paired(n_side=4, n_tot=3)
+    for entry in (0.5, math.nan, math.inf, 1j, "1", None):
+        with pytest.raises(ValidationError, match="finite integers"):
+            space.rank([entry] + [0] * 7)
+    with pytest.raises(ValidationError, match="finite integers"):
+        space.rank([0.5] * 8)
+    assert space.rank([1.0, 2.0] + [0.0] * 6) == space.rank([1, 2] + [0] * 6)
+
+
+def test_rank_of_the_vacuum_of_no_modes():
+    space = _empty_space()
+    assert space.basis.shape == (1, 0)
+    assert np.array_equal(space.rank(space.basis), [0])
+    assert space.rank(np.zeros(0, dtype=np.int64)) == 0
+    with pytest.raises(ValidationError, match="need 0 entries"):
+        space.rank([0])
 
 
 @pytest.mark.parametrize("n_tot, dim", [(5, 118755), (6, 593775)])
@@ -652,9 +685,9 @@ def test_only_the_generator_has_the_doubled_dimension():
 def test_assembly_keeps_the_generator_and_the_reservoir_factors():
     # criterion-10 set-up at n_tot_max = 3 (dim 11 700).  What the space
     # and the operator keep, traced, is the generator, both fields and the
-    # basis, plus a slack: the occupation energies (8 bytes a row), the
-    # rank counts C, and 64 KiB for Python objects and first-call caches
-    # (about 35 KB measured).  I and V would add 2.3 MB here.
+    # basis, plus a slack: the occupation energies (8 bytes a row) and
+    # 64 KiB for Python objects and first-call caches (about 35 KB
+    # measured).  I and V would add 2.3 MB here.
     csr_bytes = lambda M: M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
     tracemalloc.start()
     try:
@@ -665,7 +698,7 @@ def test_assembly_keeps_the_generator_and_the_reservoir_factors():
     space = L.space
     kept = (csr_bytes(L.matrix) + csr_bytes(L.phi) + csr_bytes(L.phi_conj)
             + space.basis.nbytes)
-    slack = space.occupation_energy.nbytes + space._counts.nbytes + 65536
+    slack = space.occupation_energy.nbytes + 65536
     assert L.dim == 11700
     assert kept <= held <= kept + slack
 
@@ -683,15 +716,46 @@ def test_occupation_basis_takes_the_smallest_unsigned_dtype():
                           space.basis.astype(np.int64) @ two.s)
 
 
+def test_uint16_window_keeps_principal_submatrices():
+    two = lv.ReservoirDiscretization(np.array([-1.0, 1.0]), np.full(2, 0.1),
+                                     np.full(2, 0.3), beta=1.0)
+    full = lv.TruncatedFock(two, n_max=128)
+    win = lv.TruncatedFock(two, n_max=128, energy_max=100.0)
+    assert win.basis.dtype == np.uint16
+    assert 0 < win.reservoir_dim < full.reservoir_dim
+    assert np.array_equal(win.rank(win.basis), np.arange(win.reservoir_dim))
+    kept = full.rank(win.basis)
+    assert np.all(np.abs(full.occupation_energy[kept]) <= 100.0)
+    for j in range(2):
+        assert _same_entries(full.creation_matrix(j)[kept][:, kept],
+                             win.creation_matrix(j))
+    with pytest.raises(ValidationError, match="energy window"):
+        win.rank([128, 0])
+
+
+def test_uint16_keys_are_big_endian():
+    # 256 is the bytes (1, 0) big-endian but (0, 1) little-endian, which
+    # would sort before 1 = (1, 0) and break the order check and the rank
+    one = lv.ReservoirDiscretization(np.array([1.0]), np.ones(1), np.ones(1),
+                                     beta=1.0)
+    space = lv.TruncatedFock(one, n_tot_max=300)
+    assert space.basis.dtype == np.uint16
+    assert np.array_equal(space.basis[:, 0], np.arange(301))
+    assert np.array_equal(space.rank(space.basis), np.arange(301))
+    a_dag = space.creation_matrix(0)
+    assert np.array_equal(a_dag.diagonal(-1), np.sqrt(np.arange(1.0, 301)))
+    assert a_dag.nnz == 300
+
+
 def test_fock_space_peak_stays_near_what_it_holds():
     # The enumeration holds at most three basis-sized uint8 arrays (the
     # previous rows, the widened pieces, their concatenation) and two int64
-    # row-total arrays, the energies one float64 array.  The rank check and
-    # the energy sum then take one block of rows at a time; 10 bytes an
-    # entry of the block cover the larger of its int64 copy with the two
-    # boolean masks (8 + 1 + 1) and the float64 cast inside block @ s (8).
-    # An unblocked check converts the whole basis to int64 (8 bytes an
-    # entry, 23 MB here: a 32 MB peak).
+    # row-total arrays, the energies one float64 array.  The energy sum
+    # then takes one block of rows at a time; 10 bytes an entry of the
+    # block cover the float64 cast inside block @ s (8).  The order check
+    # reads the uint8 rows as byte strings in place and makes one boolean
+    # a row.  An unblocked sum or an int64 copy of the whole basis (8 bytes
+    # an entry, 23 MB here) breaks the bound.
     shell = lv.resonant_shell_modes(1.0, 1.0, seed=0)
     tracemalloc.start()
     try:
@@ -2216,8 +2280,16 @@ def test_tomita_identity_and_detector_observables():
     (("weyl", -1, 0.5), r"observable 1 \(weyl\) needs"),
     (("weyl", 1.5, 0.5), r"observable 1 \(weyl\) needs"),
     (("weyl", 0, math.nan), r"observable 1 \(weyl\) needs"),
+    (("weyl", 0, "abc"), r"observable 1 \(weyl\) needs"),
+    ((), r"observable 1 must be \('identity',\), \('detector', M\) or "
+         r"\('weyl', pair_mode, alpha\), got \(\)"),
+    (("detector",), r"observable 1 must be .*, got \('detector',\)"),
+    (("weyl", 0), r"observable 1 must be .*, got \('weyl', 0\)"),
+    (("weyl", 0, 1.0, 2), r"observable 1 must be"),
+    (None, r"observable 1 must be .*, got None"),
 ], ids=["detector-3x3", "detector-nan", "weyl-99", "weyl-negative",
-        "weyl-fractional", "weyl-nan"])
+        "weyl-fractional", "weyl-nan", "weyl-text", "empty", "detector-short",
+        "weyl-short", "weyl-long", "none"])
 def test_tomita_residual_names_a_malformed_descriptor(desc, message):
     _, space = _small_paired()
     with pytest.raises(ValidationError, match=message):
