@@ -6,9 +6,11 @@ headers.  Resolution order, lowest to highest: built-in defaults, the
 line flags.  An unknown key is an error in the file and in the
 environment alike.  Every run writes a manifest echoing the resolved
 values it consumed plus the tool version, so a run is reproducible from
-its output directory alone.  All numeric file output uses 17 significant
-digits and fixed reduction order; identical configuration and seed give
-byte-identical files.
+its output directory alone.  The subcommands write every output file
+through textio; the numeric modules return data.  All numeric file output
+uses 17 significant digits and fixed reduction order; identical
+configuration and seed give byte-identical files.  A MemoryError exits 2
+like a ValidationError (see errors), with its message and no traceback.
 
 Each subcommand runs BLAS on one thread, and no flag or variable
 changes that.  The OpenBLAS builds that numpy and scipy have already
@@ -476,10 +478,13 @@ def cmd_rte_spectrum(ctx):
     cfg, out_dir = _prepare(ctx)
     lv, space, gap, G, t_rec, (lo, hi) = _liouville_space(
         cfg, ctx.obj["seed"], "")
-    from .textio import fmt17
+    from .textio import fmt17, write_csv
     sweep = lv.kernel_splitting_sweep(space, gap, G,
                                       cfg["liouville"]["lambdas"])
-    sweep.save(os.path.join(out_dir, "rte_spectrum.csv"))
+    write_csv(os.path.join(out_dir, "rte_spectrum.csv"),
+              "lambda,gap,fit_exponent",
+              [sweep.lambdas, sweep.gaps,
+               [sweep.fit_exponent] * len(sweep.lambdas)])
     _write_manifest(ctx, extra=[("theta", fmt17(sweep.theta)),
                                 ("recurrence_time", fmt17(t_rec)),
                                 ("lu_nnz_max", str(sweep.lu_nnz)),
@@ -502,14 +507,15 @@ def cmd_rte_evolve(ctx):
         cfg, ctx.obj["seed"], "evolve_")
     lcfg, dt = cfg["liouville"], cfg["liouville"]["dt"]
     import numpy as np
-    from .textio import fmt17
+    from .textio import fmt17, write_csv
     lam = lo if lcfg["evolve_lambda"] is None else lcfg["evolve_lambda"]
     t_max = t_rec if lcfg["t_max"] is None else lcfg["t_max"]
     L = lv.assemble_liouvillean(space, gap, G, lam)
     psi = lv.INITIAL_STATES[lcfg["initial"]](L)
     tgrid = np.arange(dt, t_max + dt / 2.0, dt)
     report = lv.rte_distance_series(L, psi, tgrid)
-    report.save(os.path.join(out_dir, "rte_evolve.csv"))
+    write_csv(os.path.join(out_dir, "rte_evolve.csv"), "t,trace_distance",
+              [report.times, report.distances])
     _write_manifest(ctx, extra=[("lambda_used", fmt17(lam)),
                                 ("recurrence_time", fmt17(t_rec)),
                                 ("fgr_window_lo", fmt17(lo)),
@@ -538,7 +544,7 @@ def cmd_disjoint(ctx):
     from .disjointness import adapted_family, overlap_decay
     from .oneparticle import BoostSpec
     from .quasifree import QuasiFreeState
-    from .textio import fmt17
+    from .textio import fmt17, write_csv, write_keyvals
     family = adapted_family(d_cfg["n_max_modes"], s_lo=d_cfg["s_lo"],
                             s_hi=d_cfg["s_hi"])
     mass = cfg["global"]["mass"]
@@ -547,10 +553,15 @@ def cmd_disjoint(ctx):
                             frame=BoostSpec.from_velocity(d_cfg["v"]))
     curve = overlap_decay(state1, state2, family,
                           threshold=d_cfg["threshold"])
-    curve.save(os.path.join(out_dir, "disjoint.csv"))
+    n_star = "none" if curve.n_star is None else str(curve.n_star)
+    path = os.path.join(out_dir, "disjoint.csv")
+    write_csv(path, "n,fidelity", [curve.ns, curve.values])
+    write_keyvals(path + ".meta", [
+        ("family", family.descriptor), ("threshold", d_cfg["threshold"]),
+        ("n_star", n_star), ("log_slope", curve.slope),
+        ("state1", repr(state1)), ("state2", repr(state2))])
     _write_manifest(ctx)
-    click.echo("n_star=%s" % ("none" if curve.n_star is None
-                              else str(curve.n_star)))
+    click.echo("n_star=%s" % n_star)
     click.echo("log_slope=%s" % fmt17(curve.slope))
     click.echo("final_fidelity=%s" % fmt17(float(curve.values[-1])))
 
@@ -572,6 +583,9 @@ def main(argv=None):
     except NumericalError as exc:
         click.echo("numerical error: %s" % exc, err=True)
         return 3
+    except MemoryError as exc:
+        click.echo("memory error: %s" % exc, err=True)
+        return 2
 
 
 if __name__ == "__main__":

@@ -440,7 +440,6 @@ class BetaEffCurve:
         self.down = down
         self.balance = up / down
         self.beta_eff = -np.log(self.balance) / energies
-        self.curve = curve
 
     @property
     def spread(self):

@@ -20,14 +20,14 @@ thresholds are measured targets, not theorems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .oneparticle import bath_occupation
 from .quasifree import QuasiFreeState
-from .textio import fmt17, write_csv, write_keyvals
+from .textio import fmt17
 
 __all__ = [
     "ModeFamily",
@@ -135,20 +135,8 @@ class FidelityCurve:
 
     ns: np.ndarray
     values: np.ndarray
-    threshold: float
     n_star: int | None
     slope: float
-    descriptor: str = ""
-    meta: dict = field(default_factory=dict)
-
-    def save(self, path):
-        write_csv(path, "n,fidelity", [self.ns, self.values])
-        pairs = [("family", self.descriptor),
-                 ("threshold", fmt17(self.threshold)),
-                 ("n_star", "none" if self.n_star is None else str(self.n_star)),
-                 ("log_slope", fmt17(self.slope))]
-        pairs += sorted((k, str(v)) for k, v in self.meta.items())
-        write_keyvals(str(path) + ".meta", pairs)
 
 
 def overlap_decay(state1: QuasiFreeState, state2: QuasiFreeState,
@@ -173,7 +161,4 @@ def overlap_decay(state1: QuasiFreeState, state2: QuasiFreeState,
     n_star = int(ns[hit[0]]) if len(hit) else None
     logs = np.log(np.clip(values, 1e-300, None))
     slope = float(np.polyfit(ns, logs, 1)[0]) if len(ns) > 1 else 0.0
-    return FidelityCurve(ns=ns, values=values, threshold=threshold,
-                         n_star=n_star, slope=slope,
-                         descriptor=family.descriptor,
-                         meta={"state1": repr(state1), "state2": repr(state2)})
+    return FidelityCurve(ns=ns, values=values, n_star=n_star, slope=slope)

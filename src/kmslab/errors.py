@@ -1,7 +1,7 @@
 """Shared exception and warning types.
 
-Exit-code mapping used by the command line front end:
-ValidationError (and subclasses) -> 2, NumericalError -> 3.
+Exit-code mapping used by the command line front end: ValidationError
+(and subclasses) and MemoryError -> 2, NumericalError -> 3.
 """
 
 

@@ -40,7 +40,7 @@ from .errors import (
 from .oneparticle import (MomentumFunction, default_coupling, gl_panels,
                           glue_branches, gluing_phase)
 from .quasifree import QuasiFreeState, _phase_sum, two_point, two_point_series
-from .textio import fmt17, write_csv
+from .textio import fmt17
 
 __all__ = [
     "ReservoirDiscretization",
@@ -507,7 +507,6 @@ class LiouvilleanOperator:
 
     matrix: sp.csr_matrix
     lam: float
-    beta: float
     gap: float
     space: TruncatedFock
     G: np.ndarray | None = None
@@ -620,7 +619,7 @@ def assemble_L0(space: TruncatedFock, E: float) -> LiouvilleanOperator:
             "resonant mode grid: %d reservoir sums collide with {0, +-E}: %s%s"
             % (len(collisions), listing, more), ResonanceWarning, stacklevel=2)
     return LiouvilleanOperator(matrix=sp.diags(diag).tocsr(), lam=0.0,
-                               beta=space.disc.beta, gap=float(E), space=space)
+                               gap=float(E), space=space)
 
 
 def _coupling_factors(space: TruncatedFock, G: np.ndarray):
@@ -935,10 +934,6 @@ class SweepReport:
     theta: float
     lu_nnz: int
     solves: int
-
-    def save(self, path):
-        fit = np.full(len(self.lambdas), self.fit_exponent)
-        write_csv(path, "lambda,gap,fit_exponent", [self.lambdas, self.gaps, fit])
 
 
 def kernel_splitting_sweep(space: TruncatedFock, E: float, G: np.ndarray,
@@ -1652,14 +1647,10 @@ class RTEReport:
     distances: np.ndarray
     crossing_time: float | None
     pre_recurrence_min: float
-    recurrence_time: float
     reached: bool
     norm_drift: float
     energy_drift: float
     matvecs: int
-
-    def save(self, path):
-        write_csv(path, "t,trace_distance", [self.times, self.distances])
 
 
 def _dressed_reference(L: LiouvilleanOperator) -> np.ndarray:
@@ -1667,8 +1658,8 @@ def _dressed_reference(L: LiouvilleanOperator) -> np.ndarray:
     if L.G is None:
         raise ValidationError(
             "operator lacks an interaction part; pass a reference state")
-    return reduce_detector(perturbed_kms_vector(L, L.I, L.lam, L.beta),
-                           L.space)
+    kms = perturbed_kms_vector(L, L.I, L.lam, L.space.disc.beta)
+    return reduce_detector(kms, L.space)
 
 
 def rte_distance_series(L: LiouvilleanOperator, initial: np.ndarray,
@@ -1703,8 +1694,7 @@ def rte_distance_series(L: LiouvilleanOperator, initial: np.ndarray,
     pre_min = float(np.min(dists[pre])) if np.any(pre) else float(np.min(dists))
     return RTEReport(times=traj.times, distances=dists,
                      crossing_time=crossing, pre_recurrence_min=pre_min,
-                     recurrence_time=t_rec, reached=reached,
-                     norm_drift=traj.norm_drift,
+                     reached=reached, norm_drift=traj.norm_drift,
                      energy_drift=traj.energy_drift, matvecs=traj.matvecs)
 
 

@@ -54,11 +54,10 @@ class QuasiFreeState:
         self.beta = float(beta)
         self.mass = float(mass)
         self.frame = frame if frame is not None else BoostSpec(0.0)
-        self.kind = "vacuum" if beta == math.inf else "kms"
 
     @property
     def is_vacuum(self):
-        return self.kind == "vacuum"
+        return self.beta == math.inf
 
     def __repr__(self):
         return ("QuasiFreeState(beta=%r, mass=%r, frame=%r)"

@@ -121,6 +121,30 @@ def test_env_rejects_unknown_key(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("args, env", [
+    (["kms-check", "--t-span", "1e12"], {}),
+    (["disjoint"], {"KMSLAB_DISJOINTNESS_N_MAX_MODES": "1000000000000"}),
+], ids=["kms-check", "disjoint"])
+def test_an_allocation_the_machine_cannot_make_exits_2(
+        tmp_path, monkeypatch, capsys, args, env):
+    # 36.4 TiB and 7.28 TiB arrays; the address-space cap refuses them at
+    # once even on a host that overcommits memory without limit
+    import resource
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 64 << 30 if hard == resource.RLIM_INFINITY else min(hard, 64 << 30)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        code = cli.main(["--out", str(tmp_path / "run")] + args)
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("memory error: Unable to allocate ")
+    assert err.count("\n") == 1
+
+
 def test_group_options_are_config_out_seed_and_version(tmp_path, capsys):
     # the code sets every thread count itself; no option sets one
     assert [p.name for p in cli.cli.params] == [
@@ -328,6 +352,13 @@ def test_disjoint_small_run(tmp_path, cli_env):
     lines = (tmp_path / "run" / "disjoint.csv").read_text().splitlines()
     assert lines[0] == "n,fidelity"
     assert len(lines) == 11
+    meta = (tmp_path / "run" / "disjoint.csv.meta").read_text().splitlines()
+    assert [line.split("=", 1)[0] for line in meta] == [
+        "family", "threshold", "n_star", "log_slope", "state1", "state2"]
+    assert meta[0] == "family=adapted:n=10,s_lo=0.10000000000000001,s_hi=5"
+    assert meta[1:3] == ["threshold=0.01", "n_star=none"]
+    assert meta[3] == "log_slope=" + _stdout_value(proc, "log_slope")
+    assert meta[4].startswith("state1=QuasiFreeState(beta=1.0, ")
 
 
 def test_readme_accelerated_example(tmp_path, cli_env):
@@ -346,14 +377,15 @@ def test_readme_accelerated_example(tmp_path, cli_env):
     assert "only the vacuum supports the accelerated worldline" in proc.stderr
 
 
-def test_readme_layered_config_example(tmp_path, cli_env):
+def test_readme_layered_config_example(tmp_path, monkeypatch, capsys):
+    # in process: config file, env var and defaults layered in one run
     (tmp_path / "lab.cfg").write_text(
         "[global]\nbeta = 2.0\n[detector]\nenergies = 0.5,1.0,2.0\n")
-    proc = _run(["--config", "lab.cfg", "--out", "runs/r2", "response"],
-                tmp_path, cli_env,
-                env_extra={"KMSLAB_TRAJECTORY_KIND": "inertial"})
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("KMSLAB_TRAJECTORY_KIND", "inertial")
+    assert cli.main(["--config", "lab.cfg", "--out", "runs/r2",
+                     "response"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["E=0.5", "E=1", "E=2"]
     manifest = (tmp_path / "runs" / "r2" / "manifest.txt").read_text()
     for entry in ("beta=2.0", "energies=0.5,1.0,2.0", "kind=inertial"):

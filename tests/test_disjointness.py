@@ -476,16 +476,3 @@ def test_overlap_threshold_validation():
         dj.overlap_decay(state, state, fam, threshold=0.0)
     with pytest.raises(ValidationError):
         dj.overlap_decay(state, state, fam, threshold=1.0)
-
-
-def test_fidelity_curve_serialization(tmp_path):
-    fam = dj.adapted_family(6)
-    curve = dj.overlap_decay(QuasiFreeState(beta=1.0),
-                             QuasiFreeState(beta=2.0), fam)
-    path = tmp_path / "curve.csv"
-    curve.save(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,fidelity"
-    assert len(lines) == 7
-    meta = (tmp_path / "curve.csv.meta").read_text()
-    assert "threshold" in meta and "log_slope" in meta

@@ -961,8 +961,8 @@ def test_shift_invert_matches_dense_oracle():
 
 def test_shift_invert_rejects_tiny_operator():
     tiny = lv.LiouvilleanOperator(
-        matrix=sp.csr_matrix(np.diag([0.0, 1.0])), lam=0.0,
-        beta=1.0, gap=1.0, space=None)
+        matrix=sp.csr_matrix(np.diag([0.0, 1.0])), lam=0.0, gap=1.0,
+        space=None)
     with pytest.raises(ValidationError, match="shift-invert"):
         lv.spectrum_scan(tiny)
     assert lv.spectrum_scan(tiny, method="dense").kernel_dim == 1
@@ -1576,7 +1576,7 @@ def test_small_blocks_run_inline_with_the_same_bits(monkeypatch):
 
     def outputs():
         runs = [lv.evolve(L, start, tgrid) for start in starts]
-        kms = lv.perturbed_kms_vector(L, L.I, L.lam, L.beta)
+        kms = lv.perturbed_kms_vector(L, L.I, L.lam, L.space.disc.beta)
         refusing.calls = 0
         with pytest.raises(Refused):
             lv.evolve(L, psi0, tgrid, observe=refusing)

@@ -84,6 +84,29 @@ def test_every_private_function_and_class_is_used():
     assert unused == []
 
 
+def test_only_the_front_end_names_the_writers():
+    # cli writes every output file; oneparticle keeps save_glued beside
+    # load_glued, and textio defines the two writers
+    def naming(tree):
+        return _named(tree) | {node.name for node in ast.walk(tree)
+                               if isinstance(node, ast.FunctionDef)}
+    writers = {"write_csv", "write_keyvals"}
+    found = [path.stem for path in sorted(SRC.glob("*.py"))
+             if writers & naming(ast.parse(path.read_text()))]
+    assert found == ["cli", "oneparticle", "textio"]
+
+
+def test_no_class_defines_save():
+    # results are data: the command line front end writes them
+    found = ["%s: %s" % (path.name, node.name)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(item, ast.FunctionDef) and item.name == "save"
+                     for item in node.body)]
+    assert found == []
+
+
 def test_fock_and_initial_state_names_exist():
     from kmslab import liouville as lv
     for name in ("rank", "free_energies", "creation_matrix"):

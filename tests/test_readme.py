@@ -73,7 +73,7 @@ def test_readme_command_parses(env, args):
                                                parent=ctx).close()
 
 
-def test_readme_layered_config_example_runs(tmp_path, monkeypatch):
+def test_readme_layered_config_example_runs(tmp_path, monkeypatch, capsys):
     (block,) = [b for b in _sh_blocks() if _heredocs(b)]
     for name, text in _heredocs(block).items():
         (tmp_path / name).write_text(text)
@@ -83,5 +83,8 @@ def test_readme_layered_config_example_runs(tmp_path, monkeypatch):
         monkeypatch.setenv(key, value)
     out = args[args.index("--out") + 1]
     assert cli.main(args) == 0
-    manifest = (tmp_path / out / "manifest.txt").read_text()
-    assert "beta=2" in manifest and "inertial" in manifest
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["E=0.5", "E=1", "E=2"]
+    manifest = (tmp_path / out / "manifest.txt").read_text().splitlines()
+    for entry in ("beta=2.0", "energies=0.5,1.0,2.0", "kind=inertial"):
+        assert entry in manifest
