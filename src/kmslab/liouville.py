@@ -62,6 +62,7 @@ __all__ = [
     "one_boson_initial",
     "assemble_L0",
     "assemble_coupling",
+    "assemble_factors",
     "assemble_liouvillean",
     "perturbed_kms_vector",
     "spectrum_scan",
@@ -497,12 +498,15 @@ class LiouvilleanOperator:
     """The generator L0 + lam V and the factors it is built from.
 
     ``matrix`` is the generator itself and ``dim`` its dimension; it is
-    the only field of that dimension.  The coupling is held as its
-    factors: ``G``, the Hermitian part of the 2x2 monopole matrix, and
+    the only field of that dimension.  ``rows`` is None for the generator
+    on the full space; otherwise the matrix is its principal submatrix on
+    the full-space rows ``rows`` (ascending), a sector that the generator
+    leaves invariant (see on_sector).  The coupling is held as
+    its factors: ``G``, the Hermitian part of the 2x2 monopole matrix, and
     the two reservoir field matrices ``phi`` = Phi(f) and ``phi_conj`` =
-    Phi(e^{-beta s/2} f).  All three are None for the free generator of
-    assemble_L0.  L0 is not stored: it is the diagonal
-    space.free_energies(gap).
+    Phi(e^{-beta s/2} f), of reservoir dimension whatever the rows.  All
+    three are None for the free generator of assemble_L0.  L0 is not
+    stored: it is the diagonal space.free_energies(gap).
     """
 
     matrix: sp.csr_matrix
@@ -512,6 +516,7 @@ class LiouvilleanOperator:
     G: np.ndarray | None = None
     phi: sp.csr_matrix | None = None
     phi_conj: sp.csr_matrix | None = None
+    rows: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -519,33 +524,61 @@ class LiouvilleanOperator:
 
     @property
     def I(self) -> sp.csr_matrix | None:
-        """The interaction G x 1 x Phi(f), built anew at each access."""
+        """The interaction G x 1 x Phi(f) on the rows, built anew at each
+        access."""
         if self.G is None:
             return None
-        return _interaction(self.G, self.phi)
+        return _interaction(self.G, self.phi,
+                            _row_parts(self.rows, self.space.reservoir_dim))
 
     @property
     def V(self) -> sp.csr_matrix | None:
-        """V = I - JIJ, built anew at each access; see assemble_coupling."""
+        """V = I - JIJ on the rows, built anew at each access; see
+        assemble_coupling."""
         if self.G is None:
             return None
-        return _difference(self.G, self.I, self.phi_conj)
+        parts = _row_parts(self.rows, self.space.reservoir_dim)
+        return _difference(self.G, _interaction(self.G, self.phi, parts),
+                           self.phi_conj, parts)
 
     def norm_estimate(self) -> float:
         """Infinity norm of the matrix, the documented proxy for ||L||."""
         return float(spla.norm(self.matrix, np.inf))
 
     def with_lambda(self, lam: float) -> "LiouvilleanOperator":
-        """The same factors at coupling lam; a non-finite lam, or an
-        operator without an interaction part, raises ValidationError.  V
-        is built for the call and released with it."""
+        """The same factors and rows at coupling lam; a non-finite lam, or
+        an operator without an interaction part, raises ValidationError.
+        V is built for the call and released with it."""
         if not math.isfinite(lam):
             raise ValidationError("coupling lam must be finite, got %s" % lam)
         if self.G is None:
             raise ValidationError(
                 "operator lacks an interaction part; no coupling to rescale")
-        mat = sp.diags(self.space.free_energies(self.gap)) + lam * self.V
+        free = self.space.free_energies(self.gap)
+        if self.rows is not None:
+            free = free[self.rows]
+        mat = sp.diags(free) + lam * self.V
         return replace(self, matrix=mat.tocsr(), lam=float(lam))
+
+    def on_sector(self, initial) -> "LiouvilleanOperator":
+        """The same factors and coupling, assembled only on the sector
+        that the full-space vector initial reaches.
+
+        Each term of L changes N by one and acts on the detector through
+        G x 1 or 1 x conj(G), so the classes of (detector index, N mod 2)
+        that initial reaches form a sector that L leaves invariant (see
+        _sector_rows): for an off-diagonal G, half the space.  The matrix
+        is the full generator's principal submatrix on the sector's rows,
+        bit for bit, built from slices of the reservoir fields (see
+        _kron) with no full-space matrix.  A zero initial reaches no
+        row."""
+        if self.G is None:
+            raise ValidationError(
+                "operator lacks an interaction part; it has no sectors")
+        I_fac, JIJ_fac = _detector_factors(self.G)
+        links = (I_fac.toarray() != 0) | (JIJ_fac.toarray() != 0)
+        rows = _sector_rows(self.space, links, initial)
+        return replace(self, rows=rows).with_lambda(self.lam)
 
 
 def detector_gibbs_vector(E: float, beta: float) -> np.ndarray:
@@ -636,19 +669,102 @@ def _coupling_factors(space: TruncatedFock, G: np.ndarray):
     return G, phi, phi_conj
 
 
-def _interaction(G, phi) -> sp.csr_matrix:
-    """I = G x 1 x phi."""
+def _detector_factors(G):
+    """The 4x4 detector factors of I and JIJ: G x 1 and 1 x conj(G)."""
     I2 = sp.identity(2, format="csr")
-    return sp.kron(sp.kron(sp.csr_matrix(G), I2, format="csr"), phi,
-                   format="csr")
+    return (sp.kron(sp.csr_matrix(G), I2, format="csr"),
+            sp.kron(I2, sp.csr_matrix(G).conj(), format="csr"))
 
 
-def _difference(G, I_mat, phi_conj) -> sp.csr_matrix:
-    """V = I - JIJ, with JIJ = 1 x conj(G) x phi_conj."""
-    I2 = sp.identity(2, format="csr")
-    JIJ = sp.kron(sp.kron(I2, sp.csr_matrix(G).conj(), format="csr"),
-                  phi_conj, format="csr")
-    return (I_mat - JIJ).tocsr()
+def _kron(factor, field, parts=None) -> sp.csr_matrix:
+    """factor x field, for a 4x4 detector factor and a reservoir field.
+
+    With parts, only its principal submatrix on the full-space rows d*R +
+    parts[d] (each ascending) is built, from the rows parts[d] of the
+    field: block (d, e) holds factor[d, e] times the entries of those rows
+    in the columns parts[e], each the same product that the full
+    Kronecker product forms, so every entry has the same bits.  The
+    blocks' entries are gathered as coordinates and sorted into CSR once.
+    """
+    if parts is None:
+        return sp.kron(factor, field, format="csr")
+    coef = factor.toarray()
+    sizes = [len(part) for part in parts]
+    start = np.cumsum([0] + sizes)
+    index = np.int32 if start[-1] < 2 ** 31 else np.int64
+    rows, cols, vals = [], [], []
+    for d in range(4):
+        targets = [e for e in range(4) if coef[d, e] != 0 and sizes[e]]
+        if not (sizes[d] and targets):
+            continue
+        band = field[parts[d]]
+        band_rows = np.repeat(np.arange(start[d], start[d + 1], dtype=index),
+                              np.diff(band.indptr))
+        for e in targets:
+            where = np.full(field.shape[1], -1, dtype=index)
+            where[parts[e]] = np.arange(start[e], start[e + 1], dtype=index)
+            col = where[band.indices]
+            keep = col >= 0
+            rows.append(band_rows[keep])
+            cols.append(col[keep])
+            vals.append(coef[d, e] * band.data[keep])
+    dtype = np.result_type(factor.dtype, field.dtype)
+    if not vals:
+        return sp.csr_matrix((start[-1], start[-1]), dtype=dtype)
+    return sp.csr_matrix((np.concatenate(vals).astype(dtype, copy=False),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(start[-1], start[-1]))
+
+
+def _interaction(G, phi, parts=None) -> sp.csr_matrix:
+    """I = G x 1 x phi (on parts, see _kron)."""
+    return _kron(_detector_factors(G)[0], phi, parts)
+
+
+def _difference(G, I_mat, phi_conj, parts=None) -> sp.csr_matrix:
+    """V = I - JIJ, with JIJ = 1 x conj(G) x phi_conj (on parts)."""
+    return (I_mat - _kron(_detector_factors(G)[1], phi_conj, parts)).tocsr()
+
+
+def _row_parts(rows, R):
+    """The reservoir rows r of each detector index d with d*R + r among
+    the ascending full-space rows; None for rows None (the full space)."""
+    if rows is None:
+        return None
+    bounds = np.searchsorted(rows, R * np.arange(5))
+    return [rows[bounds[d]:bounds[d + 1]] - d * R for d in range(4)]
+
+
+def _sector_rows(space: TruncatedFock, links, v) -> np.ndarray:
+    """The full-space rows of the sector that v reaches, ascending.
+
+    Every reservoir field changes the boson total N by one, so a generator
+    diag + sum of (detector factor) x (field) maps the rows of detector
+    index d and parity N mod 2 = p only to those of an index e with
+    links[d, e] (the factors' 4x4 pattern) and parity 1 - p.  The sector
+    is the union of the classes (d, p) that a search of this 8-node graph
+    reaches from the classes on which v is nonzero; the generator leaves
+    it invariant.  A v of any other shape than (space.dim,) raises
+    ValidationError; a zero v reaches no row.
+    """
+    v = np.asarray(v)
+    if v.shape != (space.dim,):
+        raise ValidationError("initial vector must have shape (%d,), got %s"
+                              % (space.dim, v.shape))
+    R = space.reservoir_dim
+    parity = space.basis.sum(axis=1) % 2
+    links = np.asarray(links, dtype=bool)
+    reached = np.zeros((4, 2), dtype=bool)
+    start = np.flatnonzero(v)
+    reached[start // R, parity[start % R]] = True
+    while True:
+        # class (d, p) is reached from (e, 1 - p) where links[d, e]
+        grown = reached | (links.astype(int) @ reached[:, ::-1] > 0)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    return np.concatenate([d * R + np.flatnonzero(reached[d][parity])
+                           for d in range(4)])
 
 
 def assemble_coupling(space: TruncatedFock, G: np.ndarray):
@@ -674,17 +790,36 @@ def assemble_coupling(space: TruncatedFock, G: np.ndarray):
     return I_mat, _difference(G, I_mat, phi_conj)
 
 
+def assemble_factors(space: TruncatedFock, E: float, G: np.ndarray,
+                     lam: float) -> LiouvilleanOperator:
+    """The coupled generator L0 + lam*(I - JIJ) on no rows: its factors.
+
+    The operator holds the coupling's factors (the Hermitian part of G and
+    the two reservoir field matrices, checked as in assemble_coupling),
+    the gap and lam, and a 0 x 0 matrix (rows empty).  That is all that
+    INITIAL_STATES and perturbed_kms_vector(I_mat=None) read, so a start
+    can be built before any row is assembled, and on_sector then
+    assembles the generator on that start's sector alone.
+    """
+    L0 = assemble_L0(space, E)
+    G, phi, phi_conj = _coupling_factors(space, G)
+    rows = np.empty(0, dtype=np.intp)
+    return replace(L0, G=G, phi=phi, phi_conj=phi_conj,
+                   rows=rows).with_lambda(lam)
+
+
 def assemble_liouvillean(space: TruncatedFock, E: float, G: np.ndarray,
                          lam: float) -> LiouvilleanOperator:
     """Full coupled generator L0 + lam*(I - JIJ).
 
     It keeps the generator and the coupling's factors (the Hermitian part
     of G and the two reservoir field matrices), checked as in
-    assemble_coupling; I and V are rebuilt from them on access.
+    assemble_coupling; I and V are rebuilt from them on access.  To
+    propagate one start, on_sector assembles only the half of it (for an
+    off-diagonal G) that the start reaches.
     """
-    L0 = assemble_L0(space, E)
-    G, phi, phi_conj = _coupling_factors(space, G)
-    return replace(L0, G=G, phi=phi, phi_conj=phi_conj).with_lambda(lam)
+    return replace(assemble_factors(space, E, G, lam),
+                   rows=None).with_lambda(lam)
 
 
 class ModularConjugation:
@@ -725,13 +860,25 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
                          beta: float, consistency_tol: float = 1e-9):
     """Normalized e^{-beta(L0 + lam I)/2} Omega_0 by a Chebyshev expansion.
 
-    Only the block of L0 + lam I that Omega_0 reaches is expanded, scaled
-    into [-1, 1] as in ``evolve``: with B = center + half H the action is
-    e^{-x H} Omega_0 with x = beta * half / 2, up to a factor that the
-    normalization removes.  It is applied in equal sub-steps of at most
-    _DECAY_SPAN.  Each sub-step is one recurrence, which stops after the
-    last coefficient 2 (-1)^k I_k of e^{-x t} above 1e-16 e^x (see
-    _chebyshev_rows: 18 terms at x = 2), runs only its folds on the
+    L0 + lam I is assembled only on Omega_0's I-sector, the rows that I
+    reaches from Omega_0: I flips only the observable-side detector index
+    and changes N by one, so for an off-diagonal G that is half the space.
+    I_mat is the full-space interaction, of which the principal submatrix
+    on the rows its pattern reaches from Omega_0 is taken.  I_mat None
+    takes the interaction of the first argument's own factors, built on
+    the I-sector alone from slices of Phi(f) (see _sector_rows and _kron),
+    with no full-space matrix; an argument without factors then raises
+    ValidationError.  Of the first argument only ``space`` and ``gap`` are
+    read besides: L0 is their diagonal free_energies, so any operator on
+    the space, free or coupled, may be passed.
+
+    Only the block of that operator that Omega_0 reaches is expanded,
+    scaled into [-1, 1] as in ``evolve``: with B = center + half H the
+    action is e^{-x H} Omega_0 with x = beta * half / 2, up to a factor
+    that the normalization removes.  It is applied in equal sub-steps of
+    at most _DECAY_SPAN.  Each sub-step is one recurrence, which stops
+    after the last coefficient 2 (-1)^k I_k of e^{-x t} above 1e-16 e^x
+    (see _chebyshev_rows: 18 terms at x = 2), runs only its folds on the
     executor of _job_runner (one worker thread opened for the call from
     _WORKER_MIN_ROWS rows on, the calling thread below, the same bits
     either way), and peaks at about 2 * _CHEBYSHEV_CHUNK + 4 real vectors
@@ -739,9 +886,7 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
     check guards the expansion: the two half steps take twice as many
     sub-steps of half the length.
     Disagreement raises a numerical error carrying the residual; beta must
-    be positive and finite, and lam finite.  Of its first argument only
-    ``space`` and ``gap`` are read: L0 is their diagonal free_energies, so
-    any operator on the space, free or coupled, may be passed.
+    be positive and finite, and lam finite.
     """
     if not 0.0 < beta < math.inf:
         raise ValidationError("beta must be positive and finite, got %s"
@@ -752,15 +897,29 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
     omega0 = gns_vacuum(space, L0.gap, beta)
     if lam == 0.0:
         return omega0.copy()
-    block, H2, _, half = _reached_block(
-        (sp.diags(space.free_energies(L0.gap)) + lam * I_mat).tocsr(), omega0)
+    if I_mat is None:
+        if L0.G is None:
+            raise ValidationError(
+                "operator lacks an interaction part; pass I_mat")
+        factor = _detector_factors(L0.G)[0]
+        rows = _sector_rows(space, factor.toarray() != 0, omega0)
+        I_mat = _kron(factor, L0.phi, _row_parts(rows, space.reservoir_dim))
+    else:
+        I_mat = sp.csr_matrix(I_mat)
+        rows = _reach(I_mat, omega0)
+        I_mat = I_mat[rows][:, rows]
+    A = (sp.diags(space.free_energies(L0.gap)[rows]) + lam * I_mat).tocsr()
+    del I_mat
+    block, H2, _, half = _reached_block(A, omega0[rows])
+    del A       # the expansion reads only H2
+    index = rows[block]
     x = beta * half / 2.0
     n_sub = max(1, math.ceil(x / _DECAY_SPAN))
 
     def decay(n):
         """e^{-x H} Omega_0 on the block, in n equal sub-steps."""
         rows = _chebyshev_rows([x / n], decay=True)
-        v = omega0[block]
+        v = omega0[index]
         for _ in range(n):
             (v,), _ = _chebyshev_window(H2, v, rows, 1.0, pool)
         return v
@@ -777,7 +936,7 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
             "exponential action failed to converge: half-step residual %s"
             % fmt17(residual))
     omega = np.zeros(space.dim, dtype=full.dtype)
-    omega[block] = full / scale
+    omega[index] = full / scale
     return omega
 
 
@@ -1300,21 +1459,16 @@ def _norm2(x) -> float:
     return _dot(x, x)
 
 
-def _reached_block(M, v):
-    """The block of M that v reaches, scaled into [-1, 1] and doubled.
+def _reach(M, v) -> np.ndarray:
+    """The rows of the connected components of M's sparsity graph on which
+    v is nonzero, ascending.
 
-    The block is the union of the connected components of M's sparsity
-    graph on which v is nonzero; M stays exact on it.  It is found by a
-    breadth-first search along the rows of M from each nonzero of v not
-    reached yet.  That search follows edges one way only, and it finds the
-    components because every generator the library builds is exactly
-    Hermitian (see assemble_coupling), so its pattern is symmetric; unlike
-    an undirected search it copies no part of the pattern.  Returns
-    (block, H2, center, half) with H2 = 2 H and H = (M[block, block] -
-    center) / half, shifted and scaled by the block's Gershgorin bounds.
-    The factor 2 of the Chebyshev recurrence is taken here once; it is
-    exact in binary floating point, so H2 @ x is exactly 2 (H @ x).  A
-    non-finite entry in the block raises NumericalError.
+    They are found by a breadth-first search along the rows of CSR M from
+    each nonzero of v not reached yet.  That search follows edges one way
+    only, and it finds the components because every generator the library
+    builds is exactly Hermitian (see assemble_coupling), so its pattern is
+    symmetric; unlike an undirected search it copies no part of the
+    pattern.
     """
     # imported here, not at the top: it adds about 5% to importing kmslab
     from scipy.sparse.csgraph import breadth_first_order
@@ -1325,22 +1479,86 @@ def _reached_block(M, v):
         if not reached[start]:
             reached[breadth_first_order(pattern, start, directed=True,
                                         return_predecessors=False)] = True
-    block = np.flatnonzero(reached)
-    B = M[block][:, block]
+    return np.flatnonzero(reached)
+
+
+def _reached_block(M, v):
+    """The block of M that v reaches, scaled into [-1, 1] and doubled.
+
+    The block is the union of the connected components of M's sparsity
+    graph on which v is nonzero (see _reach); M stays exact on it.  A
+    block of every row is M itself, not a copy.  Returns (block, H2,
+    center, half) with H2 = 2 H and H = (M[block, block] - center) / half,
+    shifted and scaled by the block's Gershgorin bounds.  H2 is built into
+    arrays of exactly its entry count, the only set of arrays of the
+    block's size that the call allocates besides a copied block (see
+    _shifted); the radii sum the magnitudes of the entries without a copy
+    of the pattern.  The factor 2 of the Chebyshev recurrence is taken
+    here once; it is exact in binary floating point, so H2 @ x is exactly
+    2 (H @ x).  A non-finite entry in the block raises NumericalError.
+    """
+    block = _reach(M, v)
+    B = M if len(block) == M.shape[0] else M[block][:, block]
     diag = B.diagonal().real
-    radius = np.asarray(abs(B).sum(axis=1)).ravel() - np.abs(diag)
+    magnitudes = sp.csr_matrix((np.abs(B.data), B.indices, B.indptr),
+                               shape=B.shape, copy=False)
+    radius = np.asarray(magnitudes.sum(axis=1)).ravel() - np.abs(diag)
+    del magnitudes
     hi, lo = np.max(diag + radius), np.min(diag - radius)
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise NumericalError("the reached block has a non-finite entry")
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     if half == 0.0:   # B is a multiple of the identity
         half = 1.0
-    # a copy, whose arrays hold exactly nnz entries: the difference's keep
-    # one spare slot per row
-    H2 = (B - center * sp.identity(B.shape[0], format="csr")).tocsr(copy=True)
+    H2 = _shifted(B, center)
     H2.data /= half
     H2.data *= 2.0
     return block, H2, float(center), float(half)
+
+
+def _shifted(B, center) -> sp.csr_matrix:
+    """B - center * 1 for a canonical CSR B, in new arrays of exactly its
+    entry count.
+
+    The entries and pattern are those of scipy's difference B - center *
+    identity: each stored diagonal entry less center, -center inserted
+    where a row stores no diagonal entry (none for center 0), and a
+    diagonal entry that cancels exactly dropped.  The difference itself
+    would keep one spare slot per row and need a copy to shed them.  Each
+    row's diagonal slot, its first entry of column >= the row, is found
+    by a bisection over all rows at once.
+    """
+    n = B.shape[0]
+    cols, indptr = B.indices, B.indptr
+    lo, hi = indptr[:-1].copy(), indptr[1:].copy()
+    row = np.arange(n)
+    while True:
+        open_ = np.flatnonzero(lo < hi)
+        if not len(open_):
+            break
+        mid = (lo[open_] + hi[open_]) // 2
+        left = cols[mid] < row[open_]
+        lo[open_[left]] = mid[left] + 1
+        hi[open_[~left]] = mid[~left]
+    inside = lo < indptr[1:]
+    stored = np.zeros(n, dtype=bool)
+    stored[inside] = cols[lo[inside]] == row[inside]
+    missing = np.flatnonzero(~stored) if center != 0.0 else np.empty(0, int)
+    data = np.insert(B.data, lo[missing], -center)
+    indices = np.insert(cols, lo[missing], missing)
+    added = np.zeros(n + 1, dtype=indptr.dtype)
+    added[missing + 1] = 1
+    shift = np.cumsum(added, dtype=indptr.dtype)
+    at = (lo + shift[:-1])[stored]     # the stored diagonal entries
+    data[at] -= center
+    zero = at[data[at] == 0]
+    if len(zero):       # an exact cancellation leaves the pattern
+        data, indices = np.delete(data, zero), np.delete(indices, zero)
+        dropped = np.zeros(n + 1, dtype=indptr.dtype)
+        np.add.at(dropped, np.searchsorted(indptr + shift, zero,
+                                           side="right"), 1)
+        shift -= np.cumsum(dropped, dtype=indptr.dtype)
+    return sp.csr_matrix((data, indices, indptr + shift), shape=B.shape)
 
 
 def _windows(tgrid, half):
@@ -1389,9 +1607,13 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
            observe: Callable | None = None) -> EvolutionResult:
     """Unitary propagation of a vector along an increasing time grid.
 
-    Only the block B of L that psi0 reaches is propagated: the union of the
-    connected components of L's sparsity graph on which psi0 is nonzero.
-    This is exact for the stored matrix.  B = center + half H is shifted
+    psi0 is a full-space vector; on an operator of a sector (L.rows not
+    None, see on_sector) it must vanish off L.rows, and its part on them
+    is propagated.  Only the block B of L that psi0 reaches is propagated:
+    the union of the connected components of L's sparsity graph on which
+    psi0 is nonzero.  This is exact for the stored matrix.  A block of
+    every row of L is L.matrix itself; any other is copied out of it
+    (see _reached_block).  B = center + half H is shifted
     and scaled into [-1, 1] by its Gershgorin bounds, and the grid is cut
     into windows (see _windows): one Chebyshev series of
     W(tau) = e^{-i half H tau} (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
@@ -1450,7 +1672,10 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     and no ``observe`` call; the call raises that exception after the
     window in which it sees it, at the latest once the pool is joined.
 
-    Besides L, only the scaled block is kept.  The call holds the pool,
+    Besides L, only the scaled block is kept: arrays of one more matrix
+    of the block's size, and no copy of the block itself where it is all
+    of L, as on the sector of a start (on_sector), where L is half the
+    full generator for an off-diagonal G.  The call holds the pool,
     _WINDOW_OUTPUTS + 1 complex vectors of the block's length, which v0
     seeds; a window adds a ring of 2 * _CHEBYSHEV_CHUNK (16) real vectors,
     a product in flight and a _WINDOW_OUTPUTS x _FOLD_COLUMNS fold
@@ -1458,7 +1683,7 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     (47) real vectors of the block's length.  The steps share one state
     and hold the energy's products in flight, at most 5 real vectors of
     the block's length, and one full-space vector given to ``observe``, 2
-    real vectors of length L.dim; the state and that vector are allocated
+    real vectors of length space.dim; the state and that vector are allocated
     once per call.  A window's steps hold a view of its slots, no vector
     of their own.  The coefficients and the bookkeeping do not grow with
     the block.
@@ -1471,10 +1696,10 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     at every grid time and must stay below 1e-10, otherwise (a non-finite
     state included) a numerical error reports the first failing step.  An
     exception raised by ``observe`` comes out of the call unchanged.  A
-    psi0 that is not of shape (L.dim,), finite and normalized, and a time
-    grid that is not nonempty, finite and increasing, raise
-    ValidationError.  ``matvecs`` counts every product with the block, the
-    drift checks' included.
+    psi0 that is not of the full space's shape, finite and normalized, or
+    has weight off L.rows, and a time grid that is not nonempty, finite
+    and increasing, raise ValidationError.  ``matvecs`` counts every
+    product with the block, the drift checks' included.
     """
     tgrid = np.asarray(tgrid, dtype=float)
     if (len(tgrid) == 0 or not np.all(np.isfinite(tgrid))
@@ -1482,12 +1707,22 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
         raise ValidationError(
             "time grid must be nonempty, finite and increasing")
     psi0 = np.asarray(psi0)
-    if psi0.shape != (L.dim,):
+    dim = L.dim if L.rows is None else L.space.dim
+    if psi0.shape != (dim,):
         raise ValidationError("initial vector must have shape (%d,), got %s"
-                              % (L.dim, psi0.shape))
+                              % (dim, psi0.shape))
     if not abs(math.sqrt(_norm2(psi0)) - 1.0) <= 1e-10:
         raise ValidationError("initial vector must be finite and normalized")
-    block, H2, center, half = _reached_block(L.matrix, psi0)
+    v0 = psi0
+    if L.rows is not None:
+        v0 = psi0[L.rows]
+        if np.count_nonzero(v0) != np.count_nonzero(psi0):
+            raise ValidationError("initial vector has weight off the "
+                                  "operator's sector")
+    block, H2, center, half = _reached_block(L.matrix, v0)
+    n = len(block)
+    if L.rows is not None:      # from here on, the block's full-space rows
+        block = L.rows if n == L.dim else L.rows[block]
     real = not np.iscomplexobj(H2.data)
     # the products of one energy(): two real ones for a real symmetric H2
     energy_products = 2 if real else 1
@@ -1506,9 +1741,10 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     # chi at the last window's start and times: slots[anchor] holds chi at
     # its last time, the next window's start, and slots[anchor - d * q]
     # chi at the q-th time before that, the start included
-    slots = np.empty((min(_WINDOW_OUTPUTS, len(tgrid)) + 1, len(block)),
+    slots = np.empty((min(_WINDOW_OUTPUTS, len(tgrid)) + 1, n),
                      dtype=complex)
     slots[0] = psi0[block]
+    del v0      # a sector's copy of the start: the slots hold it now
     anchor, d = 0, 1
     past = np.empty(0)      # the last start and times
     e0 = energy(slots[0])
@@ -1516,8 +1752,8 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     leapfrog = real and not slots[0].imag.any()
 
     # what the steps write, on the worker alone
-    psi = np.empty(len(block), dtype=complex)
-    full = np.zeros(L.dim, dtype=complex)
+    psi = np.empty(n, dtype=complex)
+    full = np.zeros(dim, dtype=complex)
     states = None
     norm_drift = 0.0
     energy_drift = 0.0
@@ -1561,7 +1797,7 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
 
     matvecs = 0     # the recurrences' products
     i = 0
-    with _job_runner(len(block)) as pool:
+    with _job_runner(n) as pool:
         for start, times, on_grid in _windows(tgrid, half):
             taus = times - start
             m = len(taus)
@@ -1654,11 +1890,12 @@ class RTEReport:
 
 
 def _dressed_reference(L: LiouvilleanOperator) -> np.ndarray:
-    """Reduced perturbed KMS state at L's coupling, from its I."""
+    """Reduced perturbed KMS state at L's coupling, from its factors on
+    Omega_0's I-sector (whatever L's rows)."""
     if L.G is None:
         raise ValidationError(
             "operator lacks an interaction part; pass a reference state")
-    kms = perturbed_kms_vector(L, L.I, L.lam, L.space.disc.beta)
+    kms = perturbed_kms_vector(L, None, L.lam, L.space.disc.beta)
     return reduce_detector(kms, L.space)
 
 
@@ -1715,9 +1952,11 @@ def _entangled_initial(L: LiouvilleanOperator) -> np.ndarray:
 
 
 # Initial states of the return-to-equilibrium runs, by name, built from the
-# coupled generator: the excited detector or the reduced perturbed KMS state
-# times the reservoir vacuum, one boson in the gap packet on the ground
-# vector, and the normalized sum of that and the ++ vacuum vector.
+# coupled generator's space, gap and factors (its rows are not read, so the
+# operator of assemble_factors serves): the excited detector or the reduced
+# perturbed KMS state times the reservoir vacuum, one boson in the gap
+# packet on the ground vector, and the normalized sum of that and the ++
+# vacuum vector.
 INITIAL_STATES = {
     "excited": lambda L: product_initial(L.space, np.diag([1.0, 0.0])),
     "one-boson": lambda L: one_boson_initial(L.space, _GROUND, _gap_packet(L)),

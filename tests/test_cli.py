@@ -746,6 +746,41 @@ def test_rte_evolve_small_run(tmp_path, cli_env, initial):
     assert _line_value(manifest, "energy_max") == "10.075060504584201"
 
 
+def test_stationary_start_computes_its_kms_vector_once(tmp_path, monkeypatch):
+    # the stationary start is the reduced KMS vector, and so is the
+    # distance's reference: one computation serves both, with the bits of
+    # the full generator's run, which computes it twice
+    import numpy as np
+    from kmslab import liouville as lv
+    kms = lv.perturbed_kms_vector
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kms(*args, **kwargs)
+
+    monkeypatch.setattr(lv, "perturbed_kms_vector", counting)
+    monkeypatch.setenv("KMSLAB_LIOUVILLE_INITIAL", "stationary")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_LIOUVILLE)
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(cfg), "--out", str(out),
+                     "rte-evolve"]) == 0
+    assert len(calls) == 1
+    disc = lv.resonant_shell_modes(1.0, 1.0, seed=0)
+    space = lv.TruncatedFock(disc, n_tot_max=2,
+                             energy_max=2.0 * float(abs(disc.s).max()))
+    lam = lv.fgr_window(disc, 1.0)[0]
+    L = lv.assemble_liouvillean(space, 1.0, np.array([[0.0, 1.0],
+                                                      [1.0, 0.0]]), lam)
+    report = lv.rte_distance_series(L, lv.INITIAL_STATES["stationary"](L),
+                                    np.arange(0.5, 98.75, 0.5))
+    assert len(calls) == 3
+    rows = (out / "rte_evolve.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == list(
+        report.distances)
+
+
 # every config key that holds a number, with a subcommand that consumes it
 NUMERIC_KEYS = [
     ("global", key, "formfactor") for key in ("beta", "mass", "zeta",

@@ -2060,6 +2060,171 @@ def test_reached_block_is_the_components_of_the_start(zeta, G):
     assert min(sizes) < space.dim    # a proper block is among them
 
 
+def _old_shifted(B, center):
+    """B - center * 1 as scipy's difference, copied to shed the spare slot
+    per row that the difference keeps: the construction _shifted
+    replaces."""
+    return (B - center * sp.identity(B.shape[0], format="csr")).tocsr(
+        copy=True)
+
+
+@pytest.mark.parametrize("zeta", [math.pi, math.pi / 2])
+def test_scaled_block_matches_the_old_construction(zeta):
+    # the radii of abs(B) and the copied difference, against one new set of
+    # arrays; the vacuum rows store no diagonal entry, so the shift inserts
+    # one there
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        disc = lv.jittered_modes(1.0, seed=0, n_side=4, zeta=zeta)
+        space = lv.TruncatedFock(disc, n_tot_max=3)
+        L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
+    for psi0 in (lv.INITIAL_STATES["excited"](L), _spread_state(space)):
+        block, H2, center, half = lv._reached_block(L.matrix, psi0)
+        B = L.matrix[block][:, block]
+        diag = B.diagonal().real
+        assert np.any(diag == 0.0)
+        radius = np.asarray(abs(B).sum(axis=1)).ravel() - np.abs(diag)
+        hi, lo = np.max(diag + radius), np.min(diag - radius)
+        assert (center, half) == (0.5 * (hi + lo), 0.5 * (hi - lo))
+        old = _old_shifted(B, center)
+        old.data /= half
+        old.data *= 2.0
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(H2, name), getattr(old, name))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_shift_fills_missing_and_drops_cancelled_diagonals(dtype):
+    # row 0 cancels at center 2, row 1 stores no diagonal, row 3 is empty
+    dense = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0],
+                      [0.0, 1.0, 5.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+                     dtype=dtype)
+    if dtype is complex:
+        dense[0, 1], dense[1, 0] = 1.0 + 0.5j, 1.0 - 0.5j
+    B = sp.csr_matrix(dense)
+    for center in (2.0, 0.0, -1.5, 5.0):
+        shifted = lv._shifted(B, center)
+        old = _old_shifted(B, center)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(shifted, name), getattr(old, name))
+        assert shifted.data.dtype == old.data.dtype
+        for array in (shifted.data, shifted.indices):
+            held = array if array.base is None else array.base
+            assert held.size == shifted.nnz
+    assert lv._shifted(B, 2.0).nnz == B.nnz - 1 + 2
+
+
+@pytest.mark.parametrize("zeta", [math.pi, math.pi / 2])
+@pytest.mark.parametrize("G", [OFFDIAG, np.diag([1.0, -1.0])],
+                         ids=["offdiag", "diagonal"])
+def test_sector_is_the_reached_block_and_the_principal_submatrix(zeta, G):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        disc = lv.jittered_modes(1.0, seed=0, n_side=4, zeta=zeta)
+        space = lv.TruncatedFock(disc, n_tot_max=3)
+        L = lv.assemble_liouvillean(space, 1.0, G, 0.3)
+        factors = lv.assemble_factors(space, 1.0, G, 0.3)
+    assert factors.dim == 0 and len(factors.rows) == 0
+    tgrid = 0.5 * np.arange(1, 2 * lv._WINDOW_OUTPUTS + 1)
+    sizes = set()
+    for name, build in lv.INITIAL_STATES.items():
+        psi0 = build(factors)
+        assert np.array_equal(psi0, build(L)), name
+        S = factors.on_sector(psi0)
+        assert np.array_equal(S.rows, _component_block(L.matrix, psi0)), name
+        assert np.array_equal(S.rows, lv._reached_block(L.matrix, psi0)[0])
+        sub = L.matrix[S.rows][:, S.rows]
+        assert S.matrix.dtype == L.matrix.dtype
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(S.matrix, attr),
+                                  getattr(sub, attr)), name
+        full, sector = lv.evolve(L, psi0, tgrid), lv.evolve(S, psi0, tgrid)
+        assert np.array_equal(full.states, sector.states), name
+        assert ((full.matvecs, full.norm_drift, full.energy_drift)
+                == (sector.matvecs, sector.norm_drift, sector.energy_drift))
+        sizes.add(len(S.rows))
+    assert min(sizes) < space.dim    # a proper sector is among them
+    # Omega_0's I-sector, from the factors, against the full I
+    assert np.array_equal(
+        lv.perturbed_kms_vector(factors, None, 0.3, 1.0),
+        lv.perturbed_kms_vector(L.with_lambda(0.0), L.I, 0.3, 1.0))
+
+
+def test_sector_refuses_a_start_off_its_rows():
+    disc, space = _small_paired(n_tot=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        factors = lv.assemble_factors(space, 1.0, OFFDIAG, 0.3)
+    excited = lv.INITIAL_STATES["excited"](factors)
+    S = factors.on_sector(excited)
+    assert len(S.rows) == space.dim // 2
+    # the one-boson start lies in the other half
+    other = lv.INITIAL_STATES["one-boson"](factors)
+    with pytest.raises(ValidationError, match="off the operator's sector"):
+        lv.evolve(S, other, [0.5])
+    with pytest.raises(ValidationError, match="must have shape"):
+        lv.evolve(S, excited[S.rows], [0.5])
+    with pytest.raises(ValidationError, match="must have shape"):
+        factors.on_sector(excited[:-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        free = lv.assemble_L0(space, 1.0)
+    with pytest.raises(ValidationError, match="pass I_mat"):
+        lv.perturbed_kms_vector(free, None, 0.3, 1.0)
+
+
+def _traced_peak(fn):
+    """fn's return value and the peak of its traced allocations."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+def test_sector_operator_halves_the_generator_and_the_run_peak():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        _, space = _small_paired(n_side=8, n_tot=3)
+
+        def assemble(lam):
+            return lv.assemble_liouvillean(space, 1.0, OFFDIAG, lam)
+
+        def sector(lam):
+            return lv.assemble_factors(space, 1.0, OFFDIAG, lam).on_sector(
+                psi0)
+
+        L = assemble(0.3)
+        psi0 = lv.INITIAL_STATES["excited"](L)
+        S = sector(0.3)
+
+    def held(op):
+        return sum(array.nbytes for array in (op.matrix.data,
+                                              op.matrix.indices,
+                                              op.matrix.indptr))
+
+    assert held(S) <= 0.55 * held(L)
+    tgrid = 0.5 * np.arange(1, 2 * lv._WINDOW_OUTPUTS + 1)
+    lv.rte_distance_series(S, psi0, tgrid[:1])   # the first call's imports
+    # the series alone: the full path copies the block out of L before
+    # scaling it, and the sector path holds no copy in its place
+    (full, full_peak), (part, part_peak) = [
+        _traced_peak(lambda: lv.rte_distance_series(op, psi0, tgrid))
+        for op in (L, S)]
+    assert np.array_equal(full.distances, part.distances)
+    assert part_peak <= full_peak
+    # a run, the operator it holds included (2.09 and 1.83 MB measured)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResonanceWarning)
+        _, full_run = _traced_peak(lambda: lv.rte_distance_series(
+            assemble(0.25), psi0, tgrid))
+        _, part_run = _traced_peak(lambda: lv.rte_distance_series(
+            sector(0.25), psi0, tgrid))
+    assert part_run < full_run - 0.4 * held(L)
+
+
 def test_evolution_stays_in_its_component():
     disc = lv.jittered_modes(1.0, seed=0, n_side=4)
     space = lv.TruncatedFock(disc, n_tot_max=3)
