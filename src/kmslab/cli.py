@@ -510,8 +510,8 @@ def cmd_rte_evolve(ctx):
     from .textio import fmt17, write_csv
     lam = lo if lcfg["evolve_lambda"] is None else lcfg["evolve_lambda"]
     t_max = t_rec if lcfg["t_max"] is None else lcfg["t_max"]
-    # the start and the reference are built from the coupling's factors,
-    # and then only the start's sector is assembled
+    # the start, the reference and the propagation read only the
+    # coupling's factors: evolve assembles the start's sector alone
     coupled = lv.assemble_factors(space, gap, G, lam)
     reference = lv._dressed_reference(coupled)
     if lcfg["initial"] == "stationary":
@@ -519,9 +519,8 @@ def cmd_rte_evolve(ctx):
         psi = lv.product_initial(space, reference)
     else:
         psi = lv.INITIAL_STATES[lcfg["initial"]](coupled)
-    L = coupled.on_sector(psi)
     tgrid = np.arange(dt, t_max + dt / 2.0, dt)
-    report = lv.rte_distance_series(L, psi, tgrid, reference=reference)
+    report = lv.rte_distance_series(coupled, psi, tgrid, reference=reference)
     write_csv(os.path.join(out_dir, "rte_evolve.csv"), "t,trace_distance",
               [report.times, report.distances])
     _write_manifest(ctx, extra=[("lambda_used", fmt17(lam)),

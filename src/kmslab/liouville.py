@@ -498,15 +498,14 @@ class LiouvilleanOperator:
     """The generator L0 + lam V and the factors it is built from.
 
     ``matrix`` is the generator itself and ``dim`` its dimension; it is
-    the only field of that dimension.  ``rows`` is None for the generator
-    on the full space; otherwise the matrix is its principal submatrix on
-    the full-space rows ``rows`` (ascending), a sector that the generator
-    leaves invariant (see on_sector).  The coupling is held as
-    its factors: ``G``, the Hermitian part of the 2x2 monopole matrix, and
-    the two reservoir field matrices ``phi`` = Phi(f) and ``phi_conj`` =
-    Phi(e^{-beta s/2} f), of reservoir dimension whatever the rows.  All
-    three are None for the free generator of assemble_L0.  L0 is not
-    stored: it is the diagonal space.free_energies(gap).
+    the only field of that dimension.  It is assembled either on the full
+    space (assemble_liouvillean, assemble_L0) or on no rows at all
+    (assemble_factors, dim 0); only evolve assembles it on a sector.  The
+    coupling is held as its factors: ``G``, the Hermitian part of the 2x2
+    monopole matrix, and the two reservoir field matrices ``phi`` =
+    Phi(f) and ``phi_conj`` = Phi(e^{-beta s/2} f), of reservoir
+    dimension.  All three are None for the free generator of assemble_L0.
+    L0 is not stored: it is the diagonal space.free_energies(gap).
     """
 
     matrix: sp.csr_matrix
@@ -516,7 +515,6 @@ class LiouvilleanOperator:
     G: np.ndarray | None = None
     phi: sp.csr_matrix | None = None
     phi_conj: sp.csr_matrix | None = None
-    rows: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -524,61 +522,41 @@ class LiouvilleanOperator:
 
     @property
     def I(self) -> sp.csr_matrix | None:
-        """The interaction G x 1 x Phi(f) on the rows, built anew at each
-        access."""
+        """The interaction G x 1 x Phi(f) on the full space, built anew at
+        each access."""
         if self.G is None:
             return None
-        return _interaction(self.G, self.phi,
-                            _row_parts(self.rows, self.space.reservoir_dim))
+        return _interaction(self.G, self.phi)
 
     @property
     def V(self) -> sp.csr_matrix | None:
-        """V = I - JIJ on the rows, built anew at each access; see
+        """V = I - JIJ on the full space, built anew at each access; see
         assemble_coupling."""
         if self.G is None:
             return None
-        parts = _row_parts(self.rows, self.space.reservoir_dim)
-        return _difference(self.G, _interaction(self.G, self.phi, parts),
-                           self.phi_conj, parts)
+        return _difference(self.G, self.I, self.phi_conj)
 
     def norm_estimate(self) -> float:
-        """Infinity norm of the matrix, the documented proxy for ||L||."""
+        """Infinity norm of the matrix, the documented proxy for ||L||; an
+        operator on no rows raises ValidationError."""
+        if not self.dim:
+            raise ValidationError("operator is assembled on no rows; "
+                                  "it has no norm")
         return float(spla.norm(self.matrix, np.inf))
 
     def with_lambda(self, lam: float) -> "LiouvilleanOperator":
-        """The same factors and rows at coupling lam; a non-finite lam, or
-        an operator without an interaction part, raises ValidationError.
-        V is built for the call and released with it."""
+        """The same factors at coupling lam, assembled on the full space
+        or on no rows as this operator is; a non-finite lam, or an
+        operator without an interaction part, raises ValidationError.  V
+        is built for the call and released with it."""
         if not math.isfinite(lam):
             raise ValidationError("coupling lam must be finite, got %s" % lam)
         if self.G is None:
             raise ValidationError(
                 "operator lacks an interaction part; no coupling to rescale")
-        free = self.space.free_energies(self.gap)
-        if self.rows is not None:
-            free = free[self.rows]
-        mat = sp.diags(free) + lam * self.V
-        return replace(self, matrix=mat.tocsr(), lam=float(lam))
-
-    def on_sector(self, initial) -> "LiouvilleanOperator":
-        """The same factors and coupling, assembled only on the sector
-        that the full-space vector initial reaches.
-
-        Each term of L changes N by one and acts on the detector through
-        G x 1 or 1 x conj(G), so the classes of (detector index, N mod 2)
-        that initial reaches form a sector that L leaves invariant (see
-        _sector_rows): for an off-diagonal G, half the space.  The matrix
-        is the full generator's principal submatrix on the sector's rows,
-        bit for bit, built from slices of the reservoir fields (see
-        _kron) with no full-space matrix.  A zero initial reaches no
-        row."""
-        if self.G is None:
-            raise ValidationError(
-                "operator lacks an interaction part; it has no sectors")
-        I_fac, JIJ_fac = _detector_factors(self.G)
-        links = (I_fac.toarray() != 0) | (JIJ_fac.toarray() != 0)
-        rows = _sector_rows(self.space, links, initial)
-        return replace(self, rows=rows).with_lambda(self.lam)
+        rows = None if self.dim else np.empty(0, dtype=np.intp)
+        return replace(self, matrix=_generator(self, lam, rows),
+                       lam=float(lam))
 
 
 def detector_gibbs_vector(E: float, beta: float) -> np.ndarray:
@@ -728,11 +706,23 @@ def _difference(G, I_mat, phi_conj, parts=None) -> sp.csr_matrix:
 
 def _row_parts(rows, R):
     """The reservoir rows r of each detector index d with d*R + r among
-    the ascending full-space rows; None for rows None (the full space)."""
-    if rows is None:
-        return None
+    the ascending full-space rows."""
     bounds = np.searchsorted(rows, R * np.arange(5))
     return [rows[bounds[d]:bounds[d + 1]] - d * R for d in range(4)]
+
+
+def _generator(L: LiouvilleanOperator, lam: float,
+               rows=None) -> sp.csr_matrix:
+    """L0 + lam V from L's factors, on the full space for rows None, else
+    on the ascending full-space rows: a sector (see _sector_rows), or none.
+    On a sector it is the full generator's principal submatrix there, bit
+    for bit, built from slices of the reservoir fields (see _kron) with no
+    full-space matrix."""
+    free, parts = L.space.free_energies(L.gap), None
+    if rows is not None:
+        free, parts = free[rows], _row_parts(rows, L.space.reservoir_dim)
+    V = _difference(L.G, _interaction(L.G, L.phi, parts), L.phi_conj, parts)
+    return (sp.diags(free) + lam * V).tocsr()
 
 
 def _sector_rows(space: TruncatedFock, links, v) -> np.ndarray:
@@ -796,16 +786,15 @@ def assemble_factors(space: TruncatedFock, E: float, G: np.ndarray,
 
     The operator holds the coupling's factors (the Hermitian part of G and
     the two reservoir field matrices, checked as in assemble_coupling),
-    the gap and lam, and a 0 x 0 matrix (rows empty).  That is all that
-    INITIAL_STATES and perturbed_kms_vector(I_mat=None) read, so a start
-    can be built before any row is assembled, and on_sector then
-    assembles the generator on that start's sector alone.
+    the gap and lam, and a 0 x 0 matrix.  That is all that INITIAL_STATES,
+    perturbed_kms_vector(I_mat=None) and evolve read: a start can be built
+    before any row is assembled, and evolve then assembles the generator
+    on that start's sector alone.  It has no norm and no spectrum.
     """
     L0 = assemble_L0(space, E)
     G, phi, phi_conj = _coupling_factors(space, G)
-    rows = np.empty(0, dtype=np.intp)
-    return replace(L0, G=G, phi=phi, phi_conj=phi_conj,
-                   rows=rows).with_lambda(lam)
+    return replace(L0, matrix=sp.csr_matrix((0, 0)), G=G, phi=phi,
+                   phi_conj=phi_conj).with_lambda(lam)
 
 
 def assemble_liouvillean(space: TruncatedFock, E: float, G: np.ndarray,
@@ -815,11 +804,12 @@ def assemble_liouvillean(space: TruncatedFock, E: float, G: np.ndarray,
     It keeps the generator and the coupling's factors (the Hermitian part
     of G and the two reservoir field matrices), checked as in
     assemble_coupling; I and V are rebuilt from them on access.  To
-    propagate one start, on_sector assembles only the half of it (for an
+    propagate one start, the operator of assemble_factors serves as well:
+    evolve then assembles only the half of the generator (for an
     off-diagonal G) that the start reaches.
     """
-    return replace(assemble_factors(space, E, G, lam),
-                   rows=None).with_lambda(lam)
+    L = assemble_factors(space, E, G, lam)
+    return replace(L, matrix=_generator(L, L.lam))
 
 
 class ModularConjugation:
@@ -860,22 +850,25 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
                          beta: float, consistency_tol: float = 1e-9):
     """Normalized e^{-beta(L0 + lam I)/2} Omega_0 by a Chebyshev expansion.
 
-    L0 + lam I is assembled only on Omega_0's I-sector, the rows that I
-    reaches from Omega_0: I flips only the observable-side detector index
-    and changes N by one, so for an off-diagonal G that is half the space.
-    I_mat is the full-space interaction, of which the principal submatrix
-    on the rows its pattern reaches from Omega_0 is taken.  I_mat None
-    takes the interaction of the first argument's own factors, built on
-    the I-sector alone from slices of Phi(f) (see _sector_rows and _kron),
-    with no full-space matrix; an argument without factors then raises
-    ValidationError.  Of the first argument only ``space`` and ``gap`` are
-    read besides: L0 is their diagonal free_energies, so any operator on
-    the space, free or coupled, may be passed.
+    L0 + lam I is assembled only on Omega_0's I-sector, the classes of
+    (detector index, N mod 2) that I reaches from Omega_0 (see
+    _sector_rows): I flips only the observable-side detector index and
+    changes N by one, so for an off-diagonal G that is half the space.
+    I_mat is the full-space interaction, of shape (space.dim, space.dim)
+    or ValidationError before any work; the links between detector
+    indices are read off its 4x4 block pattern, and its principal
+    submatrix on the sector is taken.  I_mat None takes the interaction of
+    the first argument's own factors, built on the I-sector alone from
+    slices of Phi(f) (see _kron), with no full-space matrix; an argument
+    without factors then raises ValidationError.  Of the first argument
+    only ``space`` and ``gap`` are read besides: L0 is their diagonal
+    free_energies, so any operator on the space, free or coupled, on the
+    full space or on no rows, may be passed.
 
-    Only the block of that operator that Omega_0 reaches is expanded,
-    scaled into [-1, 1] as in ``evolve``: with B = center + half H the
-    action is e^{-x H} Omega_0 with x = beta * half / 2, up to a factor
-    that the normalization removes.  It is applied in equal sub-steps of
+    The sector's block of that operator is expanded, scaled into [-1, 1]
+    as in ``evolve``: with B = center + half H the action is e^{-x H}
+    Omega_0 with x = beta * half / 2, up to a factor that the
+    normalization removes.  It is applied in equal sub-steps of
     at most _DECAY_SPAN.  Each sub-step is one recurrence, which stops
     after the last coefficient 2 (-1)^k I_k of e^{-x t} above 1e-16 e^x
     (see _chebyshev_rows: 18 terms at x = 2), runs only its folds on the
@@ -894,6 +887,10 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
     if not math.isfinite(lam):
         raise ValidationError("coupling lam must be finite, got %s" % lam)
     space = L0.space
+    R = space.reservoir_dim
+    if I_mat is not None and np.shape(I_mat) != (space.dim, space.dim):
+        raise ValidationError("I_mat must have shape (%d, %d), got %s"
+                              % (space.dim, space.dim, np.shape(I_mat)))
     omega0 = gns_vacuum(space, L0.gap, beta)
     if lam == 0.0:
         return omega0.copy()
@@ -903,28 +900,31 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
                 "operator lacks an interaction part; pass I_mat")
         factor = _detector_factors(L0.G)[0]
         rows = _sector_rows(space, factor.toarray() != 0, omega0)
-        I_mat = _kron(factor, L0.phi, _row_parts(rows, space.reservoir_dim))
+        I_mat = _kron(factor, L0.phi, _row_parts(rows, R))
     else:
         I_mat = sp.csr_matrix(I_mat)
-        rows = _reach(I_mat, omega0)
+        links = np.zeros((4, 4), dtype=bool)
+        for d in range(4):      # the detector indices of band d's columns
+            links[d, I_mat.indices[I_mat.indptr[d * R]:
+                                   I_mat.indptr[(d + 1) * R]] // R] = True
+        rows = _sector_rows(space, links, omega0)
         I_mat = I_mat[rows][:, rows]
     A = (sp.diags(space.free_energies(L0.gap)[rows]) + lam * I_mat).tocsr()
     del I_mat
-    block, H2, _, half = _reached_block(A, omega0[rows])
+    H2, _, half = _scaled(A)
     del A       # the expansion reads only H2
-    index = rows[block]
     x = beta * half / 2.0
     n_sub = max(1, math.ceil(x / _DECAY_SPAN))
 
     def decay(n):
         """e^{-x H} Omega_0 on the block, in n equal sub-steps."""
-        rows = _chebyshev_rows([x / n], decay=True)
-        v = omega0[index]
+        coef = _chebyshev_rows([x / n], decay=True)
+        v = omega0[rows]
         for _ in range(n):
-            (v,), _ = _chebyshev_window(H2, v, rows, 1.0, pool)
+            (v,), _ = _chebyshev_window(H2, v, coef, 1.0, pool)
         return v
 
-    with _job_runner(len(block)) as pool:    # for the folds
+    with _job_runner(len(rows)) as pool:    # for the folds
         full = decay(n_sub)
         twice = decay(2 * n_sub)
     scale = math.sqrt(_norm2(full))
@@ -936,7 +936,7 @@ def perturbed_kms_vector(L0: LiouvilleanOperator, I_mat, lam: float,
             "exponential action failed to converge: half-step residual %s"
             % fmt17(residual))
     omega = np.zeros(space.dim, dtype=full.dtype)
-    omega[index] = full / scale
+    omega[rows] = full / scale
     return omega
 
 
@@ -1288,7 +1288,7 @@ def _chebyshev_rows(xs, decay: bool = False) -> np.ndarray:
 def _chebyshev_window(H2, v, rows, odd_factor, pool, out=None, done=None):
     """Every row of Chebyshev coefficients applied to v, from one recurrence.
 
-    H2 is twice the scaled block (see _reached_block).  Adds to out[j] the
+    H2 is twice the scaled block (see _scaled).  Adds to out[j] the
     sum over even k of rows[j, k] T_k(H) v plus odd_factor times the sum
     over odd k, taken up to row j's last nonzero coefficient, and returns
     (out, products); without out, the sums go to zeros of the result type.
@@ -1459,46 +1459,18 @@ def _norm2(x) -> float:
     return _dot(x, x)
 
 
-def _reach(M, v) -> np.ndarray:
-    """The rows of the connected components of M's sparsity graph on which
-    v is nonzero, ascending.
+def _scaled(B):
+    """The block B scaled into [-1, 1] and doubled.
 
-    They are found by a breadth-first search along the rows of CSR M from
-    each nonzero of v not reached yet.  That search follows edges one way
-    only, and it finds the components because every generator the library
-    builds is exactly Hermitian (see assemble_coupling), so its pattern is
-    symmetric; unlike an undirected search it copies no part of the
-    pattern.
+    Returns (H2, center, half) with H2 = 2 H and H = (B - center) / half,
+    shifted and scaled by B's Gershgorin bounds.  H2 is built into arrays
+    of exactly its entry count, the only set of arrays of the block's size
+    that the call allocates (see _shifted); the radii sum the magnitudes
+    of the entries without a copy of the pattern.  The factor 2 of the
+    Chebyshev recurrence is taken here once; it is exact in binary
+    floating point, so H2 @ x is exactly 2 (H @ x).  A non-finite entry
+    in the block raises NumericalError.
     """
-    # imported here, not at the top: it adds about 5% to importing kmslab
-    from scipy.sparse.csgraph import breadth_first_order
-    pattern = sp.csr_matrix((np.broadcast_to(1.0, M.data.shape), M.indices,
-                             M.indptr), shape=M.shape, copy=False)
-    reached = np.zeros(M.shape[0], dtype=bool)
-    for start in np.flatnonzero(v):
-        if not reached[start]:
-            reached[breadth_first_order(pattern, start, directed=True,
-                                        return_predecessors=False)] = True
-    return np.flatnonzero(reached)
-
-
-def _reached_block(M, v):
-    """The block of M that v reaches, scaled into [-1, 1] and doubled.
-
-    The block is the union of the connected components of M's sparsity
-    graph on which v is nonzero (see _reach); M stays exact on it.  A
-    block of every row is M itself, not a copy.  Returns (block, H2,
-    center, half) with H2 = 2 H and H = (M[block, block] - center) / half,
-    shifted and scaled by the block's Gershgorin bounds.  H2 is built into
-    arrays of exactly its entry count, the only set of arrays of the
-    block's size that the call allocates besides a copied block (see
-    _shifted); the radii sum the magnitudes of the entries without a copy
-    of the pattern.  The factor 2 of the Chebyshev recurrence is taken
-    here once; it is exact in binary floating point, so H2 @ x is exactly
-    2 (H @ x).  A non-finite entry in the block raises NumericalError.
-    """
-    block = _reach(M, v)
-    B = M if len(block) == M.shape[0] else M[block][:, block]
     diag = B.diagonal().real
     magnitudes = sp.csr_matrix((np.abs(B.data), B.indices, B.indptr),
                                shape=B.shape, copy=False)
@@ -1513,7 +1485,7 @@ def _reached_block(M, v):
     H2 = _shifted(B, center)
     H2.data /= half
     H2.data *= 2.0
-    return block, H2, float(center), float(half)
+    return H2, float(center), float(half)
 
 
 def _shifted(B, center) -> sp.csr_matrix:
@@ -1607,13 +1579,16 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
            observe: Callable | None = None) -> EvolutionResult:
     """Unitary propagation of a vector along an increasing time grid.
 
-    psi0 is a full-space vector; on an operator of a sector (L.rows not
-    None, see on_sector) it must vanish off L.rows, and its part on them
-    is propagated.  Only the block B of L that psi0 reaches is propagated:
-    the union of the connected components of L's sparsity graph on which
-    psi0 is nonzero.  This is exact for the stored matrix.  A block of
-    every row of L is L.matrix itself; any other is copied out of it
-    (see _reached_block).  B = center + half H is shifted
+    psi0 is a full-space vector, and only its sector is propagated: the
+    classes of (detector index, N mod 2) that it reaches through the links
+    of L's factors (see _sector_rows), a subspace that L leaves invariant.
+    The free generator of assemble_L0 has no links, so there the sector is
+    the classes on which psi0 is nonzero.  On an L assembled on the full
+    space the block B is L.matrix's principal submatrix on the sector's
+    rows, L.matrix itself where they are every row; on the operator of
+    assemble_factors (no rows) B is assembled there from the factors (see
+    _generator), for an off-diagonal G half the full generator.  The bits
+    are the same either way.  B = center + half H is shifted
     and scaled into [-1, 1] by its Gershgorin bounds, and the grid is cut
     into windows (see _windows): one Chebyshev series of
     W(tau) = e^{-i half H tau} (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
@@ -1672,10 +1647,10 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     and no ``observe`` call; the call raises that exception after the
     window in which it sees it, at the latest once the pool is joined.
 
-    Besides L, only the scaled block is kept: arrays of one more matrix
-    of the block's size, and no copy of the block itself where it is all
-    of L, as on the sector of a start (on_sector), where L is half the
-    full generator for an off-diagonal G.  The call holds the pool,
+    Of the block, only its scaled form H2 is kept through the propagation
+    (see _scaled): a matrix of the block's size beside an assembled L, and
+    the only one on the operator of assemble_factors, whose block is
+    dropped once H2 is built.  The call holds the pool,
     _WINDOW_OUTPUTS + 1 complex vectors of the block's length, which v0
     seeds; a window adds a ring of 2 * _CHEBYSHEV_CHUNK (16) real vectors,
     a product in flight and a _WINDOW_OUTPUTS x _FOLD_COLUMNS fold
@@ -1696,33 +1671,35 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     at every grid time and must stay below 1e-10, otherwise (a non-finite
     state included) a numerical error reports the first failing step.  An
     exception raised by ``observe`` comes out of the call unchanged.  A
-    psi0 that is not of the full space's shape, finite and normalized, or
-    has weight off L.rows, and a time grid that is not nonempty, finite
-    and increasing, raise ValidationError.  ``matvecs`` counts every
-    product with the block, the drift checks' included.
+    psi0 that is not of the full space's shape, finite and normalized, an
+    operator on no rows without an interaction part, and a time grid that
+    is not nonempty, finite and increasing, raise ValidationError.
+    ``matvecs`` counts every product with the block, the drift checks'
+    included.
     """
     tgrid = np.asarray(tgrid, dtype=float)
     if (len(tgrid) == 0 or not np.all(np.isfinite(tgrid))
             or np.any(np.diff(tgrid) <= 0)):
         raise ValidationError(
             "time grid must be nonempty, finite and increasing")
+    if L.G is None and not L.dim:
+        raise ValidationError(
+            "operator lacks an interaction part; it has no rows to propagate")
     psi0 = np.asarray(psi0)
-    dim = L.dim if L.rows is None else L.space.dim
-    if psi0.shape != (dim,):
-        raise ValidationError("initial vector must have shape (%d,), got %s"
-                              % (dim, psi0.shape))
+    links = np.zeros((4, 4), dtype=bool)
+    if L.G is not None:
+        I_fac, JIJ_fac = _detector_factors(L.G)
+        links = (I_fac.toarray() != 0) | (JIJ_fac.toarray() != 0)
+    block = _sector_rows(L.space, links, psi0)     # checks psi0's shape
     if not abs(math.sqrt(_norm2(psi0)) - 1.0) <= 1e-10:
         raise ValidationError("initial vector must be finite and normalized")
-    v0 = psi0
-    if L.rows is not None:
-        v0 = psi0[L.rows]
-        if np.count_nonzero(v0) != np.count_nonzero(psi0):
-            raise ValidationError("initial vector has weight off the "
-                                  "operator's sector")
-    block, H2, center, half = _reached_block(L.matrix, v0)
     n = len(block)
-    if L.rows is not None:      # from here on, the block's full-space rows
-        block = L.rows if n == L.dim else L.rows[block]
+    if not L.dim:
+        B = _generator(L, L.lam, block)
+    else:
+        B = L.matrix if n == L.dim else L.matrix[block][:, block]
+    H2, center, half = _scaled(B)
+    del B       # the loop reads only H2
     real = not np.iscomplexobj(H2.data)
     # the products of one energy(): two real ones for a real symmetric H2
     energy_products = 2 if real else 1
@@ -1744,7 +1721,6 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
     slots = np.empty((min(_WINDOW_OUTPUTS, len(tgrid)) + 1, n),
                      dtype=complex)
     slots[0] = psi0[block]
-    del v0      # a sector's copy of the start: the slots hold it now
     anchor, d = 0, 1
     past = np.empty(0)      # the last start and times
     e0 = energy(slots[0])
@@ -1753,7 +1729,7 @@ def evolve(L: LiouvilleanOperator, psi0: np.ndarray, tgrid: Sequence[float],
 
     # what the steps write, on the worker alone
     psi = np.empty(n, dtype=complex)
-    full = np.zeros(dim, dtype=complex)
+    full = np.zeros(L.space.dim, dtype=complex)
     states = None
     norm_drift = 0.0
     energy_drift = 0.0
@@ -1891,7 +1867,7 @@ class RTEReport:
 
 def _dressed_reference(L: LiouvilleanOperator) -> np.ndarray:
     """Reduced perturbed KMS state at L's coupling, from its factors on
-    Omega_0's I-sector (whatever L's rows)."""
+    Omega_0's I-sector (whatever rows L is assembled on)."""
     if L.G is None:
         raise ValidationError(
             "operator lacks an interaction part; pass a reference state")
@@ -1952,7 +1928,7 @@ def _entangled_initial(L: LiouvilleanOperator) -> np.ndarray:
 
 
 # Initial states of the return-to-equilibrium runs, by name, built from the
-# coupled generator's space, gap and factors (its rows are not read, so the
+# coupled generator's space, gap and factors (its matrix is not read, so the
 # operator of assemble_factors serves): the excited detector or the reduced
 # perturbed KMS state times the reservoir vacuum, one boson in the gap
 # packet on the ground vector, and the normalized sum of that and the ++

@@ -867,7 +867,9 @@ def test_perturbed_vector_accurate_at_large_beta(beta):
     L0 = L.with_lambda(0.0)
     A = (L0.matrix + 0.3 * L.I).tocsc()
     omega0 = lv.gns_vacuum(space, 1.0, beta)
-    _, _, _, half = lv._reached_block(A.tocsr(), omega0)
+    rows = lv._sector_rows(space, lv._detector_factors(L.G)[0].toarray() != 0,
+                           omega0)
+    half = lv._scaled(A.tocsr()[rows][:, rows])[2]
     assert beta * half / 2.0 > 20.0
     omega = lv.perturbed_kms_vector(L0, L.I, 0.3, beta,
                                     consistency_tol=1e-13)
@@ -1343,6 +1345,18 @@ def _dense_propagator(M, t):
     return _propagator(_Dense(M), t)
 
 
+def _block(L, psi0):
+    """evolve's block for psi0 and its scaling: the rows of psi0's sector
+    under the links of L's factors, then (rows, H2, center, half)."""
+    links = np.zeros((4, 4), dtype=bool)
+    if L.G is not None:
+        links = np.any([f.toarray() != 0 for f in lv._detector_factors(L.G)],
+                       axis=0)
+    rows = lv._sector_rows(L.space, links, psi0)
+    B = L.matrix[rows][:, rows] if L.dim else lv._generator(L, L.lam, rows)
+    return (rows,) + lv._scaled(B)
+
+
 def _dense_check_operator(zeta):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)
@@ -1358,7 +1372,7 @@ def test_evolution_matches_dense_exponential(zeta):
     space, L = _dense_check_operator(zeta)
     rng = np.random.default_rng(7)
     spread = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    _, _, _, half = lv._reached_block(L.matrix, spread)
+    _, _, _, half = _block(L, spread)
     # 3.5 windows of full output count, then one point three spans away
     n_uniform = 7 * lv._WINDOW_OUTPUTS // 2
     dt = 0.8 * lv._WINDOW_SPAN / (lv._WINDOW_OUTPUTS * half)
@@ -1405,7 +1419,7 @@ def test_leapfrog_windows_match_the_dense_exponential(monkeypatch):
         M = op.matrix.toarray()
         for psi0, series in ((lv.product_initial(space, np.diag([1.0, 0.0])),
                               1), (_spread_state(space), 2)):
-            _, _, center, half = lv._reached_block(op.matrix, psi0)
+            _, _, center, half = _block(op, psi0)
             assert half * tgrid[lv._WINDOW_OUTPUTS - 1] <= lv._WINDOW_SPAN
             assert abs(center - shift) < 1.0
             threads.clear()
@@ -1441,7 +1455,7 @@ def test_evolve_gives_the_same_bits_under_any_thread_interleaving(
         monkeypatch):
     monkeypatch.setattr(lv, "_WORKER_MIN_ROWS", 0)     # two threads a call
     L, psi0, tgrid = _shell_windows(5)
-    _, _, _, half = lv._reached_block(L.matrix, psi0)
+    _, _, _, half = _block(L, psi0)
     # each window's series is several chunks long
     terms = lv._chebyshev_rows(half * tgrid[:lv._WINDOW_OUTPUTS]).shape[1]
     assert terms > 4 * lv._CHEBYSHEV_CHUNK
@@ -1561,7 +1575,7 @@ def test_small_blocks_run_inline_with_the_same_bits(monkeypatch):
     # the 650-row shell block lies below the worker threshold; the
     # reference is the worker schedule, taken with the threshold at 0
     L, psi0, tgrid = _shell_windows(2)
-    block, _, _, _ = lv._reached_block(L.matrix, psi0)
+    block, _, _, _ = _block(L, psi0)
     assert len(block) < lv._WORKER_MIN_ROWS
     starts = (psi0, _shell_run()[1])    # a complex start, and a real one
 
@@ -1607,7 +1621,7 @@ def test_evolve_hands_each_step_to_the_worker_between_two_folds(
     monkeypatch.setattr(lv, "_WORKER_MIN_ROWS", 0)
     space, L = _dense_check_operator(math.pi)
     real = lv.product_initial(space, np.diag([1.0, 0.0]))
-    _, _, _, half = lv._reached_block(L.matrix, real)
+    _, _, _, half = _block(L, real)
     # three full windows, a gap of over two spans reached in sub-steps,
     # then 28 more grid times
     assert lv._WINDOW_OUTPUTS == 14
@@ -1659,7 +1673,7 @@ def test_evolve_hands_each_step_to_the_worker_between_two_folds(
         assert np.array_equal(np.array(steps), plain.states)
         # the window and the term count at which each grid time's row is
         # complete: row j at the longest of the window's rows 0 to j
-        _, _, _, half = lv._reached_block(L.matrix, psi0)
+        _, _, _, half = _block(L, psi0)
         complete = []
         for w, (start, times, on_grid) in enumerate(lv._windows(tgrid, half)):
             if on_grid:
@@ -1710,7 +1724,7 @@ def test_evolve_reuses_its_slots_on_uneven_windows(monkeypatch):
         exact = [_dense_propagator(M, t) for t in tgrid]
         for psi0 in (lv.product_initial(space, np.diag([1.0, 0.0])),
                      _spread_state(space)):
-            _, _, _, half = lv._reached_block(L.matrix, psi0)
+            _, _, _, half = _block(L, psi0)
             shape = [(len(times), on_grid)
                      for _, times, on_grid in lv._windows(tgrid, half)]
             assert sum(not on_grid for _, on_grid in shape) >= 3
@@ -1798,7 +1812,7 @@ def test_leapfrog_keeps_a_long_run_within_its_drift():
 def test_evolution_windows_stay_within_span(monkeypatch):
     space, L = _dense_check_operator(math.pi)
     psi0 = lv.product_initial(space, np.diag([1.0, 0.0]))
-    _, _, _, half = lv._reached_block(L.matrix, psi0)
+    _, _, _, half = _block(L, psi0)
     spans = []
     rows = lv._chebyshev_rows
 
@@ -1859,7 +1873,7 @@ def test_chebyshev_rows_match_bessel_expansions():
 def test_window_folds_each_row_to_its_own_cut(monkeypatch):
     space, L = _dense_check_operator(math.pi)
     psi0 = _spread_state(space)
-    block, H2, center, half = lv._reached_block(L.matrix, psi0)
+    block, H2, center, half = _block(L, psi0)
     offsets = np.array([0.5, 2.0, 9.0, 4.0, 30.0])
     rows = lv._chebyshev_rows(offsets)
     lengths = [int(np.nonzero(row)[0][-1]) + 1 for row in rows]
@@ -1898,7 +1912,7 @@ def test_evolution_counts_its_products():
     psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi0 /= np.linalg.norm(psi0)
     tgrid = np.linspace(0.5, 8.0, 16)
-    _, H, _, half = lv._reached_block(L.matrix, psi0)
+    _, H, _, half = _block(L, psi0)
     assert not np.iscomplexobj(H.data)
     # one step at a time: two real series and two drift-check products each
     terms = lv._chebyshev_rows([half * 0.5]).shape[1]
@@ -1912,7 +1926,7 @@ def test_evolution_counts_its_products():
 def test_evolution_skips_an_all_zero_part():
     space, L = _dense_check_operator(math.pi)
     real = lv.product_initial(space, np.diag([1.0, 0.0]))
-    _, _, _, half = lv._reached_block(L.matrix, real)
+    _, _, _, half = _block(L, real)
     series = lv._chebyshev_rows([half * 0.5]).shape[1] - 1
     # the initial energy and the one drift check take two products each
     runs = {}
@@ -1934,7 +1948,7 @@ def test_window_memory_stays_within_its_vector_count():
         warnings.simplefilter("ignore", ResonanceWarning)
         _, space = _small_paired(n_side=8, n_tot=3)
         L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
-    block, H, _, half = lv._reached_block(L.matrix, _spread_state(space))
+    block, H, _, half = _block(L, _spread_state(space))
     v = _spread_state(space)[block]
     assert 2000 < len(v) < lv._FOLD_COLUMNS
     rows = lv._chebyshev_rows(np.linspace(0.1, 1.0, lv._WINDOW_OUTPUTS)
@@ -1970,7 +1984,7 @@ def test_evolve_memory_stays_within_its_vector_count():
     tracemalloc.start()
     try:    # the block's index and scaled matrix
         entry = tracemalloc.get_traced_memory()[0]
-        block, H2, _, _ = lv._reached_block(L.matrix, spread)
+        block, H2, _, _ = _block(L, spread)
         held = tracemalloc.get_traced_memory()[0] - entry
     finally:
         tracemalloc.stop()
@@ -1989,7 +2003,7 @@ def test_evolve_memory_stays_within_its_vector_count():
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert np.array_equal(lv._reached_block(L.matrix, psi0)[0], block)
+        assert np.array_equal(_block(L, psi0)[0], block)
         assert result.norm_drift < 1e-10
         assert peak < held + 8 * vectors * n
 
@@ -2000,29 +2014,29 @@ def test_reached_block_holds_no_spare_capacity(monkeypatch):
         _, space = _small_paired(n_side=8, n_tot=3)
         L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
     spread = _spread_state(space)
-    reached = lv._reached_block
+    scaled = lv._scaled
 
-    def spare(M, v):
-        """_reached_block with H2 built as a plain difference, whose arrays
-        keep one spare slot per row."""
-        block, H2, center, half = reached(M, v)
-        B = M[block][:, block]
-        padded = (B - center * sp.identity(len(block), format="csr")).tocsr()
+    def spare(B):
+        """_scaled with H2 built as a plain difference, whose arrays keep
+        one spare slot per row."""
+        H2, center, half = scaled(B)
+        n = B.shape[0]
+        padded = (B - center * sp.identity(n, format="csr")).tocsr()
         padded.data /= half
         padded.data *= 2.0
-        assert padded.data.base.size == padded.nnz + len(block)
+        assert padded.data.base.size == padded.nnz + n
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(padded, name), getattr(H2, name))
-        return block, padded, center, half
+        return padded, center, half
 
-    block, H2, _, _ = reached(L.matrix, spread)
+    block, H2, _, _ = _block(L, spread)
     assert len(block) == 3876
     for array in (H2.data, H2.indices):
         held = array if array.base is None else array.base
         assert held.size == H2.nnz
     tgrid = 0.5 * np.arange(1, 2 * lv._WINDOW_OUTPUTS + 1)
     exact = lv.evolve(L, spread, tgrid)
-    monkeypatch.setattr(lv, "_reached_block", spare)
+    monkeypatch.setattr(lv, "_scaled", spare)
     padded = lv.evolve(L, spread, tgrid)
     assert np.array_equal(exact.states, padded.states)
     assert exact.matvecs == padded.matvecs
@@ -2039,23 +2053,38 @@ def _component_block(M, v):
 @pytest.mark.parametrize("zeta", [math.pi, math.pi / 2])
 @pytest.mark.parametrize("G", [OFFDIAG, np.diag([1.0, -1.0])],
                          ids=["offdiag", "diagonal"])
-def test_reached_block_is_the_components_of_the_start(zeta, G):
+def test_reached_block_is_the_components_of_the_start(zeta, G,
+                                                     monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)
         disc = lv.jittered_modes(1.0, seed=0, n_side=4, zeta=zeta)
         space = lv.TruncatedFock(disc, n_tot_max=3)
         L = lv.assemble_liouvillean(space, 1.0, G, 0.3)
+        factors = lv.assemble_factors(space, 1.0, G, 0.3)
+    found = []      # the rows of every sector search
+    sector_rows = lv._sector_rows
+
+    def recording(*args):
+        found.append(sector_rows(*args))
+        return found[-1]
+
+    monkeypatch.setattr(lv, "_sector_rows", recording)
     sizes = set()
     for name, build in lv.INITIAL_STATES.items():
         psi0 = build(L)
-        block = lv._reached_block(L.matrix, psi0)[0]
-        assert np.array_equal(block, _component_block(L.matrix, psi0)), name
-        sizes.add(len(block))
-    # the perturbed KMS vector's operator L0 + lam I, from Omega_0
+        for op in (L, factors):     # the rows that evolve propagates
+            lv.evolve(op, psi0, [0.5])
+            assert np.array_equal(found[-1],
+                                  _component_block(L.matrix, psi0)), name
+        sizes.add(len(found[-1]))
+    # the perturbed KMS vector's operator L0 + lam I, from Omega_0: its
+    # I-sector from the factors, and from the full I's block pattern
     A = (sp.diags(space.free_energies(1.0)) + 0.3 * L.I).tocsr()
-    omega0 = lv.gns_vacuum(space, 1.0, 1.0)
-    block = lv._reached_block(A, omega0)[0]
-    assert np.array_equal(block, _component_block(A, omega0))
+    block = _component_block(A, lv.gns_vacuum(space, 1.0, 1.0))
+    for op, I_mat in ((factors, None), (L, L.I)):
+        found.clear()
+        lv.perturbed_kms_vector(op, I_mat, 0.3, 1.0)
+        assert len(found) == 1 and np.array_equal(found[0], block)
     sizes.add(len(block))
     assert min(sizes) < space.dim    # a proper block is among them
 
@@ -2079,7 +2108,7 @@ def test_scaled_block_matches_the_old_construction(zeta):
         space = lv.TruncatedFock(disc, n_tot_max=3)
         L = lv.assemble_liouvillean(space, 1.0, OFFDIAG, 0.3)
     for psi0 in (lv.INITIAL_STATES["excited"](L), _spread_state(space)):
-        block, H2, center, half = lv._reached_block(L.matrix, psi0)
+        block, H2, center, half = _block(L, psi0)
         B = L.matrix[block][:, block]
         diag = B.diagonal().real
         assert np.any(diag == 0.0)
@@ -2124,25 +2153,26 @@ def test_sector_is_the_reached_block_and_the_principal_submatrix(zeta, G):
         space = lv.TruncatedFock(disc, n_tot_max=3)
         L = lv.assemble_liouvillean(space, 1.0, G, 0.3)
         factors = lv.assemble_factors(space, 1.0, G, 0.3)
-    assert factors.dim == 0 and len(factors.rows) == 0
+    assert factors.dim == 0
     tgrid = 0.5 * np.arange(1, 2 * lv._WINDOW_OUTPUTS + 1)
     sizes = set()
     for name, build in lv.INITIAL_STATES.items():
         psi0 = build(factors)
         assert np.array_equal(psi0, build(L)), name
-        S = factors.on_sector(psi0)
-        assert np.array_equal(S.rows, _component_block(L.matrix, psi0)), name
-        assert np.array_equal(S.rows, lv._reached_block(L.matrix, psi0)[0])
-        sub = L.matrix[S.rows][:, S.rows]
-        assert S.matrix.dtype == L.matrix.dtype
+        rows = _block(L, psi0)[0]
+        assert np.array_equal(rows, _component_block(L.matrix, psi0)), name
+        S = lv._generator(factors, factors.lam, rows)
+        sub = L.matrix[rows][:, rows]
+        assert S.dtype == L.matrix.dtype
         for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(S.matrix, attr),
+            assert np.array_equal(getattr(S, attr),
                                   getattr(sub, attr)), name
-        full, sector = lv.evolve(L, psi0, tgrid), lv.evolve(S, psi0, tgrid)
+        full, sector = lv.evolve(L, psi0, tgrid), lv.evolve(factors, psi0,
+                                                            tgrid)
         assert np.array_equal(full.states, sector.states), name
         assert ((full.matvecs, full.norm_drift, full.energy_drift)
                 == (sector.matvecs, sector.norm_drift, sector.energy_drift))
-        sizes.add(len(S.rows))
+        sizes.add(len(rows))
     assert min(sizes) < space.dim    # a proper sector is among them
     # Omega_0's I-sector, from the factors, against the full I
     assert np.array_equal(
@@ -2150,27 +2180,41 @@ def test_sector_is_the_reached_block_and_the_principal_submatrix(zeta, G):
         lv.perturbed_kms_vector(L.with_lambda(0.0), L.I, 0.3, 1.0))
 
 
-def test_sector_refuses_a_start_off_its_rows():
+def test_operator_on_no_rows_refuses_what_needs_rows():
     disc, space = _small_paired(n_tot=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)
         factors = lv.assemble_factors(space, 1.0, OFFDIAG, 0.3)
-    excited = lv.INITIAL_STATES["excited"](factors)
-    S = factors.on_sector(excited)
-    assert len(S.rows) == space.dim // 2
-    # the one-boson start lies in the other half
-    other = lv.INITIAL_STATES["one-boson"](factors)
-    with pytest.raises(ValidationError, match="off the operator's sector"):
-        lv.evolve(S, other, [0.5])
-    with pytest.raises(ValidationError, match="must have shape"):
-        lv.evolve(S, excited[S.rows], [0.5])
-    with pytest.raises(ValidationError, match="must have shape"):
-        factors.on_sector(excited[:-1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResonanceWarning)
         free = lv.assemble_L0(space, 1.0)
+    excited = lv.INITIAL_STATES["excited"](factors)
+    assert np.count_nonzero(excited) == 1
+    with pytest.raises(ValidationError, match="must have shape"):
+        lv.evolve(factors, excited[:-1], [0.5])
+    # a rowless operator without factors has nothing to assemble
+    rowless = dataclasses.replace(factors, G=None, phi=None, phi_conj=None)
+    with pytest.raises(ValidationError, match="lacks an interaction part"):
+        lv.evolve(rowless, excited, [0.5])
     with pytest.raises(ValidationError, match="pass I_mat"):
         lv.perturbed_kms_vector(free, None, 0.3, 1.0)
+    # numpy's zero-size reduction error, before the norm was refused
+    for call in (factors.norm_estimate, lambda: lv.spectrum_scan(factors),
+                 lambda: lv.spectrum_scan(factors, method="dense")):
+        with pytest.raises(ValidationError, match="on no rows"):
+            call()
+
+
+def test_perturbed_vector_refuses_an_interaction_of_the_wrong_shape():
+    space, L = _dense_check_operator(math.pi)
+    assert space.dim == 180
+    I_full = L.I
+    # 179 x 179 and 184 x 184 returned a vector, 179 x 180 raised scipy's
+    # ValueError and 3 x 3 an IndexError
+    for bad in (I_full[:179, :179], sp.block_diag([I_full, sp.eye(4)]),
+                I_full[:179], np.eye(3)):
+        with pytest.raises(ValidationError, match=r"I_mat must have shape "
+                           r"\(180, 180\), got \(%d, %d\)" % bad.shape):
+            lv.perturbed_kms_vector(L, bad, 0.3, 1.0)
+    assert lv.perturbed_kms_vector(L, I_full, 0.3, 1.0).shape == (180,)
 
 
 def _traced_peak(fn):
@@ -2184,7 +2228,8 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_sector_operator_halves_the_generator_and_the_run_peak():
+def test_sector_operator_halves_the_generator_and_the_run_peak(
+        monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)
         _, space = _small_paired(n_side=8, n_tot=3)
@@ -2192,37 +2237,52 @@ def test_sector_operator_halves_the_generator_and_the_run_peak():
         def assemble(lam):
             return lv.assemble_liouvillean(space, 1.0, OFFDIAG, lam)
 
-        def sector(lam):
-            return lv.assemble_factors(space, 1.0, OFFDIAG, lam).on_sector(
-                psi0)
+        def factors(lam):
+            return lv.assemble_factors(space, 1.0, OFFDIAG, lam)
 
-        L = assemble(0.3)
-        psi0 = lv.INITIAL_STATES["excited"](L)
-        S = sector(0.3)
+        L, F = assemble(0.3), factors(0.3)
+    psi0 = lv.INITIAL_STATES["excited"](L)
+    rows = _block(L, psi0)[0]
+    S = lv._generator(F, F.lam, rows)
 
-    def held(op):
-        return sum(array.nbytes for array in (op.matrix.data,
-                                              op.matrix.indices,
-                                              op.matrix.indptr))
+    def held(M):
+        return sum(array.nbytes for array in (M.data, M.indices, M.indptr))
 
-    assert held(S) <= 0.55 * held(L)
+    assert held(S) <= 0.55 * held(L.matrix)
     tgrid = 0.5 * np.arange(1, 2 * lv._WINDOW_OUTPUTS + 1)
-    lv.rte_distance_series(S, psi0, tgrid[:1])   # the first call's imports
-    # the series alone: the full path copies the block out of L before
-    # scaling it, and the sector path holds no copy in its place
-    (full, full_peak), (part, part_peak) = [
-        _traced_peak(lambda: lv.rte_distance_series(op, psi0, tgrid))
-        for op in (L, S)]
+    lv.rte_distance_series(F, psi0, tgrid[:1])   # the first call's imports
+    full, part = [lv.rte_distance_series(op, psi0, tgrid) for op in (L, F)]
     assert np.array_equal(full.distances, part.distances)
-    assert part_peak <= full_peak
-    # a run, the operator it holds included (2.09 and 1.83 MB measured)
+    # the run on the factors drops the sector's matrix once it is scaled:
+    # at the first window, what is live beside H2, the pool of states, the
+    # steps' state, their full-space vector and the rows is under a
+    # quarter of it (26 kB measured against 66 kB; the matrix is 266 kB)
+    window, live = lv._chebyshev_window, []
+
+    def recording(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return window(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(lv, "_chebyshev_window", recording)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            lv.evolve(F, psi0, tgrid, observe=lambda psi: 0.0)
+        finally:
+            tracemalloc.stop()
+    n = len(rows)
+    vectors = 16 * n * (lv._WINDOW_OUTPUTS + 2) + 16 * space.dim + 8 * n
+    H2 = lv._scaled(S)[0]
+    assert live[0] - entry < held(H2) + vectors + 0.25 * held(S)
+    # a run, the operator it holds included (2.09 and 1.56 MB measured)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResonanceWarning)
         _, full_run = _traced_peak(lambda: lv.rte_distance_series(
             assemble(0.25), psi0, tgrid))
         _, part_run = _traced_peak(lambda: lv.rte_distance_series(
-            sector(0.25), psi0, tgrid))
-    assert part_run < full_run - 0.4 * held(L)
+            factors(0.25), psi0, tgrid))
+    assert part_run < full_run - 0.4 * held(L.matrix)
 
 
 def test_evolution_stays_in_its_component():
